@@ -29,13 +29,7 @@ from . import dtpnn as dtpnn_mod
 from . import flow as flow_mod
 from .baselines import hals_sweep, mur_sweep
 from .datagen import gen_problem
-from .errors import (
-    ArmijoStallError,
-    BoundaryStallError,
-    ConfigError,
-    DivergenceError,
-    NeurocpdError,
-)
+from .errors import SOLVER_FAILURES, ConfigError, NeurocpdError
 from .model import BarrierParams, kkt_residual, objective
 from .swarm import SwarmConfig, cno_run, initial_model
 from .tensor_io import load_tensor
@@ -309,7 +303,7 @@ def _run_stepwise(t, cfg: RunConfig, seed: int, rec: _Recorder):
 
 
 def run_single(cfg: RunConfig, seed: int) -> RunRecord:
-    """One (config, seed) run; divergence keeps the partial trace."""
+    """One (config, seed) run; a solver failure keeps the partial trace."""
     t = cfg.load_problem()
     rec = _Recorder(t, cfg)
     snapshot = config_snapshot(cfg)
@@ -334,7 +328,7 @@ def run_single(cfg: RunConfig, seed: int) -> RunRecord:
         return RunRecord(snapshot, seed, rec.rows, model, reason)
     try:
         model, reason, last_iter = _run_stepwise(t, cfg, seed, rec)
-    except (DivergenceError, BoundaryStallError, ArmijoStallError) as exc:
+    except SOLVER_FAILURES as exc:
         return RunRecord(snapshot, seed, rec.rows, None, f"diverged: {exc}")
     if not rec.rows or rec.rows[-1].iteration != last_iter:
         rec.record_model(last_iter, model)

@@ -1,5 +1,7 @@
 """Exception types raised by the solvers and the benchmark driver."""
 
+import numpy as np
+
 
 class NeurocpdError(Exception):
     """Base class for all package-specific errors."""
@@ -66,3 +68,16 @@ class CollinearityInfeasibleError(NeurocpdError):
 
 class ConfigError(NeurocpdError):
     """Benchmark run configuration is invalid."""
+
+
+#: Errors that end one solver trajectory without making its configuration
+#: invalid. The single-run driver records such a seed as failed and goes on
+#: with the next; the swarm re-seeds the particle. ``LinAlgError`` comes from
+#: a least-squares or barrier solve that cannot proceed.
+SOLVER_FAILURES = (
+    DivergenceError,
+    SingularPreconditionerError,
+    BoundaryStallError,
+    ArmijoStallError,
+    np.linalg.LinAlgError,
+)

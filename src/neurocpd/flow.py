@@ -17,13 +17,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BarrierDomainError, BoundaryStallError, DivergenceError
+from .errors import (
+    SOLVER_FAILURES,
+    BarrierDomainError,
+    BoundaryStallError,
+    DivergenceError,
+)
 from .model import (
     BarrierParams,
     Preconditioner,
     barrier_gradient,
     barrier_precondition,
     projection_bundle,
+    projection_stack,
 )
 from .tensor_ops import KruskalModel
 
@@ -125,6 +131,83 @@ def solve_to_equilibrium(
         if callback is not None:
             callback(s)
     return s, "max_steps"
+
+
+def solve_stack(
+    t: Array,
+    factors,
+    scales: Array,
+    use_precondition: bool = True,
+    ridge: float | None = None,
+    tol: float = 1e-6,
+    max_steps: int = 10000,
+) -> tuple[list[Array], Array]:
+    """Integrate P independent flows as one stack, each to its own stop.
+
+    ``factors[n]`` is the ``(P, I_n, R)`` stack of start points of factor
+    ``n`` and ``scales[p, n]`` the Euler weight ``h / eps_n`` of trajectory
+    ``p``. Every trajectory follows :func:`solve_to_equilibrium`: its residual
+    is checked before each step and it stops once converged or after
+    ``max_steps`` steps. A trajectory whose step is not finite, or whose
+    directions raise one of the solver failures, stops as failed at its last
+    finite point; the others go on as if it were not there. Returns the final
+    stacks and the per-trajectory failure mask.
+    """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    factors = [np.array(f, dtype=np.float64) for f in factors]
+    scales = np.asarray(scales, dtype=np.float64)
+    active = np.ones(len(scales), dtype=bool)
+    failed = np.zeros(len(scales), dtype=bool)
+    for _ in range(max_steps):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        current = [f[idx] for f in factors]
+        directions, broken = _stack_directions(t, current, use_precondition, ridge)
+        residual = np.max([np.abs(d).max(axis=(1, 2)) for d in directions], axis=0)
+        moving = ~broken & ~(residual < tol)
+        stepped = [
+            f + scales[idx, n][:, None, None] * d
+            for n, (f, d) in enumerate(zip(current, directions))
+        ]
+        finite = np.logical_and.reduce(
+            [np.isfinite(f).all(axis=(1, 2)) for f in stepped]
+        )
+        broken |= moving & ~finite
+        moving &= finite
+        for f, new in zip(factors, stepped):
+            f[idx[moving]] = new[moving]
+        failed[idx[broken]] = True
+        active[idx[~moving]] = False
+    return factors, failed
+
+
+def _stack_directions(t: Array, factors, use_precondition: bool, ridge):
+    """Directions of a stack, and the slices whose directions raised.
+
+    The whole stack is one kernel call; only if that raises is each slice
+    computed alone, so that one failing trajectory does not stop the rest.
+    """
+    count = len(factors[0])
+    try:
+        directions = projection_stack(t, factors, use_precondition, ridge)[0]
+        return directions, np.zeros(count, dtype=bool)
+    except SOLVER_FAILURES:
+        pass
+    directions = [np.zeros_like(f) for f in factors]
+    broken = np.zeros(count, dtype=bool)
+    for p in range(count):
+        try:
+            alone = projection_stack(
+                t, [f[p : p + 1] for f in factors], use_precondition, ridge
+            )[0]
+        except SOLVER_FAILURES:
+            broken[p] = True
+            continue
+        for d, one in zip(directions, alone):
+            d[p] = one[0]
+    return directions, broken
 
 
 def barrier_rhs(

@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BarrierDomainError, SingularPreconditionerError
-from .tensor_ops import KruskalModel, hadamard_gram, mttkrp
+from .tensor_ops import KruskalModel, hadamard_gram, mttkrp, mttkrp_stack
 
 Array = np.ndarray
 
@@ -56,14 +55,23 @@ class Preconditioner:
         return cls(mode, hadamard_gram(model, mode), ridge)
 
     def effective_ridge(self) -> float:
-        if self.ridge is not None:
-            return float(self.ridge)
-        rank = self.gram.shape[0]
-        return AUTO_RIDGE_SCALE * float(np.trace(self.gram)) / rank
+        return float(_ridges(self.gram, self.ridge))
 
     def matrix(self) -> Array:
-        delta = self.effective_ridge()
-        return self.gram + delta * np.eye(self.gram.shape[0])
+        return _ridged(self.gram, self.ridge)
+
+
+def _ridges(grams: Array, ridge: float | None) -> Array:
+    """Ridge of each ``(..., R, R)`` Gram: ``ridge``, or the automatic one."""
+    if ridge is not None:
+        return np.full(grams.shape[:-2], float(ridge))
+    return AUTO_RIDGE_SCALE * np.trace(grams, axis1=-2, axis2=-1) / grams.shape[-1]
+
+
+def _ridged(grams: Array, ridge: float | None) -> Array:
+    """The systems ``P + ridge*I`` of a ``(..., R, R)`` stack of Grams."""
+    delta = _ridges(grams, ridge)
+    return grams + delta[..., None, None] * np.eye(grams.shape[-1])
 
 
 @dataclass
@@ -111,17 +119,7 @@ def gradient(t: Array, model: KruskalModel, mode: int) -> Array:
 
 def gradients(t: Array, model: KruskalModel) -> list[Array]:
     """All factor gradients at the current point, sharing the factor Grams."""
-    t = np.asarray(t)
-    _check_shapes(t, model)
-    grams = [f.T @ f for f in model.factors]
-    out = []
-    for n, f in enumerate(model.factors):
-        gram_skip = np.ones((model.rank, model.rank))
-        for m, g in enumerate(grams):
-            if m != n:
-                gram_skip *= g
-        out.append(f @ gram_skip - mttkrp(t, model, n))
-    return out
+    return projection_bundle(t, model, False, None)[1]
 
 
 def evaluate(t: Array, model: KruskalModel) -> ObjectiveEval:
@@ -135,10 +133,39 @@ def projected_direction(factor: Array, grad: Array) -> Array:
 
 def kkt_residual(t: Array, model: KruskalModel) -> float:
     """Max-norm of ``Z - [Z - grad]_+`` over all factors."""
-    return max(
-        float(np.abs(projected_direction(f, g)).max())
-        for f, g in zip(model.factors, gradients(t, model))
-    )
+    directions = projection_bundle(t, model, False, None)[0]
+    return max(float(np.abs(d).max()) for d in directions)
+
+
+def projection_stack(
+    t: Array, factors, use_precondition: bool, ridge: float | None
+) -> tuple[list[Array], list[Array]]:
+    """Projection directions and true gradients for a stack of P models.
+
+    ``factors[n]`` is the ``(P, I_n, R)`` stack of factor ``n``; both results
+    hold one such stack per factor, slice ``p`` belonging to model ``p``.
+    The direction for factor ``Z`` is ``[Z - G]_+ - Z`` where ``G`` is the
+    (optionally Gram-preconditioned) gradient; the continuous flow, the
+    discrete steppers and the swarm all advance along these. Per iterate the
+    Grams are one batched product, the MTTKRPs come from
+    :func:`~neurocpd.tensor_ops.mttkrp_stack` and the preconditioner solves
+    are batched ``R x R`` solves.
+    """
+    grams = [np.matmul(f.transpose(0, 2, 1), f) for f in factors]
+    mtts = mttkrp_stack(t, factors)
+    directions, grads = [], []
+    for mode, (factor, mtt) in enumerate(zip(factors, mtts)):
+        gram_skip = np.ones_like(grams[0])
+        for m, g in enumerate(grams):
+            if m != mode:
+                gram_skip *= g
+        grad = factor @ gram_skip - mtt
+        grads.append(grad)
+        step_grad = grad
+        if use_precondition:
+            step_grad = _solve_right(grad, _ridged(gram_skip, ridge), ridge, mode)
+        directions.append(projected_direction(factor, step_grad))
+    return directions, grads
 
 
 def projection_bundle(
@@ -146,43 +173,54 @@ def projection_bundle(
 ) -> tuple[list[Array], list[Array]]:
     """Projection directions and true gradients for all factors at one point.
 
-    The direction for factor ``Z`` is ``[Z - G]_+ - Z`` where ``G`` is the
-    (optionally Gram-preconditioned) gradient; both the continuous flow and
-    the discrete steppers advance along these, so they share this code path.
+    The one-model case of :func:`projection_stack`.
     """
     t = np.asarray(t)
     _check_shapes(t, model)
-    grams = [f.T @ f for f in model.factors]
-    directions, grads = [], []
-    for mode, factor in enumerate(model.factors):
-        gram_skip = np.ones((model.rank, model.rank))
-        for m, g in enumerate(grams):
-            if m != mode:
-                gram_skip *= g
-        grad = factor @ gram_skip - mttkrp(t, model, mode)
-        grads.append(grad)
-        step_grad = grad
-        if use_precondition:
-            step_grad = precondition(grad, Preconditioner(mode, gram_skip, ridge))
-        directions.append(projected_direction(factor, step_grad))
-    return directions, grads
+    directions, grads = projection_stack(
+        t, [f[None] for f in model.factors], use_precondition, ridge
+    )
+    return [d[0] for d in directions], [g[0] for g in grads]
 
 
 def precondition(grad: Array, pre: Preconditioner) -> Array:
     """Apply ``(P + ridge*I)^{-1}`` from the right via an R x R solve.
 
-    Falls back to a least-squares pseudo-solve if the Cholesky factorization
-    fails despite a positive ridge; with an explicit ridge of 0 a singular
+    Falls back to a least-squares pseudo-solve if the system is not positive
+    definite despite a positive ridge; with an explicit ridge of 0 a singular
     Gram raises :class:`SingularPreconditionerError` instead.
     """
-    system = pre.matrix()
+    return _solve_right(grad[None], pre.matrix()[None], pre.ridge, pre.mode)[0]
+
+
+def _solve_right(
+    grads: Array, systems: Array, ridge: float | None, mode: int
+) -> Array:
+    """``grads[p] @ inv(systems[p])`` for stacks of gradients and systems.
+
+    A Cholesky factorization tests the systems for positive definiteness.
+    If one is not, each system is tested alone and the indefinite ones fall
+    back to least squares, or raise :class:`SingularPreconditionerError` when
+    the ridge is explicitly 0.
+    """
     try:
-        cho = scipy.linalg.cho_factor(system, lower=True, check_finite=False)
-        return scipy.linalg.cho_solve(cho, grad.T, check_finite=False).T
-    except scipy.linalg.LinAlgError:
-        if pre.ridge == 0:
-            raise SingularPreconditionerError(pre.mode) from None
-        return scipy.linalg.lstsq(system, grad.T, check_finite=False)[0].T
+        np.linalg.cholesky(systems)
+    except np.linalg.LinAlgError:
+        return np.stack(
+            [_solve_one(g, s, ridge, mode) for g, s in zip(grads, systems)]
+        )
+    # the systems are symmetric, so X S = G is S X^T = G^T
+    return np.linalg.solve(systems, grads.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
+def _solve_one(grad: Array, system: Array, ridge: float | None, mode: int) -> Array:
+    try:
+        np.linalg.cholesky(system)
+    except np.linalg.LinAlgError:
+        if ridge == 0:
+            raise SingularPreconditionerError(mode) from None
+        return np.linalg.lstsq(system, grad.T, rcond=None)[0].T
+    return np.linalg.solve(system, grad.T).T
 
 
 def _check_interior(model: KruskalModel) -> None:

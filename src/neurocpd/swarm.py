@@ -24,7 +24,7 @@ import numpy as np
 
 from . import dtpnn as dtpnn_mod
 from . import flow as flow_mod
-from .errors import DivergenceError
+from .errors import SOLVER_FAILURES
 from .model import BarrierParams, objective
 from .tensor_ops import KruskalModel, relative_error
 
@@ -262,29 +262,65 @@ def wavelet_mutation(
     return sw
 
 
-def _solve_inner(t, model, cfg: SwarmConfig, index: int, particle: Particle):
-    kind, params = cfg.solver_for(index)
-    if kind in ("flow", "barrier-flow"):
+def _solve_particles(t: Array, sw: SwarmState, cfg: SwarmConfig, rank: int):
+    """Inner solve of every particle from its position; ``None`` marks one
+    whose solver failed.
+
+    Flow particles that share the kernel settings (preconditioning and ridge)
+    advance together as one stack; each keeps its own step, time constants
+    and stopping point. The other kinds solve one particle at a time.
+    """
+    shape = np.shape(t)
+    solved = [None] * len(sw.particles)
+    groups: dict = {}
+    for n, p in enumerate(sw.particles):
+        model = KruskalModel.unflatten(p.position, shape, rank)
+        kind, params = cfg.solver_for(n)
+        if kind == "flow":
+            if p.time_constants is not None:
+                params.setdefault("time_constants", p.time_constants)
+            state = flow_mod.FlowState(model, **params)
+            groups.setdefault((state.precondition, state.ridge), []).append(
+                (n, state)
+            )
+            continue
+        try:
+            solved[n] = _solve_inner(t, model, cfg, kind, params, p)
+        except SOLVER_FAILURES:
+            pass
+    for (use_precondition, ridge), members in groups.items():
+        states = [state for _, state in members]
+        factors, failed = flow_mod.solve_stack(
+            t,
+            [np.stack(fs) for fs in zip(*(s.model.factors for s in states))],
+            np.array([s.step / s.time_constants for s in states]),
+            use_precondition,
+            ridge,
+            tol=cfg.inner_tol,
+            max_steps=cfg.inner_max_steps,
+        )
+        for i, (n, _) in enumerate(members):
+            if not failed[i]:
+                solved[n] = KruskalModel([f[i] for f in factors])
+    return solved
+
+
+def _solve_inner(t, model, cfg: SwarmConfig, kind: str, params: dict, particle):
+    if kind == "barrier-flow":
         if particle.time_constants is not None:
             params.setdefault("time_constants", particle.time_constants)
-        if kind == "barrier-flow":
-            bp = BarrierParams(params.pop("gamma", 1e-3))
-            schedule = {
-                "gamma_decay": params.pop("gamma_decay", 0.5),
-                "decay_every": params.pop("decay_every", 150),
-            }
-            interior = KruskalModel(
-                [np.maximum(f, BARRIER_INTERIOR_FLOOR) for f in model.factors]
-            )
-            state = flow_mod.FlowState(interior, **params)
-            state, _ = flow_mod.solve_barrier(
-                t, state, bp, tol=cfg.inner_tol, max_steps=cfg.inner_max_steps,
-                **schedule,
-            )
-            return state.model
-        state = flow_mod.FlowState(model, **params)
-        state, _ = flow_mod.solve_to_equilibrium(
-            t, state, tol=cfg.inner_tol, max_steps=cfg.inner_max_steps
+        bp = BarrierParams(params.pop("gamma", 1e-3))
+        schedule = {
+            "gamma_decay": params.pop("gamma_decay", 0.5),
+            "decay_every": params.pop("decay_every", 150),
+        }
+        interior = KruskalModel(
+            [np.maximum(f, BARRIER_INTERIOR_FLOOR) for f in model.factors]
+        )
+        state = flow_mod.FlowState(interior, **params)
+        state, _ = flow_mod.solve_barrier(
+            t, state, bp, tol=cfg.inner_tol, max_steps=cfg.inner_max_steps,
+            **schedule,
         )
         return state.model
     variant = kind.removeprefix("dtpnn-").replace("semiimplicit", "semi_implicit")
@@ -300,11 +336,12 @@ def cno_run(
 ) -> tuple[KruskalModel, list[OuterRecord]]:
     """Full collaborative run; returns the best model and per-iteration trace.
 
-    A particle whose inner solve diverges is re-seeded uniformly inside the
-    mutation box and the run continues. Stops when the global best changes by
-    less than ``stop_tol`` between outer iterations, at ``max_outer``, or
-    (checked between outer iterations) once ``deadline_s`` of wall clock
-    has elapsed.
+    A particle whose inner solver fails (any of
+    :data:`~neurocpd.errors.SOLVER_FAILURES`) is re-seeded uniformly inside
+    the mutation box and the run continues. Stops when the global best
+    changes by less than ``stop_tol`` between outer iterations, at
+    ``max_outer``, or (checked between outer iterations) once ``deadline_s``
+    of wall clock has elapsed.
     """
     t = np.asarray(t)
     shape = t.shape
@@ -316,18 +353,16 @@ def cno_run(
             break
         previous_best = sw.global_best_value
         values = []
-        for n, p in enumerate(sw.particles):
-            model = KruskalModel.unflatten(p.position, shape, rank)
-            try:
-                solved = _solve_inner(t, model, cfg, n, p)
-            except DivergenceError:
+        for n, (p, solved) in enumerate(
+            zip(sw.particles, _solve_particles(t, sw, cfg, rank))
+        ):
+            if solved is None:
                 lower, upper = mutation_bounds(sw, shape, rank)
                 p.position = _rng(cfg, _RESEED, n, k).uniform(lower, upper)
                 p.velocity = np.zeros_like(p.velocity)
-                values.append(objective(t, KruskalModel.unflatten(p.position,
-                                                                  shape, rank)))
-                continue
-            p.position = solved.flatten()
+                solved = KruskalModel.unflatten(p.position, shape, rank)
+            else:
+                p.position = solved.flatten()
             values.append(objective(t, solved))
         sw = update_bests(sw, values)
         sw = pso_update(sw, cfg)

@@ -50,10 +50,7 @@ def load_tensor_txt(path) -> np.ndarray:
     if len(dims) != order:
         raise ValueError(f"{path}: expected {order} dimensions")
     values = np.array([float(v) for v in tokens[1 + order :]], dtype=np.float64)
-    expected = int(np.prod(dims))
-    if values.size != expected:
-        raise ValueError(f"{path}: expected {expected} values, found {values.size}")
-    return values.reshape(dims, order="F")
+    return _payload(path, values, dims)
 
 
 def save_tensor_bin(path, t: np.ndarray) -> None:
@@ -69,13 +66,25 @@ def load_tensor_bin(path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if raw[:8] != MAGIC:
         raise ValueError(f"{path}: bad magic, not a tensor file")
+    if len(raw) < 16:
+        raise ValueError(f"{path}: truncated header, no tensor order")
     (order,) = struct.unpack_from("<Q", raw, 8)
+    header = 16 + 8 * order
+    if len(raw) < header:
+        raise ValueError(f"{path}: truncated header, expected {order} dimensions")
     dims = _validate_dims(struct.unpack_from(f"<{order}Q", raw, 16))
-    payload = np.frombuffer(raw, dtype="<f8", offset=16 + 8 * order)
+    return _payload(path, np.frombuffer(raw, dtype="<f8", offset=header), dims)
+
+
+def _payload(path, values: np.ndarray, dims) -> np.ndarray:
+    """Checked float64 tensor from first-index-fastest values, copied into
+    row-major order, the layout the kernels contract without a copy."""
     expected = int(np.prod(dims))
-    if payload.size != expected:
-        raise ValueError(f"{path}: expected {expected} values, found {payload.size}")
-    return payload.reshape(dims, order="F").astype(np.float64)
+    if values.size != expected:
+        raise ValueError(f"{path}: expected {expected} values, found {values.size}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}: tensor contains non-finite values")
+    return np.array(values.reshape(dims, order="F"), dtype=np.float64, order="C")
 
 
 def save_tensor(path, t: np.ndarray) -> None:

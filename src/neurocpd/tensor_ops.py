@@ -165,30 +165,65 @@ def mttkrp(t: Array, model: KruskalModel, mode: int) -> Array:
     """Matricized-tensor times Khatri-Rao product for the given mode.
 
     Returns ``unfold(t, mode) @ khatri_rao(factors except mode, decreasing
-    mode order)`` without materializing the Khatri-Rao matrix.
+    mode order)`` without materializing the Khatri-Rao matrix. This is the
+    one-model, one-mode case of :func:`mttkrp_stack`.
     """
     t = np.asarray(t)
     _check_mode(t.ndim, mode)
     if t.shape != model.shape:
         raise ValueError(f"tensor shape {t.shape} != model shape {model.shape}")
+    return mttkrp_stack(t, [f[None] for f in model.factors], (mode,))[0][0]
+
+
+def mttkrp_stack(t: Array, factors, modes=None) -> list[Array]:
+    """MTTKRPs of a stack of P models that share the tensor ``t``.
+
+    ``factors[n]`` has shape ``(P, I_n, R)``; entry ``i`` of the result is
+    the ``(P, I_m, R)`` stack of MTTKRPs of mode ``m = modes[i]`` (all modes
+    by default), slice ``p`` belonging to model ``p``. For order 3 each factor
+    stack is laid out as ``(I_n, P*R)``, the tensor is contracted in one GEMM
+    against such a layout (the contraction with ``C`` serves modes 0 and 1,
+    the one with ``B`` mode 2), and each mode then reduces one more index.
+    """
+    t = np.asarray(t)
+    modes = tuple(range(t.ndim)) if modes is None else tuple(modes)
+    count, _, rank = factors[0].shape
     if t.ndim == 3:
-        a, b, c = model.factors
-        if mode == 0:
-            tmp = np.tensordot(t, c, axes=([2], [0]))  # (I0, I1, R)
-            return np.einsum("ijr,jr->ir", tmp, b)
-        if mode == 1:
-            tmp = np.tensordot(t, c, axes=([2], [0]))
-            return np.einsum("ijr,ir->jr", tmp, a)
-        tmp = np.tensordot(t, b, axes=([1], [0]))  # (I0, I2, R)
-        return np.einsum("ikr,ir->kr", tmp, a)
+        i, j, k = t.shape
+        a, b, c = (
+            f.transpose(1, 0, 2).reshape(f.shape[1], count * rank) for f in factors
+        )
+        out = {}
+        if 0 in modes or 1 in modes:
+            tc = np.ascontiguousarray(t).reshape(i * j, k) @ c
+            tc = tc.reshape(i, j, count * rank)
+            if 0 in modes:
+                out[0] = np.einsum("ijq,jq->iq", tc, b)
+            if 1 in modes:
+                out[1] = np.einsum("ijq,iq->jq", tc, a)
+            # one tensor-sized intermediate at a time: three live at once
+            # (this, the transposed tensor and the mode-2 contraction) made
+            # the allocator return and re-fault them on every call at 70^3
+            del tc
+        if 2 in modes:
+            tb = t.transpose(0, 2, 1).reshape(i * k, j) @ b
+            out[2] = np.einsum("ikq,iq->kq", tb.reshape(i, k, count * rank), a)
+        return [
+            out[m].reshape(-1, count, rank).transpose(1, 0, 2) for m in modes
+        ]
     # generic order-N fallback
-    letters = "abcdefghijklmnop"[: t.ndim]
-    operands, script = [t], letters
-    for n, f in enumerate(model.factors):
-        if n != mode:
-            operands.append(f)
-            script += f",{letters[n]}z"
-    return np.einsum(script + f"->{letters[mode]}z", *operands, optimize=True)
+    letters = "abcdefghijklmnoq"[: t.ndim]
+    out = []
+    for mode in modes:
+        operands, script = [t], letters
+        for n, f in enumerate(factors):
+            if n != mode:
+                operands.append(f)
+                script += f",p{letters[n]}z"
+        out.append(
+            np.einsum(script + f"->p{letters[mode]}z", *operands, optimize=True)
+        )
+    return out
 
 
 def kruskal_full(model: KruskalModel) -> Array:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import yaml
 
-from neurocpd import cli
+from neurocpd import bench, cli
 from neurocpd.bench import (
     CSV_HEADER,
     RunConfig,
@@ -18,7 +18,7 @@ from neurocpd.bench import (
 )
 from neurocpd.datagen import gen_problem
 from neurocpd.errors import ConfigError
-from neurocpd.tensor_io import load_tensor
+from neurocpd.tensor_io import load_tensor, save_tensor_bin
 from neurocpd.tensor_ops import relative_error
 
 
@@ -155,6 +155,37 @@ def test_run_divergence_keeps_partial_trace(tmp_path):
         record = run_single(cfg, 0)
     assert record.failed
     assert record.termination.startswith("diverged")
+
+
+def test_singular_preconditioner_fails_one_seed_and_keeps_the_next(tmp_path):
+    # rank 5 on a 2x2x2 tensor makes every Gram-skip singular; ridge 0
+    # forbids the least-squares fallback
+    path = tmp_path / "t.bin"
+    save_tensor_bin(path, np.random.default_rng(0).random((2, 2, 2)))
+    raw = base_config(algorithm="flow", output_dir=str(tmp_path / "out"))
+    raw.update(problem={"path": str(path)}, rank=5, params={"ridge": 0.0},
+               seeds=[0, 1])
+    cfg_path = tmp_path / "run.yaml"
+    cfg_path.write_text(yaml.safe_dump(raw))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    for seed in (0, 1):
+        assert (tmp_path / "out" / f"flow_seed{seed}.csv").exists()
+        summary = (tmp_path / "out" / f"flow_seed{seed}.summary.txt").read_text()
+        assert "singular with ridge=0" in summary
+    record = run_single(RunConfig.from_dict(raw), 0)
+    assert record.failed and record.final_model is None
+
+
+def test_linalg_error_is_a_failed_seed_not_a_config_error(tmp_path, monkeypatch):
+    def broken(t, state):
+        raise np.linalg.LinAlgError("singular barrier system at row 0")
+
+    monkeypatch.setattr(bench.flow_mod, "flow_step", broken)
+    raw = base_config(algorithm="flow", output_dir=str(tmp_path), seeds=[0, 1])
+    cfg_path = tmp_path / "run.yaml"
+    cfg_path.write_text(yaml.safe_dump(raw))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    assert (tmp_path / "flow_seed1.summary.txt").exists()
 
 
 def test_wall_clock_cap_terminates_early(tmp_path):

@@ -76,3 +76,47 @@ def test_metadata_roundtrip(tmp_path):
     write_metadata(path, {"kind": "caseI", "seed": 3, "rank": 10})
     back = read_metadata(path)
     assert back == {"kind": "caseI", "seed": "3", "rank": "10"}
+
+
+@pytest.mark.parametrize("keep", [8, 12, 20])
+def test_binary_rejects_truncated_header(tmp_path, keep):
+    path = tmp_path / "t.bin"
+    save_tensor_bin(path, np.ones((2, 2, 2)))
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(ValueError):
+        load_tensor_bin(path)
+
+
+@pytest.mark.parametrize("suffix", [".bin", ".txt"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_values(tmp_path, suffix, bad):
+    t = np.ones((2, 3, 2))
+    t[1, 2, 0] = bad
+    path = tmp_path / f"t{suffix}"
+    save_tensor(path, t)
+    with pytest.raises(ValueError, match="non-finite"):
+        load_tensor(path)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda raw: raw[:12],
+        lambda raw: raw[:20],
+        lambda raw: raw[:-8] + np.array([np.nan]).astype("<f8").tobytes(),
+    ],
+    ids=["header-12", "header-20", "nan"],
+)
+def test_cli_run_on_malformed_file_exits_1(tmp_path, capsys, corrupt):
+    from neurocpd import cli
+
+    path = tmp_path / "t.bin"
+    save_tensor_bin(path, np.random.default_rng(3).random((2, 2, 2)))
+    path.write_bytes(corrupt(path.read_bytes()))
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(
+        f"problem: {{path: {path}}}\nalgorithm: flow\nrank: 2\n"
+        f"budget: {{iterations: 3}}\noutput_dir: {tmp_path / 'out'}\n"
+    )
+    assert cli.main(["run", "--config", str(cfg)]) == 1
+    assert str(path) in capsys.readouterr().err
