@@ -71,7 +71,7 @@ class ConfigError(NeurocpdError):
 
 
 #: Errors that end one solver trajectory without making its configuration
-#: invalid. The single-run driver records such a seed as failed and goes on
+#: invalid. `bench.run_single` records such a seed as failed and goes on
 #: with the next; the swarm re-seeds the particle. ``LinAlgError`` comes from
 #: a least-squares or barrier solve that cannot proceed.
 SOLVER_FAILURES = (

@@ -1,4 +1,4 @@
-"""The stacked projection kernel and the swarm's stacked flow driver.
+"""The stacked projection kernel and the swarm's stacked flow solve.
 
 The kernel advances P models at once; its reference is the per-factor loop
 that computed one model's directions before the kernel existed. The loop
