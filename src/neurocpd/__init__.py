@@ -35,12 +35,10 @@ from .flow import (
 )
 from .model import (
     BarrierParams,
-    ObjectiveEval,
     Preconditioner,
     barrier_gradient,
     barrier_objective,
     barrier_precondition,
-    evaluate,
     gradient,
     gradients,
     kkt_residual,
@@ -71,5 +69,3 @@ from .tensor_ops import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -7,9 +7,12 @@ the HALS subproblems are never formed densely, so a sweep costs O(nnz * R).
 from __future__ import annotations
 
 import logging
+from typing import NamedTuple
 
 import numpy as np
 
+from .driver import Stepper
+from .model import kkt_residual
 from .tensor_ops import KruskalModel, hadamard_gram, mttkrp
 
 logger = logging.getLogger(__name__)
@@ -88,3 +91,24 @@ def mur_sweep(t: Array, model: KruskalModel, eps: float = 1e-16) -> KruskalModel
         denom = factor @ hadamard_gram(model, mode) + eps
         model.factors[mode] = factor * numer / denom
     return model
+
+
+class SweepState(NamedTuple):
+    """A baseline's model, and the generator HALS re-seeds columns from."""
+
+    model: KruskalModel
+    rng: np.random.Generator | None = None
+
+
+# One sweep per driver step, looked up at call time; HALS re-seeds columns
+# from the (seed, 7) stream. Both stop on the KKT residual.
+HALS = Stepper(
+    lambda model, params, seed: SweepState(model, np.random.default_rng([seed, 7])),
+    lambda t, s: SweepState(hals_sweep(t, s.model, s.rng), s.rng),
+    lambda t, s: (kkt_residual(t, s.model), s),
+)
+MUR = Stepper(
+    lambda model, params, seed: SweepState(model),
+    lambda t, s: SweepState(mur_sweep(t, s.model)),
+    lambda t, s: (kkt_residual(t, s.model), s),
+)

@@ -25,26 +25,17 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import dtpnn as dtpnn_mod
-from . import flow as flow_mod
-from .baselines import hals_sweep, mur_sweep
+from . import flow as flow_mod  # noqa: F401  (steps rebound here reach runs)
 from .datagen import gen_problem
-from .errors import SOLVER_FAILURES, ConfigError, NeurocpdError
-from .model import BarrierParams, kkt_residual, objective
+from .driver import drive
+from .errors import FAILURE_LABELS, SOLVER_FAILURES, ConfigError, describe_failure
+from .model import objective
+from .solvers import STEPPERS
 from .swarm import SwarmConfig, cno_run, initial_model
 from .tensor_io import load_tensor
 from .tensor_ops import KruskalModel, relative_error
 
-ALGORITHMS = (
-    "cno",
-    "flow",
-    "dtpnn-explicit",
-    "dtpnn-armijo",
-    "dtpnn-semiimplicit",
-    "barrier-flow",
-    "hals",
-    "mur",
-)
+ALGORITHMS = ("cno", *STEPPERS)
 
 OUTPUT_ROOT_ENV = "NEUROCPD_OUTPUT_ROOT"
 
@@ -80,7 +71,7 @@ class RunRecord:
 
     @property
     def failed(self) -> bool:
-        return self.termination.startswith("diverged")
+        return self.termination.partition(":")[0] in FAILURE_LABELS.values()
 
 
 @dataclass
@@ -216,9 +207,6 @@ class _Recorder:
             return 0.0
         return (time.perf_counter() - self.started) * 1e3
 
-    def due(self, iteration: int) -> bool:
-        return iteration % self.cfg.record_every == 0
-
     def record_model(self, iteration: int, model: KruskalModel):
         self.rows.append(
             RunRow(
@@ -229,77 +217,43 @@ class _Recorder:
             )
         )
 
-    def over_wall_cap(self) -> bool:
-        cap = self.cfg.wall_clock_s
-        return cap is not None and (time.perf_counter() - self.started) > cap
+    def observe(self, iteration: int, state):
+        if iteration % self.cfg.record_every == 0:
+            self.record_model(iteration, state.model)
 
 
 def _run_stepwise(t, cfg: RunConfig, seed: int, rec: _Recorder):
-    """Drivers for the single-trajectory algorithms; returns (model, reason)."""
+    """One single-trajectory run through the driver; returns (model, reason)."""
     init = initial_model(t.shape, cfg.rank, seed)
-    algo = cfg.algorithm
-    params = dict(cfg.params)
-    if algo == "flow":
-        state = flow_mod.FlowState(init, **params)
-        for i in range(1, cfg.iterations + 1):
-            state = flow_mod.flow_step(t, state)
-            if rec.due(i):
-                rec.record_model(i, state.model)
-            if cfg.tol > 0 and state.residual < cfg.tol:
-                return state.model, "converged", i
-            if rec.over_wall_cap():
-                return state.model, "wall_clock", i
-        return state.model, "budget", cfg.iterations
-    if algo == "barrier-flow":
-        gamma = params.pop("gamma", 1e-3)
-        gamma_decay = params.pop("gamma_decay", 1.0)
-        decay_every = params.pop("decay_every", 100)
+    if cfg.algorithm == "barrier-flow":
         # the barrier needs a strictly interior start
         init = KruskalModel([0.1 + 0.9 * f for f in init.factors])
-        state = flow_mod.FlowState(init, **params)
-        for i in range(1, cfg.iterations + 1):
-            if gamma_decay != 1.0 and i > 1 and (i - 1) % decay_every == 0:
-                gamma *= gamma_decay
-            state = flow_mod.barrier_flow_step(t, state, BarrierParams(gamma))
-            if rec.due(i):
-                rec.record_model(i, state.model)
-            if cfg.tol > 0 and state.residual < cfg.tol:
-                return state.model, "converged", i
-            if rec.over_wall_cap():
-                return state.model, "wall_clock", i
-        return state.model, "budget", cfg.iterations
-    if algo.startswith("dtpnn-"):
-        variant = algo.removeprefix("dtpnn-").replace("semiimplicit", "semi_implicit")
-        steppers = {
-            "explicit": dtpnn_mod.step_explicit,
-            "semi_implicit": dtpnn_mod.step_semi_implicit,
-            "armijo": dtpnn_mod.step_gauss_seidel_armijo,
-        }
-        stepper = steppers[variant]
-        state = dtpnn_mod.DtpnnState(init, **params)
-        for i in range(1, cfg.iterations + 1):
-            state = stepper(t, state)
-            if rec.due(i):
-                rec.record_model(i, state.model)
-            if cfg.tol > 0 and state.kkt_residual < cfg.tol:
-                return state.model, "converged", i
-            if rec.over_wall_cap():
-                return state.model, "wall_clock", i
-        return state.model, "budget", cfg.iterations
-    # hals / mur sweeps
-    model = init
-    sweep_rng = np.random.default_rng([seed, 7])
-    for i in range(1, cfg.iterations + 1):
-        model = (
-            hals_sweep(t, model, sweep_rng) if algo == "hals" else mur_sweep(t, model)
-        )
-        if rec.due(i):
-            rec.record_model(i, model)
-        if cfg.tol > 0 and kkt_residual(t, model) < cfg.tol:
-            return model, "converged", i
-        if rec.over_wall_cap():
-            return model, "wall_clock", i
-    return model, "budget", cfg.iterations
+    stepper = STEPPERS[cfg.algorithm]
+    deadline = None if cfg.wall_clock_s is None else rec.started + cfg.wall_clock_s
+    state = stepper.make_state(init, dict(cfg.params), seed)
+    state, reason, steps = drive(
+        t, state, stepper, cfg.tol, cfg.iterations, deadline, rec.observe
+    )
+    if not rec.rows or rec.rows[-1].iteration != steps:
+        rec.record_model(steps, state.model)
+    return state.model, "budget" if reason == "max_steps" else reason
+
+
+def _run_cno(t, cfg: RunConfig, seed: int, rec: _Recorder):
+    sw_cfg = SwarmConfig(seed=seed, max_outer=cfg.iterations, **cfg.params)
+    model, trace = cno_run(t, cfg.rank, sw_cfg, deadline_s=cfg.wall_clock_s)
+    for r in trace:
+        if r.iteration % cfg.record_every == 0 or r.iteration == len(trace):
+            rec.rows.append(
+                RunRow(
+                    r.iteration,
+                    r.best_value,
+                    r.rel_error,
+                    0.0 if cfg.deterministic_timing else r.wall_s * 1e3,
+                    r.diversity,
+                )
+            )
+    return model, "budget" if len(trace) == cfg.iterations else "early_stop"
 
 
 def run_single(cfg: RunConfig, seed: int) -> RunRecord:
@@ -307,31 +261,11 @@ def run_single(cfg: RunConfig, seed: int) -> RunRecord:
     t = cfg.load_problem()
     rec = _Recorder(t, cfg)
     snapshot = config_snapshot(cfg)
-    if cfg.algorithm == "cno":
-        sw_cfg = SwarmConfig(seed=seed, max_outer=cfg.iterations, **cfg.params)
-        try:
-            model, trace = cno_run(t, cfg.rank, sw_cfg, deadline_s=cfg.wall_clock_s)
-        except NeurocpdError as exc:
-            return RunRecord(snapshot, seed, [], None, f"diverged: {exc}")
-        for r in trace:
-            if r.iteration % cfg.record_every == 0 or r.iteration == len(trace):
-                rec.rows.append(
-                    RunRow(
-                        r.iteration,
-                        r.best_value,
-                        r.rel_error,
-                        0.0 if cfg.deterministic_timing else r.wall_s * 1e3,
-                        r.diversity,
-                    )
-                )
-        reason = "budget" if len(trace) == cfg.iterations else "early_stop"
-        return RunRecord(snapshot, seed, rec.rows, model, reason)
+    run_algorithm = _run_cno if cfg.algorithm == "cno" else _run_stepwise
     try:
-        model, reason, last_iter = _run_stepwise(t, cfg, seed, rec)
+        model, reason = run_algorithm(t, cfg, seed, rec)
     except SOLVER_FAILURES as exc:
-        return RunRecord(snapshot, seed, rec.rows, None, f"diverged: {exc}")
-    if not rec.rows or rec.rows[-1].iteration != last_iter:
-        rec.record_model(last_iter, model)
+        return RunRecord(snapshot, seed, rec.rows, None, describe_failure(exc))
     return RunRecord(snapshot, seed, rec.rows, model, reason)
 
 
@@ -355,22 +289,25 @@ def _format(value) -> str:
     return str(value)
 
 
-def write_csv(record: RunRecord, path) -> None:
-    """Atomic CSV write of one run trace."""
+def _write_atomic(path, lines) -> None:
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
+    tmp.write_text("".join(line + "\n" for line in lines))
+    os.replace(tmp, path)
+
+
+def write_csv(record: RunRecord, path) -> None:
+    """Atomic CSV write of one run trace."""
     lines = [CSV_HEADER]
     for r in record.rows:
         lines.append(
             f"{r.iteration},{_format(r.objective)},{_format(r.rel_error)},"
             f"{_format(r.wall_ms)},{_format(r.diversity)}"
         )
-    tmp.write_text("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    _write_atomic(path, lines)
 
 
 def write_summary(record: RunRecord, path) -> None:
-    path = Path(path)
     entries = {
         "label": record.config["label"],
         "algorithm": record.config["algorithm"],
@@ -380,9 +317,7 @@ def write_summary(record: RunRecord, path) -> None:
         "best_rel_error": record.best_rel_error,
         "termination": record.termination,
     }
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
-    os.replace(tmp, path)
+    _write_atomic(path, (f"{k} = {v}" for k, v in entries.items()))
 
 
 def run(cfg: RunConfig) -> list[RunRecord]:
@@ -452,16 +387,13 @@ def compare_table(rows: list[CompareRow]) -> str:
 
 
 def write_compare_csv(rows: list[CompareRow], path) -> None:
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
     lines = ["label,median_rel_error,min_rel_error,max_rel_error,completed,failed"]
     for r in rows:
         lines.append(
             f"{r.label},{_format(r.median)},{_format(r.min)},{_format(r.max)},"
             f"{r.completed},{r.failed}"
         )
-    tmp.write_text("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    _write_atomic(path, lines)
 
 
 def emit_gnuplot(csv_paths: list, labels: list[str], out_path, title: str = "") -> None:

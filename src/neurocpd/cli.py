@@ -6,7 +6,7 @@ Subcommands::
     neurocpd run --config configs/example1_difficult9.yaml [--set key=value ...]
     neurocpd compare --config configs/example2_monte_carlo_caseI.yaml --seeds 0..9
 
-Exit codes: 0 success, 1 configuration error, 2 solver divergence in all
+Exit codes: 0 success, 1 configuration error, 2 solver failure in all
 seeds of a run.
 """
 
@@ -103,10 +103,9 @@ def _compare_configs(raw: dict) -> list[bench.RunConfig]:
 def _cmd_compare(args) -> int:
     raw = bench.apply_overrides(bench.load_config(args.config), args.sets)
     seeds = _parse_seeds(args.seeds) if args.seeds else None
-    out_dir = raw.get("output_dir", "out")
     cfgs = _compare_configs(raw)
     rows = bench.compare(cfgs, seeds)
-    out = cfgs[0].resolved_output_dir() if cfgs else Path(out_dir)
+    out = cfgs[0].resolved_output_dir()
     out.mkdir(parents=True, exist_ok=True)
     bench.write_compare_csv(rows, out / "compare.csv")
     print(bench.compare_table(rows))

@@ -96,12 +96,9 @@ def gen_collinear_factor(dim: int, rank: int, mu_range, rng) -> Array:
     lo, hi = float(mu_range[0]), float(mu_range[1])
     if not 0.0 <= lo <= hi < 1.0:
         raise ValueError("need 0 <= mu_low <= mu_high < 1")
+    rng = np.random.default_rng(rng)  # a Generator comes back unaltered
     if rank < 2:
-        if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
         return rng.random((dim, rank))  # no pairs to constrain
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     target = 0.5 * (lo + hi)
     budget = MAX_BISECTION_ITERS
     while budget > 0:

@@ -23,9 +23,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ArmijoStallError, DivergenceError, StepMapInconsistencyError
+from .driver import Stepper, check_finite, drive
+from .errors import ArmijoStallError, StepMapInconsistencyError
+from .flow import euler_update
 from .model import (
     Preconditioner,
+    max_abs,
     objective,
     objective_from_parts,
     precondition,
@@ -59,6 +62,8 @@ class DtpnnState:
     resets them to ``initial_lambdas`` at the start of every outer iteration.
     ``kkt_residual`` is the max-norm of the unpreconditioned projected
     gradient measured at the snapshot each stepper advanced from.
+    ``directions`` keeps the directions a residual measurement computed at
+    ``model`` for the next explicit or semi-implicit step.
     """
 
     model: KruskalModel
@@ -71,6 +76,7 @@ class DtpnnState:
     semi_implicit_form: str = "corrected"  # or "paper"
     kkt_residual: float = np.inf
     initial_lambdas: Array = None
+    directions: list | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lambdas is None:
@@ -86,40 +92,18 @@ class DtpnnState:
             raise ValueError(f"unknown semi-implicit form {self.semi_implicit_form!r}")
 
 
-def _check_finite(factors, iteration):
-    for f in factors:
-        if not np.isfinite(f).all():
-            raise DivergenceError("solver produced non-finite factors", iteration)
+def _measured(t: Array, s: DtpnnState):
+    """Projection directions and KKT residual at the state's point."""
+    if s.directions is not None:
+        return s.directions, s.kkt_residual
+    directions, grads = projection_bundle(t, s.model, s.precondition, s.ridge)
+    kkt = max_abs(projected_direction(f, g) for f, g in zip(s.model.factors, grads))
+    return directions, kkt
 
 
-def _true_kkt(model: KruskalModel, grads) -> float:
-    return max(
-        float(np.abs(projected_direction(f, g)).max())
-        for f, g in zip(model.factors, grads)
-    )
-
-
-def _advance_explicit(s: DtpnnState, directions, kkt: float) -> DtpnnState:
-    new_factors = [
-        f + lam * d for f, lam, d in zip(s.model.factors, s.lambdas, directions)
-    ]
-    _check_finite(new_factors, s.iteration + 1)
+def _moved(s: DtpnnState, model: KruskalModel, kkt: float) -> DtpnnState:
     return replace(
-        s, model=KruskalModel(new_factors), iteration=s.iteration + 1, kkt_residual=kkt
-    )
-
-
-def _advance_semi_implicit(s: DtpnnState, directions, kkt: float) -> DtpnnState:
-    new_factors = []
-    for f, lam, d in zip(s.model.factors, s.lambdas, directions):
-        projected = f + d  # [Z - G]_+
-        if s.semi_implicit_form == "corrected":
-            new_factors.append((f + lam * projected) / (1.0 + lam))
-        else:
-            new_factors.append((f + projected) / (1.0 + lam))
-    _check_finite(new_factors, s.iteration + 1)
-    return replace(
-        s, model=KruskalModel(new_factors), iteration=s.iteration + 1, kkt_residual=kkt
+        s, model=model, iteration=s.iteration + 1, kkt_residual=kkt, directions=None
     )
 
 
@@ -128,10 +112,12 @@ def step_explicit(t: Array, s: DtpnnState) -> DtpnnState:
 
     With ``0 < lambda <= 1`` each update is a convex combination of the
     current (nonnegative) factor and a projected point, so nonnegativity is
-    preserved.
+    preserved. It is the flow's Euler update with weights ``lambda``.
     """
-    directions, grads = projection_bundle(t, s.model, s.precondition, s.ridge)
-    return _advance_explicit(s, directions, _true_kkt(s.model, grads))
+    directions, kkt = _measured(t, s)
+    return _moved(
+        s, euler_update(s.model.factors, s.lambdas, directions, s.iteration + 1), kkt
+    )
 
 
 def step_semi_implicit(t: Array, s: DtpnnState) -> DtpnnState:
@@ -140,8 +126,13 @@ def step_semi_implicit(t: Array, s: DtpnnState) -> DtpnnState:
     ``semi_implicit_form="paper"`` selects ``(Z + [Z - G]_+)/(1 + lam)``
     instead. Both keep the factors entrywise nonnegative for any lam > 0.
     """
-    directions, grads = projection_bundle(t, s.model, s.precondition, s.ridge)
-    return _advance_semi_implicit(s, directions, _true_kkt(s.model, grads))
+    directions, kkt = _measured(t, s)
+    paper = s.semi_implicit_form == "paper"
+    new_factors = [
+        (f + (1.0 if paper else lam) * (f + d)) / (1.0 + lam)  # f + d = [Z - G]_+
+        for f, lam, d in zip(s.model.factors, s.lambdas, directions)
+    ]
+    return _moved(s, KruskalModel(check_finite(new_factors, s.iteration + 1)), kkt)
 
 
 def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 1e-10) -> DtpnnState:
@@ -221,16 +212,40 @@ def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 1e-10) -> Dtp
         f_current = (
             s.objective_history[-1] if s.objective_history else objective(t, model)
         )
-    _check_finite(model.factors, s.iteration + 1)
+    check_finite(model.factors, s.iteration + 1)
     new = replace(
         s,
         model=model,
         lambdas=lambdas,
         iteration=s.iteration + 1,
         kkt_residual=max(kkt_parts),
+        directions=None,
     )
     new.objective_history = s.objective_history + [f_current]
     return new
+
+
+def _residual(t: Array, s: DtpnnState):
+    directions, kkt = _measured(t, s)
+    return kkt, replace(s, directions=directions, kkt_residual=kkt)
+
+
+def _stepper(step, residual=_residual) -> Stepper:
+    return Stepper(
+        lambda model, params, seed: DtpnnState(model, **params), step, residual
+    )
+
+
+# Steps are looked up at call time, so rebinding one reaches the driver. A
+# Gauss-Seidel sweep measures its blocks as it goes: its residual is the one
+# its last sweep recorded (infinite before the first).
+STEPPERS = {
+    "explicit": _stepper(lambda t, s: step_explicit(t, s)),
+    "semi_implicit": _stepper(lambda t, s: step_semi_implicit(t, s)),
+    "armijo": _stepper(
+        lambda t, s: step_gauss_seidel_armijo(t, s), lambda t, s: (s.kkt_residual, s)
+    ),
+}
 
 
 def solve(
@@ -239,35 +254,23 @@ def solve(
     variant: str = "armijo",
     tol: float = 1e-6,
     max_steps: int = 10000,
-    callback=None,
 ) -> tuple[DtpnnState, str]:
     """Iterate the chosen stepper until the KKT residual drops below ``tol``.
 
     The residual is evaluated from the true (unpreconditioned) gradients at
     the current point before each step, so a converged return is exactly the
-    point at which the residual was measured. Returns the final state and
+    point at which the residual was measured; an Armijo sweep that records
+    one below ``tol`` skipped every block. Returns the final state and
     ``"converged"`` or ``"max_steps"``.
     """
-    if variant == "armijo":
-        for _ in range(max_steps):
-            s = step_gauss_seidel_armijo(t, s, tol=tol)
-            if callback is not None:
-                callback(s)
-            if s.kkt_residual < tol:
-                return s, "converged"  # sweep skipped every block: state unmoved
-        return s, "max_steps"
-    if variant not in ("explicit", "semi_implicit"):
+    if variant not in STEPPERS:
         raise ValueError(f"unknown DTPNN variant {variant!r}")
-    advance = _advance_explicit if variant == "explicit" else _advance_semi_implicit
-    for _ in range(max_steps):
-        directions, grads = projection_bundle(t, s.model, s.precondition, s.ridge)
-        kkt = _true_kkt(s.model, grads)
-        if kkt < tol:
-            return replace(s, kkt_residual=kkt), "converged"
-        s = advance(s, directions, kkt)
-        if callback is not None:
-            callback(s)
-    return s, "max_steps"
+    stepper = STEPPERS[variant]
+    if variant == "armijo":
+        stepper = stepper._replace(
+            step=lambda t, s: step_gauss_seidel_armijo(t, s, tol=tol)
+        )
+    return drive(t, s, stepper, tol, max_steps)[:2]
 
 
 @dataclass(frozen=True)
@@ -346,19 +349,11 @@ def step_size_bound(t: Array, s: DtpnnState) -> StepBound:
     with ``gamma`` from :func:`effective_step_map`. At an equilibrium there
     is no bound to report and ``at_equilibrium`` is set instead.
     """
-    _, grads = projection_bundle(t, s.model, False, s.ridge)
-    residuals = [
-        -projected_direction(f, g) for f, g in zip(s.model.factors, grads)
-    ]  # Z - [Z - G]_+
-    denom = sum(float(np.sum(r * r)) for r in residuals)
+    directions, grads = projection_bundle(t, s.model, False, s.ridge)
+    denom = sum(float(np.sum(d * d)) for d in directions)  # ||Z - [Z - G]_+||^2
     if denom == 0.0:
         return StepBound(np.nan, np.nan, np.nan, at_equilibrium=True)
-    after = KruskalModel(
-        [
-            f + lam * projected_direction(f, g)
-            for f, lam, g in zip(s.model.factors, s.lambdas, grads)
-        ]
-    )
+    after = euler_update(s.model.factors, s.lambdas, directions, s.iteration + 1)
     gammas = effective_step_map(s.model, after, grads, s.lambdas)
     dots = [float(np.sum(gm * g)) for gm, g in zip(gammas, grads)]
     c = (1.0 - 2.0 * sum(d * d for d in dots)) / denom

@@ -71,13 +71,22 @@ class ConfigError(NeurocpdError):
 
 
 #: Errors that end one solver trajectory without making its configuration
-#: invalid. `bench.run_single` records such a seed as failed and goes on
-#: with the next; the swarm re-seeds the particle. ``LinAlgError`` comes from
-#: a least-squares or barrier solve that cannot proceed.
-SOLVER_FAILURES = (
-    DivergenceError,
-    SingularPreconditionerError,
-    BoundaryStallError,
-    ArmijoStallError,
-    np.linalg.LinAlgError,
-)
+#: invalid, by the label that starts a failed run's termination.
+#: `bench.run_single` records such a seed as failed and goes on with the next;
+#: the swarm re-seeds the particle. ``LinAlgError`` comes from a least-squares
+#: or barrier solve that cannot proceed.
+FAILURE_LABELS = {
+    DivergenceError: "diverged",
+    SingularPreconditionerError: "singular_preconditioner",
+    BoundaryStallError: "boundary_stall",
+    ArmijoStallError: "armijo_stall",
+    np.linalg.LinAlgError: "linalg_error",
+}
+
+SOLVER_FAILURES = tuple(FAILURE_LABELS)
+
+
+def describe_failure(exc: BaseException) -> str:
+    """Termination of a run that raised ``exc``: its label, then its message."""
+    kind = next(label for cls, label in FAILURE_LABELS.items() if isinstance(exc, cls))
+    return f"{kind}: {exc}"

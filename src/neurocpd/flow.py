@@ -8,26 +8,25 @@ integrated with explicit Euler at a fixed step ``h <= min(eps)`` so every
 iterate stays a convex combination of nonnegative points. The log-barrier
 variant drops the projection and follows the Newton-preconditioned flow
 ``eps * dZ/dt = -Hbar^{-1} grad_Z`` strictly inside the positive orthant,
-halving the step whenever it would cross the boundary.
+halving the step whenever it would cross the boundary. :data:`FLOW` and
+:data:`BARRIER` are the two as driver steppers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    SOLVER_FAILURES,
-    BarrierDomainError,
-    BoundaryStallError,
-    DivergenceError,
-)
+from .driver import Stepper, check_finite, drive
+from .errors import SOLVER_FAILURES, BarrierDomainError, BoundaryStallError
 from .model import (
     BarrierParams,
     Preconditioner,
     barrier_gradient,
     barrier_precondition,
+    max_abs,
     projection_bundle,
     projection_stack,
 )
@@ -40,10 +39,13 @@ MAX_BOUNDARY_HALVINGS = 30
 
 @dataclass
 class FlowState:
-    """State of one projection-flow trajectory.
+    """State of one projection-flow or barrier-flow trajectory.
 
     ``step`` defaults to half the smallest time constant, which keeps every
-    Euler update a convex combination and hence nonnegative.
+    Euler update a convex combination and hence nonnegative. Only the barrier
+    flow reads ``integrator`` and ``gamma``, scaled by ``gamma_decay`` every
+    ``decay_every`` steps. ``directions`` keeps the rhs the driver measured
+    at ``model`` for its next step; the solvers return states without them.
     """
 
     model: KruskalModel
@@ -54,6 +56,10 @@ class FlowState:
     precondition: bool = True
     ridge: float | None = None
     integrator: str = "euler"  # barrier flow only: "euler" or "rk4"
+    gamma: float = 1e-3
+    gamma_decay: float = 1.0
+    decay_every: int = 100
+    directions: list | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.time_constants is None:
@@ -73,6 +79,8 @@ class FlowState:
 
 def _directions(t: Array, s: FlowState) -> list[Array]:
     """Projection directions for all factors from one snapshot."""
+    if s.directions is not None:
+        return s.directions
     return projection_bundle(t, s.model, s.precondition, s.ridge)[0]
 
 
@@ -84,53 +92,42 @@ def flow_rhs(t: Array, s: FlowState, mode: int) -> Array:
     return _directions(t, s)[mode]
 
 
-def _residual(directions) -> float:
-    return max(float(np.abs(d).max()) for d in directions)
-
-
-def _advance(s: FlowState, directions) -> FlowState:
-    new_factors = [
-        f + (s.step / eps) * d
-        for f, eps, d in zip(s.model.factors, s.time_constants, directions)
-    ]
-    for f in new_factors:
-        if not np.isfinite(f).all():
-            raise DivergenceError("flow produced non-finite factors", s.iterations + 1)
-    return replace(
-        s,
-        model=KruskalModel(new_factors),
-        residual=_residual(directions),
-        iterations=s.iterations + 1,
-    )
+def euler_update(factors, weights, directions, iteration: int) -> KruskalModel:
+    """``factors[n] + weights[n] * directions[n]``: the flow's Euler step for
+    weights ``h / eps_n``, the explicit DTPNN step for step sizes ``lambda_n``."""
+    new = [f + w * d for f, w, d in zip(factors, weights, directions)]
+    return KruskalModel(check_finite(new, iteration))
 
 
 def flow_step(t: Array, s: FlowState) -> FlowState:
     """One explicit Euler step, all factors advanced from the same snapshot."""
-    return _advance(s, _directions(t, s))
+    directions = _directions(t, s)
+    model = euler_update(
+        s.model.factors, s.step / s.time_constants, directions, s.iterations + 1
+    )
+    return replace(
+        s,
+        model=model,
+        residual=max_abs(directions),
+        iterations=s.iterations + 1,
+        directions=None,
+    )
 
 
 def solve_to_equilibrium(
-    t: Array, s: FlowState, tol: float = 1e-6, max_steps: int = 10000, callback=None
+    t: Array, s: FlowState, tol: float = 1e-6, max_steps: int = 10000
 ) -> tuple[FlowState, str]:
     """Integrate until the max-norm of every factor rhs drops below ``tol``.
 
     The residual is checked before stepping, so a converged return is exactly
     the point at which every rhs max-norm is below ``tol``; starting at an
     equilibrium takes zero steps. Returns the final state and the stop
-    reason, ``"converged"`` or ``"max_steps"``. ``callback(state)`` runs
-    after every accepted step.
+    reason, ``"converged"`` or ``"max_steps"``.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    for _ in range(max_steps):
-        directions = _directions(t, s)
-        res = _residual(directions)
-        if res < tol:
-            return replace(s, residual=res), "converged"
-        s = _advance(s, directions)
-        if callback is not None:
-            callback(s)
-    return s, "max_steps"
+    s, reason, _ = drive(t, s, FLOW, tol, max_steps)
+    return replace(s, directions=None), reason
 
 
 def solve_stack(
@@ -141,6 +138,7 @@ def solve_stack(
     ridge: float | None = None,
     tol: float = 1e-6,
     max_steps: int = 10000,
+    deadline: float | None = None,
 ) -> tuple[list[Array], Array]:
     """Integrate P independent flows as one stack, each to its own stop.
 
@@ -148,20 +146,21 @@ def solve_stack(
     ``n`` and ``scales[p, n]`` the Euler weight ``h / eps_n`` of trajectory
     ``p``. Every trajectory follows :func:`solve_to_equilibrium`: its residual
     is checked before each step and it stops once converged or after
-    ``max_steps`` steps. A trajectory whose step is not finite, or whose
-    directions raise one of the solver failures, stops as failed at its last
-    finite point; the others go on as if it were not there. Returns the final
-    stacks and the per-trajectory failure mask.
+    ``max_steps`` steps; all stop where they are once the absolute
+    :func:`time.perf_counter` time ``deadline`` has passed. A trajectory whose
+    step is not finite, or whose directions raise one of the solver failures,
+    stops as failed at its last finite point; the others go on as if it were
+    not there. With ``tol`` 0 every trajectory runs ``max_steps`` steps, as
+    under :func:`~neurocpd.driver.drive`. Returns the final stacks and the
+    per-trajectory failure mask.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     factors = [np.array(f, dtype=np.float64) for f in factors]
     scales = np.asarray(scales, dtype=np.float64)
     active = np.ones(len(scales), dtype=bool)
     failed = np.zeros(len(scales), dtype=bool)
     for _ in range(max_steps):
         idx = np.flatnonzero(active)
-        if idx.size == 0:
+        if idx.size == 0 or (deadline is not None and time.perf_counter() > deadline):
             break
         current = [f[idx] for f in factors]
         directions, broken = _stack_directions(t, current, use_precondition, ridge)
@@ -225,12 +224,12 @@ def barrier_rhs(
 def barrier_flow_step(t: Array, s: FlowState, bp: BarrierParams) -> FlowState:
     """One step of the barrier flow, halving ``h`` to stay strictly interior.
 
+    Reuses ``s.directions`` when a residual measurement at ``bp`` left them.
     Raises :class:`BoundaryStallError` after 30 failed halvings.
     """
-    return _barrier_step_from(t, s, bp, barrier_rhs(t, s.model, bp, s.ridge))
-
-
-def _barrier_step_from(t: Array, s: FlowState, bp: BarrierParams, rhs) -> FlowState:
+    rhs = s.directions
+    if rhs is None:
+        rhs = barrier_rhs(t, s.model, bp, s.ridge)
     h = s.step
     for _ in range(MAX_BOUNDARY_HALVINGS + 1):
         try:
@@ -239,16 +238,12 @@ def _barrier_step_from(t: Array, s: FlowState, bp: BarrierParams, rhs) -> FlowSt
             h *= 0.5
             continue
         if all(f.min() > 0.0 for f in new_factors):
-            for f in new_factors:
-                if not np.isfinite(f).all():
-                    raise DivergenceError(
-                        "barrier flow produced non-finite factors", s.iterations + 1
-                    )
             return replace(
                 s,
-                model=KruskalModel(new_factors),
-                residual=_residual(rhs),
+                model=KruskalModel(check_finite(new_factors, s.iterations + 1)),
+                residual=max_abs(rhs),
                 iterations=s.iterations + 1,
+                directions=None,
             )
         h *= 0.5
     raise BoundaryStallError(s.iterations + 1, MAX_BOUNDARY_HALVINGS)
@@ -274,6 +269,13 @@ def _barrier_advance(t: Array, s: FlowState, bp: BarrierParams, h: float, k1):
     ]
 
 
+def _barrier_step(t: Array, s: FlowState) -> FlowState:
+    s = barrier_flow_step(t, s, BarrierParams(s.gamma))
+    if s.iterations % s.decay_every == 0:
+        s = replace(s, gamma=s.gamma * s.gamma_decay)
+    return s
+
+
 def solve_barrier(
     t: Array,
     s: FlowState,
@@ -282,21 +284,32 @@ def solve_barrier(
     max_steps: int = 10000,
     gamma_decay: float = 1.0,
     decay_every: int = 100,
-    callback=None,
 ) -> tuple[FlowState, str]:
-    """Barrier-flow driver with an optional geometric gamma schedule."""
+    """Barrier-flow driver from ``bp.gamma`` with an optional geometric
+    gamma schedule, counted in the state's steps."""
     if not tol > 0:
         raise ValueError("tol must be positive")
-    gamma = bp.gamma
-    for k in range(max_steps):
-        if gamma_decay != 1.0 and k > 0 and k % decay_every == 0:
-            gamma = gamma * gamma_decay
-        params = BarrierParams(gamma)
-        rhs = barrier_rhs(t, s.model, params, s.ridge)
-        res = _residual(rhs)
-        if res < tol:
-            return replace(s, residual=res), "converged"
-        s = _barrier_step_from(t, s, params, rhs)
-        if callback is not None:
-            callback(s)
-    return s, "max_steps"
+    s = replace(s, gamma=bp.gamma, gamma_decay=gamma_decay, decay_every=decay_every)
+    s, reason, _ = drive(t, s, BARRIER, tol, max_steps)
+    return replace(s, directions=None), reason
+
+
+def _measured(s: FlowState, directions):
+    value = max_abs(directions)
+    return value, replace(s, residual=value, directions=directions)
+
+
+# Steps are looked up at call time, so rebinding ``flow_step`` reaches the
+# driver. The barrier flow lifts its start to entries of at least 1e-3.
+FLOW = Stepper(
+    lambda model, params, seed: FlowState(model, **params),
+    lambda t, s: flow_step(t, s),
+    lambda t, s: _measured(s, _directions(t, s)),
+)
+BARRIER = Stepper(
+    lambda model, params, seed: FlowState(
+        KruskalModel([np.maximum(f, 1e-3) for f in model.factors]), **params
+    ),
+    _barrier_step,
+    lambda t, s: _measured(s, barrier_rhs(t, s.model, BarrierParams(s.gamma), s.ridge)),
+)

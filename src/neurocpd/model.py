@@ -74,14 +74,6 @@ def _ridged(grams: Array, ridge: float | None) -> Array:
     return grams + delta[..., None, None] * np.eye(grams.shape[-1])
 
 
-@dataclass
-class ObjectiveEval:
-    """Objective value together with all factor gradients."""
-
-    value: float
-    grads: list[Array]
-
-
 def _check_shapes(t: Array, model: KruskalModel) -> None:
     if np.shape(t) != model.shape:
         raise ValueError(f"tensor shape {np.shape(t)} != model shape {model.shape}")
@@ -122,19 +114,19 @@ def gradients(t: Array, model: KruskalModel) -> list[Array]:
     return projection_bundle(t, model, False, None)[1]
 
 
-def evaluate(t: Array, model: KruskalModel) -> ObjectiveEval:
-    return ObjectiveEval(objective(t, model), gradients(t, model))
-
-
 def projected_direction(factor: Array, grad: Array) -> Array:
     """Projection-dynamics direction ``[Z - G]_+ - Z``; zero iff KKT holds."""
     return np.maximum(factor - grad, 0.0) - factor
 
 
+def max_abs(blocks) -> float:
+    """Largest absolute entry over all blocks: the residual max-norm."""
+    return max(float(np.abs(b).max()) for b in blocks)
+
+
 def kkt_residual(t: Array, model: KruskalModel) -> float:
     """Max-norm of ``Z - [Z - grad]_+`` over all factors."""
-    directions = projection_bundle(t, model, False, None)[0]
-    return max(float(np.abs(d).max()) for d in directions)
+    return max_abs(projection_bundle(t, model, False, None)[0])
 
 
 def projection_stack(

@@ -22,24 +22,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import dtpnn as dtpnn_mod
 from . import flow as flow_mod
+from .driver import drive
 from .errors import SOLVER_FAILURES
-from .model import BarrierParams, objective
+from .model import objective
+from .solvers import STEPPERS
 from .tensor_ops import KruskalModel, relative_error
 
 Array = np.ndarray
 
-INNER_SOLVERS = (
-    "flow",
-    "barrier-flow",
-    "dtpnn-explicit",
-    "dtpnn-armijo",
-    "dtpnn-semiimplicit",
-)
-
-#: entries below this are lifted before a barrier inner solve starts
-BARRIER_INTERIOR_FLOOR = 1e-3
+INNER_SOLVERS = tuple(kind for kind in STEPPERS if kind not in ("hals", "mur"))
 
 # stream tags for derived RNGs
 _INIT, _PSO, _MUTATE, _RESEED, _JITTER = range(5)
@@ -148,7 +140,7 @@ def initial_model(shape, rank: int, seed: int, particle: int = 0) -> KruskalMode
 def init_swarm(t: Array, rank: int, cfg: SwarmConfig) -> SwarmState:
     """Uniform-random particle positions; bests initialized in place."""
     shape = np.shape(t)
-    particles = []
+    particles, values = [], []
     for n in range(cfg.population):
         model = initial_model(shape, rank, cfg.seed, n)
         position = model.flatten()
@@ -157,16 +149,9 @@ def init_swarm(t: Array, rank: int, cfg: SwarmConfig) -> SwarmState:
             "flow", "barrier-flow",
         ):
             eps = _rng(cfg, _JITTER, n, 0).uniform(0.5, 2.0, size=len(shape))
-        particles.append(
-            Particle(position, np.zeros_like(position), position.copy(),
-                     objective(t, model), eps)
-        )
-    best = min(range(cfg.population), key=lambda i: particles[i].personal_best_value)
-    return SwarmState(
-        particles,
-        particles[best].personal_best.copy(),
-        particles[best].personal_best_value,
-    )
+        particles.append(Particle(position, np.zeros_like(position), None, np.inf, eps))
+        values.append(objective(t, model))
+    return update_bests(SwarmState(particles, None, np.inf), values)
 
 
 def update_bests(sw: SwarmState, values) -> SwarmState:
@@ -262,32 +247,39 @@ def wavelet_mutation(
     return sw
 
 
-def _solve_particles(t: Array, sw: SwarmState, cfg: SwarmConfig, rank: int):
+def _solve_particles(
+    t: Array, sw: SwarmState, cfg: SwarmConfig, rank: int, deadline=None
+):
     """Inner solve of every particle from its position; ``None`` marks one
-    whose solver failed.
+    whose solver failed. Past ``deadline`` every solve stops where it is.
 
     Flow particles that share the kernel settings (preconditioning and ridge)
     advance together as one stack; each keeps its own step, time constants
-    and stopping point. The other kinds solve one particle at a time.
+    and stopping point. The other kinds each run through the driver.
     """
     shape = np.shape(t)
     solved = [None] * len(sw.particles)
     groups: dict = {}
     for n, p in enumerate(sw.particles):
-        model = KruskalModel.unflatten(p.position, shape, rank)
         kind, params = cfg.solver_for(n)
+        if p.time_constants is not None:
+            params.setdefault("time_constants", p.time_constants)
+        stepper = STEPPERS[kind]
+        state = stepper.make_state(
+            KruskalModel.unflatten(p.position, shape, rank), params, cfg.seed
+        )
         if kind == "flow":
-            if p.time_constants is not None:
-                params.setdefault("time_constants", p.time_constants)
-            state = flow_mod.FlowState(model, **params)
             groups.setdefault((state.precondition, state.ridge), []).append(
                 (n, state)
             )
             continue
         try:
-            solved[n] = _solve_inner(t, model, cfg, kind, params, p)
+            state, _, _ = drive(
+                t, state, stepper, cfg.inner_tol, cfg.inner_max_steps, deadline
+            )
         except SOLVER_FAILURES:
-            pass
+            continue
+        solved[n] = state.model
     for (use_precondition, ridge), members in groups.items():
         states = [state for _, state in members]
         factors, failed = flow_mod.solve_stack(
@@ -298,37 +290,12 @@ def _solve_particles(t: Array, sw: SwarmState, cfg: SwarmConfig, rank: int):
             ridge,
             tol=cfg.inner_tol,
             max_steps=cfg.inner_max_steps,
+            deadline=deadline,
         )
         for i, (n, _) in enumerate(members):
             if not failed[i]:
                 solved[n] = KruskalModel([f[i] for f in factors])
     return solved
-
-
-def _solve_inner(t, model, cfg: SwarmConfig, kind: str, params: dict, particle):
-    if kind == "barrier-flow":
-        if particle.time_constants is not None:
-            params.setdefault("time_constants", particle.time_constants)
-        bp = BarrierParams(params.pop("gamma", 1e-3))
-        schedule = {
-            "gamma_decay": params.pop("gamma_decay", 0.5),
-            "decay_every": params.pop("decay_every", 150),
-        }
-        interior = KruskalModel(
-            [np.maximum(f, BARRIER_INTERIOR_FLOOR) for f in model.factors]
-        )
-        state = flow_mod.FlowState(interior, **params)
-        state, _ = flow_mod.solve_barrier(
-            t, state, bp, tol=cfg.inner_tol, max_steps=cfg.inner_max_steps,
-            **schedule,
-        )
-        return state.model
-    variant = kind.removeprefix("dtpnn-").replace("semiimplicit", "semi_implicit")
-    state = dtpnn_mod.DtpnnState(model, **params)
-    state, _ = dtpnn_mod.solve(
-        t, state, variant=variant, tol=cfg.inner_tol, max_steps=cfg.inner_max_steps
-    )
-    return state.model
 
 
 def cno_run(
@@ -340,21 +307,22 @@ def cno_run(
     :data:`~neurocpd.errors.SOLVER_FAILURES`) is re-seeded uniformly inside
     the mutation box and the run continues. Stops when the global best
     changes by less than ``stop_tol`` between outer iterations, at
-    ``max_outer``, or (checked between outer iterations) once ``deadline_s``
-    of wall clock has elapsed.
+    ``max_outer``, or once ``deadline_s`` of wall clock has elapsed: the inner
+    solves stop at their current points and their outer iteration is the last.
     """
     t = np.asarray(t)
     shape = t.shape
     sw = init_swarm(t, rank, cfg)
     trace: list[OuterRecord] = []
     started = time.perf_counter()
+    deadline = None if deadline_s is None else started + deadline_s
     for k in range(cfg.max_outer):
-        if deadline_s is not None and time.perf_counter() - started > deadline_s:
+        if deadline is not None and time.perf_counter() > deadline:
             break
         previous_best = sw.global_best_value
         values = []
         for n, (p, solved) in enumerate(
-            zip(sw.particles, _solve_particles(t, sw, cfg, rank))
+            zip(sw.particles, _solve_particles(t, sw, cfg, rank, deadline))
         ):
             if solved is None:
                 lower, upper = mutation_bounds(sw, shape, rank)

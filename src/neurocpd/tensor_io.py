@@ -84,6 +84,8 @@ def _payload(path, values: np.ndarray, dims) -> np.ndarray:
         raise ValueError(f"{path}: expected {expected} values, found {values.size}")
     if not np.isfinite(values).all():
         raise ValueError(f"{path}: tensor contains non-finite values")
+    if (values < 0).any():
+        raise ValueError(f"{path}: tensor contains negative values")
     return np.array(values.reshape(dims, order="F"), dtype=np.float64, order="C")
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import yaml
 
-from neurocpd import bench, cli
+from neurocpd import bench, cli, dtpnn, flow
 from neurocpd.bench import (
     CSV_HEADER,
     RunConfig,
@@ -17,9 +17,17 @@ from neurocpd.bench import (
     write_csv,
 )
 from neurocpd.datagen import gen_problem
-from neurocpd.errors import ConfigError
+from neurocpd.errors import (
+    ArmijoStallError,
+    BoundaryStallError,
+    ConfigError,
+    DivergenceError,
+    SingularPreconditionerError,
+)
+from neurocpd.model import BarrierParams
+from neurocpd.swarm import initial_model
 from neurocpd.tensor_io import load_tensor, save_tensor_bin
-from neurocpd.tensor_ops import relative_error
+from neurocpd.tensor_ops import KruskalModel, relative_error
 
 
 def base_config(**over):
@@ -267,3 +275,62 @@ def test_output_root_env_var(tmp_path, monkeypatch):
     assert cfg.resolved_output_dir() == tmp_path / "nested" / "out"
     monkeypatch.delenv("NEUROCPD_OUTPUT_ROOT")
     assert RunConfig.from_dict(base_config()).resolved_output_dir().name == "out"
+
+
+def _library_solve(algorithm, t, init, tol, budget):
+    if algorithm == "flow":
+        return flow.solve_to_equilibrium(t, flow.FlowState(init), tol, budget)
+    if algorithm == "barrier-flow":
+        interior = KruskalModel([0.1 + 0.9 * f for f in init.factors])
+        return flow.solve_barrier(
+            t, flow.FlowState(interior), BarrierParams(), tol, budget
+        )
+    return dtpnn.solve(t, dtpnn.DtpnnState(init), "explicit", tol, budget)
+
+
+@pytest.mark.parametrize("algorithm", ["flow", "barrier-flow", "dtpnn-explicit"])
+def test_early_stop_matches_the_library_solve(tmp_path, algorithm):
+    # the run stops at the measured point, as the library solve does: no
+    # step is taken past the iterate whose residual is below tol
+    raw = base_config(algorithm=algorithm, output_dir=str(tmp_path), tol=1e-4)
+    raw["problem"]["seed"] = 1
+    raw["budget"]["iterations"] = 5000
+    cfg = RunConfig.from_dict(raw)
+    record = run_single(cfg, 3)
+    t = cfg.load_problem()
+    state, reason = _library_solve(
+        algorithm, t, initial_model(t.shape, 3, 3), 1e-4, 5000
+    )
+    steps = getattr(state, "iterations", getattr(state, "iteration", None))
+    assert reason == "converged" and record.termination == "converged"
+    assert record.rows[-1].iteration == steps
+    assert record.rows[-1].rel_error == relative_error(t, state.model)
+    for a, b in zip(record.final_model.factors, state.model.factors):
+        assert np.array_equal(a, b)
+
+
+FAILURES = [
+    (DivergenceError("flow produced non-finite factors", 3), "diverged"),
+    (SingularPreconditionerError(1), "singular_preconditioner"),
+    (BoundaryStallError(3, 30), "boundary_stall"),
+    (ArmijoStallError(0, 60, 1e-2), "armijo_stall"),
+    (np.linalg.LinAlgError("singular barrier system at row 0"), "linalg_error"),
+]
+
+
+@pytest.mark.parametrize("error,label", FAILURES, ids=[f[1] for f in FAILURES])
+@pytest.mark.parametrize("algorithm", ["flow", "cno"])
+def test_each_solver_failure_is_labelled_by_kind(
+    tmp_path, monkeypatch, error, label, algorithm
+):
+    def broken(*args, **kwargs):
+        raise error
+
+    if algorithm == "cno":
+        monkeypatch.setattr(bench, "cno_run", broken)
+    else:
+        monkeypatch.setattr(flow, "flow_step", broken)
+    raw = base_config(algorithm=algorithm, output_dir=str(tmp_path))
+    record = run_single(RunConfig.from_dict(raw), 0)
+    assert record.termination == f"{label}: {error}"
+    assert record.failed and record.final_model is None

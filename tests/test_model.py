@@ -8,7 +8,6 @@ from neurocpd.model import (
     barrier_gradient,
     barrier_objective,
     barrier_precondition,
-    evaluate,
     gradient,
     gradients,
     objective,
@@ -82,8 +81,6 @@ def test_gradients_match_single_mode():
     t, model = random_instance(2)
     for mode, g in enumerate(gradients(t, model)):
         assert np.array_equal(g, gradient(t, model, mode))
-    ev = evaluate(t, model)
-    assert ev.value == objective(t, model)
 
 
 def test_precondition_identity_and_scaling():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -242,3 +243,25 @@ def test_init_swarm_bests_are_consistent():
         model = KruskalModel.unflatten(p.personal_best, t.shape, 3)
         assert p.personal_best_value == pytest.approx(objective(t, model))
     assert sw.global_best_value == min(p.personal_best_value for p in sw.particles)
+
+
+def test_cno_deadline_reaches_the_inner_solves():
+    t, _ = gen_problem("caseI", 0)
+    cfg = SwarmConfig(population=30, seed=0, inner_max_steps=500)
+    started = time.perf_counter()
+    model, trace = cno_run(t, 10, cfg, deadline_s=0.05)
+    assert time.perf_counter() - started < 0.5
+    assert len(trace) == 1
+    assert model.is_nonnegative()
+
+
+
+@pytest.mark.parametrize(
+    "kind,params", [("flow", {}), ("dtpnn-explicit", {"lambdas": [0.5] * 3})]
+)
+def test_zero_inner_tol_runs_every_kind_to_its_step_budget(kind, params):
+    t, _ = gen_problem("easy5", 0)
+    cfg = SwarmConfig(population=2, max_outer=2, inner_tol=0.0, inner_max_steps=5,
+                      inner_solver=kind, inner_params=params)
+    _, trace = cno_run(t, 3, cfg)
+    assert len(trace) == 2

@@ -120,3 +120,31 @@ def test_cli_run_on_malformed_file_exits_1(tmp_path, capsys, corrupt):
     )
     assert cli.main(["run", "--config", str(cfg)]) == 1
     assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suffix", [".bin", ".txt"])
+def test_rejects_negative_values(tmp_path, suffix):
+    t = np.ones((4, 4, 4))
+    t[2, 0, 3] = -5.0
+    path = tmp_path / f"t{suffix}"
+    save_tensor(path, t)
+    with pytest.raises(ValueError, match="negative"):
+        load_tensor(path)
+
+
+@pytest.mark.parametrize("suffix", [".bin", ".txt"])
+def test_cli_run_on_negative_entry_exits_1(tmp_path, capsys, suffix):
+    from neurocpd import cli
+
+    t = np.random.default_rng(4).random((4, 4, 4))
+    t[0, 1, 2] = -5.0
+    path = tmp_path / f"t{suffix}"
+    save_tensor(path, t)
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(
+        f"problem: {{path: {path}}}\nalgorithm: mur\nrank: 2\n"
+        f"budget: {{iterations: 5}}\noutput_dir: {tmp_path / 'out'}\n"
+    )
+    assert cli.main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "negative" in err
