@@ -62,8 +62,8 @@ class DtpnnState:
     resets them to ``initial_lambdas`` at the start of every outer iteration.
     ``kkt_residual`` is the max-norm of the unpreconditioned projected
     gradient measured at the snapshot each stepper advanced from.
-    ``directions`` keeps the directions a residual measurement computed at
-    ``model`` for the next explicit or semi-implicit step.
+    ``directions`` keeps the directions the driver measured at ``model`` for
+    the next explicit or semi-implicit step; every ``replace`` drops it.
     """
 
     model: KruskalModel
@@ -76,7 +76,7 @@ class DtpnnState:
     semi_implicit_form: str = "corrected"  # or "paper"
     kkt_residual: float = np.inf
     initial_lambdas: Array = None
-    directions: list | None = field(default=None, repr=False, compare=False)
+    directions: list | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.lambdas is None:
@@ -102,9 +102,7 @@ def _measured(t: Array, s: DtpnnState):
 
 
 def _moved(s: DtpnnState, model: KruskalModel, kkt: float) -> DtpnnState:
-    return replace(
-        s, model=model, iteration=s.iteration + 1, kkt_residual=kkt, directions=None
-    )
+    return replace(s, model=model, iteration=s.iteration + 1, kkt_residual=kkt)
 
 
 def step_explicit(t: Array, s: DtpnnState) -> DtpnnState:
@@ -219,7 +217,6 @@ def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 1e-10) -> Dtp
         lambdas=lambdas,
         iteration=s.iteration + 1,
         kkt_residual=max(kkt_parts),
-        directions=None,
     )
     new.objective_history = s.objective_history + [f_current]
     return new
@@ -227,7 +224,9 @@ def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 1e-10) -> Dtp
 
 def _residual(t: Array, s: DtpnnState):
     directions, kkt = _measured(t, s)
-    return kkt, replace(s, directions=directions, kkt_residual=kkt)
+    s = replace(s, kkt_residual=kkt)
+    s.directions = directions
+    return kkt, s
 
 
 def _stepper(step, residual=_residual) -> Stepper:

@@ -45,7 +45,7 @@ class FlowState:
     Euler update a convex combination and hence nonnegative. Only the barrier
     flow reads ``integrator`` and ``gamma``, scaled by ``gamma_decay`` every
     ``decay_every`` steps. ``directions`` keeps the rhs the driver measured
-    at ``model`` for its next step; the solvers return states without them.
+    at ``model`` for its next step; every ``replace`` of the state drops it.
     """
 
     model: KruskalModel
@@ -59,7 +59,7 @@ class FlowState:
     gamma: float = 1e-3
     gamma_decay: float = 1.0
     decay_every: int = 100
-    directions: list | None = field(default=None, repr=False, compare=False)
+    directions: list | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.time_constants is None:
@@ -110,7 +110,6 @@ def flow_step(t: Array, s: FlowState) -> FlowState:
         model=model,
         residual=max_abs(directions),
         iterations=s.iterations + 1,
-        directions=None,
     )
 
 
@@ -127,7 +126,7 @@ def solve_to_equilibrium(
     if not tol > 0:
         raise ValueError("tol must be positive")
     s, reason, _ = drive(t, s, FLOW, tol, max_steps)
-    return replace(s, directions=None), reason
+    return replace(s), reason  # without the measured directions
 
 
 def solve_stack(
@@ -243,7 +242,6 @@ def barrier_flow_step(t: Array, s: FlowState, bp: BarrierParams) -> FlowState:
                 model=KruskalModel(check_finite(new_factors, s.iterations + 1)),
                 residual=max_abs(rhs),
                 iterations=s.iterations + 1,
-                directions=None,
             )
         h *= 0.5
     raise BoundaryStallError(s.iterations + 1, MAX_BOUNDARY_HALVINGS)
@@ -291,12 +289,14 @@ def solve_barrier(
         raise ValueError("tol must be positive")
     s = replace(s, gamma=bp.gamma, gamma_decay=gamma_decay, decay_every=decay_every)
     s, reason, _ = drive(t, s, BARRIER, tol, max_steps)
-    return replace(s, directions=None), reason
+    return replace(s), reason  # without the measured directions
 
 
 def _measured(s: FlowState, directions):
     value = max_abs(directions)
-    return value, replace(s, residual=value, directions=directions)
+    s = replace(s, residual=value)
+    s.directions = directions
+    return value, s
 
 
 # Steps are looked up at call time, so rebinding ``flow_step`` reaches the

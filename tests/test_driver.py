@@ -3,8 +3,10 @@ import time
 import numpy as np
 import pytest
 
+from neurocpd import baselines, dtpnn, flow
 from neurocpd.datagen import gen_problem
 from neurocpd.driver import drive
+from neurocpd.model import projection_bundle
 from neurocpd.solvers import STEPPERS
 from neurocpd.swarm import initial_model
 from neurocpd.tensor_ops import KruskalModel
@@ -61,3 +63,33 @@ def test_barrier_schedule_lives_in_the_state():
     out, _, _ = drive(t, state, stepper, budget=9)
     assert out.gamma == 1e-3 * 0.5 * 0.5
     assert all(f.min() > 0.0 for f in out.model.factors)
+
+
+@pytest.mark.parametrize("name", ["flow", "dtpnn-explicit", "dtpnn-semiimplicit"])
+def test_measuring_the_residual_adds_no_projection_bundle(monkeypatch, name):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return projection_bundle(*args)
+
+    monkeypatch.setattr(flow, "projection_bundle", counted)
+    monkeypatch.setattr(dtpnn, "projection_bundle", counted)
+    t, _ = gen_problem("easy5", 0)
+    stepper = STEPPERS[name]
+    params = {} if name == "flow" else {"lambdas": [0.5] * 3}
+    state = stepper.make_state(initial_model(t.shape, 3, 0), params, 0)
+    _, reason, steps = drive(t, state, stepper, tol=1e-300, budget=7)
+    assert (reason, steps, len(calls)) == ("max_steps", 7, 7)
+
+
+@pytest.mark.parametrize("name", ["hals", "mur"])
+def test_zero_tol_measures_no_residual(monkeypatch, name):
+    def forbidden(*args):
+        raise AssertionError("residual measured at tol 0")
+
+    monkeypatch.setattr(baselines, "kkt_residual", forbidden)
+    t, _ = gen_problem("easy5", 0)
+    stepper = STEPPERS[name]
+    state = stepper.make_state(initial_model(t.shape, 3, 0), {}, 0)
+    assert drive(t, state, stepper, budget=3)[1:] == ("max_steps", 3)
