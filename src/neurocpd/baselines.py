@@ -2,6 +2,8 @@
 
 Both work on the Gram/MTTKRP identities only; the rank-1 residual tensors of
 the HALS subproblems are never formed densely, so a sweep costs O(nnz * R).
+A HALS column makes two tensor passes, ``T x_3 c_r`` for modes 0 and 1 and
+one more for mode 2; a MUR sweep shares ``T x_3 C`` between modes 0 and 1.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import numpy as np
 
 from .driver import Stepper
 from .model import kkt_residual
-from .tensor_ops import KruskalModel, hadamard_gram, mttkrp
+from .tensor_ops import KruskalModel, hadamard_gram, sweep_mttkrps
+from .tensor_ops import mttkrp  # noqa: F401  (a binding the benchmark traces)
 
 logger = logging.getLogger(__name__)
 
@@ -21,20 +24,6 @@ Array = np.ndarray
 
 #: denominators at or below this are treated as exactly degenerate
 DEGENERATE_EPS = 1e-30
-
-_COLUMN_MTTKRP = ("ijk,j,k->i", "ijk,i,k->j", "ijk,i,j->k")
-
-
-def _column_gram(factors, mode: int, r: int) -> Array:
-    """Column ``r`` of the Hadamard Gram that skips ``mode``: the vector
-    ``prod_{m != mode} (F_m^T f_m[:, r])`` of length R."""
-    out = None
-    for m, f in enumerate(factors):
-        if m == mode:
-            continue
-        piece = f.T @ f[:, r]
-        out = piece if out is None else out * piece
-    return out
 
 
 def hals_sweep(t: Array, model: KruskalModel, rng=None) -> KruskalModel:
@@ -46,18 +35,24 @@ def hals_sweep(t: Array, model: KruskalModel, rng=None) -> KruskalModel:
     residual routed to it is also null (always the case in exact
     arithmetic), and otherwise re-seeds it uniformly in [0, 1).
     """
-    t = np.asarray(t)
+    t = np.ascontiguousarray(t)
     if t.ndim != 3:
         raise ValueError("hals_sweep expects an order-3 tensor")
     if t.shape != model.shape:
         raise ValueError(f"tensor shape {t.shape} != model shape {model.shape}")
+    i, j, k = t.shape
     model = model.copy()
     factors = model.factors
     for r in range(model.rank):
+        a, b, c = (f[:, r] for f in factors)  # views: see each update in place
+        tc = (t.reshape(i * j, k) @ c).reshape(i, j)  # t x_3 c_r, modes 0 and 1
         for mode in range(3):
-            others = [f[:, r] for m, f in enumerate(factors) if m != mode]
-            m_col = np.einsum(_COLUMN_MTTKRP[mode], t, *others)
-            g_col = _column_gram(factors, mode, r)
+            if mode < 2:
+                m_col = tc @ b if mode == 0 else a @ tc
+            else:  # the second tensor pass of the column
+                m_col = b @ (a @ t.reshape(i, j * k)).reshape(j, k)
+            f1, f2 = factors[mode - 2], factors[mode - 1]  # the other two factors
+            g_col = (f1.T @ f1[:, r]) * (f2.T @ f2[:, r])  # column r of G skipping mode
             denom = g_col[r]
             numer = m_col - factors[mode] @ g_col + factors[mode][:, r] * denom
             if denom <= DEGENERATE_EPS:
@@ -85,9 +80,8 @@ def mur_sweep(t: Array, model: KruskalModel, eps: float = 1e-16) -> KruskalModel
     if t.shape != model.shape:
         raise ValueError(f"tensor shape {t.shape} != model shape {model.shape}")
     model = model.copy()
-    for mode in range(model.order):
+    for mode, numer in enumerate(sweep_mttkrps(t, model)):
         factor = model.factors[mode]
-        numer = mttkrp(t, model, mode)
         denom = factor @ hadamard_gram(model, mode) + eps
         model.factors[mode] = factor * numer / denom
     return model

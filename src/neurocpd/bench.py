@@ -27,7 +27,7 @@ import yaml
 
 from . import flow as flow_mod  # noqa: F401  (steps rebound here reach runs)
 from .datagen import gen_problem
-from .driver import drive
+from .driver import drive, keywords
 from .errors import FAILURE_LABELS, SOLVER_FAILURES, ConfigError, describe_failure
 from .model import objective
 from .solvers import STEPPERS
@@ -35,7 +35,10 @@ from .swarm import SwarmConfig, cno_run, initial_model
 from .tensor_io import load_tensor
 from .tensor_ops import KruskalModel, relative_error
 
-ALGORITHMS = ("cno", *STEPPERS)
+#: the ``params`` keys of each algorithm; the runner sets the swarm's seed and budget
+PARAMS = {"cno": keywords(SwarmConfig, "seed", "max_outer")}
+PARAMS.update((name, stepper.params) for name, stepper in STEPPERS.items())
+ALGORITHMS = tuple(PARAMS)
 
 OUTPUT_ROOT_ENV = "NEUROCPD_OUTPUT_ROOT"
 
@@ -107,6 +110,10 @@ class RunConfig:
             raise ConfigError("seeds must be a non-empty list")
         if self.problem_kind is None and self.problem_path is None:
             raise ConfigError("problem needs either a generator kind or a file path")
+        if unknown := set(self.params) - PARAMS[self.algorithm]:
+            raise ConfigError(f"unknown params for {self.algorithm}: {sorted(unknown)}")
+        if self.algorithm == "cno":
+            SwarmConfig(**self.params)  # checks its values before any solve runs
         if self.label is None:
             self.label = self.algorithm
 

@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from typing import Callable, NamedTuple
 
@@ -12,13 +13,19 @@ from .errors import DivergenceError
 
 
 class Stepper(NamedTuple):
-    """``make_state(model, params, seed)`` builds a state at a start model;
-    ``residual(t, state)`` returns the stopping residual at the state's point
-    and the state, now carrying what the next ``step(t, state)`` reuses."""
+    """``make_state(model, params, seed)`` builds a state at a start model from
+    a mapping with keys among ``params``; ``residual(t, state)`` returns the
+    stopping residual at the point and the state, carrying what ``step`` reuses."""
 
     make_state: Callable
     step: Callable
     residual: Callable
+    params: frozenset = frozenset()
+
+
+def keywords(cls, *supplied) -> frozenset:
+    """Init keywords of the dataclass ``cls`` less the ``supplied`` ones."""
+    return frozenset(f.name for f in dataclasses.fields(cls) if f.init) - set(supplied)
 
 
 def drive(

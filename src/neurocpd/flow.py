@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .driver import Stepper, check_finite, drive
+from .driver import Stepper, check_finite, drive, keywords
 from .errors import SOLVER_FAILURES, BarrierDomainError, BoundaryStallError
 from .model import (
     BarrierParams,
@@ -305,6 +305,7 @@ FLOW = Stepper(
     lambda model, params, seed: FlowState(model, **params),
     lambda t, s: flow_step(t, s),
     lambda t, s: _measured(s, _directions(t, s)),
+    keywords(FlowState, "model"),
 )
 BARRIER = Stepper(
     lambda model, params, seed: FlowState(
@@ -312,4 +313,5 @@ BARRIER = Stepper(
     ),
     _barrier_step,
     lambda t, s: _measured(s, barrier_rhs(t, s.model, BarrierParams(s.gamma), s.ridge)),
+    keywords(FlowState, "model"),
 )

@@ -76,6 +76,9 @@ class SwarmConfig:
         for kind in self.solver_kinds():
             if kind not in INNER_SOLVERS:
                 raise ValueError(f"unknown inner solver {kind!r}")
+        for kind, params in map(self.solver_for, range(self.population)):
+            if unknown := set(params) - STEPPERS[kind].params:
+                raise ValueError(f"unknown inner_params for {kind}: {sorted(unknown)}")
 
     def solver_kinds(self) -> list[str]:
         if isinstance(self.inner_solver, str):

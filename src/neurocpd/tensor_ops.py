@@ -91,22 +91,9 @@ def _check_mode(ndim: int, mode: int) -> None:
 
 
 def unfold(t: Array, mode: int) -> Array:
-    """Mode-``n`` unfolding (matricization) of a dense tensor.
-
-    Rows are indexed by mode ``mode``; columns by the remaining indices in
-    increasing mode order, smallest mode fastest.
-
-    Parameters
-    ----------
-    t:
-        Input array of shape ``(I_0, ..., I_{N-1})``.
-    mode:
-        Mode to unfold along (0-based).
-
-    Returns
-    -------
-    ndarray of shape ``(I_mode, prod_{m != mode} I_m)``.
-    """
+    """Mode-``mode`` unfolding of a dense tensor, of shape ``(I_mode, prod of
+    the other I_m)``: rows are indexed by mode ``mode``, columns by the
+    remaining indices in increasing mode order, smallest mode fastest."""
     t = np.asarray(t)
     _check_mode(t.ndim, mode)
     return np.moveaxis(t, mode, 0).reshape((t.shape[mode], -1), order="F")
@@ -147,17 +134,17 @@ def khatri_rao_list(mats) -> Array:
     return out
 
 
-def hadamard_gram(model: KruskalModel, skip: int) -> Array:
+def hadamard_gram(model: KruskalModel, skip: int, grams=None) -> Array:
     """Hadamard product of the factor Grams, skipping factor ``skip``.
 
     Equals ``K.T @ K`` for ``K`` the Khatri-Rao product of the non-skipped
-    factors, but costs only R x R Gram products.
+    factors; it forms their ``F.T @ F``, or reads them from ``grams`` if given.
     """
     _check_mode(model.order, skip)
     out = np.ones((model.rank, model.rank))
     for n, f in enumerate(model.factors):
         if n != skip:
-            out *= f.T @ f
+            out *= f.T @ f if grams is None else grams[n]
     return out
 
 
@@ -175,42 +162,53 @@ def mttkrp(t: Array, model: KruskalModel, mode: int) -> Array:
     return mttkrp_stack(t, [f[None] for f in model.factors], (mode,))[0][0]
 
 
+def sweep_mttkrps(t: Array, model: KruskalModel):
+    """The MTTKRPs of a Gauss-Seidel sweep, mode 0 first, each from the factors
+    as they stand when it is requested (the caller updates factor ``n`` before
+    asking for mode ``n + 1``) and equal to :func:`mttkrp` bitwise. For order
+    3 one contraction with ``C``, unchanged until mode 2, serves modes 0 and 1."""
+    if np.ndim(t) == 3:
+        yield from _mttkrps3(np.asarray(t), model.factors, (0, 1, 2))
+    else:
+        yield from (mttkrp(t, model, mode) for mode in range(model.order))
+
+
+def _mttkrps3(t: Array, mats, modes):
+    """MTTKRPs of an order-3 ``t`` for ``modes``, in increasing order, against
+    the ``(I_n, Q)`` matrices ``mats``, each read when its mode is requested.
+    One GEMM with ``mats[2]`` serves modes 0 and 1, one with ``mats[1]`` mode 2."""
+    i, j, k = t.shape
+    if 0 in modes or 1 in modes:
+        tc = (np.ascontiguousarray(t).reshape(i * j, k) @ mats[2]).reshape(i, j, -1)
+        if 0 in modes:
+            yield np.einsum("ijq,jq->iq", tc, mats[1])
+        if 1 in modes:
+            tc = np.einsum("ijq,iq->jq", tc, mats[0])
+            yield tc
+        # one tensor-sized intermediate at a time: three live at once made the
+        # allocator return and re-fault them on every call at 70^3
+        del tc
+    if 2 in modes:
+        tb = t.transpose(0, 2, 1).reshape(i * k, j) @ mats[1]
+        yield np.einsum("ikq,iq->kq", tb.reshape(i, k, -1), mats[0])
+
+
 def mttkrp_stack(t: Array, factors, modes=None) -> list[Array]:
     """MTTKRPs of a stack of P models that share the tensor ``t``.
 
     ``factors[n]`` has shape ``(P, I_n, R)``; entry ``i`` of the result is
     the ``(P, I_m, R)`` stack of MTTKRPs of mode ``m = modes[i]`` (all modes
     by default), slice ``p`` belonging to model ``p``. For order 3 each factor
-    stack is laid out as ``(I_n, P*R)``, the tensor is contracted in one GEMM
-    against such a layout (the contraction with ``C`` serves modes 0 and 1,
-    the one with ``B`` mode 2), and each mode then reduces one more index.
+    stack is laid out as ``(I_n, P*R)`` and contracted as in
+    :func:`sweep_mttkrps`.
     """
     t = np.asarray(t)
     modes = tuple(range(t.ndim)) if modes is None else tuple(modes)
     count, _, rank = factors[0].shape
     if t.ndim == 3:
-        i, j, k = t.shape
-        a, b, c = (
-            f.transpose(1, 0, 2).reshape(f.shape[1], count * rank) for f in factors
-        )
-        out = {}
-        if 0 in modes or 1 in modes:
-            tc = np.ascontiguousarray(t).reshape(i * j, k) @ c
-            tc = tc.reshape(i, j, count * rank)
-            if 0 in modes:
-                out[0] = np.einsum("ijq,jq->iq", tc, b)
-            if 1 in modes:
-                out[1] = np.einsum("ijq,iq->jq", tc, a)
-            # one tensor-sized intermediate at a time: three live at once
-            # (this, the transposed tensor and the mode-2 contraction) made
-            # the allocator return and re-fault them on every call at 70^3
-            del tc
-        if 2 in modes:
-            tb = t.transpose(0, 2, 1).reshape(i * k, j) @ b
-            out[2] = np.einsum("ikq,iq->kq", tb.reshape(i, k, count * rank), a)
-        return [
-            out[m].reshape(-1, count, rank).transpose(1, 0, 2) for m in modes
-        ]
+        mats = [f.transpose(1, 0, 2).reshape(-1, count * rank) for f in factors]
+        out = dict(zip(sorted(set(modes)), _mttkrps3(t, mats, set(modes))))
+        return [out[m].reshape(-1, count, rank).transpose(1, 0, 2) for m in modes]
     # generic order-N fallback
     letters = "abcdefghijklmnoq"[: t.ndim]
     out = []

@@ -1,10 +1,105 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from neurocpd.baselines import hals_sweep, mur_sweep
+from neurocpd.baselines import DEGENERATE_EPS, hals_sweep, mur_sweep
 from neurocpd.datagen import gen_problem
 from neurocpd.model import kkt_residual, objective
-from neurocpd.tensor_ops import KruskalModel, kruskal_full, relative_error
+from neurocpd.tensor_ops import (
+    KruskalModel,
+    hadamard_gram,
+    kruskal_full,
+    mttkrp,
+    relative_error,
+)
+
+#: Tolerance of the HALS comparison, fixed before comparing and relative to
+#: the larger of 1 and the entry: the sweep and the reference contract the
+#: same products in another order, so each column update agrees to a few
+#: units in the last place, and one sweep divides by R column denominators.
+HALS_TOL = 1e-10
+
+shapes = st.tuples(*[st.integers(1, 7)] * 3)
+
+
+def instance(shape, rank, seed):
+    rng = np.random.default_rng(seed)
+    return rng.random(shape), KruskalModel.random(shape, rank, rng)
+
+
+def mur_reference(t, model, eps=1e-16):
+    """One multiplicative-update sweep with its own MTTKRP per block."""
+    model = model.copy()
+    for mode in range(model.order):
+        factor = model.factors[mode]
+        numer = mttkrp(t, model, mode)
+        denom = factor @ hadamard_gram(model, mode) + eps
+        model.factors[mode] = factor * numer / denom
+    return model
+
+
+_COLUMN_MTTKRP = ("ijk,j,k->i", "ijk,i,k->j", "ijk,i,j->k")
+
+
+def hals_reference(t, model, rng):
+    """One HALS sweep with a three-operand einsum per column update."""
+    model = model.copy()
+    factors = model.factors
+    for r in range(model.rank):
+        for mode in range(3):
+            others = [f[:, r] for m, f in enumerate(factors) if m != mode]
+            m_col = np.einsum(_COLUMN_MTTKRP[mode], t, *others)
+            pieces = [f.T @ f[:, r] for m, f in enumerate(factors) if m != mode]
+            g_col = pieces[0] * pieces[1]
+            denom = g_col[r]
+            numer = m_col - factors[mode] @ g_col + factors[mode][:, r] * denom
+            if denom <= DEGENERATE_EPS:
+                if np.abs(numer).max() <= DEGENERATE_EPS:
+                    factors[mode][:, r] = 0.0
+                else:
+                    factors[mode][:, r] = rng.random(factors[mode].shape[0])
+                continue
+            factors[mode][:, r] = np.maximum(numer / denom, 0.0)
+    return model
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=shapes, rank=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_mur_sweep_equals_per_block_mttkrps_bitwise(shape, rank, seed):
+    t, model = instance(shape, rank, seed)
+    for _ in range(3):
+        expected = mur_reference(t, model)
+        model = mur_sweep(t, model)
+        for a, b in zip(model.factors, expected.factors):
+            assert np.array_equal(a, b)
+
+
+def test_order4_mur_sweep_falls_back_to_per_block_mttkrps():
+    t, model = instance((3, 4, 2, 5), 3, 8)
+    prev = objective(t, model)
+    for _ in range(20):
+        expected = mur_reference(t, model)
+        model = mur_sweep(t, model)
+        for a, b in zip(model.factors, expected.factors):
+            assert np.array_equal(a, b)
+        assert objective(t, model) <= prev + 1e-12
+        prev = objective(t, model)
+
+
+def assert_hals_close(model, expected):
+    for a, b in zip(model.factors, expected.factors):
+        assert (np.abs(a - b) <= HALS_TOL * np.maximum(1.0, np.abs(b))).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=shapes, rank=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_hals_sweep_matches_the_einsum_formulation(shape, rank, seed):
+    t, model = instance(shape, rank, seed)
+    for _ in range(3):
+        expected = hals_reference(t, model, np.random.default_rng(1))
+        model = hals_sweep(t, model, np.random.default_rng(1))
+        assert_hals_close(model, expected)
 
 
 def test_hals_rank1_recovery_in_one_sweep():
@@ -33,6 +128,20 @@ def test_hals_zero_tensor_collapses_all_columns():
     model = KruskalModel.random((4, 4, 4), 2, np.random.default_rng(1))
     out = hals_sweep(np.zeros((4, 4, 4)), model)
     assert all((f == 0.0).all() for f in out.factors)
+    assert_hals_close(out, hals_reference(np.zeros((4, 4, 4)), model, None))
+
+
+@pytest.mark.parametrize("rng_seed", [None, 11])
+def test_hals_reseeds_a_column_whose_companions_nearly_vanish(rng_seed):
+    # column 0 of B at 1e-20 makes the mode-0 denominator ~1e-40 while the
+    # residual routed to column 0 of A is ~1e-20: not null, so it re-seeds
+    t, model = instance((4, 5, 6), 2, 4)
+    model.factors[1][:, 0] = 1e-20
+    seed = 0 if rng_seed is None else rng_seed  # without a generator: stream 0
+    rng = None if rng_seed is None else np.random.default_rng(rng_seed)
+    out = hals_sweep(t, model, rng)
+    assert np.array_equal(out.factors[0][:, 0], np.random.default_rng(seed).random(4))
+    assert_hals_close(out, hals_reference(t, model, np.random.default_rng(seed)))
 
 
 def test_hals_shape_checks():

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -267,6 +269,58 @@ def test_cli_gen_run_compare_and_exit_codes(tmp_path, capsys):
     assert cli.main(["compare", "--config", str(cmp_path), "--seeds", "0..1"]) == 0
     assert (tmp_path / "cmp_out" / "compare.csv").exists()
     capsys.readouterr()
+
+
+EIGHT_ALGORITHMS = [
+    "flow",
+    "barrier-flow",
+    "dtpnn-explicit",
+    "dtpnn-semiimplicit",
+    "dtpnn-armijo",
+    "hals",
+    "mur",
+    "cno",
+]
+
+
+def _refused_before_any_solve(tmp_path, monkeypatch, capsys, raw):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(bench, "run_single", no_solve)
+    cfg_path = tmp_path / "run.yaml"
+    yaml.safe_dump(raw, cfg_path.open("w"))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 1
+    assert not (tmp_path / "out").exists()  # no trace was written
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algorithm", EIGHT_ALGORITHMS)
+def test_unknown_params_key_is_a_config_error(tmp_path, monkeypatch, capsys, algorithm):
+    assert set(EIGHT_ALGORITHMS) == set(bench.ALGORITHMS)
+    raw = base_config(
+        algorithm=algorithm, params={"bogus": 1}, output_dir=str(tmp_path / "out")
+    )
+    err = _refused_before_any_solve(tmp_path, monkeypatch, capsys, raw)
+    assert err.startswith("config error:") and "bogus" in err and algorithm in err
+
+
+@pytest.mark.parametrize("params", [{"seed": 3}, {"inner_params": {"bogus": 1}}])
+def test_cno_params_the_runner_sets_or_its_inner_solver_rejects(
+    tmp_path, monkeypatch, capsys, params
+):
+    raw = base_config(algorithm="cno", params=params, output_dir=str(tmp_path / "out"))
+    err = _refused_before_any_solve(tmp_path, monkeypatch, capsys, raw)
+    assert err.startswith("config error:")
+    assert ("seed" if "seed" in params else "bogus") in err
+
+
+def test_every_shipped_config_names_known_params():
+    for path in sorted(Path(__file__).parent.parent.glob("configs/*.yaml")):
+        raw = load_config(path)
+        variants = raw.pop("algorithms", None) or [{}]
+        for variant in variants:
+            RunConfig.from_dict({**raw, **variant})
 
 
 def test_output_root_env_var(tmp_path, monkeypatch):

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from neurocpd import dtpnn
 from neurocpd.datagen import gen_problem
 from neurocpd.dtpnn import (
     ArmijoParams,
@@ -14,10 +19,14 @@ from neurocpd.dtpnn import (
     step_semi_implicit,
     step_size_bound,
 )
-from neurocpd.errors import DivergenceError, StepMapInconsistencyError
+from neurocpd.errors import (
+    SOLVER_FAILURES,
+    DivergenceError,
+    StepMapInconsistencyError,
+)
 from neurocpd.flow import FlowState, flow_step
 from neurocpd.model import gradients
-from neurocpd.tensor_ops import KruskalModel, relative_error
+from neurocpd.tensor_ops import KruskalModel, hadamard_gram, mttkrp, relative_error
 
 
 def random_instance(seed, shape=(4, 4, 4), rank=3):
@@ -88,6 +97,51 @@ def test_armijo_objective_monotone_per_block(seed, precondition):
         assert all(f.min() >= 0.0 for f in s.model.factors)
     hist = np.array(s.objective_history)
     assert ((hist[1:] - hist[:-1]) <= 1e-12).all()
+
+
+def per_block_mttkrps(t, model):
+    """One full MTTKRP per block, at the factors as they stand."""
+    for mode in range(model.order):
+        yield mttkrp(t, model, mode)
+
+
+def armijo_reference(t, s):
+    """The Armijo sweep with its own MTTKRP and Gram products per block."""
+    def fresh_gram(model, mode, grams=None):
+        return hadamard_gram(model, mode)
+
+    with mock.patch.object(dtpnn, "sweep_mttkrps", per_block_mttkrps):
+        with mock.patch.object(dtpnn, "hadamard_gram", fresh_gram):
+            return step_gauss_seidel_armijo(t, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(*[st.integers(1, 7)] * 3),
+    rank=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    precondition=st.booleans(),
+)
+def test_armijo_sweep_equals_per_block_reference_bitwise(
+    shape, rank, seed, precondition
+):
+    rng = np.random.default_rng(seed)
+    t = rng.random(shape)
+    model = KruskalModel.random(shape, rank, rng)
+    s = expected = DtpnnState(model, precondition=precondition)
+    for _ in range(3):
+        try:
+            expected = armijo_reference(t, expected)
+        except SOLVER_FAILURES as exc:
+            with pytest.raises(type(exc)):
+                step_gauss_seidel_armijo(t, s)
+            return
+        s = step_gauss_seidel_armijo(t, s)
+        for a, b in zip(s.model.factors, expected.model.factors):
+            assert np.array_equal(a, b)
+        assert np.array_equal(s.lambdas, expected.lambdas)
+        assert s.kkt_residual == expected.kkt_residual
+        assert s.objective_history == expected.objective_history
 
 
 def test_armijo_difficult9_error_drops_tenfold():
