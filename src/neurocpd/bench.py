@@ -29,11 +29,10 @@ from . import flow as flow_mod  # noqa: F401  (steps rebound here reach runs)
 from .datagen import gen_problem
 from .driver import drive, keywords
 from .errors import FAILURE_LABELS, SOLVER_FAILURES, ConfigError, describe_failure
-from .model import objective
 from .solvers import STEPPERS
 from .swarm import SwarmConfig, cno_run, initial_model
 from .tensor_io import load_tensor
-from .tensor_ops import KruskalModel, relative_error
+from .tensor_ops import KruskalModel, frobenius_norm, residual_fit
 
 #: the ``params`` keys of each algorithm; the runner sets the swarm's seed and budget
 PARAMS = {"cno": keywords(SwarmConfig, "seed", "max_outer")}
@@ -205,6 +204,7 @@ class _Recorder:
 
     def __init__(self, t, cfg: RunConfig):
         self.t = t
+        self.norm = frobenius_norm(t)
         self.cfg = cfg
         self.rows: list[RunRow] = []
         self.started = time.perf_counter()
@@ -215,14 +215,8 @@ class _Recorder:
         return (time.perf_counter() - self.started) * 1e3
 
     def record_model(self, iteration: int, model: KruskalModel):
-        self.rows.append(
-            RunRow(
-                iteration,
-                objective(self.t, model),
-                relative_error(self.t, model),
-                self.wall_ms(),
-            )
-        )
+        fit = residual_fit(self.t, model, self.norm)
+        self.rows.append(RunRow(iteration, *fit, self.wall_ms()))
 
     def observe(self, iteration: int, state):
         if iteration % self.cfg.record_every == 0:
@@ -251,14 +245,9 @@ def _run_cno(t, cfg: RunConfig, seed: int, rec: _Recorder):
     model, trace = cno_run(t, cfg.rank, sw_cfg, deadline_s=cfg.wall_clock_s)
     for r in trace:
         if r.iteration % cfg.record_every == 0 or r.iteration == len(trace):
+            wall_ms = 0.0 if cfg.deterministic_timing else r.wall_s * 1e3
             rec.rows.append(
-                RunRow(
-                    r.iteration,
-                    r.best_value,
-                    r.rel_error,
-                    0.0 if cfg.deterministic_timing else r.wall_s * 1e3,
-                    r.diversity,
-                )
+                RunRow(r.iteration, r.objective, r.rel_error, wall_ms, r.diversity)
             )
     return model, "budget" if len(trace) == cfg.iterations else "early_stop"
 

@@ -23,10 +23,8 @@ from .driver import Stepper, check_finite, drive, keywords
 from .errors import SOLVER_FAILURES, BarrierDomainError, BoundaryStallError
 from .model import (
     BarrierParams,
-    Preconditioner,
-    barrier_gradient,
-    barrier_precondition,
     max_abs,
+    preconditioned_barrier_gradients,
     projection_bundle,
     projection_stack,
 )
@@ -212,12 +210,7 @@ def barrier_rhs(
     t: Array, model: KruskalModel, bp: BarrierParams, ridge: float | None = None
 ) -> list[Array]:
     """Barrier-flow right-hand sides ``-Hbar^{-1} grad`` for all factors."""
-    out = []
-    for mode, factor in enumerate(model.factors):
-        grad = barrier_gradient(t, model, mode, bp)
-        pre = Preconditioner.for_mode(model, mode, ridge)
-        out.append(-barrier_precondition(grad, pre, factor, bp))
-    return out
+    return [-d for d in preconditioned_barrier_gradients(t, model, bp, ridge)]
 
 
 def barrier_flow_step(t: Array, s: FlowState, bp: BarrierParams) -> FlowState:

@@ -14,6 +14,7 @@ diagonal and the solve decouples into independent R x R systems per row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -140,24 +141,26 @@ def projection_stack(
     (optionally Gram-preconditioned) gradient; the continuous flow, the
     discrete steppers and the swarm all advance along these. Per iterate the
     Grams are one batched product, the MTTKRPs come from
-    :func:`~neurocpd.tensor_ops.mttkrp_stack` and the preconditioner solves
-    are batched ``R x R`` solves.
+    :func:`~neurocpd.tensor_ops.mttkrp_stack` and the ``R x R`` preconditioner
+    solves are made by :func:`_solve_modes`.
     """
     grams = [np.matmul(f.transpose(0, 2, 1), f) for f in factors]
-    mtts = mttkrp_stack(t, factors)
-    directions, grads = [], []
-    for mode, (factor, mtt) in enumerate(zip(factors, mtts)):
-        gram_skip = np.ones_like(grams[0])
-        for m, g in enumerate(grams):
-            if m != mode:
-                gram_skip *= g
-        grad = factor @ gram_skip - mtt
-        grads.append(grad)
-        step_grad = grad
-        if use_precondition:
-            step_grad = _solve_right(grad, _ridged(gram_skip, ridge), ridge, mode)
-        directions.append(projected_direction(factor, step_grad))
-    return directions, grads
+    skips = _gram_skips(grams)
+    grads = [f @ g - m for f, g, m in zip(factors, skips, mttkrp_stack(t, factors))]
+    step_grads = grads
+    if use_precondition:
+        systems = _ridged(np.stack(skips), ridge)
+        step_grads = _solve_modes(grads, systems, ridge, range(len(grads)))
+    return [projected_direction(f, g) for f, g in zip(factors, step_grads)], grads
+
+
+def _gram_skips(grams) -> list[Array]:
+    """For each mode ``n`` the Hadamard product of the ``grams`` but the
+    ``n``-th, multiplied onto ones in factor order as :func:`hadamard_gram` does."""
+    ones = np.ones_like(grams[0])
+    return [
+        reduce(np.multiply, grams[:n] + grams[n + 1 :], ones) for n in range(len(grams))
+    ]
 
 
 def projection_bundle(
@@ -182,27 +185,34 @@ def precondition(grad: Array, pre: Preconditioner) -> Array:
     definite despite a positive ridge; with an explicit ridge of 0 a singular
     Gram raises :class:`SingularPreconditionerError` instead.
     """
-    return _solve_right(grad[None], pre.matrix()[None], pre.ridge, pre.mode)[0]
+    return _solve_one(grad, pre.matrix(), pre.ridge, pre.mode)
 
 
-def _solve_right(
-    grads: Array, systems: Array, ridge: float | None, mode: int
-) -> Array:
-    """``grads[p] @ inv(systems[p])`` for stacks of gradients and systems.
+def _solve_modes(grads, systems: Array, ridge: float | None, modes) -> list[Array]:
+    """``grads[n][p] @ inv(systems[n, p])`` for ``(P, I_n, R)`` stacks ``grads[n]``.
 
-    A Cholesky factorization tests the systems for positive definiteness.
-    If one is not, each system is tested alone and the indefinite ones fall
-    back to least squares, or raise :class:`SingularPreconditionerError` when
-    the ridge is explicitly 0.
+    One Cholesky test of all systems, then one solve per group of modes of equal
+    ``I_n``: zero padding would change the rounding, which depends on the number
+    of right-hand sides. If a system is not positive definite, each is solved by
+    :func:`_solve_one`, whose errors name the system's mode ``modes[n]``.
     """
     try:
         np.linalg.cholesky(systems)
     except np.linalg.LinAlgError:
-        return np.stack(
-            [_solve_one(g, s, ridge, mode) for g, s in zip(grads, systems)]
-        )
-    # the systems are symmetric, so X S = G is S X^T = G^T
-    return np.linalg.solve(systems, grads.transpose(0, 2, 1)).transpose(0, 2, 1)
+        return [
+            np.stack([_solve_one(g, s, ridge, mode) for g, s in zip(gs, ss)])
+            for mode, gs, ss in zip(modes, grads, systems)
+        ]
+    out = [None] * len(grads)
+    for dim in {g.shape[1] for g in grads}:
+        group = [n for n, g in enumerate(grads) if g.shape[1] == dim]
+        lhs = np.concatenate([systems[n] for n in group])
+        # the systems are symmetric, so X S = G is S X^T = G^T
+        rhs = np.concatenate([grads[n] for n in group]).transpose(0, 2, 1)
+        x = np.linalg.solve(lhs, rhs).transpose(0, 2, 1)
+        for i, n in enumerate(group):
+            out[n] = x[i * len(grads[n]) : (i + 1) * len(grads[n])]
+    return out
 
 
 def _solve_one(grad: Array, system: Array, ridge: float | None, mode: int) -> Array:
@@ -248,19 +258,43 @@ def barrier_precondition(
     """
     if grad.shape != entries.shape:
         raise ValueError("gradient and entry blocks must share a shape")
-    base = pre.matrix()
-    rank = base.shape[0]
-    systems = np.broadcast_to(base, (entries.shape[0], rank, rank)).copy()
-    idx = np.arange(rank)
-    systems[:, idx, idx] += bp.gamma / (entries**2)
+    return _barrier_solve([grad], pre.matrix()[None], [entries], bp, [pre.mode])[0]
+
+
+def preconditioned_barrier_gradients(
+    t: Array, model: KruskalModel, bp: BarrierParams, ridge: float | None = None
+) -> list[Array]:
+    """:func:`barrier_precondition` of :func:`barrier_gradient` for every
+    factor, bitwise, from one snapshot of the point: one interior check, the
+    factor Grams, one MTTKRP call and one solve over the rows of all factors."""
+    _check_shapes(t, model)
+    _check_interior(model)
+    skips = _gram_skips([f.T @ f for f in model.factors])
+    mtts = mttkrp_stack(t, [f[None] for f in model.factors])
+    grads = [f @ g - m[0] - bp.gamma / f for f, g, m in zip(model.factors, skips, mtts)]
+    bases = _ridged(np.stack(skips), ridge)
+    return _barrier_solve(grads, bases, model.factors, bp, range(model.order))
+
+
+def _barrier_solve(grads, bases: Array, entries, bp: BarrierParams, modes):
+    """Row ``i`` of each ``grads[k]`` solved with ``bases[k] + gamma *
+    diag(1 / entries[k][i]**2)``. The batched solve takes each system alone,
+    so one call over the rows of every block gives the per-block results."""
+    sizes = [len(e) for e in entries]
+    systems = np.repeat(bases, sizes, axis=0)
+    idx = np.arange(bases.shape[-1])
+    systems[:, idx, idx] += bp.gamma / (np.concatenate(entries) ** 2)
+    rhs = np.concatenate(grads)
     try:
-        return np.linalg.solve(systems, grad[:, :, None])[:, :, 0]
+        out = np.linalg.solve(systems, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
-        for i in range(entries.shape[0]):
+        rows = [(mode, i) for mode, n in zip(modes, sizes) for i in range(n)]
+        for (mode, i), system, grad in zip(rows, systems, rhs):
             try:
-                np.linalg.solve(systems[i], grad[i])
+                np.linalg.solve(system, grad)
             except np.linalg.LinAlgError:
                 raise np.linalg.LinAlgError(
-                    f"singular barrier system at row {i} of factor {pre.mode}"
+                    f"singular barrier system at row {i} of factor {mode}"
                 ) from None
         raise
+    return [out[end - n : end] for n, end in zip(sizes, np.cumsum(sizes))]

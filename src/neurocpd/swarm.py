@@ -27,7 +27,7 @@ from .driver import drive
 from .errors import SOLVER_FAILURES
 from .model import objective
 from .solvers import STEPPERS
-from .tensor_ops import KruskalModel, relative_error
+from .tensor_ops import KruskalModel, residual_fit
 
 Array = np.ndarray
 
@@ -73,6 +73,8 @@ class SwarmConfig:
             raise ValueError("diversity threshold must be >= 0")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
+        if [] in (self.inner_solver, self.inner_params):
+            raise ValueError("inner_solver and inner_params must not be empty lists")
         for kind in self.solver_kinds():
             if kind not in INNER_SOLVERS:
                 raise ValueError(f"unknown inner solver {kind!r}")
@@ -118,7 +120,8 @@ class OuterRecord:
     """One outer iteration of :func:`cno_run`, for traces and invariants."""
 
     iteration: int
-    best_value: float
+    best_value: float  # the expanded objective the swarm compares
+    objective: float  # of the best model, from the residual of ``rel_error``
     rel_error: float
     diversity: float
     mutated: bool
@@ -344,11 +347,13 @@ def cno_run(
             mutated = True
         sw.outer_iteration = k + 1
         best_model = KruskalModel.unflatten(sw.global_best, shape, rank)
+        objective_value, rel_error = residual_fit(t, best_model)
         trace.append(
             OuterRecord(
                 iteration=k + 1,
                 best_value=sw.global_best_value,
-                rel_error=relative_error(t, best_model),
+                objective=objective_value,
+                rel_error=rel_error,
                 diversity=sw.diversity,
                 mutated=mutated,
                 wall_s=time.perf_counter() - started,

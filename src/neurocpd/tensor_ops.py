@@ -228,7 +228,8 @@ def kruskal_full(model: KruskalModel) -> Array:
     """Dense reconstruction ``sum_r`` of the rank-1 terms of the model."""
     if model.order == 3:
         a, b, c = model.factors
-        return np.tensordot(a[:, None, :] * b[None, :, :], c, axes=([2], [1]))
+        ab = (a[:, None, :] * b[None, :, :]).reshape(-1, model.rank)
+        return (ab @ c.T).reshape(model.shape)
     letters = "abcdefghijklmnop"[: model.order]
     script = ",".join(f"{ch}z" for ch in letters) + "->" + letters
     return np.einsum(script, *model.factors, optimize=True)
@@ -239,10 +240,18 @@ def frobenius_norm(t: Array) -> float:
     return float(np.linalg.norm(np.asarray(t)))
 
 
+def residual_fit(t: Array, model: KruskalModel, norm: float | None = None):
+    """``(0.5 * ||t - full(model)||_F^2, ||t - full(model)||_F / ||t||_F)`` from
+    one dense residual, the root taken of the same dot as :func:`numpy.linalg.norm`
+    takes. ``norm`` is ``||t||_F`` if known; it must be positive."""
+    norm = frobenius_norm(t) if norm is None else norm
+    if norm == 0.0:
+        raise ValueError("relative_error is undefined for a zero-norm tensor")
+    r = (t - kruskal_full(model)).ravel(order="K")
+    sq = float(r.dot(r))
+    return 0.5 * sq, float(np.sqrt(sq)) / norm
+
+
 def relative_error(t: Array, model: KruskalModel) -> float:
     """``||t - full(model)||_F / ||t||_F``; the norm of ``t`` must be positive."""
-    t = np.asarray(t)
-    denom = frobenius_norm(t)
-    if denom == 0.0:
-        raise ValueError("relative_error is undefined for a zero-norm tensor")
-    return frobenius_norm(t - kruskal_full(model)) / denom
+    return residual_fit(t, model)[1]

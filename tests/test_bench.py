@@ -26,7 +26,9 @@ from neurocpd.errors import (
     DivergenceError,
     SingularPreconditionerError,
 )
-from neurocpd.model import BarrierParams
+from neurocpd.driver import drive
+from neurocpd.model import BarrierParams, objective
+from neurocpd.solvers import STEPPERS
 from neurocpd.swarm import initial_model
 from neurocpd.tensor_io import load_tensor, save_tensor_bin
 from neurocpd.tensor_ops import KruskalModel, relative_error
@@ -148,10 +150,42 @@ def test_cno_single_particle_matches_flow_trace(tmp_path):
     flow_by_iter = {r.iteration: r for r in flow_record.rows}
     for row in cno_record.rows:
         mate = flow_by_iter[row.iteration * 30]
-        assert row.objective == pytest.approx(mate.objective, rel=1e-12)
-        assert row.rel_error == pytest.approx(mate.rel_error, rel=1e-12)
+        # both columns come from the dense residual of the same model
+        assert row.objective == mate.objective
+        assert row.rel_error == mate.rel_error
     for a, b in zip(cno_record.final_model.factors, flow_record.final_model.factors):
         assert np.array_equal(a, b)
+
+
+def test_recorded_rel_error_is_relative_error_on_every_row():
+    cfg = RunConfig.from_dict(base_config(algorithm="flow"))
+    t = cfg.load_problem()
+    rec = bench._Recorder(t, cfg)
+    models = []
+
+    def observe(steps, state):
+        rec.observe(steps, state)
+        models.append(state.model)
+
+    stepper = STEPPERS["flow"]
+    state = stepper.make_state(initial_model(t.shape, 3, 0), {}, 0)
+    drive(t, state, stepper, 0.0, 40, None, observe)
+    assert len(rec.rows) == len(models) == 40
+    for row, model in zip(rec.rows, models):
+        assert row.rel_error == relative_error(t, model)
+        assert row.objective == pytest.approx(objective(t, model), rel=1e-9)
+
+
+def test_recorded_objective_is_accurate_at_an_exact_fit():
+    rng = np.random.default_rng(0)
+    truth = KruskalModel([rng.random((dim, 4)) for dim in (6, 7, 8)])
+    t = np.einsum("ir,jr,kr->ijk", *truth.factors)  # noiseless rank 4
+    half = 0.5 * float(np.sum(t * t))
+    rec = bench._Recorder(t, RunConfig.from_dict(base_config()))
+    rec.record_model(0, truth)
+    assert 0.0 <= rec.rows[0].objective <= 1e-28 * half
+    # the expanded Gram form cancels down to rounding noise of 0.5 ||X||^2
+    assert abs(objective(t, truth)) > 1e-20 * half
 
 
 def test_run_divergence_keeps_partial_trace(tmp_path):
@@ -313,6 +347,13 @@ def test_cno_params_the_runner_sets_or_its_inner_solver_rejects(
     err = _refused_before_any_solve(tmp_path, monkeypatch, capsys, raw)
     assert err.startswith("config error:")
     assert ("seed" if "seed" in params else "bogus") in err
+
+
+@pytest.mark.parametrize("key", ["inner_solver", "inner_params"])
+def test_cno_empty_inner_list_is_a_config_error(tmp_path, monkeypatch, capsys, key):
+    raw = base_config(algorithm="cno", params={key: []}, output_dir=str(tmp_path / "out"))
+    err = _refused_before_any_solve(tmp_path, monkeypatch, capsys, raw)
+    assert err.startswith("config error:") and key in err
 
 
 def test_every_shipped_config_names_known_params():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from neurocpd import flow
 from neurocpd.datagen import gen_problem
 from neurocpd.errors import DivergenceError
 from neurocpd.flow import (
@@ -12,7 +13,13 @@ from neurocpd.flow import (
     solve_barrier,
     solve_to_equilibrium,
 )
-from neurocpd.model import BarrierParams, objective, projected_direction
+from neurocpd.model import (
+    BarrierParams,
+    Preconditioner,
+    barrier_gradient,
+    objective,
+    projected_direction,
+)
 from neurocpd.tensor_ops import KruskalModel, kruskal_full, relative_error
 
 
@@ -193,3 +200,44 @@ def test_barrier_gamma_decay_improves_fit():
         gamma_decay=0.5, decay_every=100,
     )
     assert relative_error(t, decayed.model) <= relative_error(t, fixed.model)
+
+
+def reference_barrier_rhs(t, model, bp, ridge=None):
+    """The barrier rhs as it was formed one mode at a time: the mode's barrier
+    gradient, its Gram preconditioner and one batched solve over its rows."""
+    out = []
+    for mode, factor in enumerate(model.factors):
+        grad = barrier_gradient(t, model, mode, bp)
+        base = Preconditioner.for_mode(model, mode, ridge).matrix()
+        rank = base.shape[0]
+        systems = np.broadcast_to(base, (len(factor), rank, rank)).copy()
+        idx = np.arange(rank)
+        systems[:, idx, idx] += bp.gamma / (factor**2)
+        out.append(-np.linalg.solve(systems, grad[:, :, None])[:, :, 0])
+    return out
+
+
+@pytest.mark.parametrize("ridge", [None, 1e-3])
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+def test_barrier_rhs_equals_the_per_mode_formula_bitwise(
+    monkeypatch, integrator, ridge
+):
+    rng = np.random.default_rng(11)
+    t = rng.random((4, 6, 5))
+    model = KruskalModel([0.1 + rng.random((dim, 7)) for dim in t.shape])
+    bp = BarrierParams(1e-3)
+    for got, ref in zip(
+        barrier_rhs(t, model, bp, ridge), reference_barrier_rhs(t, model, bp, ridge)
+    ):
+        assert np.array_equal(got, ref)
+
+    def five_steps():
+        s = FlowState(model, step=0.5, integrator=integrator, ridge=ridge)
+        for _ in range(5):
+            s = barrier_flow_step(t, s, bp)
+        return s.model.factors
+
+    snapshot = five_steps()
+    monkeypatch.setattr(flow, "barrier_rhs", reference_barrier_rhs)
+    for got, ref in zip(snapshot, five_steps()):
+        assert np.array_equal(got, ref)

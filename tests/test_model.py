@@ -216,3 +216,12 @@ def test_barrier_precondition_vs_dense_kronecker(seed):
     out = barrier_precondition(grad, pre, entries, bp)
     oracle = dense_barrier_solve(grad, gram, 1e-7, entries, bp.gamma)
     assert np.abs(out - oracle).max() <= 1e-9
+
+
+def test_singular_barrier_row_names_its_row_and_factor():
+    # gamma / entry**2 is 4 on rows 0, 1, 3 and 1 on row 2, where it cancels
+    # the base of -1 exactly
+    entries = np.array([[0.5], [0.5], [1.0], [0.5]])
+    pre = Preconditioner(1, np.array([[-1.0]]), 0.0)
+    with pytest.raises(np.linalg.LinAlgError, match="row 2 of factor 1"):
+        barrier_precondition(np.ones((4, 1)), pre, entries, BarrierParams(1.0))

@@ -18,6 +18,7 @@ from neurocpd.datagen import gen_problem
 from neurocpd.errors import SingularPreconditionerError
 from neurocpd.flow import FlowState, solve_stack, solve_to_equilibrium
 from neurocpd.model import (
+    AUTO_RIDGE_SCALE,
     Preconditioner,
     precondition,
     projected_direction,
@@ -25,7 +26,7 @@ from neurocpd.model import (
     projection_stack,
 )
 from neurocpd.swarm import SwarmConfig, cno_run, init_swarm
-from neurocpd.tensor_ops import KruskalModel, khatri_rao_list, unfold
+from neurocpd.tensor_ops import KruskalModel, khatri_rao_list, mttkrp_stack, unfold
 
 #: Tolerance fixed before the comparison, relative to the larger of 1 and
 #: the max-norm of the reference block: the kernel and the reference form the
@@ -92,6 +93,89 @@ def test_stacked_kernel_matches_per_slice_loop(
         for mode, (ref_dir, ref_grad, cond) in enumerate(zip(*ref)):
             assert_close(grads[mode][p], ref_grad)
             assert_close(directions[mode][p], ref_dir, cond)
+
+
+def reference_solve_right(grads, systems, ridge, mode):
+    """One mode's preconditioner solve as the kernel made it before it grouped
+    the modes: a Cholesky test of the mode's P systems and one batched solve,
+    or each system alone if one is not positive definite."""
+    try:
+        np.linalg.cholesky(systems)
+    except np.linalg.LinAlgError:
+        return np.stack(
+            [reference_solve_one(g, s, ridge, mode) for g, s in zip(grads, systems)]
+        )
+    return np.linalg.solve(systems, grads.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
+def reference_solve_one(grad, system, ridge, mode):
+    try:
+        np.linalg.cholesky(system)
+    except np.linalg.LinAlgError:
+        if ridge == 0:
+            raise SingularPreconditionerError(mode) from None
+        return np.linalg.lstsq(system, grad.T, rcond=None)[0].T
+    return np.linalg.solve(system, grad.T).T
+
+
+def reference_stack_directions(t, stacks, ridge):
+    """Preconditioned directions of the stacked kernel with one solve per mode."""
+    grams = [np.matmul(f.transpose(0, 2, 1), f) for f in stacks]
+    directions = []
+    for mode, (factor, mtt) in enumerate(zip(stacks, mttkrp_stack(t, stacks))):
+        skip = np.ones_like(grams[0])
+        for m, g in enumerate(grams):
+            if m != mode:
+                skip *= g
+        grad = factor @ skip - mtt
+        rank = skip.shape[-1]
+        if ridge is None:
+            delta = AUTO_RIDGE_SCALE * np.trace(skip, axis1=-2, axis2=-1) / rank
+        else:
+            delta = np.full(len(skip), float(ridge))
+        systems = skip + delta[:, None, None] * np.eye(rank)
+        step_grad = reference_solve_right(grad, systems, ridge, mode)
+        directions.append(projected_direction(factor, step_grad))
+    return directions
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    count=st.integers(1, 6),
+    shape=st.tuples(*[st.integers(1, 7)] * 3),
+    rank=st.integers(1, 6),
+    ridge=st.sampled_from([None, 1e-3, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grouped_solve_equals_one_solve_per_mode_bitwise(
+    count, shape, rank, ridge, seed
+):
+    # unequal I_n put modes in different solve groups; small I_n with a rank
+    # above them give systems that are not positive definite (least squares)
+    rng = np.random.default_rng(seed)
+    t = rng.random(shape)
+    stacks = [0.1 + rng.random((count, dim, rank)) for dim in shape]
+    directions = projection_stack(t, stacks, True, ridge)[0]
+    for got, ref in zip(directions, reference_stack_directions(t, stacks, ridge)):
+        assert got.shape == ref.shape and np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("mode", range(3))
+def test_singular_system_at_ridge_zero_names_its_mode(mode):
+    # In particle 1 the two factors other than ``mode`` are all ones, so the
+    # Gram-skip product of ``mode`` is a square number times ones((2, 2)),
+    # which Cholesky finds exactly singular; the other modes multiply a
+    # positive definite Gram onto an all-ones one.
+    rng = np.random.default_rng(mode)
+    shape = (4, 9, 4)
+    t = rng.random(shape)
+    stacks = [0.1 + rng.random((3, dim, 2)) for dim in shape]
+    for n in range(3):
+        if n != mode:
+            stacks[n][1] = 1.0
+    with pytest.raises(SingularPreconditionerError) as err:
+        projection_stack(t, stacks, True, 0.0)
+    assert err.value.mode == mode
 
 
 def test_projection_bundle_is_one_slice_of_the_stack():
