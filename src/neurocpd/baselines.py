@@ -2,8 +2,9 @@
 
 Both work on the Gram/MTTKRP identities only; the rank-1 residual tensors of
 the HALS subproblems are never formed densely, so a sweep costs O(nnz * R).
-A HALS column makes two tensor passes, ``T x_3 c_r`` for modes 0 and 1 and
-one more for mode 2; a MUR sweep shares ``T x_3 C`` between modes 0 and 1.
+A HALS sweep makes one ``T x_3 C`` GEMM for modes 0 and 1 of every column,
+plus one tensor pass per column for mode 2; a MUR sweep shares ``T x_3 C``
+between modes 0 and 1 and contracts mode 2 slice by slice, with no tensor copy.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ def hals_sweep(t: Array, model: KruskalModel, rng=None) -> KruskalModel:
     """One hierarchical ALS sweep: columns r = 1..R, factors cycled per column.
 
     Each column solves its rank-1 nonnegative least-squares subproblem in
-    closed form against the implicit residual. A degenerate subproblem
+    closed form against the implicit residual. The sweep makes one GEMM
+    ``T x_3 C`` at its start, whose slice r serves modes 0 and 1 of column r,
+    and one tensor pass per column for mode 2. A degenerate subproblem
     (vanished companion columns) collapses the column to zero when the
     residual routed to it is also null (always the case in exact
     arithmetic), and otherwise re-seeds it uniformly in [0, 1).
@@ -43,13 +46,15 @@ def hals_sweep(t: Array, model: KruskalModel, rng=None) -> KruskalModel:
     i, j, k = t.shape
     model = model.copy()
     factors = model.factors
-    for r in range(model.rank):
-        a, b, c = (f[:, r] for f in factors)  # views: see each update in place
-        tc = (t.reshape(i * j, k) @ c).reshape(i, j)  # t x_3 c_r, modes 0 and 1
+    # t x_3 c_r of every column, for modes 0 and 1: column r of C changes only
+    # in the last update of column r, so one GEMM serves the whole sweep
+    tcs = (factors[2].T @ t.reshape(i * j, k).T).reshape(model.rank, i, j)
+    for r, tc in enumerate(tcs):
+        a, b = factors[0][:, r], factors[1][:, r]  # views: see updates in place
         for mode in range(3):
             if mode < 2:
                 m_col = tc @ b if mode == 0 else a @ tc
-            else:  # the second tensor pass of the column
+            else:  # the one tensor pass of the column
                 m_col = b @ (a @ t.reshape(i, j * k)).reshape(j, k)
             f1, f2 = factors[mode - 2], factors[mode - 1]  # the other two factors
             g_col = (f1.T @ f1[:, r]) * (f2.T @ f2[:, r])  # column r of G skipping mode

@@ -249,7 +249,13 @@ def _run_cno(t, cfg: RunConfig, seed: int, rec: _Recorder):
             rec.rows.append(
                 RunRow(r.iteration, r.objective, r.rel_error, wall_ms, r.diversity)
             )
-    return model, "budget" if len(trace) == cfg.iterations else "early_stop"
+    if len(trace) == cfg.iterations:
+        return model, "budget"
+    # short of the budget, cno_run stopped on its stop_tol test or on the deadline
+    stalled = len(trace) > 1 and (
+        abs(trace[-1].best_value - trace[-2].best_value) < sw_cfg.stop_tol
+    )
+    return model, "early_stop" if stalled else "wall_clock"
 
 
 def run_single(cfg: RunConfig, seed: int) -> RunRecord:
@@ -348,6 +354,8 @@ def compare(cfgs: list[RunConfig], seeds: list[int] | None = None) -> list[Compa
     """
     if not cfgs:
         raise ConfigError("compare needs at least one run config")
+    if seeds is not None and not seeds:
+        raise ConfigError("compare needs at least one seed")
     rows = []
     for cfg in cfgs:
         use_seeds = seeds if seeds is not None else cfg.seeds

@@ -102,7 +102,7 @@ def _compare_configs(raw: dict) -> list[bench.RunConfig]:
 
 def _cmd_compare(args) -> int:
     raw = bench.apply_overrides(bench.load_config(args.config), args.sets)
-    seeds = _parse_seeds(args.seeds) if args.seeds else None
+    seeds = None if args.seeds is None else _parse_seeds(args.seeds)
     cfgs = _compare_configs(raw)
     rows = bench.compare(cfgs, seeds)
     out = cfgs[0].resolved_output_dir()

@@ -166,9 +166,10 @@ def sweep_mttkrps(t: Array, model: KruskalModel):
     """The MTTKRPs of a Gauss-Seidel sweep, mode 0 first, each from the factors
     as they stand when it is requested (the caller updates factor ``n`` before
     asking for mode ``n + 1``) and equal to :func:`mttkrp` bitwise. For order
-    3 one contraction with ``C``, unchanged until mode 2, serves modes 0 and 1."""
+    3 one contraction with ``C``, unchanged until mode 2, serves modes 0 and 1,
+    and mode 2 is contracted slice by slice with no copy of the tensor."""
     if np.ndim(t) == 3:
-        yield from _mttkrps3(np.asarray(t), model.factors, (0, 1, 2))
+        yield from _mttkrps3(t, model.factors, (0, 1, 2))
     else:
         yield from (mttkrp(t, model, mode) for mode in range(model.order))
 
@@ -176,10 +177,12 @@ def sweep_mttkrps(t: Array, model: KruskalModel):
 def _mttkrps3(t: Array, mats, modes):
     """MTTKRPs of an order-3 ``t`` for ``modes``, in increasing order, against
     the ``(I_n, Q)`` matrices ``mats``, each read when its mode is requested.
-    One GEMM with ``mats[2]`` serves modes 0 and 1, one with ``mats[1]`` mode 2."""
+    One GEMM with ``mats[2]`` serves modes 0 and 1; mode 2 takes one GEMM with
+    ``mats[1]`` per mode-0 slice, read in place with no copy of the tensor."""
+    t = np.ascontiguousarray(t)
     i, j, k = t.shape
     if 0 in modes or 1 in modes:
-        tc = (np.ascontiguousarray(t).reshape(i * j, k) @ mats[2]).reshape(i, j, -1)
+        tc = (t.reshape(i * j, k) @ mats[2]).reshape(i, j, -1)
         if 0 in modes:
             yield np.einsum("ijq,jq->iq", tc, mats[1])
         if 1 in modes:
@@ -189,8 +192,8 @@ def _mttkrps3(t: Array, mats, modes):
         # allocator return and re-fault them on every call at 70^3
         del tc
     if 2 in modes:
-        tb = t.transpose(0, 2, 1).reshape(i * k, j) @ mats[1]
-        yield np.einsum("ikq,iq->kq", tb.reshape(i, k, -1), mats[0])
+        tb = np.matmul(t.transpose(0, 2, 1), mats[1])  # (I, K, Q)
+        yield np.einsum("ikq,iq->kq", tb, mats[0])
 
 
 def mttkrp_stack(t: Array, factors, modes=None) -> list[Array]:
@@ -200,7 +203,8 @@ def mttkrp_stack(t: Array, factors, modes=None) -> list[Array]:
     the ``(P, I_m, R)`` stack of MTTKRPs of mode ``m = modes[i]`` (all modes
     by default), slice ``p`` belonging to model ``p``. For order 3 each factor
     stack is laid out as ``(I_n, P*R)`` and contracted as in
-    :func:`sweep_mttkrps`.
+    :func:`sweep_mttkrps`: one GEMM for modes 0 and 1, and one per mode-0
+    slice of the tensor, with no copy of it, for mode 2.
     """
     t = np.asarray(t)
     modes = tuple(range(t.ndim)) if modes is None else tuple(modes)

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,9 @@ from neurocpd.tensor_ops import (
     hadamard_gram,
     kruskal_full,
     mttkrp,
+    mttkrp_stack,
     relative_error,
+    sweep_mttkrps,
 )
 
 #: Tolerance of the HALS comparison, fixed before comparing and relative to
@@ -19,6 +23,11 @@ from neurocpd.tensor_ops import (
 #: same products in another order, so each column update agrees to a few
 #: units in the last place, and one sweep divides by R column denominators.
 HALS_TOL = 1e-10
+
+#: Tolerance of the MTTKRP comparisons, fixed before comparing and relative
+#: to the larger of 1 and the entry: each entry is a sum of at most 49
+#: nonnegative products, which any summation order gets to within 49 ulps.
+MTTKRP_TOL = 1e-12
 
 shapes = st.tuples(*[st.integers(1, 7)] * 3)
 
@@ -195,3 +204,81 @@ def test_baselines_reach_small_kkt_on_exact_data(algo, seed):
     for _ in range(5000):
         model = hals_sweep(t, model, rng) if algo == "hals" else mur_sweep(t, model)
     assert kkt_residual(t, model) < 1e-4
+
+
+def layouts(base):
+    """The values of ``base`` held C-ordered, Fortran-ordered and as a
+    non-contiguous view with a reversed axis."""
+    i, j, k = base.shape
+    big = np.zeros((i, j, k + 1))
+    big[:, ::-1, 1:] = base
+    return {
+        "C": np.ascontiguousarray(base),
+        "F": np.asfortranarray(base),
+        "strided": big[:, ::-1, 1:],
+    }
+
+
+_STACK_MTTKRP = ("ijk,pjr,pkr->pir", "ijk,pir,pkr->pjr", "ijk,pir,pjr->pkr")
+
+
+def assert_mttkrp_close(got, expected):
+    assert got.shape == expected.shape
+    assert (np.abs(got - expected) <= MTTKRP_TOL * np.maximum(1.0, expected)).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=shapes,
+    rank=st.integers(1, 6),
+    count=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_contractions_read_every_tensor_layout(shape, rank, count, seed):
+    rng = np.random.default_rng(seed)
+    base = rng.random(shape)
+    stacks = [rng.random((count, dim, rank)) for dim in shape]
+    start = KruskalModel.random(shape, rank, rng)
+    updates = [rng.random((dim, rank)) for dim in shape]
+    for t in layouts(base).values():
+        assert np.array_equal(t, base)
+        for mode, got in enumerate(mttkrp_stack(t, stacks)):
+            others = [f for n, f in enumerate(stacks) if n != mode]
+            assert_mttkrp_close(got, np.einsum(_STACK_MTTKRP[mode], base, *others))
+        # a Gauss-Seidel sweep: factor n changes before mode n + 1 is asked for
+        model = start.copy()
+        for mode, got in enumerate(sweep_mttkrps(t, model)):
+            others = [f[None] for n, f in enumerate(model.factors) if n != mode]
+            expected = np.einsum(_STACK_MTTKRP[mode], base, *others)[0]
+            assert_mttkrp_close(got, expected)
+            model.factors[mode] = updates[mode]
+        out = hals_sweep(t, start, np.random.default_rng(1))
+        assert_hals_close(out, hals_reference(base, start, np.random.default_rng(1)))
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_hals_reseeds_a_column_of_c_mid_sweep(layout, caplog):
+    # slab k = 0 of t is zero but for t[0, 0, 0] = 1 and c_0 = e_0, so the
+    # residual routed to column 0 of A is the 1e-17 in b_0[0]; a_0 comes out
+    # near 1e-17, which leaves the denominators of b_0 and then c_0 below
+    # DEGENERATE_EPS while their residuals are not null: both are re-seeded,
+    # and column 1 is then swept against the re-seeded c_0
+    rng = np.random.default_rng(5)
+    base = rng.random((3, 4, 5))
+    base[:, :, 0] = 0.0
+    base[0, 0, 0] = 1.0
+    model = KruskalModel.random(base.shape, 2, rng)
+    model.factors[0][:, 0] = 0.0
+    model.factors[1][:, 0] = [1e-17, 1.0, 1.0, 1.0]
+    model.factors[2][:, 0] = [1.0, 0.0, 0.0, 0.0, 0.0]
+    model.factors[2][0, 1] = 0.0  # c_1 orthogonal to c_0
+    with caplog.at_level(logging.INFO, logger="neurocpd.baselines"):
+        out = hals_sweep(layouts(base)[layout], model, np.random.default_rng(3))
+    assert [r.getMessage() for r in caplog.records] == [
+        "hals: re-seeded degenerate column 0 of factor 1",
+        "hals: re-seeded degenerate column 0 of factor 2",
+    ]
+    stream = np.random.default_rng(3)
+    stream.random(4)
+    assert np.array_equal(out.factors[2][:, 0], stream.random(5))
+    assert_hals_close(out, hals_reference(base, model, np.random.default_rng(3)))

@@ -240,6 +240,28 @@ def test_wall_clock_cap_terminates_early(tmp_path):
     assert record.termination == "wall_clock"
 
 
+@pytest.mark.parametrize(
+    "budget, stop_tol, reason",
+    [({"iterations": 100000, "wall_clock_s": 0.05}, 0.0, "wall_clock"),
+     ({"iterations": 50}, 1e300, "early_stop"),
+     ({"iterations": 2}, 0.0, "budget")],
+)
+def test_cno_termination_names_what_ended_the_run(tmp_path, budget, stop_tol, reason):
+    raw = base_config(
+        problem={"kind": "caseI", "seed": 0},
+        algorithm="cno",
+        rank=10,
+        budget=budget,
+        params={"population": 10, "stop_tol": stop_tol, "inner_max_steps": 20},
+        output_dir=str(tmp_path),
+        deterministic_timing=False,
+    )
+    record = run_single(RunConfig.from_dict(raw), 0)
+    assert record.termination == reason
+    if reason == "early_stop":
+        assert len(record.rows) == 2  # stop_tol is first tested after iteration 2
+
+
 def test_compare_single_run_and_permutation_invariance(tmp_path):
     raws = [
         base_config(algorithm="hals", label="hals", output_dir=str(tmp_path)),
@@ -303,6 +325,21 @@ def test_cli_gen_run_compare_and_exit_codes(tmp_path, capsys):
     assert cli.main(["compare", "--config", str(cmp_path), "--seeds", "0..1"]) == 0
     assert (tmp_path / "cmp_out" / "compare.csv").exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("seeds", ["5..3", ",", ""])
+def test_cli_compare_with_no_seed_is_a_config_error(tmp_path, monkeypatch, capsys, seeds):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(bench, "run_single", no_solve)
+    cmp_path = tmp_path / "cmp.yaml"
+    raw = base_config(output_dir=str(tmp_path / "out"))
+    raw["algorithms"] = [{"label": "hals", "algorithm": "hals"}]
+    yaml.safe_dump(raw, cmp_path.open("w"))
+    assert cli.main(["compare", "--config", str(cmp_path), "--seeds", seeds]) == 1
+    assert not (tmp_path / "out").exists()  # no compare.csv was written
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 EIGHT_ALGORITHMS = [
