@@ -31,48 +31,51 @@ def hals_sweep(t: Array, model: KruskalModel, rng=None) -> KruskalModel:
     """One hierarchical ALS sweep: columns r = 1..R, factors cycled per column.
 
     Each column solves its rank-1 nonnegative least-squares subproblem in
-    closed form against the implicit residual. The sweep makes one GEMM
-    ``T x_3 C`` at its start, whose slice r serves modes 0 and 1 of column r,
-    and one tensor pass per column for mode 2. A degenerate subproblem
-    (vanished companion columns) collapses the column to zero when the
-    residual routed to it is also null (always the case in exact
-    arithmetic), and otherwise re-seeds it uniformly in [0, 1).
+    closed form against the implicit residual. One GEMM ``T x_3 C`` at the
+    start serves modes 0 and 1 of every column; column r then makes one
+    tensor pass for mode 2 and four Gram matvecs: ``C^T c_r`` for modes 0
+    and 1, ``A^T a_r`` (after a_r moves) for modes 1 and 2, and ``B^T b_r``
+    before and after b_r moves. A degenerate subproblem (vanished companion
+    columns) collapses the column to zero when the residual routed to it is
+    also null (always so in exact arithmetic), and otherwise re-seeds it
+    uniformly in [0, 1).
     """
     t = np.ascontiguousarray(t)
-    if t.ndim != 3:
-        raise ValueError("hals_sweep expects an order-3 tensor")
-    if t.shape != model.shape:
-        raise ValueError(f"tensor shape {t.shape} != model shape {model.shape}")
+    if t.ndim != 3 or t.shape != model.shape:
+        raise ValueError(f"hals_sweep needs an order-3 tensor of shape {model.shape}")
     i, j, k = t.shape
     model = model.copy()
-    factors = model.factors
+    fa, fb, fc = model.factors  # updated in place, column by column
+    at, bt, ct = fa.T, fb.T, fc.T
+    t0 = t.reshape(i, j * k)  # the mode-0 matricization, read by mode 2
     # t x_3 c_r of every column, for modes 0 and 1: column r of C changes only
     # in the last update of column r, so one GEMM serves the whole sweep
-    tcs = (factors[2].T @ t.reshape(i * j, k).T).reshape(model.rank, i, j)
+    tcs = (ct @ t.reshape(i * j, k).T).reshape(model.rank, i, j)
     for r, tc in enumerate(tcs):
-        a, b = factors[0][:, r], factors[1][:, r]  # views: see updates in place
-        for mode in range(3):
-            if mode < 2:
-                m_col = tc @ b if mode == 0 else a @ tc
-            else:  # the one tensor pass of the column
-                m_col = b @ (a @ t.reshape(i, j * k)).reshape(j, k)
-            f1, f2 = factors[mode - 2], factors[mode - 1]  # the other two factors
-            g_col = (f1.T @ f1[:, r]) * (f2.T @ f2[:, r])  # column r of G skipping mode
-            denom = g_col[r]
-            numer = m_col - factors[mode] @ g_col + factors[mode][:, r] * denom
-            if denom <= DEGENERATE_EPS:
-                if np.abs(numer).max(initial=0.0) <= DEGENERATE_EPS:
-                    factors[mode][:, r] = 0.0
-                else:
-                    if rng is None:
-                        rng = np.random.default_rng(0)
-                    factors[mode][:, r] = rng.random(factors[mode].shape[0])
-                    logger.info(
-                        "hals: re-seeded degenerate column %d of factor %d", r, mode
-                    )
-                continue
-            factors[mode][:, r] = np.maximum(numer / denom, 0.0)
+        a, b, c = fa[:, r], fb[:, r], fc[:, r]  # views: see updates in place
+        cc = ct @ c
+        rng = _hals_column(fa, a, r, tc @ b, (bt @ b) * cc, 0, rng)
+        aa = at @ a
+        rng = _hals_column(fb, b, r, a @ tc, cc * aa, 1, rng)
+        rng = _hals_column(fc, c, r, b @ (a @ t0).reshape(j, k), aa * (bt @ b), 2, rng)
     return model
+
+
+def _hals_column(factor, column, r, m_col, g_col, mode, rng):
+    """Update ``column``, column ``r`` of ``factor``, in place from its MTTKRP
+    and Gram columns; returns the generator, made if a re-seed needed one."""
+    denom = g_col[r]
+    numer = m_col - factor @ g_col + column * denom
+    if denom <= DEGENERATE_EPS:
+        if np.abs(numer).max(initial=0.0) <= DEGENERATE_EPS:
+            column[:] = 0.0
+            return rng
+        rng = np.random.default_rng(0) if rng is None else rng
+        column[:] = rng.random(len(column))
+        logger.info("hals: re-seeded degenerate column %d of factor %d", r, mode)
+        return rng
+    np.maximum(numer / denom, 0.0, out=column)
+    return rng
 
 
 def mur_sweep(t: Array, model: KruskalModel, eps: float = 1e-16) -> KruskalModel:

@@ -89,6 +89,10 @@ class DtpnnState:
             raise ValueError("step sizes must be positive")
         if self.initial_lambdas is None:
             self.initial_lambdas = self.lambdas.copy()
+        if isinstance(self.armijo, dict):  # as a YAML config gives it
+            if unknown := set(self.armijo) - keywords(ArmijoParams):
+                raise ValueError(f"unknown armijo keys: {sorted(unknown)}")
+            self.armijo = ArmijoParams(**self.armijo)
         if self.semi_implicit_form not in ("corrected", "paper"):
             raise ValueError(f"unknown semi-implicit form {self.semi_implicit_form!r}")
 
@@ -169,14 +173,10 @@ def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 1e-10) -> Dtp
         # decrease the plain direction can offer is (g.d)^2 / (2 d'Hd). Once
         # that is at the cancellation noise of the expanded objective, the
         # block is converged to float precision, not stalled.
-        gd_plain = float(np.sum(grad * d_plain))
-        curvature = float(np.sum(d_plain * (d_plain @ gram_skip)))
-        fit = grams[mode]
-        parts_scale = (
-            0.5 * norm_x_sq
-            + 0.5 * abs(float(np.sum(fit * gram_skip)))
-            + abs(float(np.sum(factor * mtt)))
-        )
+        gd_plain = float((grad * d_plain).sum())
+        curvature = float((d_plain * (d_plain @ gram_skip)).sum())
+        fit = abs(float((grams[mode] * gram_skip).sum()))
+        parts_scale = 0.5 * norm_x_sq + 0.5 * fit + abs(float((factor * mtt).sum()))
         best_decrease = (
             np.inf if curvature <= 0.0 else gd_plain * gd_plain / (2.0 * curvature)
         )
@@ -190,7 +190,7 @@ def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 1e-10) -> Dtp
                 trial = factor + lam * direction
                 displacement = trial - factor
                 f_trial = objective_from_parts(norm_x_sq, trial, gram_skip, mtt)
-                decrease_bound = alpha * lam * float(np.sum(grad * displacement))
+                decrease_bound = alpha * lam * float((grad * displacement).sum())
                 if f_trial - f_current < decrease_bound and f_trial <= f_current:
                     return trial, lam, f_trial
                 lam *= beta
@@ -215,15 +215,11 @@ def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 1e-10) -> Dtp
             s.objective_history[-1] if s.objective_history else objective(t, model)
         )
     check_finite(model.factors, s.iteration + 1)
-    new = replace(
-        s,
-        model=model,
-        lambdas=lambdas,
-        iteration=s.iteration + 1,
-        kkt_residual=max(kkt_parts),
+    history = s.objective_history + [f_current]
+    return replace(
+        s, model=model, lambdas=lambdas, iteration=s.iteration + 1,
+        kkt_residual=max(kkt_parts), objective_history=history,
     )
-    new.objective_history = s.objective_history + [f_current]
-    return new
 
 
 def _residual(t: Array, s: DtpnnState):

@@ -73,6 +73,8 @@ class FlowState:
             raise ValueError("step must be positive")
         if self.integrator not in ("euler", "rk4"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
+        if not (self.gamma > 0 and self.gamma_decay > 0 and self.decay_every >= 1):
+            raise ValueError("gamma, gamma_decay must be > 0 and decay_every >= 1")
 
 
 def _directions(t: Array, s: FlowState) -> list[Array]:

@@ -88,10 +88,8 @@ def objective_from_parts(
     ``0.5*||X||^2 + 0.5*<Z^T Z, G> - <Z, M>`` equals the full objective for
     any mode; solvers reuse it to make backtracking evaluations cheap.
     """
-    fit = factor.T @ factor
-    return 0.5 * norm_x_sq + 0.5 * float(np.sum(fit * gram_skip)) - float(
-        np.sum(factor * mtt)
-    )
+    fit = float((factor.T @ factor * gram_skip).sum())
+    return 0.5 * norm_x_sq + 0.5 * fit - float((factor * mtt).sum())
 
 
 def objective(t: Array, model: KruskalModel) -> float:

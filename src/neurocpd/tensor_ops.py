@@ -16,6 +16,7 @@ All kernels are pure functions of their inputs and operate in float64.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -141,11 +142,11 @@ def hadamard_gram(model: KruskalModel, skip: int, grams=None) -> Array:
     factors; it forms their ``F.T @ F``, or reads them from ``grams`` if given.
     """
     _check_mode(model.order, skip)
-    out = np.ones((model.rank, model.rank))
-    for n, f in enumerate(model.factors):
-        if n != skip:
-            out *= f.T @ f if grams is None else grams[n]
-    return out
+    rest = [f.T @ f if grams is None else grams[n]
+            for n, f in enumerate(model.factors) if n != skip]
+    if len(rest) > 1:  # multiplied in factor order, bitwise as onto ones
+        return reduce(np.multiply, rest)
+    return rest[0].copy() if rest else np.ones((model.rank, model.rank))
 
 
 def mttkrp(t: Array, model: KruskalModel, mode: int) -> Array:

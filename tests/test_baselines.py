@@ -18,6 +18,9 @@ from neurocpd.tensor_ops import (
     sweep_mttkrps,
 )
 
+Array = np.ndarray
+logger = logging.getLogger(__name__)
+
 #: Tolerance of the HALS comparison, fixed before comparing and relative to
 #: the larger of 1 and the entry: the sweep and the reference contract the
 #: same products in another order, so each column update agrees to a few
@@ -71,6 +74,51 @@ def hals_reference(t, model, rng):
                 continue
             factors[mode][:, r] = np.maximum(numer / denom, 0.0)
     return model
+
+
+def hals_column_loop(t: Array, model: KruskalModel, rng=None) -> KruskalModel:
+    """``hals_sweep`` as it stood before its Gram columns were shared within a
+    column, kept verbatim: the sweep must equal it bitwise."""
+    t = np.ascontiguousarray(t)
+    if t.ndim != 3:
+        raise ValueError("hals_sweep expects an order-3 tensor")
+    if t.shape != model.shape:
+        raise ValueError(f"tensor shape {t.shape} != model shape {model.shape}")
+    i, j, k = t.shape
+    model = model.copy()
+    factors = model.factors
+    # t x_3 c_r of every column, for modes 0 and 1: column r of C changes only
+    # in the last update of column r, so one GEMM serves the whole sweep
+    tcs = (factors[2].T @ t.reshape(i * j, k).T).reshape(model.rank, i, j)
+    for r, tc in enumerate(tcs):
+        a, b = factors[0][:, r], factors[1][:, r]  # views: see updates in place
+        for mode in range(3):
+            if mode < 2:
+                m_col = tc @ b if mode == 0 else a @ tc
+            else:  # the one tensor pass of the column
+                m_col = b @ (a @ t.reshape(i, j * k)).reshape(j, k)
+            f1, f2 = factors[mode - 2], factors[mode - 1]  # the other two factors
+            g_col = (f1.T @ f1[:, r]) * (f2.T @ f2[:, r])  # column r of G skipping mode
+            denom = g_col[r]
+            numer = m_col - factors[mode] @ g_col + factors[mode][:, r] * denom
+            if denom <= DEGENERATE_EPS:
+                if np.abs(numer).max(initial=0.0) <= DEGENERATE_EPS:
+                    factors[mode][:, r] = 0.0
+                else:
+                    if rng is None:
+                        rng = np.random.default_rng(0)
+                    factors[mode][:, r] = rng.random(factors[mode].shape[0])
+                    logger.info(
+                        "hals: re-seeded degenerate column %d of factor %d", r, mode
+                    )
+                continue
+            factors[mode][:, r] = np.maximum(numer / denom, 0.0)
+    return model
+
+
+def assert_bitwise(model, expected):
+    for a, b in zip(model.factors, expected.factors):
+        assert np.array_equal(a, b)
 
 
 @settings(max_examples=60, deadline=None)
@@ -138,6 +186,7 @@ def test_hals_zero_tensor_collapses_all_columns():
     out = hals_sweep(np.zeros((4, 4, 4)), model)
     assert all((f == 0.0).all() for f in out.factors)
     assert_hals_close(out, hals_reference(np.zeros((4, 4, 4)), model, None))
+    assert_bitwise(out, hals_column_loop(np.zeros((4, 4, 4)), model))
 
 
 @pytest.mark.parametrize("rng_seed", [None, 11])
@@ -151,6 +200,8 @@ def test_hals_reseeds_a_column_whose_companions_nearly_vanish(rng_seed):
     out = hals_sweep(t, model, rng)
     assert np.array_equal(out.factors[0][:, 0], np.random.default_rng(seed).random(4))
     assert_hals_close(out, hals_reference(t, model, np.random.default_rng(seed)))
+    loop_rng = None if rng_seed is None else np.random.default_rng(rng_seed)
+    assert_bitwise(out, hals_column_loop(t, model, loop_rng))
 
 
 def test_hals_shape_checks():
@@ -282,3 +333,29 @@ def test_hals_reseeds_a_column_of_c_mid_sweep(layout, caplog):
     stream.random(4)
     assert np.array_equal(out.factors[2][:, 0], stream.random(5))
     assert_hals_close(out, hals_reference(base, model, np.random.default_rng(3)))
+    t = layouts(base)[layout]
+    assert_bitwise(out, hals_column_loop(t, model, np.random.default_rng(3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=shapes,
+    rank=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    reseed=st.booleans(),
+)
+def test_hals_sweep_equals_the_column_loop_bitwise(shape, rank, seed, reseed):
+    base, start = instance(shape, rank, seed)
+    if reseed:
+        # b_0 at 1e-20 leaves the mode-0 denominator of column 0 near 1e-40
+        # while its residual is near 1e-20: a_0 is re-seeded mid-sweep
+        start.factors[1][:, 0] = 1e-20
+    for t in layouts(base).values():
+        model, expected = start, start
+        rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            model = hals_sweep(t, model, rng)
+            expected = hals_column_loop(t, expected, loop_rng)
+            assert_bitwise(model, expected)
+        # both drew the same number of re-seeds from their streams
+        assert rng.random() == loop_rng.random()

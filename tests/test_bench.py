@@ -393,6 +393,64 @@ def test_cno_empty_inner_list_is_a_config_error(tmp_path, monkeypatch, capsys, k
     assert err.startswith("config error:") and key in err
 
 
+@pytest.mark.parametrize(
+    "setting", ["params.gamma=0", "params.gamma_decay=0", "params.decay_every=0"]
+)
+def test_barrier_schedule_out_of_range_is_a_config_error(
+    tmp_path, monkeypatch, capsys, setting
+):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran")
+
+    barrier = STEPPERS["barrier-flow"]
+    monkeypatch.setitem(STEPPERS, "barrier-flow", barrier._replace(step=no_step))
+    cfg_path = tmp_path / "run.yaml"
+    raw = base_config(algorithm="barrier-flow", output_dir=str(tmp_path / "out"))
+    yaml.safe_dump(raw, cfg_path.open("w"))
+    assert cli.main(["run", "--config", str(cfg_path), "--set", setting]) == 1
+    assert not list(tmp_path.rglob("*.csv"))  # no trace was written
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert setting.partition(".")[2].partition("=")[0] in err
+
+
+def test_armijo_params_from_a_config_mapping(tmp_path, capsys):
+    state = STEPPERS["dtpnn-armijo"].make_state(
+        initial_model((3, 3, 3), 2, 0), {"armijo": {"alpha": 0.1}}, 0
+    )
+    assert state.armijo == dtpnn.ArmijoParams(alpha=0.1)
+    cfg_path = tmp_path / "run.yaml"
+    raw = base_config(
+        algorithm="dtpnn-armijo",
+        params={"armijo": {"alpha": 0.1}},
+        output_dir=str(tmp_path / "out"),
+    )
+    yaml.safe_dump(raw, cfg_path.open("w"))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 0
+    summary = (tmp_path / "out" / "dtpnn-armijo_seed0.summary.txt").read_text()
+    assert "termination = budget" in summary
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "armijo,named", [({"alpha": 0.1, "bogus": 1}, "bogus"), ({"beta": 1.5}, "(0, 1)")]
+)
+def test_armijo_params_unknown_or_out_of_range_is_a_config_error(
+    tmp_path, capsys, armijo, named
+):
+    cfg_path = tmp_path / "run.yaml"
+    raw = base_config(
+        algorithm="dtpnn-armijo",
+        params={"armijo": armijo},
+        output_dir=str(tmp_path / "out"),
+    )
+    yaml.safe_dump(raw, cfg_path.open("w"))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 1
+    assert not list(tmp_path.rglob("*.csv"))
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err
+
+
 def test_every_shipped_config_names_known_params():
     for path in sorted(Path(__file__).parent.parent.glob("configs/*.yaml")):
         raw = load_config(path)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neurocpd.tensor_ops import (
     KruskalModel,
@@ -128,6 +130,42 @@ def test_hadamard_gram_rank1_hand_value():
     ones = np.ones((2, 1))
     model = KruskalModel([ones, ones, ones])
     assert hadamard_gram(model, 0) == pytest.approx(4.0)
+
+
+def ones_seeded_hadamard_gram(model, skip, grams=None):
+    """The product of the other Grams multiplied onto ones, in factor order."""
+    out = np.ones((model.rank, model.rank))
+    for n, f in enumerate(model.factors):
+        if n != skip:
+            out *= f.T @ f if grams is None else grams[n]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+    rank=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hadamard_gram_equals_the_ones_seeded_product_bitwise(dims, rank, seed):
+    rng = np.random.default_rng(seed)
+    model = KruskalModel([rng.normal(size=(d, rank)) for d in dims])
+    grams = [f.T @ f for f in model.factors]
+    kept = [g.copy() for g in grams]
+    for skip in range(model.order):
+        for given_grams in (None, grams):
+            got = hadamard_gram(model, skip, given_grams)
+            assert np.array_equal(got, ones_seeded_hadamard_gram(model, skip, grams))
+            got += 1.0  # a new array: the caller's Grams are not shared
+            assert all(np.array_equal(g, k) for g, k in zip(grams, kept))
+
+
+@pytest.mark.parametrize("rank", [1, 4])
+def test_hadamard_gram_of_an_order1_model_is_the_empty_product(rank):
+    model = KruskalModel([np.random.default_rng(rank).random((3, rank))])
+    for grams in (None, [model.factors[0].T @ model.factors[0]]):
+        got = hadamard_gram(model, 0, grams)
+        assert got.shape == (rank, rank) and (got == 1.0).all()
 
 
 @pytest.mark.parametrize("seed", range(5))
