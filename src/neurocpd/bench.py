@@ -121,6 +121,12 @@ class RunConfig:
         raw = dict(raw)
         problem = raw.pop("problem", {})
         budget = raw.pop("budget", {})
+        seeds = raw.pop("seeds", [0])
+        for key, value in (("problem", problem), ("budget", budget)):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{key} must be a mapping, got {value!r}")
+        if not isinstance(seeds, (list, tuple)):
+            raise ConfigError(f"seeds must be a list, got {seeds!r}")
         known = dict(
             algorithm=raw.pop("algorithm", None),
             rank=raw.pop("rank", None),
@@ -132,7 +138,7 @@ class RunConfig:
             iterations=int(budget.get("iterations", 1000)),
             wall_clock_s=budget.get("wall_clock_s"),
             tol=float(raw.pop("tol", 0.0)),
-            seeds=list(raw.pop("seeds", [0])),
+            seeds=list(seeds),
             output_dir=raw.pop("output_dir", "out"),
             record_every=int(raw.pop("record_every", 1)),
             deterministic_timing=bool(raw.pop("deterministic_timing", False)),

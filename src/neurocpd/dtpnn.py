@@ -28,6 +28,7 @@ from .errors import ArmijoStallError, StepMapInconsistencyError
 from .flow import euler_update
 from .model import (
     Preconditioner,
+    _check_ridge,
     max_abs,
     objective,
     objective_from_parts,
@@ -95,6 +96,7 @@ class DtpnnState:
             self.armijo = ArmijoParams(**self.armijo)
         if self.semi_implicit_form not in ("corrected", "paper"):
             raise ValueError(f"unknown semi-implicit form {self.semi_implicit_form!r}")
+        _check_ridge(self.ridge)
 
 
 def _measured(t: Array, s: DtpnnState):

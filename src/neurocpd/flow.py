@@ -23,6 +23,7 @@ from .driver import Stepper, check_finite, drive, keywords
 from .errors import SOLVER_FAILURES, BarrierDomainError, BoundaryStallError
 from .model import (
     BarrierParams,
+    _check_ridge,
     max_abs,
     preconditioned_barrier_gradients,
     projection_bundle,
@@ -75,6 +76,7 @@ class FlowState:
             raise ValueError(f"unknown integrator {self.integrator!r}")
         if not (self.gamma > 0 and self.gamma_decay > 0 and self.decay_every >= 1):
             raise ValueError("gamma, gamma_decay must be > 0 and decay_every >= 1")
+        _check_ridge(self.ridge)
 
 
 def _directions(t: Array, s: FlowState) -> list[Array]:
@@ -161,7 +163,8 @@ def solve_stack(
         idx = np.flatnonzero(active)
         if idx.size == 0 or (deadline is not None and time.perf_counter() > deadline):
             break
-        current = [f[idx] for f in factors]
+        whole = idx.size == len(active)  # no gather or scatter while all move
+        current = factors if whole else [f[idx] for f in factors]
         directions, broken = _stack_directions(t, current, use_precondition, ridge)
         residual = np.max([np.abs(d).max(axis=(1, 2)) for d in directions], axis=0)
         moving = ~broken & ~(residual < tol)
@@ -174,6 +177,9 @@ def solve_stack(
         )
         broken |= moving & ~finite
         moving &= finite
+        if whole and moving.all():
+            factors = stepped
+            continue
         for f, new in zip(factors, stepped):
             f[idx[moving]] = new[moving]
         failed[idx[broken]] = True

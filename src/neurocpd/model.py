@@ -6,13 +6,17 @@ Objective ``F = 0.5 * ||X - full(model)||_F^2`` with per-factor gradients
 
 Gram-structured preconditioning exploits the block Hessian ``P kron I``: the
 vec-level solve collapses to a single R x R symmetric solve applied from the
-right. The log-barrier variant subtracts ``gamma * sum(log(entries))`` so the
+right. The stacked kernel makes those solves from one Cholesky factorization
+of the bordered systems ``[[S, I], [I, c*I]]``, whose lower-left block is
+``L^{-T}`` for ``S = L L^T``: each direction is then two matrix products.
+The log-barrier variant subtracts ``gamma * sum(log(entries))`` so the
 penalty diverges at the boundary of the positive orthant; its Hessian adds a
 diagonal and the solve decouples into independent R x R systems per row.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -25,6 +29,11 @@ Array = np.ndarray
 
 #: ridge scale used when no explicit ridge is given: 1e-10 * trace(P) / R
 AUTO_RIDGE_SCALE = 1e-10
+
+#: corner weight ``c`` of the bordered systems of :func:`_solve_modes`: a power
+#: of two, so ``c*I`` is exact, and far above ``1/lambda_min`` of any system
+#: not left to the per-system path
+BORDER = 2.0**500
 
 
 @dataclass(frozen=True)
@@ -62,17 +71,32 @@ class Preconditioner:
         return _ridged(self.gram, self.ridge)
 
 
-def _ridges(grams: Array, ridge: float | None) -> Array:
+def _check_ridge(ridge) -> None:
+    """Reject a ridge that is neither ``None`` nor a finite value ``>= 0``."""
+    if ridge is None:
+        return
+    try:
+        valid = 0 <= ridge < math.inf
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"ridge must be None or a finite value >= 0, got {ridge!r}")
+
+
+def _ridges(grams: Array, ridge: float | None) -> Array | float:
     """Ridge of each ``(..., R, R)`` Gram: ``ridge``, or the automatic one."""
     if ridge is not None:
-        return np.full(grams.shape[:-2], float(ridge))
+        return float(ridge)
     return AUTO_RIDGE_SCALE * np.trace(grams, axis1=-2, axis2=-1) / grams.shape[-1]
 
 
 def _ridged(grams: Array, ridge: float | None) -> Array:
     """The systems ``P + ridge*I`` of a ``(..., R, R)`` stack of Grams."""
-    delta = _ridges(grams, ridge)
-    return grams + delta[..., None, None] * np.eye(grams.shape[-1])
+    rank = grams.shape[-1]
+    systems = grams.copy()
+    diagonal = systems.reshape(*grams.shape[:-2], rank * rank)[..., :: rank + 1]
+    diagonal += np.asarray(_ridges(grams, ridge))[..., None]
+    return systems
 
 
 def _check_shapes(t: Array, model: KruskalModel) -> None:
@@ -154,11 +178,12 @@ def projection_stack(
 
 def _gram_skips(grams) -> list[Array]:
     """For each mode ``n`` the Hadamard product of the ``grams`` but the
-    ``n``-th, multiplied onto ones in factor order as :func:`hadamard_gram` does."""
-    ones = np.ones_like(grams[0])
-    return [
-        reduce(np.multiply, grams[:n] + grams[n + 1 :], ones) for n in range(len(grams))
-    ]
+    ``n``-th, in factor order and bitwise as :func:`hadamard_gram` forms it."""
+    if len(grams) == 1:
+        return [np.ones_like(grams[0])]
+    if len(grams) == 2:
+        return [grams[1].copy(), grams[0].copy()]
+    return [reduce(np.multiply, grams[:n] + grams[n + 1 :]) for n in range(len(grams))]
 
 
 def projection_bundle(
@@ -189,28 +214,29 @@ def precondition(grad: Array, pre: Preconditioner) -> Array:
 def _solve_modes(grads, systems: Array, ridge: float | None, modes) -> list[Array]:
     """``grads[n][p] @ inv(systems[n, p])`` for ``(P, I_n, R)`` stacks ``grads[n]``.
 
-    One Cholesky test of all systems, then one solve per group of modes of equal
-    ``I_n``: zero padding would change the rounding, which depends on the number
-    of right-hand sides. If a system is not positive definite, each is solved by
-    :func:`_solve_one`, whose errors name the system's mode ``modes[n]``.
+    One Cholesky factorization of the bordered systems ``[[S, I], [I, c*I]]``
+    with ``c`` = :data:`BORDER`. For ``S = L L^T`` its lower-left block is
+    ``U = L^{-T}``, so ``inv(S) = U U^T`` and each mode takes the two batched
+    products ``(G @ U) @ U^T``. In exact arithmetic the factorization succeeds
+    iff every ``S`` is positive definite with ``lambda_min(S) > 1/c``; if not, each
+    system is solved by :func:`_solve_one`, whose errors name the system's
+    mode ``modes[n]``.
     """
+    rank = systems.shape[-1]
+    eye = np.eye(rank)
+    bordered = np.empty(systems.shape[:-2] + (2 * rank, 2 * rank))
+    bordered[..., :rank, :rank] = systems
+    bordered[..., :rank, rank:] = eye
+    bordered[..., rank:, :rank] = eye
+    bordered[..., rank:, rank:] = BORDER * eye
     try:
-        np.linalg.cholesky(systems)
+        inverses = np.linalg.cholesky(bordered)[..., rank:, :rank]
     except np.linalg.LinAlgError:
         return [
             np.stack([_solve_one(g, s, ridge, mode) for g, s in zip(gs, ss)])
             for mode, gs, ss in zip(modes, grads, systems)
         ]
-    out = [None] * len(grads)
-    for dim in {g.shape[1] for g in grads}:
-        group = [n for n, g in enumerate(grads) if g.shape[1] == dim]
-        lhs = np.concatenate([systems[n] for n in group])
-        # the systems are symmetric, so X S = G is S X^T = G^T
-        rhs = np.concatenate([grads[n] for n in group]).transpose(0, 2, 1)
-        x = np.linalg.solve(lhs, rhs).transpose(0, 2, 1)
-        for i, n in enumerate(group):
-            out[n] = x[i * len(grads[n]) : (i + 1) * len(grads[n])]
-    return out
+    return [(g @ u) @ u.transpose(0, 2, 1) for g, u in zip(grads, inverses)]
 
 
 def _solve_one(grad: Array, system: Array, ridge: float | None, mode: int) -> Array:

@@ -414,6 +414,55 @@ def test_barrier_schedule_out_of_range_is_a_config_error(
     assert setting.partition(".")[2].partition("=")[0] in err
 
 
+@pytest.mark.parametrize(
+    "key,value,named",
+    [("seeds", 3, "seeds"), ("budget", 100, "budget"), ("problem", "caseI", "problem")],
+)
+def test_config_entry_of_the_wrong_kind_is_a_config_error(
+    tmp_path, monkeypatch, capsys, key, value, named
+):
+    raw = base_config(output_dir=str(tmp_path / "out"), **{key: value})
+    err = _refused_before_any_solve(tmp_path, monkeypatch, capsys, raw)
+    assert err.startswith("config error:") and named in err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+RIDGE_ALGORITHMS = [
+    "flow",
+    "barrier-flow",
+    "dtpnn-explicit",
+    "dtpnn-semiimplicit",
+    "dtpnn-armijo",
+    "cno",
+]
+
+
+@pytest.mark.parametrize("ridge", [-1.0, float("nan"), float("inf"), "one"])
+@pytest.mark.parametrize("algorithm", RIDGE_ALGORITHMS)
+def test_ridge_out_of_range_is_a_config_error(
+    tmp_path, monkeypatch, capsys, algorithm, ridge
+):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran")
+
+    for name in RIDGE_ALGORITHMS[:-1]:
+        stepper = STEPPERS[name]
+        monkeypatch.setitem(STEPPERS, name, stepper._replace(step=no_step))
+    monkeypatch.setattr(flow, "solve_stack", no_step)
+    params = {"ridge": ridge}
+    if algorithm == "cno":
+        params = {"population": 2, "inner_params": params}
+    cfg_path = tmp_path / "run.yaml"
+    raw = base_config(
+        algorithm=algorithm, params=params, output_dir=str(tmp_path / "out")
+    )
+    yaml.safe_dump(raw, cfg_path.open("w"))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 1
+    assert not list(tmp_path.rglob("*.csv"))  # no trace was written
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "ridge" in err
+
+
 def test_armijo_params_from_a_config_mapping(tmp_path, capsys):
     state = STEPPERS["dtpnn-armijo"].make_state(
         initial_model((3, 3, 3), 2, 0), {"armijo": {"alpha": 0.1}}, 0

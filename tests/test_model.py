@@ -1,8 +1,14 @@
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from neurocpd import model as model_mod
 from neurocpd.errors import BarrierDomainError, SingularPreconditionerError
 from neurocpd.model import (
+    AUTO_RIDGE_SCALE,
     BarrierParams,
     Preconditioner,
     barrier_gradient,
@@ -225,3 +231,50 @@ def test_singular_barrier_row_names_its_row_and_factor():
     pre = Preconditioner(1, np.array([[-1.0]]), 0.0)
     with pytest.raises(np.linalg.LinAlgError, match="row 2 of factor 1"):
         barrier_precondition(np.ones((4, 1)), pre, entries, BarrierParams(1.0))
+
+
+def identity_product_ridged(grams, ridge):
+    """``P + ridge*I`` as ``_ridged`` formed it from full and identity arrays."""
+    if ridge is None:
+        delta = AUTO_RIDGE_SCALE * np.trace(grams, axis1=-2, axis2=-1) / grams.shape[-1]
+    else:
+        delta = np.full(grams.shape[:-2], float(ridge))
+    return grams + delta[..., None, None] * np.eye(grams.shape[-1])
+
+
+def ones_seeded_gram_skips(grams):
+    ones = np.ones_like(grams[0])
+    return [
+        reduce(np.multiply, grams[:n] + grams[n + 1 :], ones) for n in range(len(grams))
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    count=st.integers(1, 3),
+    rank=st.integers(1, 6),
+    ridge=st.sampled_from([None, 0.0, 1e-3, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ridged_gram_skips_equal_the_ones_and_identity_products_bitwise(
+    dims, count, rank, ridge, seed
+):
+    rng = np.random.default_rng(seed)
+    stacks = [rng.normal(size=(count, d, rank)) for d in dims]
+    grams = [np.matmul(f.transpose(0, 2, 1), f) for f in stacks]
+    kept = [g.copy() for g in grams]
+    skips = model_mod._gram_skips(grams)
+    ref = ones_seeded_gram_skips(grams)
+    assert len(skips) == len(dims)
+    for got, want in zip(skips, ref):
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert not any(np.shares_memory(got, g) for g in grams)
+    if len(dims) == 1:  # the empty product
+        assert np.array_equal(skips[0], np.ones((count, rank, rank)))
+    stacked = np.stack(skips)
+    for systems in (stacked, stacked[0, 0]):  # a stack and one Gram
+        got = model_mod._ridged(systems, ridge)
+        assert np.array_equal(got, identity_product_ridged(systems, ridge))
+        assert not np.shares_memory(got, systems)
+    assert all(np.array_equal(g, k) for g, k in zip(grams, kept))  # inputs kept

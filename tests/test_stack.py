@@ -13,12 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neurocpd import flow as flow_mod
+from neurocpd import model as model_mod
 from neurocpd import swarm
 from neurocpd.datagen import gen_problem
 from neurocpd.errors import SingularPreconditionerError
 from neurocpd.flow import FlowState, solve_stack, solve_to_equilibrium
 from neurocpd.model import (
     AUTO_RIDGE_SCALE,
+    BORDER,
     Preconditioner,
     precondition,
     projected_direction,
@@ -96,16 +99,19 @@ def test_stacked_kernel_matches_per_slice_loop(
 
 
 def reference_solve_right(grads, systems, ridge, mode):
-    """One mode's preconditioner solve as the kernel made it before it grouped
-    the modes: a Cholesky test of the mode's P systems and one batched solve,
-    or each system alone if one is not positive definite."""
+    """One mode's preconditioner solve by itself: the Cholesky factor of the
+    bordered systems ``[[S, I], [I, c*I]]`` of the mode's P systems, whose
+    lower-left block ``U`` gives ``inv(S) = U @ U.T``. Returns None if that
+    factorization fails."""
+    rank = systems.shape[-1]
+    eye = np.broadcast_to(np.eye(rank), systems.shape)
+    bordered = np.block([[systems, eye], [eye, BORDER * eye]])
     try:
-        np.linalg.cholesky(systems)
+        factor = np.linalg.cholesky(bordered)
     except np.linalg.LinAlgError:
-        return np.stack(
-            [reference_solve_one(g, s, ridge, mode) for g, s in zip(grads, systems)]
-        )
-    return np.linalg.solve(systems, grads.transpose(0, 2, 1)).transpose(0, 2, 1)
+        return None
+    u = factor[:, rank:, :rank]
+    return (grads @ u) @ u.transpose(0, 2, 1)
 
 
 def reference_solve_one(grad, system, ridge, mode):
@@ -119,24 +125,32 @@ def reference_solve_one(grad, system, ridge, mode):
 
 
 def reference_stack_directions(t, stacks, ridge):
-    """Preconditioned directions of the stacked kernel with one solve per mode."""
+    """Preconditioned directions of the stacked kernel with one factorization
+    per mode; if any mode's fails, every system is solved alone."""
     grams = [np.matmul(f.transpose(0, 2, 1), f) for f in stacks]
-    directions = []
+    grads, all_systems = [], []
     for mode, (factor, mtt) in enumerate(zip(stacks, mttkrp_stack(t, stacks))):
         skip = np.ones_like(grams[0])
         for m, g in enumerate(grams):
             if m != mode:
                 skip *= g
-        grad = factor @ skip - mtt
+        grads.append(factor @ skip - mtt)
         rank = skip.shape[-1]
         if ridge is None:
             delta = AUTO_RIDGE_SCALE * np.trace(skip, axis1=-2, axis2=-1) / rank
         else:
             delta = np.full(len(skip), float(ridge))
-        systems = skip + delta[:, None, None] * np.eye(rank)
-        step_grad = reference_solve_right(grad, systems, ridge, mode)
-        directions.append(projected_direction(factor, step_grad))
-    return directions
+        all_systems.append(skip + delta[:, None, None] * np.eye(rank))
+    step_grads = [
+        reference_solve_right(grad, systems, ridge, mode)
+        for mode, (grad, systems) in enumerate(zip(grads, all_systems))
+    ]
+    if any(g is None for g in step_grads):
+        step_grads = [
+            np.stack([reference_solve_one(g, s, ridge, mode) for g, s in zip(gs, ss)])
+            for mode, (gs, ss) in enumerate(zip(grads, all_systems))
+        ]
+    return [projected_direction(f, g) for f, g in zip(stacks, step_grads)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -150,14 +164,83 @@ def reference_stack_directions(t, stacks, ridge):
 def test_grouped_solve_equals_one_solve_per_mode_bitwise(
     count, shape, rank, ridge, seed
 ):
-    # unequal I_n put modes in different solve groups; small I_n with a rank
-    # above them give systems that are not positive definite (least squares)
+    # small I_n with a rank above them give near-singular systems; all modes
+    # share one factorization however unequal their I_n
     rng = np.random.default_rng(seed)
     t = rng.random(shape)
     stacks = [0.1 + rng.random((count, dim, rank)) for dim in shape]
     directions = projection_stack(t, stacks, True, ridge)[0]
     for got, ref in zip(directions, reference_stack_directions(t, stacks, ridge)):
         assert got.shape == ref.shape and np.array_equal(got, ref)
+
+
+#: Fixed before comparing. A batched LU solve has a normwise relative
+#: residual ``||X S - G|| / (||X|| ||S||)`` of a small multiple of the unit
+#: roundoff. ``(G @ U) @ U.T`` with ``U = L^{-T}`` from the bordered factor
+#: has that too, plus the left residual of a triangular inverse, which grows
+#: with ``cond(L) = sqrt(cond(S))`` (Higham, Accuracy and Stability of
+#: Numerical Algorithms, ch. 8 and 14). Its residual stays below this multiple
+#: of the larger of LU's residual and ``eps * sqrt(cond(S))``.
+RESIDUAL_MULTIPLE = 8.0
+
+
+def relative_residual(x, system, grad):
+    return np.linalg.norm(x @ system - grad) / (
+        np.linalg.norm(x) * np.linalg.norm(system)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    count=st.integers(1, 4),
+    rank=st.integers(2, 8),
+    dims=st.lists(st.integers(1, 7), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bordered_solve_residual_is_within_a_multiple_of_lu(count, rank, dims, seed):
+    # rank above every I_n: rank-deficient Grams, lifted by the automatic
+    # ridge to condition numbers up to about 1e10
+    dims = [min(d, rank - 1) for d in dims]
+    rng = np.random.default_rng(seed)
+    t = rng.random(dims)
+    stacks = [0.1 + rng.random((count, dim, rank)) for dim in dims]
+    grams = [np.matmul(f.transpose(0, 2, 1), f) for f in stacks]
+    skips = model_mod._gram_skips(grams)
+    grads = [f @ g - m for f, g, m in zip(stacks, skips, mttkrp_stack(t, stacks))]
+    systems = model_mod._ridged(np.stack(skips), None)
+    solved = model_mod._solve_modes(grads, systems, None, range(3))
+    eps = np.finfo(np.float64).eps
+    for mode in range(3):
+        for p in range(count):
+            system, grad = systems[mode, p], grads[mode][p]
+            lu = np.linalg.solve(system, grad.T).T
+            floor = max(
+                relative_residual(lu, system, grad),
+                eps * np.sqrt(np.linalg.cond(system)),
+            )
+            got = relative_residual(solved[mode][p], system, grad)
+            assert got <= RESIDUAL_MULTIPLE * floor
+
+
+def test_definite_system_below_the_border_is_solved_alone_bitwise():
+    # The middle system is positive definite, but its smallest eigenvalue is
+    # below 1/c: the bordered factorization fails and every system of every
+    # mode goes through the per-system solve.
+    rng = np.random.default_rng(11)
+    rank = 3
+    base = rng.random((rank, rank))
+    systems = np.stack([base @ base.T + np.eye(rank) for _ in range(3)])
+    systems[1, -1, :] = systems[1, :, -1] = 0.0
+    systems[1, -1, -1] = 1e-160
+    assert 1e-160 < 1.0 / BORDER
+    np.linalg.cholesky(systems[1])  # positive definite
+    stacked = np.stack([systems, systems[::-1]])
+    grads = [rng.normal(size=(3, 4, rank)), rng.normal(size=(3, 2, rank))]
+    solved = model_mod._solve_modes(grads, stacked, 0.0, [0, 1])
+    for mode, (got, gs, ss) in enumerate(zip(solved, grads, stacked)):
+        for x, g, s in zip(got, gs, ss):
+            assert np.array_equal(x, model_mod._solve_one(g, s, 0.0, mode))
+    assert np.isfinite(solved[0][1]).all() and np.abs(solved[0][1]).max() > 1e150
 
 
 @pytest.mark.parametrize("mode", range(3))
@@ -187,6 +270,66 @@ def test_projection_bundle_is_one_slice_of_the_stack():
     for one, many in zip(single, stacked):
         for a, b in zip(one, many):
             assert np.array_equal(a, b[0])
+
+
+def solve_stack_gathering_every_step(
+    t, factors, scales, use_precondition, ridge, tol, max_steps
+):
+    """``solve_stack`` as it was before its all-active path: every step
+    gathers the active trajectories and scatters the moving ones back."""
+    factors = [np.array(f, dtype=np.float64) for f in factors]
+    scales = np.asarray(scales, dtype=np.float64)
+    active = np.ones(len(scales), dtype=bool)
+    failed = np.zeros(len(scales), dtype=bool)
+    for _ in range(max_steps):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        current = [f[idx] for f in factors]
+        directions, broken = flow_mod._stack_directions(
+            t, current, use_precondition, ridge
+        )
+        residual = np.max([np.abs(d).max(axis=(1, 2)) for d in directions], axis=0)
+        moving = ~broken & ~(residual < tol)
+        stepped = [
+            f + scales[idx, n][:, None, None] * d
+            for n, (f, d) in enumerate(zip(current, directions))
+        ]
+        finite = np.logical_and.reduce(
+            [np.isfinite(f).all(axis=(1, 2)) for f in stepped]
+        )
+        broken |= moving & ~finite
+        moving &= finite
+        for f, new in zip(factors, stepped):
+            f[idx[moving]] = new[moving]
+        failed[idx[broken]] = True
+        active[idx[~moving]] = False
+    return factors, failed
+
+
+@pytest.mark.parametrize("early_stop", [False, True])
+@pytest.mark.parametrize("use_precondition", [True, False])
+def test_solve_stack_equals_the_gathering_loop_bitwise(early_stop, use_precondition):
+    # Without an early stop every step takes the all-active path; with one,
+    # trajectory 0 starts at the exact factors of a noiseless tensor, stops
+    # at its first residual check and the rest gather and scatter.
+    rng = np.random.default_rng(5)
+    truth = [0.1 + rng.random((dim, 3)) for dim in (5, 4, 6)]
+    t = np.einsum("ir,jr,kr->ijk", *truth)
+    stacks = [0.1 + rng.random((4, f.shape[0], 3)) for f in truth]
+    if early_stop:
+        for stack, f in zip(stacks, truth):
+            stack[0] = f
+    scales = rng.uniform(0.2, 0.5, size=(4, 3))
+    args = (t, stacks, scales, use_precondition, None)
+    got, got_failed = solve_stack(*args, tol=1e-8, max_steps=25)
+    ref, ref_failed = solve_stack_gathering_every_step(*args, 1e-8, 25)
+    assert np.array_equal(got_failed, ref_failed) and not got_failed.any()
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)
+    moved = [any(not np.array_equal(a[p], s[p]) for a, s in zip(got, stacks))
+             for p in range(4)]
+    assert all(moved[1:]) and moved[0] != early_stop
 
 
 def _flow_particles(t, cfg, rank):
