@@ -16,6 +16,7 @@ are byte-identical.
 
 from __future__ import annotations
 
+import math
 import os
 import statistics
 import time
@@ -103,6 +104,8 @@ class RunConfig:
             raise ConfigError("rank must be >= 1")
         if self.iterations < 1:
             raise ConfigError("budget.iterations must be >= 1")
+        if self.wall_clock_s is not None:
+            self.wall_clock_s = _positive_seconds(self.wall_clock_s)
         if self.record_every < 1:
             raise ConfigError("record_every must be >= 1")
         if not self.seeds:
@@ -167,6 +170,20 @@ class RunConfig:
         if root and not path.is_absolute():
             path = Path(root) / path
         return path
+
+
+def _positive_seconds(value) -> float:
+    """``float(value)`` for a wall-clock cap; :class:`ConfigError` unless it is
+    finite and positive (YAML reads ``1e-6`` as a string, which this accepts)."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        seconds = math.nan
+    if not 0 < seconds < math.inf:
+        raise ConfigError(
+            f"budget.wall_clock_s must be a finite value > 0, got {value!r}"
+        )
+    return seconds
 
 
 def load_config(path) -> dict:
@@ -249,6 +266,8 @@ def _run_stepwise(t, cfg: RunConfig, seed: int, rec: _Recorder):
 def _run_cno(t, cfg: RunConfig, seed: int, rec: _Recorder):
     sw_cfg = SwarmConfig(seed=seed, max_outer=cfg.iterations, **cfg.params)
     model, trace = cno_run(t, cfg.rank, sw_cfg, deadline_s=cfg.wall_clock_s)
+    if not trace:  # the deadline passed before the first outer iteration
+        rec.record_model(0, model)
     for r in trace:
         if r.iteration % cfg.record_every == 0 or r.iteration == len(trace):
             wall_ms = 0.0 if cfg.deterministic_timing else r.wall_s * 1e3

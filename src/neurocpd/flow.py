@@ -152,7 +152,9 @@ def solve_stack(
     step is not finite, or whose directions raise one of the solver failures,
     stops as failed at its last finite point; the others go on as if it were
     not there. With ``tol`` 0 every trajectory runs ``max_steps`` steps, as
-    under :func:`~neurocpd.driver.drive`. Returns the final stacks and the
+    under :func:`~neurocpd.driver.drive`. ``t`` is the dense tensor or its
+    :class:`~neurocpd.tensor_ops.TuckerForm`, passed on to
+    :func:`~neurocpd.model.projection_stack`. Returns the final stacks and the
     per-trajectory failure mask.
     """
     factors = [np.array(f, dtype=np.float64) for f in factors]

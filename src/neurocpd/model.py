@@ -164,7 +164,8 @@ def projection_stack(
     discrete steppers and the swarm all advance along these. Per iterate the
     Grams are one batched product, the MTTKRPs come from
     :func:`~neurocpd.tensor_ops.mttkrp_stack` and the ``R x R`` preconditioner
-    solves are made by :func:`_solve_modes`.
+    solves are made by :func:`_solve_modes`. ``t`` is only read by
+    ``mttkrp_stack``, so it may be a :class:`~neurocpd.tensor_ops.TuckerForm`.
     """
     grams = [np.matmul(f.transpose(0, 2, 1), f) for f in factors]
     skips = _gram_skips(grams)

@@ -27,7 +27,7 @@ from .driver import drive
 from .errors import SOLVER_FAILURES
 from .model import objective
 from .solvers import STEPPERS
-from .tensor_ops import KruskalModel, residual_fit
+from .tensor_ops import KruskalModel, residual_fit, tucker_compress
 
 Array = np.ndarray
 
@@ -73,6 +73,19 @@ class SwarmConfig:
             raise ValueError("diversity threshold must be >= 0")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
+        if not (isinstance(self.inner_max_steps, (int, np.integer))
+                and self.inner_max_steps >= 1):
+            raise ValueError(
+                f"inner_max_steps must be an integer >= 1, got {self.inner_max_steps!r}"
+            )
+        for name in ("inner_tol", "stop_tol"):
+            value = getattr(self, name)
+            try:
+                valid = 0 <= value < math.inf
+            except TypeError:
+                valid = False
+            if not valid:
+                raise ValueError(f"{name} must be a finite value >= 0, got {value!r}")
         if [] in (self.inner_solver, self.inner_params):
             raise ValueError("inner_solver and inner_params must not be empty lists")
         for kind in self.solver_kinds():
@@ -254,14 +267,17 @@ def wavelet_mutation(
 
 
 def _solve_particles(
-    t: Array, sw: SwarmState, cfg: SwarmConfig, rank: int, deadline=None
+    t: Array, sw: SwarmState, cfg: SwarmConfig, rank: int, deadline=None,
+    operand=None,
 ):
     """Inner solve of every particle from its position; ``None`` marks one
     whose solver failed. Past ``deadline`` every solve stops where it is.
 
     Flow particles that share the kernel settings (preconditioning and ridge)
     advance together as one stack; each keeps its own step, time constants
-    and stopping point. The other kinds each run through the driver.
+    and stopping point. The stacks contract ``operand``: ``t`` by default,
+    or its :func:`~neurocpd.tensor_ops.tucker_compress` form. The other kinds
+    each run through the driver on ``t``.
     """
     shape = np.shape(t)
     solved = [None] * len(sw.particles)
@@ -289,7 +305,7 @@ def _solve_particles(
     for (use_precondition, ridge), members in groups.items():
         states = [state for _, state in members]
         factors, failed = flow_mod.solve_stack(
-            t,
+            t if operand is None else operand,
             [np.stack(fs) for fs in zip(*(s.model.factors for s in states))],
             np.array([s.step / s.time_constants for s in states]),
             use_precondition,
@@ -315,10 +331,17 @@ def cno_run(
     changes by less than ``stop_tol`` between outer iterations, at
     ``max_outer``, or once ``deadline_s`` of wall clock has elapsed: the inner
     solves stop at their current points and their outer iteration is the last.
+
+    A swarm of more than one particle compresses ``t`` once
+    (:func:`~neurocpd.tensor_ops.tucker_compress`), and its flow stacks
+    contract the core when there is one. All else reads the dense ``t``. One
+    particle would not gain from the core, so it never compresses and a
+    one-particle swarm stays plain flow.
     """
     t = np.asarray(t)
     shape = t.shape
     sw = init_swarm(t, rank, cfg)
+    operand = tucker_compress(t) if cfg.population > 1 else None
     trace: list[OuterRecord] = []
     started = time.perf_counter()
     deadline = None if deadline_s is None else started + deadline_s
@@ -328,7 +351,7 @@ def cno_run(
         previous_best = sw.global_best_value
         values = []
         for n, (p, solved) in enumerate(
-            zip(sw.particles, _solve_particles(t, sw, cfg, rank, deadline))
+            zip(sw.particles, _solve_particles(t, sw, cfg, rank, deadline, operand))
         ):
             if solved is None:
                 lower, upper = mutation_bounds(sw, shape, rank)

@@ -10,6 +10,11 @@ relied on everywhere else:
   increasing mode order with the smallest mode fastest, so that for an
   order-3 model ``unfold(full, 0) == A @ khatri_rao(C, B).T`` holds exactly.
 
+An order-3 tensor of lower multilinear rank, such as a noiseless CP tensor of
+rank below a dimension, can also be held as :func:`tucker_compress` forms it:
+a small core and an orthonormal basis per mode. :func:`mttkrp_stack` takes
+its MTTKRPs on the core and lifts them back to the original space.
+
 All kernels are pure functions of their inputs and operate in float64.
 """
 
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -197,7 +203,41 @@ def _mttkrps3(t: Array, mats, modes):
         yield np.einsum("ikq,iq->kq", tb, mats[0])
 
 
-def mttkrp_stack(t: Array, factors, modes=None) -> list[Array]:
+class TuckerForm(NamedTuple):
+    """An order-3 tensor as ``core`` times an orthonormal basis per mode,
+    ``t[i, j, k] = sum core[a, b, c] * U0[i, a] * U1[j, b] * U2[k, c]`` for
+    ``bases = (U0, U1, U2)``; see :func:`tucker_compress`."""
+
+    core: Array
+    bases: tuple
+
+
+def tucker_compress(t: Array) -> TuckerForm | None:
+    """The exact compressed form of an order-3 tensor, or ``None`` if none pays.
+
+    The basis of mode ``n`` holds the left singular vectors of ``unfold(t, n)``
+    whose singular values exceed :func:`numpy.linalg.matrix_rank`'s tolerance
+    ``s_max * max(m, n) * eps``, and the core is ``t`` projected onto the
+    bases. So the form reproduces ``t`` up to singular values at rounding level.
+    Returns ``None`` for a zero tensor, a tensor not of order 3, or one whose
+    every unfolding has full numerical rank.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    if t.ndim != 3 or not t.any():
+        return None
+    bases = []
+    for mode in range(3):
+        m = unfold(t, mode)
+        u, s, _ = np.linalg.svd(m, full_matrices=False)
+        kept = int((s > s[0] * max(m.shape) * np.finfo(np.float64).eps).sum())
+        bases.append(u[:, :kept])
+    if all(b.shape[1] == dim for b, dim in zip(bases, t.shape)):
+        return None
+    core = np.einsum("ijk,ia,jb,kc->abc", t, *bases, optimize=True)
+    return TuckerForm(np.ascontiguousarray(core), tuple(bases))
+
+
+def mttkrp_stack(t: Array | TuckerForm, factors, modes=None) -> list[Array]:
     """MTTKRPs of a stack of P models that share the tensor ``t``.
 
     ``factors[n]`` has shape ``(P, I_n, R)``; entry ``i`` of the result is
@@ -206,13 +246,26 @@ def mttkrp_stack(t: Array, factors, modes=None) -> list[Array]:
     stack is laid out as ``(I_n, P*R)`` and contracted as in
     :func:`sweep_mttkrps`: one GEMM for modes 0 and 1, and one per mode-0
     slice of the tensor, with no copy of it, for mode 2.
+
+    ``t`` may also be a :class:`TuckerForm`. Each layout is then projected
+    onto its mode's basis with one GEMM, the MTTKRPs are taken on the core,
+    and each is lifted back with one GEMM. This equals the dense contraction
+    up to rounding and the singular values :func:`tucker_compress` dropped.
     """
-    t = np.asarray(t)
-    modes = tuple(range(t.ndim)) if modes is None else tuple(modes)
+    compressed = isinstance(t, TuckerForm)
+    t = t if compressed else np.asarray(t)
+    modes = tuple(range(len(factors))) if modes is None else tuple(modes)
     count, _, rank = factors[0].shape
-    if t.ndim == 3:
+    if compressed or t.ndim == 3:
+        wanted = sorted(set(modes))
         mats = [f.transpose(1, 0, 2).reshape(-1, count * rank) for f in factors]
-        out = dict(zip(sorted(set(modes)), _mttkrps3(t, mats, set(modes))))
+        if compressed:
+            core, bases = t
+            low = _mttkrps3(core, [b.T @ m for b, m in zip(bases, mats)], wanted)
+            found = [bases[m] @ x for m, x in zip(wanted, low)]
+        else:
+            found = _mttkrps3(t, mats, wanted)
+        out = dict(zip(wanted, found))
         return [out[m].reshape(-1, count, rank).transpose(1, 0, 2) for m in modes]
     # generic order-N fallback
     letters = "abcdefghijklmnoq"[: t.ndim]

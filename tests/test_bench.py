@@ -29,7 +29,7 @@ from neurocpd.errors import (
 from neurocpd.driver import drive
 from neurocpd.model import BarrierParams, objective
 from neurocpd.solvers import STEPPERS
-from neurocpd.swarm import initial_model
+from neurocpd.swarm import SwarmConfig, init_swarm, initial_model
 from neurocpd.tensor_io import load_tensor, save_tensor_bin
 from neurocpd.tensor_ops import KruskalModel, relative_error
 
@@ -425,6 +425,64 @@ def test_config_entry_of_the_wrong_kind_is_a_config_error(
     err = _refused_before_any_solve(tmp_path, monkeypatch, capsys, raw)
     assert err.startswith("config error:") and named in err
     assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("value", ["abc", -1, 0, float("nan"), float("inf")])
+def test_wall_clock_out_of_range_is_a_config_error(tmp_path, monkeypatch, capsys, value):
+    raw = base_config(
+        budget={"iterations": 50, "wall_clock_s": value},
+        output_dir=str(tmp_path / "out"),
+    )
+    err = _refused_before_any_solve(tmp_path, monkeypatch, capsys, raw)
+    assert err.startswith("config error:") and "wall_clock_s" in err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("algorithm", ["cno", "flow"])
+def test_a_deadline_before_the_first_step_records_the_start(tmp_path, algorithm):
+    t, _ = gen_problem("easy5", 0)
+    if algorithm == "cno":
+        start = init_swarm(t, 3, SwarmConfig(population=2, seed=0)).global_best
+        start = KruskalModel.unflatten(start, t.shape, 3)
+    else:
+        start = initial_model(t.shape, 3, 0)
+    cfg_path = tmp_path / "run.yaml"
+    raw = base_config(
+        algorithm=algorithm,
+        params={"population": 2} if algorithm == "cno" else {},
+        output_dir=str(tmp_path / "out"),
+    )
+    yaml.safe_dump(raw, cfg_path.open("w"))
+    # YAML reads 1e-9 as a string; one nanosecond passes before any step
+    setting = "budget.wall_clock_s=1e-9"
+    assert cli.main(["run", "--config", str(cfg_path), "--set", setting]) == 0
+    lines = (tmp_path / "out" / f"{algorithm}_seed0.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("0,")
+    assert float(lines[1].split(",")[2]) == relative_error(t, start)
+    summary = (tmp_path / "out" / f"{algorithm}_seed0.summary.txt").read_text()
+    assert "termination = wall_clock" in summary
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("inner_max_steps", -3),
+        ("inner_max_steps", 0),
+        ("inner_tol", float("nan")),
+        ("inner_tol", float("inf")),
+        ("inner_tol", -1e-3),
+        ("stop_tol", float("nan")),
+        ("stop_tol", -1.0),
+    ],
+)
+def test_swarm_budget_out_of_range_is_a_config_error(
+    tmp_path, monkeypatch, capsys, key, value
+):
+    raw = base_config(
+        algorithm="cno", params={key: value}, output_dir=str(tmp_path / "out")
+    )
+    err = _refused_before_any_solve(tmp_path, monkeypatch, capsys, raw)
+    assert err.startswith("config error:") and key in err
 
 
 RIDGE_ALGORITHMS = [

@@ -29,7 +29,13 @@ from neurocpd.model import (
     projection_stack,
 )
 from neurocpd.swarm import SwarmConfig, cno_run, init_swarm
-from neurocpd.tensor_ops import KruskalModel, khatri_rao_list, mttkrp_stack, unfold
+from neurocpd.tensor_ops import (
+    KruskalModel,
+    khatri_rao_list,
+    mttkrp_stack,
+    tucker_compress,
+    unfold,
+)
 
 #: Tolerance fixed before the comparison, relative to the larger of 1 and
 #: the max-norm of the reference block: the kernel and the reference form the
@@ -356,6 +362,38 @@ def test_one_outer_iteration_matches_particles_one_by_one():
         for a, b in zip(model.factors, alone.model.factors):
             assert_close(a, b)
     assert reasons == {"converged", "max_steps"}  # both stops are exercised
+
+
+@pytest.mark.parametrize("kind,rank", [("easy5", 3), ("caseI", 10)])
+def test_one_outer_iteration_on_the_compressed_tensor_matches_the_dense_one(
+    kind, rank
+):
+    t, _ = gen_problem(kind, 0)
+    form = tucker_compress(t)
+    assert form.core.shape == (rank,) * 3  # noiseless rank R: an R^3 core
+    cfg = SwarmConfig(population=4, seed=9, inner_max_steps=60, inner_tol=1e-2)
+    sw = init_swarm(t, rank, cfg)
+    dense = swarm._solve_particles(t, sw, cfg, rank)
+    compressed = swarm._solve_particles(t, sw, cfg, rank, operand=form)
+    for got, ref in zip(compressed, dense):
+        for a, b in zip(got.factors, ref.factors):
+            assert_close(a, b)
+
+
+@pytest.mark.parametrize("population,compressions", [(1, 0), (2, 1)])
+def test_only_a_swarm_of_several_particles_compresses(
+    monkeypatch, population, compressions
+):
+    calls = []
+
+    def spy(t):
+        calls.append(t)
+        return tucker_compress(t)
+
+    monkeypatch.setattr(swarm, "tucker_compress", spy)
+    t, _ = gen_problem("caseI", 0)  # compressible: a 10^3 core
+    cno_run(t, 10, SwarmConfig(population=population, max_outer=2, inner_max_steps=5))
+    assert len(calls) == compressions
 
 
 @pytest.mark.parametrize(

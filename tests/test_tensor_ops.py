@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from neurocpd.datagen import gen_problem
 from neurocpd.tensor_ops import (
     KruskalModel,
     fold,
@@ -12,7 +15,9 @@ from neurocpd.tensor_ops import (
     khatri_rao_list,
     kruskal_full,
     mttkrp,
+    mttkrp_stack,
     relative_error,
+    tucker_compress,
     unfold,
 )
 
@@ -268,3 +273,58 @@ def test_kruskal_model_flatten_roundtrip():
         assert np.array_equal(f, g)
     with pytest.raises(ValueError):
         KruskalModel.unflatten(np.zeros(5), (3, 4, 2), 2)
+
+
+#: Tolerance of the compressed contraction, fixed before comparing, relative
+#: to ``||t||_F`` times the Frobenius norms of the contracted factor stacks:
+#: each singular value the compression drops is below ``s_max * max(m, n) *
+#: eps <= 64 * eps * ||t||_F`` at these sizes (at most 7 per mode), and the
+#: projections and lifts add a few units of rounding, all far below 1e-12.
+COMPRESSED_TOL = 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dims=st.tuples(*[st.integers(1, 8)] * 3),
+    count=st.integers(1, 6),
+    rank=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_compressed_mttkrp_stack_matches_the_dense_one(dims, count, rank, seed, data):
+    ranks = tuple(data.draw(st.integers(1, d)) for d in dims)
+    assume(ranks != dims)  # some unfolding is rank deficient
+    modes = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    rng = np.random.default_rng(seed)
+    # small integers keep every product exact, so t has multilinear rank at
+    # most ``ranks`` in float64 too
+    core = rng.integers(-3, 4, size=ranks).astype(float)
+    mats = [rng.integers(-3, 4, size=(d, r)).astype(float) for d, r in zip(dims, ranks)]
+    t = np.einsum("abc,ia,jb,kc->ijk", core, *mats)
+    assume(t.any())
+    form = tucker_compress(t)
+    assert form is not None
+    assert all(c <= r for c, r in zip(form.core.shape, ranks))
+    for basis in form.bases:  # LAPACK's singular vectors: a few eps off at n <= 8
+        assert np.abs(basis.T @ basis - np.eye(basis.shape[1])).max() <= 1e-14
+    stacks = [rng.random((count, d, rank)) for d in dims]
+    got = mttkrp_stack(form, stacks, modes)
+    ref = mttkrp_stack(t, stacks, modes)
+    for mode, g, r in zip(modes, got, ref):
+        others = math.prod(np.linalg.norm(s) for n, s in enumerate(stacks) if n != mode)
+        assert g.shape == r.shape
+        assert np.abs(g - r).max() <= COMPRESSED_TOL * np.linalg.norm(t) * others
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_problem("difficult9", 0)[0],  # rank 10 > every dimension
+        lambda: np.random.default_rng(3).random((8, 9, 10)),
+        lambda: np.zeros((4, 5, 6)),
+        lambda: np.ones((2, 3, 4, 5)),  # multilinear rank 1, but order 4
+    ],
+    ids=["difficult9", "dense-8x9x10", "zero", "order4"],
+)
+def test_tucker_compress_declines_what_it_cannot_shrink(make):
+    assert tucker_compress(make()) is None
