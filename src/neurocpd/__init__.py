@@ -28,14 +28,11 @@ from .dtpnn import (
 from .flow import (
     FlowState,
     barrier_flow_step,
-    flow_rhs,
     flow_step,
     solve_barrier,
     solve_to_equilibrium,
 )
 from .model import (
-    BarrierParams,
-    Preconditioner,
     barrier_gradient,
     barrier_objective,
     barrier_precondition,

@@ -31,7 +31,7 @@ from .datagen import gen_problem
 from .driver import drive, keywords
 from .errors import FAILURE_LABELS, SOLVER_FAILURES, ConfigError, describe_failure
 from .solvers import STEPPERS
-from .swarm import SwarmConfig, cno_run, initial_model
+from .swarm import SwarmConfig, _stalled, cno_run, initial_model
 from .tensor_io import load_tensor
 from .tensor_ops import KruskalModel, frobenius_norm, residual_fit
 
@@ -159,7 +159,10 @@ class RunConfig:
 
     def load_problem(self) -> np.ndarray:
         if self.problem_path is not None:
-            return load_tensor(self.problem_path)
+            try:
+                return load_tensor(self.problem_path)
+            except OSError as exc:  # its message names the path
+                raise ConfigError(f"could not read tensor file: {exc}") from exc
         tensor, _ = gen_problem(self.problem_kind, self.problem_seed,
                                 self.noise_snr_db)
         return tensor
@@ -190,8 +193,8 @@ def load_config(path) -> dict:
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:  # its message names the path
+        raise ConfigError(f"could not read config file: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"could not parse {path}: {exc}") from exc
     if not isinstance(raw, dict):
@@ -277,10 +280,7 @@ def _run_cno(t, cfg: RunConfig, seed: int, rec: _Recorder):
     if len(trace) == cfg.iterations:
         return model, "budget"
     # short of the budget, cno_run stopped on its stop_tol test or on the deadline
-    stalled = len(trace) > 1 and (
-        abs(trace[-1].best_value - trace[-2].best_value) < sw_cfg.stop_tol
-    )
-    return model, "early_stop" if stalled else "wall_clock"
+    return model, "early_stop" if _stalled(trace, sw_cfg.stop_tol) else "wall_clock"
 
 
 def run_single(cfg: RunConfig, seed: int) -> RunRecord:

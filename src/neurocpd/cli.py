@@ -3,8 +3,8 @@
 Subcommands::
 
     neurocpd gen --kind difficult9 --seed 0 --out tensor.txt
-    neurocpd run --config configs/example1_difficult9.yaml [--set key=value ...]
-    neurocpd compare --config configs/example2_monte_carlo_caseI.yaml --seeds 0..9
+    neurocpd run --config run.yaml [--set key=value ...]   (one algorithm)
+    neurocpd compare --config configs/difficult9_flow_vs_baselines.yaml --seeds 0..9
 
 Exit codes: 0 success, 1 configuration error, 2 solver failure in all
 seeds of a run.

@@ -27,7 +27,6 @@ from .driver import Stepper, check_finite, drive, keywords
 from .errors import ArmijoStallError, StepMapInconsistencyError
 from .flow import euler_update
 from .model import (
-    Preconditioner,
     _check_ridge,
     max_abs,
     objective,
@@ -200,7 +199,7 @@ def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 1e-10) -> Dtp
 
         hit = None
         if s.precondition:
-            step_grad = precondition(grad, Preconditioner(mode, gram_skip, s.ridge))
+            step_grad = precondition(grad, gram_skip, s.ridge, mode)
             hit = backtrack(projected_direction(factor, step_grad), lambdas[mode])
         if hit is None:
             # Plain projected gradient is always a descent direction; the

@@ -22,7 +22,7 @@ import numpy as np
 from .driver import Stepper, check_finite, drive, keywords
 from .errors import SOLVER_FAILURES, BarrierDomainError, BoundaryStallError
 from .model import (
-    BarrierParams,
+    _check_barrier,
     _check_ridge,
     max_abs,
     preconditioned_barrier_gradients,
@@ -74,8 +74,10 @@ class FlowState:
             raise ValueError("step must be positive")
         if self.integrator not in ("euler", "rk4"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
-        if not (self.gamma > 0 and self.gamma_decay > 0 and self.decay_every >= 1):
-            raise ValueError("gamma, gamma_decay must be > 0 and decay_every >= 1")
+        _check_barrier(gamma=self.gamma, gamma_decay=self.gamma_decay)
+        every = self.decay_every
+        if not isinstance(every, (int, np.integer)) or every < 1:
+            raise ValueError(f"decay_every must be an integer >= 1, got {every!r}")
         _check_ridge(self.ridge)
 
 
@@ -84,14 +86,6 @@ def _directions(t: Array, s: FlowState) -> list[Array]:
     if s.directions is not None:
         return s.directions
     return projection_bundle(t, s.model, s.precondition, s.ridge)[0]
-
-
-def flow_rhs(t: Array, s: FlowState, mode: int) -> Array:
-    """Right-hand side ``-Z + [Z - grad * P^{-1}]_+`` for one factor.
-
-    Vanishes exactly at an equilibrium of the flow.
-    """
-    return _directions(t, s)[mode]
 
 
 def euler_update(factors, weights, directions, iteration: int) -> KruskalModel:
@@ -217,40 +211,43 @@ def _stack_directions(t: Array, factors, use_precondition: bool, ridge):
 
 
 def barrier_rhs(
-    t: Array, model: KruskalModel, bp: BarrierParams, ridge: float | None = None
+    t: Array, model: KruskalModel, gamma: float, ridge: float | None = None
 ) -> list[Array]:
     """Barrier-flow right-hand sides ``-Hbar^{-1} grad`` for all factors."""
-    return [-d for d in preconditioned_barrier_gradients(t, model, bp, ridge)]
+    return [-d for d in preconditioned_barrier_gradients(t, model, gamma, ridge)]
 
 
-def barrier_flow_step(t: Array, s: FlowState, bp: BarrierParams) -> FlowState:
-    """One step of the barrier flow, halving ``h`` to stay strictly interior.
-
-    Reuses ``s.directions`` when a residual measurement at ``bp`` left them.
-    Raises :class:`BoundaryStallError` after 30 failed halvings.
+def barrier_flow_step(t: Array, s: FlowState) -> FlowState:
+    """One step of the barrier flow at ``s.gamma``, halving ``h`` to stay
+    strictly interior; every ``decay_every``-th step scales ``gamma`` by
+    ``gamma_decay``. Reuses ``s.directions`` when a residual measurement left
+    them. Raises :class:`BoundaryStallError` after 30 failed halvings.
     """
     rhs = s.directions
     if rhs is None:
-        rhs = barrier_rhs(t, s.model, bp, s.ridge)
+        rhs = barrier_rhs(t, s.model, s.gamma, s.ridge)
+    iterations = s.iterations + 1
     h = s.step
     for _ in range(MAX_BOUNDARY_HALVINGS + 1):
         try:
-            new_factors = _barrier_advance(t, s, bp, h, rhs)
+            new_factors = _barrier_advance(t, s, h, rhs)
         except BarrierDomainError:
             h *= 0.5
             continue
         if all(f.min() > 0.0 for f in new_factors):
             return replace(
                 s,
-                model=KruskalModel(check_finite(new_factors, s.iterations + 1)),
+                model=KruskalModel(check_finite(new_factors, iterations)),
                 residual=max_abs(rhs),
-                iterations=s.iterations + 1,
+                iterations=iterations,
+                gamma=s.gamma * s.gamma_decay if iterations % s.decay_every == 0
+                else s.gamma,
             )
         h *= 0.5
-    raise BoundaryStallError(s.iterations + 1, MAX_BOUNDARY_HALVINGS)
+    raise BoundaryStallError(iterations, MAX_BOUNDARY_HALVINGS)
 
 
-def _barrier_advance(t: Array, s: FlowState, bp: BarrierParams, h: float, k1):
+def _barrier_advance(t: Array, s: FlowState, h: float, k1):
     """Euler or RK4 update of all factors with step ``h``; ``k1`` is reused."""
     scale = h / s.time_constants
     if s.integrator == "euler":
@@ -261,36 +258,22 @@ def _barrier_advance(t: Array, s: FlowState, bp: BarrierParams, h: float, k1):
             [f + w * sc * k for f, sc, k in zip(s.model.factors, scale, ks)]
         )
 
-    k2 = barrier_rhs(t, shifted(k1, 0.5), bp, s.ridge)
-    k3 = barrier_rhs(t, shifted(k2, 0.5), bp, s.ridge)
-    k4 = barrier_rhs(t, shifted(k3, 1.0), bp, s.ridge)
+    k2 = barrier_rhs(t, shifted(k1, 0.5), s.gamma, s.ridge)
+    k3 = barrier_rhs(t, shifted(k2, 0.5), s.gamma, s.ridge)
+    k4 = barrier_rhs(t, shifted(k3, 1.0), s.gamma, s.ridge)
     return [
         f + sc / 6.0 * (a + 2 * b + 2 * c + d)
         for f, sc, a, b, c, d in zip(s.model.factors, scale, k1, k2, k3, k4)
     ]
 
 
-def _barrier_step(t: Array, s: FlowState) -> FlowState:
-    s = barrier_flow_step(t, s, BarrierParams(s.gamma))
-    if s.iterations % s.decay_every == 0:
-        s = replace(s, gamma=s.gamma * s.gamma_decay)
-    return s
-
-
 def solve_barrier(
-    t: Array,
-    s: FlowState,
-    bp: BarrierParams,
-    tol: float = 1e-6,
-    max_steps: int = 10000,
-    gamma_decay: float = 1.0,
-    decay_every: int = 100,
+    t: Array, s: FlowState, tol: float = 1e-6, max_steps: int = 10000
 ) -> tuple[FlowState, str]:
-    """Barrier-flow driver from ``bp.gamma`` with an optional geometric
-    gamma schedule, counted in the state's steps."""
+    """Barrier-flow driver from ``s.gamma``, on the state's own gamma
+    schedule, counted in the state's steps."""
     if not tol > 0:
         raise ValueError("tol must be positive")
-    s = replace(s, gamma=bp.gamma, gamma_decay=gamma_decay, decay_every=decay_every)
     s, reason, _ = drive(t, s, BARRIER, tol, max_steps)
     return replace(s), reason  # without the measured directions
 
@@ -302,8 +285,9 @@ def _measured(s: FlowState, directions):
     return value, s
 
 
-# Steps are looked up at call time, so rebinding ``flow_step`` reaches the
-# driver. The barrier flow lifts its start to entries of at least 1e-3.
+# Steps are looked up at call time, so rebinding ``flow_step`` or
+# ``barrier_flow_step`` reaches the driver. The barrier flow lifts its start
+# to entries of at least 1e-3.
 FLOW = Stepper(
     lambda model, params, seed: FlowState(model, **params),
     lambda t, s: flow_step(t, s),
@@ -314,7 +298,7 @@ BARRIER = Stepper(
     lambda model, params, seed: FlowState(
         KruskalModel([np.maximum(f, 1e-3) for f in model.factors]), **params
     ),
-    _barrier_step,
-    lambda t, s: _measured(s, barrier_rhs(t, s.model, BarrierParams(s.gamma), s.ridge)),
+    lambda t, s: barrier_flow_step(t, s),
+    lambda t, s: _measured(s, barrier_rhs(t, s.model, s.gamma, s.ridge)),
     keywords(FlowState, "model"),
 )

@@ -17,7 +17,6 @@ diagonal and the solve decouples into independent R x R systems per row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -35,52 +34,23 @@ AUTO_RIDGE_SCALE = 1e-10
 #: not left to the per-system path
 BORDER = 2.0**500
 
-
-@dataclass(frozen=True)
-class BarrierParams:
-    """Weight of the log-barrier term; must be positive."""
-
-    gamma: float = 1e-3
-
-    def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("barrier gamma must be > 0")
-
-
-@dataclass
-class Preconditioner:
-    """Gram preconditioner ``P + ridge*I`` for one factor.
-
-    ``ridge=None`` selects the automatic default ``1e-10 * trace(P)/R``.
-    """
-
-    mode: int
-    gram: Array
-    ridge: float | None = None
-
-    @classmethod
-    def for_mode(
-        cls, model: KruskalModel, mode: int, ridge: float | None = None
-    ) -> "Preconditioner":
-        return cls(mode, hadamard_gram(model, mode), ridge)
-
-    def effective_ridge(self) -> float:
-        return float(_ridges(self.gram, self.ridge))
-
-    def matrix(self) -> Array:
-        return _ridged(self.gram, self.ridge)
+#: number types a numeric setting may take; concrete types, so the check on
+#: every solver state stays cheap
+_REALS = (int, float, np.integer, np.floating)
 
 
 def _check_ridge(ridge) -> None:
     """Reject a ridge that is neither ``None`` nor a finite value ``>= 0``."""
-    if ridge is None:
+    if ridge is None or (isinstance(ridge, _REALS) and 0 <= ridge < math.inf):
         return
-    try:
-        valid = 0 <= ridge < math.inf
-    except TypeError:
-        valid = False
-    if not valid:
-        raise ValueError(f"ridge must be None or a finite value >= 0, got {ridge!r}")
+    raise ValueError(f"ridge must be None or a finite value >= 0, got {ridge!r}")
+
+
+def _check_barrier(**settings) -> None:
+    """The rule for the barrier's ``gamma`` and ``gamma_decay``: finite, > 0."""
+    for key, value in settings.items():
+        if not (isinstance(value, _REALS) and 0 < value < math.inf):
+            raise ValueError(f"{key} must be a finite value > 0, got {value!r}")
 
 
 def _ridges(grams: Array, ridge: float | None) -> Array | float:
@@ -202,14 +172,17 @@ def projection_bundle(
     return [d[0] for d in directions], [g[0] for g in grads]
 
 
-def precondition(grad: Array, pre: Preconditioner) -> Array:
-    """Apply ``(P + ridge*I)^{-1}`` from the right via an R x R solve.
+def precondition(
+    grad: Array, gram: Array, ridge: float | None = None, mode: int = 0
+) -> Array:
+    """Apply ``(gram + ridge*I)^{-1}`` from the right via an R x R solve.
 
-    Falls back to a least-squares pseudo-solve if the system is not positive
-    definite despite a positive ridge; with an explicit ridge of 0 a singular
-    Gram raises :class:`SingularPreconditionerError` instead.
+    ``ridge=None`` selects the automatic ``1e-10 * trace(gram)/R``. Falls back
+    to a least-squares pseudo-solve if the system is not positive definite
+    despite a positive ridge; with an explicit ridge of 0 a singular Gram
+    raises :class:`SingularPreconditionerError` for factor ``mode`` instead.
     """
-    return _solve_one(grad, pre.matrix(), pre.ridge, pre.mode)
+    return _solve_one(grad, _ridged(gram, ridge), ridge, mode)
 
 
 def _solve_modes(grads, systems: Array, ridge: float | None, modes) -> list[Array]:
@@ -250,7 +223,9 @@ def _solve_one(grad: Array, system: Array, ridge: float | None, mode: int) -> Ar
     return np.linalg.solve(system, grad.T).T
 
 
-def _check_interior(model: KruskalModel) -> None:
+def _check_interior(model: KruskalModel, gamma: float) -> None:
+    """The barrier's domain: a valid ``gamma`` and entries all > 0."""
+    _check_barrier(gamma=gamma)
     for n, f in enumerate(model.factors):
         if f.size and f.min() <= 0.0:
             raise BarrierDomainError(
@@ -259,56 +234,58 @@ def _check_interior(model: KruskalModel) -> None:
             )
 
 
-def barrier_objective(t: Array, model: KruskalModel, bp: BarrierParams) -> float:
+def barrier_objective(t: Array, model: KruskalModel, gamma: float) -> float:
     """``objective - gamma * sum(log(entries))`` over all factor entries."""
-    _check_interior(model)
+    _check_interior(model, gamma)
     logs = sum(float(np.log(f).sum()) for f in model.factors)
-    return objective(t, model) - bp.gamma * logs
+    return objective(t, model) - gamma * logs
 
 
-def barrier_gradient(
-    t: Array, model: KruskalModel, mode: int, bp: BarrierParams
-) -> Array:
-    _check_interior(model)
-    return gradient(t, model, mode) - bp.gamma / model.factors[mode]
+def barrier_gradient(t: Array, model: KruskalModel, mode: int, gamma: float) -> Array:
+    _check_interior(model, gamma)
+    return gradient(t, model, mode) - gamma / model.factors[mode]
 
 
 def barrier_precondition(
-    grad: Array, pre: Preconditioner, entries: Array, bp: BarrierParams
+    grad: Array, gram: Array, entries: Array, gamma: float,
+    ridge: float | None = None, mode: int = 0,
 ) -> Array:
-    """Solve with the barrier Hessian ``P kron I + gamma*diag(1/entries^2)``.
+    """Solve with the barrier Hessian ``(P + ridge*I) kron I +
+    gamma*diag(1/entries^2)``, ``P`` the Gram ``gram`` of factor ``mode``.
 
     The diagonal term decouples the vec system into one R x R solve per row
     of the factor; the solves are batched over rows.
     """
+    _check_barrier(gamma=gamma)
     if grad.shape != entries.shape:
         raise ValueError("gradient and entry blocks must share a shape")
-    return _barrier_solve([grad], pre.matrix()[None], [entries], bp, [pre.mode])[0]
+    base = _ridged(gram, ridge)[None]
+    return _barrier_solve([grad], base, [entries], gamma, [mode])[0]
 
 
 def preconditioned_barrier_gradients(
-    t: Array, model: KruskalModel, bp: BarrierParams, ridge: float | None = None
+    t: Array, model: KruskalModel, gamma: float, ridge: float | None = None
 ) -> list[Array]:
     """:func:`barrier_precondition` of :func:`barrier_gradient` for every
     factor, bitwise, from one snapshot of the point: one interior check, the
     factor Grams, one MTTKRP call and one solve over the rows of all factors."""
     _check_shapes(t, model)
-    _check_interior(model)
+    _check_interior(model, gamma)
     skips = _gram_skips([f.T @ f for f in model.factors])
     mtts = mttkrp_stack(t, [f[None] for f in model.factors])
-    grads = [f @ g - m[0] - bp.gamma / f for f, g, m in zip(model.factors, skips, mtts)]
+    grads = [f @ g - m[0] - gamma / f for f, g, m in zip(model.factors, skips, mtts)]
     bases = _ridged(np.stack(skips), ridge)
-    return _barrier_solve(grads, bases, model.factors, bp, range(model.order))
+    return _barrier_solve(grads, bases, model.factors, gamma, range(model.order))
 
 
-def _barrier_solve(grads, bases: Array, entries, bp: BarrierParams, modes):
+def _barrier_solve(grads, bases: Array, entries, gamma: float, modes):
     """Row ``i`` of each ``grads[k]`` solved with ``bases[k] + gamma *
     diag(1 / entries[k][i]**2)``. The batched solve takes each system alone,
     so one call over the rows of every block gives the per-block results."""
     sizes = [len(e) for e in entries]
     systems = np.repeat(bases, sizes, axis=0)
     idx = np.arange(bases.shape[-1])
-    systems[:, idx, idx] += bp.gamma / (np.concatenate(entries) ** 2)
+    systems[:, idx, idx] += gamma / (np.concatenate(entries) ** 2)
     rhs = np.concatenate(grads)
     try:
         out = np.linalg.solve(systems, rhs[:, :, None])[:, :, 0]

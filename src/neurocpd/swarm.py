@@ -25,7 +25,7 @@ import numpy as np
 from . import flow as flow_mod
 from .driver import drive
 from .errors import SOLVER_FAILURES
-from .model import objective
+from .model import _REALS, objective
 from .solvers import STEPPERS
 from .tensor_ops import KruskalModel, residual_fit, tucker_compress
 
@@ -80,11 +80,7 @@ class SwarmConfig:
             )
         for name in ("inner_tol", "stop_tol"):
             value = getattr(self, name)
-            try:
-                valid = 0 <= value < math.inf
-            except TypeError:
-                valid = False
-            if not valid:
+            if not (isinstance(value, _REALS) and 0 <= value < math.inf):
                 raise ValueError(f"{name} must be a finite value >= 0, got {value!r}")
         if [] in (self.inner_solver, self.inner_params):
             raise ValueError("inner_solver and inner_params must not be empty lists")
@@ -164,9 +160,8 @@ def init_swarm(t: Array, rank: int, cfg: SwarmConfig) -> SwarmState:
         model = initial_model(shape, rank, cfg.seed, n)
         position = model.flatten()
         eps = None
-        if cfg.jitter_time_constants and cfg.solver_for(n)[0] in (
-            "flow", "barrier-flow",
-        ):
+        kind = cfg.solver_for(n)[0]
+        if cfg.jitter_time_constants and "time_constants" in STEPPERS[kind].params:
             eps = _rng(cfg, _JITTER, n, 0).uniform(0.5, 2.0, size=len(shape))
         particles.append(Particle(position, np.zeros_like(position), None, np.inf, eps))
         values.append(objective(t, model))
@@ -348,7 +343,6 @@ def cno_run(
     for k in range(cfg.max_outer):
         if deadline is not None and time.perf_counter() > deadline:
             break
-        previous_best = sw.global_best_value
         values = []
         for n, (p, solved) in enumerate(
             zip(sw.particles, _solve_particles(t, sw, cfg, rank, deadline, operand))
@@ -382,6 +376,12 @@ def cno_run(
                 wall_s=time.perf_counter() - started,
             )
         )
-        if k > 0 and abs(sw.global_best_value - previous_best) < cfg.stop_tol:
+        if _stalled(trace, cfg.stop_tol):
             break
     return KruskalModel.unflatten(sw.global_best, shape, rank), trace
+
+
+def _stalled(trace: list[OuterRecord], tol: float) -> bool:
+    """:func:`cno_run`'s ``stop_tol`` test: the global best moved by less than
+    ``tol`` in the last of at least two outer iterations."""
+    return len(trace) > 1 and abs(trace[-1].best_value - trace[-2].best_value) < tol

@@ -42,14 +42,17 @@ def save_tensor_txt(path, t: np.ndarray) -> None:
 
 
 def load_tensor_txt(path) -> np.ndarray:
-    tokens = Path(path).read_text().split()
-    if not tokens:
-        raise ValueError(f"{path}: empty tensor file")
-    order = int(tokens[0])
-    dims = _validate_dims(tokens[1 : 1 + order])
+    try:  # undecodable bytes, or a token that is not a number
+        tokens = Path(path).read_text().split()
+        if not tokens:
+            raise ValueError("empty tensor file")
+        order = int(tokens[0])
+        dims = _validate_dims(tokens[1 : 1 + order])
+        values = np.array([float(v) for v in tokens[1 + order :]], dtype=np.float64)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if len(dims) != order:
         raise ValueError(f"{path}: expected {order} dimensions")
-    values = np.array([float(v) for v in tokens[1 + order :]], dtype=np.float64)
     return _payload(path, values, dims)
 
 

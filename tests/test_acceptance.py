@@ -18,15 +18,15 @@ from neurocpd.dtpnn import (
     step_semi_implicit,
     step_size_bound,
 )
-from neurocpd.flow import FlowState, flow_rhs, flow_step, solve_to_equilibrium
+from neurocpd.flow import FlowState, flow_step, solve_to_equilibrium
 from neurocpd.model import (
-    BarrierParams,
     barrier_gradient,
     barrier_objective,
     gradient,
     gradients,
     kkt_residual,
     objective,
+    projection_bundle,
 )
 from neurocpd.swarm import (
     Particle,
@@ -102,7 +102,7 @@ def central_fd(func, model, mode, h=1e-6):
 
 def test_criterion_02_gradients_vs_finite_differences():
     started = time.perf_counter()
-    bp = BarrierParams(1e-2)
+    gamma = 1e-2
     for seed in range(20):
         rng = np.random.default_rng(seed)
         t = rng.random((4, 4, 4))
@@ -112,8 +112,8 @@ def test_criterion_02_gradients_vs_finite_differences():
             g = gradient(t, model, mode)
             fd = central_fd(lambda m: objective(t, m), model, mode)
             assert np.linalg.norm(g - fd) <= 1e-6 * np.linalg.norm(fd)
-            gb = barrier_gradient(t, interior, mode, bp)
-            fdb = central_fd(lambda m: barrier_objective(t, m, bp), interior, mode)
+            gb = barrier_gradient(t, interior, mode, gamma)
+            fdb = central_fd(lambda m: barrier_objective(t, m, gamma), interior, mode)
             assert np.linalg.norm(gb - fdb) <= 1e-6 * np.linalg.norm(fdb)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
@@ -188,8 +188,8 @@ def test_criterion_05_equilibrium_equivalence():
         # discrete-side residual map
         kkts.append(kkt_residual(t, model))
         # continuous-side residual map (plain flow rhs, no preconditioning)
-        probe = FlowState(model.copy(), precondition=False)
-        kkts.append(max(np.abs(flow_rhs(t, probe, m)).max() for m in range(3)))
+        rhs = projection_bundle(t, model, False, None)[0]
+        kkts.append(max(np.abs(r).max() for r in rhs))
     assert max(kkts) < 1e-6
     report(5, f"cross-evaluated KKT residuals {max(kkts):.2e} < 1e-6")
 

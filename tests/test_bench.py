@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from neurocpd.errors import (
     SingularPreconditionerError,
 )
 from neurocpd.driver import drive
-from neurocpd.model import BarrierParams, objective
+from neurocpd.model import objective
 from neurocpd.solvers import STEPPERS
 from neurocpd.swarm import SwarmConfig, init_swarm, initial_model
 from neurocpd.tensor_io import load_tensor, save_tensor_bin
@@ -71,8 +72,9 @@ def test_apply_overrides_dotted_paths():
 
 
 def test_load_config_errors(tmp_path):
-    with pytest.raises(ConfigError):
-        load_config(tmp_path / "missing.yaml")
+    for unreadable in (tmp_path / "missing.yaml", tmp_path):
+        with pytest.raises(ConfigError, match=re.escape(str(unreadable))):
+            load_config(unreadable)
     bad = tmp_path / "bad.yaml"
     bad.write_text("- just\n- a list\n")
     with pytest.raises(ConfigError):
@@ -394,7 +396,17 @@ def test_cno_empty_inner_list_is_a_config_error(tmp_path, monkeypatch, capsys, k
 
 
 @pytest.mark.parametrize(
-    "setting", ["params.gamma=0", "params.gamma_decay=0", "params.decay_every=0"]
+    "setting",
+    [
+        "params.gamma=0",
+        "params.gamma_decay=0",
+        "params.decay_every=0",
+        "params.gamma=.inf",
+        "params.gamma=.nan",
+        "params.gamma_decay=.inf",
+        "params.gamma_decay=.nan",
+        "params.decay_every=1.5",
+    ],
 )
 def test_barrier_schedule_out_of_range_is_a_config_error(
     tmp_path, monkeypatch, capsys, setting
@@ -579,9 +591,7 @@ def _library_solve(algorithm, t, init, tol, budget):
         return flow.solve_to_equilibrium(t, flow.FlowState(init), tol, budget)
     if algorithm == "barrier-flow":
         interior = KruskalModel([0.1 + 0.9 * f for f in init.factors])
-        return flow.solve_barrier(
-            t, flow.FlowState(interior), BarrierParams(), tol, budget
-        )
+        return flow.solve_barrier(t, flow.FlowState(interior), tol, budget)
     return dtpnn.solve(t, dtpnn.DtpnnState(init), "explicit", tol, budget)
 
 

@@ -8,19 +8,28 @@ from neurocpd.flow import (
     FlowState,
     barrier_flow_step,
     barrier_rhs,
-    flow_rhs,
     flow_step,
     solve_barrier,
     solve_to_equilibrium,
 )
 from neurocpd.model import (
-    BarrierParams,
-    Preconditioner,
+    AUTO_RIDGE_SCALE,
     barrier_gradient,
     objective,
     projected_direction,
+    projection_bundle,
 )
-from neurocpd.tensor_ops import KruskalModel, kruskal_full, relative_error
+from neurocpd.tensor_ops import (
+    KruskalModel,
+    hadamard_gram,
+    kruskal_full,
+    relative_error,
+)
+
+
+def mode_rhs(t, s, mode):
+    """The flow's right-hand side ``-Z + [Z - grad * P^{-1}]_+`` of one factor."""
+    return projection_bundle(t, s.model, s.precondition, s.ridge)[0][mode]
 
 
 def scalar_state(x, value, **kw):
@@ -32,7 +41,7 @@ def scalar_state(x, value, **kw):
 def test_rhs_zero_at_exact_scalar_fit():
     t, s = scalar_state(1.0, 1.0, precondition=False)
     for mode in range(3):
-        assert flow_rhs(t, s, mode) == pytest.approx(0.0, abs=0.0)
+        assert mode_rhs(t, s, mode) == pytest.approx(0.0, abs=0.0)
 
 
 def test_rhs_projection_clamps_at_zero_factor():
@@ -42,13 +51,13 @@ def test_rhs_projection_clamps_at_zero_factor():
     t = np.zeros((2, 2, 2))
     s = FlowState(KruskalModel([np.zeros((2, 2))] * 3), precondition=False)
     for mode in range(3):
-        assert np.array_equal(flow_rhs(t, s, mode), np.zeros((2, 2)))
+        assert np.array_equal(mode_rhs(t, s, mode), np.zeros((2, 2)))
 
 
 def test_rhs_scalar_hand_case():
     t, s = scalar_state(2.0, 1.0, precondition=False)
     # gradient is -1, so rhs = -1 + [1 + 1]_+ = 1
-    assert flow_rhs(t, s, 0) == pytest.approx(1.0)
+    assert mode_rhs(t, s, 0) == pytest.approx(1.0)
 
 
 def test_flow_step_fixed_at_equilibrium():
@@ -127,7 +136,7 @@ def test_solve_converges_on_exact_rank5_9cube():
     # converged state satisfies the stop rule factor by factor, and the
     # Frobenius norm of every rhs is below 1e-6 as well
     for mode in range(3):
-        rhs = flow_rhs(t, out, mode)
+        rhs = mode_rhs(t, out, mode)
         assert np.abs(rhs).max() < 1.5e-7
         assert np.linalg.norm(rhs) < 1e-6
     assert relative_error(t, out.model) < 1e-4
@@ -164,55 +173,59 @@ def test_barrier_symmetric_instance_preserves_symmetry():
     t = kruskal_full(model)
     start = KruskalModel([0.5 + np.zeros((4, 2)) + 0.1 * f for _ in range(3)])
     s = FlowState(start, step=0.1)
-    stepped = barrier_flow_step(t, s, BarrierParams(1e-3))
+    stepped = barrier_flow_step(t, s)
     for other in stepped.model.factors[1:]:
         assert np.allclose(stepped.model.factors[0], other, rtol=0, atol=1e-13)
 
 
 def test_barrier_halving_keeps_interior():
     t, s = interior_state(5, step=64.0)  # deliberately too large
-    stepped = barrier_flow_step(t, s, BarrierParams(1e-3))
+    stepped = barrier_flow_step(t, s)
     assert all(f.min() > 0.0 for f in stepped.model.factors)
 
 
 def test_barrier_solve_reaches_small_gradient_fixed_point():
     t, s = interior_state(1, step=0.5)
-    out, reason = solve_barrier(t, s, BarrierParams(1e-3), tol=1e-7, max_steps=3000)
+    out, reason = solve_barrier(t, s, tol=1e-7, max_steps=3000)
     assert reason == "converged"
-    rhs = barrier_rhs(t, out.model, BarrierParams(1e-3))
+    rhs = barrier_rhs(t, out.model, 1e-3)
     assert max(np.abs(r).max() for r in rhs) < 1e-7
     assert all(f.min() > 0.0 for f in out.model.factors)
 
 
 def test_barrier_rk4_stays_interior_and_converges():
     t, s = interior_state(2, step=0.5, integrator="rk4")
-    out, reason = solve_barrier(t, s, BarrierParams(1e-3), tol=1e-6, max_steps=3000)
+    out, reason = solve_barrier(t, s, tol=1e-6, max_steps=3000)
     assert reason == "converged"
     assert all(f.min() > 0.0 for f in out.model.factors)
 
 
 def test_barrier_gamma_decay_improves_fit():
-    t, s1 = interior_state(6, step=0.5)
-    _, s2 = interior_state(6, step=0.5)
-    fixed, _ = solve_barrier(t, s1, BarrierParams(1e-2), tol=1e-9, max_steps=2000)
-    decayed, _ = solve_barrier(
-        t, s2, BarrierParams(1e-2), tol=1e-9, max_steps=2000,
-        gamma_decay=0.5, decay_every=100,
-    )
+    t, s1 = interior_state(6, step=0.5, gamma=1e-2)
+    _, s2 = interior_state(6, step=0.5, gamma=1e-2, gamma_decay=0.5, decay_every=100)
+    fixed, _ = solve_barrier(t, s1, tol=1e-9, max_steps=2000)
+    decayed, _ = solve_barrier(t, s2, tol=1e-9, max_steps=2000)
+    assert fixed.gamma == 1e-2
+    assert decayed.gamma == 1e-2 * 0.5 ** (decayed.iterations // 100) < 1e-2
     assert relative_error(t, decayed.model) <= relative_error(t, fixed.model)
 
 
-def reference_barrier_rhs(t, model, bp, ridge=None):
+def reference_barrier_rhs(t, model, gamma, ridge=None):
     """The barrier rhs as it was formed one mode at a time: the mode's barrier
-    gradient, its Gram preconditioner and one batched solve over its rows."""
+    gradient, its Gram preconditioner ``P + ridge*I`` (the automatic ridge
+    ``1e-10 * trace(P) / R`` for ``None``) and one batched solve over its rows."""
     out = []
     for mode, factor in enumerate(model.factors):
-        grad = barrier_gradient(t, model, mode, bp)
-        base = Preconditioner.for_mode(model, mode, ridge).matrix()
+        grad = barrier_gradient(t, model, mode, gamma)
+        base = hadamard_gram(model, mode)
         rank = base.shape[0]
+        if ridge is None:
+            base[np.diag_indices(rank)] += AUTO_RIDGE_SCALE * np.trace(base) / rank
+        else:
+            base[np.diag_indices(rank)] += ridge
         systems = np.broadcast_to(base, (len(factor), rank, rank)).copy()
         idx = np.arange(rank)
-        systems[:, idx, idx] += bp.gamma / (factor**2)
+        systems[:, idx, idx] += gamma / (factor**2)
         out.append(-np.linalg.solve(systems, grad[:, :, None])[:, :, 0])
     return out
 
@@ -225,16 +238,15 @@ def test_barrier_rhs_equals_the_per_mode_formula_bitwise(
     rng = np.random.default_rng(11)
     t = rng.random((4, 6, 5))
     model = KruskalModel([0.1 + rng.random((dim, 7)) for dim in t.shape])
-    bp = BarrierParams(1e-3)
     for got, ref in zip(
-        barrier_rhs(t, model, bp, ridge), reference_barrier_rhs(t, model, bp, ridge)
+        barrier_rhs(t, model, 1e-3, ridge), reference_barrier_rhs(t, model, 1e-3, ridge)
     ):
         assert np.array_equal(got, ref)
 
     def five_steps():
         s = FlowState(model, step=0.5, integrator=integrator, ridge=ridge)
         for _ in range(5):
-            s = barrier_flow_step(t, s, bp)
+            s = barrier_flow_step(t, s)
         return s.model.factors
 
     snapshot = five_steps()

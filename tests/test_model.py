@@ -1,3 +1,4 @@
+import math
 from functools import reduce
 
 import numpy as np
@@ -9,8 +10,6 @@ from neurocpd import model as model_mod
 from neurocpd.errors import BarrierDomainError, SingularPreconditionerError
 from neurocpd.model import (
     AUTO_RIDGE_SCALE,
-    BarrierParams,
-    Preconditioner,
     barrier_gradient,
     barrier_objective,
     barrier_precondition,
@@ -92,10 +91,8 @@ def test_gradients_match_single_mode():
 def test_precondition_identity_and_scaling():
     rng = np.random.default_rng(3)
     grad = rng.random((5, 3))
-    assert np.allclose(precondition(grad, Preconditioner(0, np.eye(3), 0.0)), grad)
-    assert np.allclose(
-        precondition(grad, Preconditioner(0, 2 * np.eye(3), 0.0)), grad / 2
-    )
+    assert np.allclose(precondition(grad, np.eye(3), 0.0), grad)
+    assert np.allclose(precondition(grad, 2 * np.eye(3), 0.0), grad / 2)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -104,21 +101,20 @@ def test_precondition_residual_check(seed):
     base = rng.random((3, 3))
     gram = base @ base.T + 0.5 * np.eye(3)
     grad = rng.random((6, 3))
-    pre = Preconditioner(1, gram, 1e-3)
-    out = precondition(grad, pre)
+    out = precondition(grad, gram, 1e-3, 1)
     assert np.abs(out @ (gram + 1e-3 * np.eye(3)) - grad).max() <= 1e-10
 
 
 def test_precondition_singular_raises_with_mode():
     grad = np.ones((2, 2))
     with pytest.raises(SingularPreconditionerError) as err:
-        precondition(grad, Preconditioner(2, np.zeros((2, 2)), 0.0))
+        precondition(grad, np.zeros((2, 2)), 0.0, 2)
     assert err.value.mode == 2
 
 
 def test_precondition_auto_ridge_and_pseudo_solve():
     grad = np.ones((2, 2))
-    out = precondition(grad, Preconditioner(0, np.zeros((2, 2)), None))
+    out = precondition(grad, np.zeros((2, 2)))
     assert np.isfinite(out).all()  # falls back to least squares
 
 
@@ -139,14 +135,14 @@ def interior_instance(seed, shape=(4, 4, 4), rank=3):
 
 def test_barrier_reduction_identity():
     t, model = interior_instance(5)
-    bp = BarrierParams(0.37)
+    gamma = 0.37
     logs = sum(np.log(f).sum() for f in model.factors)
-    assert barrier_objective(t, model, bp) == pytest.approx(
-        objective(t, model) - bp.gamma * logs
+    assert barrier_objective(t, model, gamma) == pytest.approx(
+        objective(t, model) - gamma * logs
     )
     for mode in range(3):
         assert np.allclose(
-            barrier_gradient(t, model, mode, bp) + bp.gamma / model.factors[mode],
+            barrier_gradient(t, model, mode, gamma) + gamma / model.factors[mode],
             gradient(t, model, mode),
         )
 
@@ -154,19 +150,17 @@ def test_barrier_reduction_identity():
 def test_barrier_unit_entries_contribution():
     t = np.random.default_rng(6).random((2, 2, 2))
     model = KruskalModel([np.ones((2, 2))] * 3)
-    bp = BarrierParams(1.0)
     for mode in range(3):
-        barrier_term = barrier_gradient(t, model, mode, bp) - gradient(t, model, mode)
+        barrier_term = barrier_gradient(t, model, mode, 1.0) - gradient(t, model, mode)
         assert np.abs(np.abs(barrier_term) - 1.0).max() <= 1e-15
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_barrier_gradient_matches_finite_differences(seed):
     t, model = interior_instance(seed)
-    bp = BarrierParams(1e-2)
     for mode in range(3):
-        g = barrier_gradient(t, model, mode, bp)
-        fd = fd_gradient(lambda m: barrier_objective(t, m, bp), model, mode)
+        g = barrier_gradient(t, model, mode, 1e-2)
+        fd = fd_gradient(lambda m: barrier_objective(t, m, 1e-2), model, mode)
         assert np.linalg.norm(g - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
@@ -174,9 +168,23 @@ def test_barrier_rejects_nonpositive_entries():
     t, model = interior_instance(7)
     model.factors[1][0, 0] = 0.0
     with pytest.raises(BarrierDomainError):
-        barrier_objective(t, model, BarrierParams(1e-3))
-    with pytest.raises(ValueError):
-        BarrierParams(0.0)
+        barrier_objective(t, model, 1e-3)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1e-3, math.inf, math.nan, None])
+def test_every_barrier_function_rejects_a_gamma_not_finite_and_positive(gamma):
+    t, model = interior_instance(7)
+    calls = [
+        lambda: barrier_objective(t, model, gamma),
+        lambda: barrier_gradient(t, model, 0, gamma),
+        lambda: barrier_precondition(
+            np.ones((4, 3)), np.eye(3), model.factors[0], gamma
+        ),
+        lambda: model_mod.preconditioned_barrier_gradients(t, model, gamma),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="gamma must be a finite value > 0"):
+            call()
 
 
 def dense_barrier_solve(grad, gram, ridge, entries, gamma):
@@ -191,9 +199,9 @@ def dense_barrier_solve(grad, gram, ridge, entries, gamma):
 def test_barrier_precondition_tiny_gamma_matches_plain():
     t, model = interior_instance(8)
     grad = gradient(t, model, 0)
-    pre = Preconditioner(0, np.ones((3, 3)) * 0.5 + np.eye(3), 1e-8)
-    plain = precondition(grad, pre)
-    tiny = barrier_precondition(grad, pre, model.factors[0], BarrierParams(1e-14))
+    gram = np.ones((3, 3)) * 0.5 + np.eye(3)
+    plain = precondition(grad, gram, 1e-8)
+    tiny = barrier_precondition(grad, gram, model.factors[0], 1e-14, 1e-8)
     assert np.abs(plain - tiny).max() <= 1e-8
 
 
@@ -203,10 +211,8 @@ def test_barrier_precondition_single_row_vs_dense():
     gram = gram @ gram.T + np.eye(3)
     grad = rng.random((1, 3))
     entries = 0.2 + rng.random((1, 3))
-    bp = BarrierParams(0.05)
-    pre = Preconditioner(0, gram, 1e-6)
-    out = barrier_precondition(grad, pre, entries, bp)
-    oracle = dense_barrier_solve(grad, gram, 1e-6, entries, bp.gamma)
+    out = barrier_precondition(grad, gram, entries, 0.05, 1e-6)
+    oracle = dense_barrier_solve(grad, gram, 1e-6, entries, 0.05)
     assert np.abs(out - oracle).max() <= 1e-9
 
 
@@ -217,10 +223,8 @@ def test_barrier_precondition_vs_dense_kronecker(seed):
     gram = gram @ gram.T + 0.5 * np.eye(3)
     grad = rng.random((4, 3))
     entries = 0.1 + rng.random((4, 3))
-    bp = BarrierParams(0.02)
-    pre = Preconditioner(1, gram, 1e-7)
-    out = barrier_precondition(grad, pre, entries, bp)
-    oracle = dense_barrier_solve(grad, gram, 1e-7, entries, bp.gamma)
+    out = barrier_precondition(grad, gram, entries, 0.02, 1e-7, 1)
+    oracle = dense_barrier_solve(grad, gram, 1e-7, entries, 0.02)
     assert np.abs(out - oracle).max() <= 1e-9
 
 
@@ -228,9 +232,8 @@ def test_singular_barrier_row_names_its_row_and_factor():
     # gamma / entry**2 is 4 on rows 0, 1, 3 and 1 on row 2, where it cancels
     # the base of -1 exactly
     entries = np.array([[0.5], [0.5], [1.0], [0.5]])
-    pre = Preconditioner(1, np.array([[-1.0]]), 0.0)
     with pytest.raises(np.linalg.LinAlgError, match="row 2 of factor 1"):
-        barrier_precondition(np.ones((4, 1)), pre, entries, BarrierParams(1.0))
+        barrier_precondition(np.ones((4, 1)), np.array([[-1.0]]), entries, 1.0, 0.0, 1)
 
 
 def identity_product_ridged(grams, ridge):

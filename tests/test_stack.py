@@ -22,7 +22,6 @@ from neurocpd.flow import FlowState, solve_stack, solve_to_equilibrium
 from neurocpd.model import (
     AUTO_RIDGE_SCALE,
     BORDER,
-    Preconditioner,
     precondition,
     projected_direction,
     projection_bundle,
@@ -67,9 +66,11 @@ def reference_bundle(t, model, use_precondition, ridge):
         step_grad = grad
         conds.append(1.0)
         if use_precondition:
-            pre = Preconditioner(mode, gram_skip, ridge)
-            step_grad = precondition(grad, pre)
-            conds[-1] = np.linalg.cond(pre.matrix())
+            step_grad = precondition(grad, gram_skip, ridge, mode)
+            delta = ridge
+            if ridge is None:
+                delta = AUTO_RIDGE_SCALE * np.trace(gram_skip) / model.rank
+            conds[-1] = np.linalg.cond(gram_skip + delta * np.eye(model.rank))
         directions.append(projected_direction(factor, step_grad))
     return directions, grads, conds
 

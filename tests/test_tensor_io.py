@@ -98,28 +98,64 @@ def test_rejects_non_finite_values(tmp_path, suffix, bad):
         load_tensor(path)
 
 
+def corrupted_bin(corrupt):
+    def make(tmp_path):
+        path = tmp_path / "t.bin"
+        save_tensor_bin(path, np.random.default_rng(3).random((2, 2, 2)))
+        path.write_bytes(corrupt(path.read_bytes()))
+        return path
+
+    return make
+
+
+def directory(tmp_path):
+    path = tmp_path / "t.txt"
+    path.mkdir()
+    return path
+
+
+def text_with_a_word(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("3\n2 2 2\n" + "0.5 " * 7 + "x\n")
+    return path
+
+
+def binary_named_as_text(tmp_path):
+    path = tmp_path / "t.txt"
+    save_tensor_bin(path, np.random.default_rng(3).random((2, 2, 2)))
+    return path
+
+
 @pytest.mark.parametrize(
-    "corrupt",
+    "make",
     [
-        lambda raw: raw[:12],
-        lambda raw: raw[:20],
-        lambda raw: raw[:-8] + np.array([np.nan]).astype("<f8").tobytes(),
+        corrupted_bin(lambda raw: raw[:12]),
+        corrupted_bin(lambda raw: raw[:20]),
+        corrupted_bin(
+            lambda raw: raw[:-8] + np.array([np.nan]).astype("<f8").tobytes()
+        ),
+        lambda tmp_path: tmp_path / "missing.txt",
+        directory,
+        text_with_a_word,
+        binary_named_as_text,
     ],
-    ids=["header-12", "header-20", "nan"],
+    ids=[
+        "header-12", "header-20", "nan", "missing", "directory", "word", "undecodable"
+    ],
 )
-def test_cli_run_on_malformed_file_exits_1(tmp_path, capsys, corrupt):
+def test_cli_run_on_malformed_file_exits_1(tmp_path, capsys, make):
     from neurocpd import cli
 
-    path = tmp_path / "t.bin"
-    save_tensor_bin(path, np.random.default_rng(3).random((2, 2, 2)))
-    path.write_bytes(corrupt(path.read_bytes()))
+    path = make(tmp_path)
     cfg = tmp_path / "run.yaml"
     cfg.write_text(
         f"problem: {{path: {path}}}\nalgorithm: flow\nrank: 2\n"
         f"budget: {{iterations: 3}}\noutput_dir: {tmp_path / 'out'}\n"
     )
     assert cli.main(["run", "--config", str(cfg)]) == 1
-    assert str(path) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(path) in err
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 @pytest.mark.parametrize("suffix", [".bin", ".txt"])
