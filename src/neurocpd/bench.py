@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import flow as flow_mod  # noqa: F401  (steps rebound here reach runs)
 from .datagen import gen_problem
 from .driver import drive, keywords
 from .errors import FAILURE_LABELS, SOLVER_FAILURES, ConfigError, describe_failure
@@ -100,16 +99,16 @@ class RunConfig:
             raise ConfigError(
                 f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}"
             )
-        if self.rank < 1:
-            raise ConfigError("rank must be >= 1")
-        if self.iterations < 1:
-            raise ConfigError("budget.iterations must be >= 1")
+        self.rank = _integer("rank", self.rank, 1)
+        self.problem_seed = _integer("problem.seed", self.problem_seed, 0)
+        self.iterations = _integer("budget.iterations", self.iterations, 1)
         if self.wall_clock_s is not None:
-            self.wall_clock_s = _positive_seconds(self.wall_clock_s)
-        if self.record_every < 1:
-            raise ConfigError("record_every must be >= 1")
+            self.wall_clock_s = _real("budget.wall_clock_s", self.wall_clock_s, True)
+        self.tol = _real("tol", self.tol)
+        self.record_every = _integer("record_every", self.record_every, 1)
         if not self.seeds:
             raise ConfigError("seeds must be a non-empty list")
+        self.seeds = [_integer("seeds", seed, 0) for seed in self.seeds]
         if self.problem_kind is None and self.problem_path is None:
             raise ConfigError("problem needs either a generator kind or a file path")
         if unknown := set(self.params) - PARAMS[self.algorithm]:
@@ -134,16 +133,16 @@ class RunConfig:
             algorithm=raw.pop("algorithm", None),
             rank=raw.pop("rank", None),
             problem_kind=problem.get("kind"),
-            problem_seed=int(problem.get("seed", 0)),
+            problem_seed=problem.get("seed", 0),
             problem_path=problem.get("path"),
             noise_snr_db=raw.pop("noise_snr_db", None),
             params=raw.pop("params", {}) or {},
-            iterations=int(budget.get("iterations", 1000)),
+            iterations=budget.get("iterations", 1000),
             wall_clock_s=budget.get("wall_clock_s"),
-            tol=float(raw.pop("tol", 0.0)),
+            tol=raw.pop("tol", 0.0),
             seeds=list(seeds),
             output_dir=raw.pop("output_dir", "out"),
-            record_every=int(raw.pop("record_every", 1)),
+            record_every=raw.pop("record_every", 1),
             deterministic_timing=bool(raw.pop("deterministic_timing", False)),
             label=raw.pop("label", None),
         )
@@ -151,7 +150,6 @@ class RunConfig:
             raise ConfigError(f"unknown config keys: {sorted(raw)}")
         if known["algorithm"] is None or known["rank"] is None:
             raise ConfigError("config needs 'algorithm' and 'rank'")
-        known["rank"] = int(known["rank"])
         try:
             return cls(**known)
         except (TypeError, ValueError) as exc:
@@ -175,18 +173,27 @@ class RunConfig:
         return path
 
 
-def _positive_seconds(value) -> float:
-    """``float(value)`` for a wall-clock cap; :class:`ConfigError` unless it is
-    finite and positive (YAML reads ``1e-6`` as a string, which this accepts)."""
+def _integer(key: str, value, floor: int) -> int:
+    """Config entry ``key``; :class:`ConfigError` unless it is an integer (not
+    a bool) of at least ``floor``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < floor):
+        raise ConfigError(f"{key} must be an integer >= {floor}, got {value!r}")
+    return int(value)
+
+
+def _real(key: str, value, positive: bool = False) -> float:
+    """``float(value)`` of config entry ``key``; :class:`ConfigError` unless it
+    is finite and at least 0, or above 0 if ``positive`` (YAML reads ``1e-6``
+    as a string, which this accepts)."""
     try:
-        seconds = float(value)
+        number = float(value)
     except (TypeError, ValueError):
-        seconds = math.nan
-    if not 0 < seconds < math.inf:
-        raise ConfigError(
-            f"budget.wall_clock_s must be a finite value > 0, got {value!r}"
-        )
-    return seconds
+        number = math.nan
+    if not 0 <= number < math.inf or (positive and number == 0):
+        bound = "> 0" if positive else ">= 0"
+        raise ConfigError(f"{key} must be a finite value {bound}, got {value!r}")
+    return number
 
 
 def load_config(path) -> dict:

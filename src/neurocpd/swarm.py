@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,10 +41,8 @@ _INIT, _PSO, _MUTATE, _RESEED, _JITTER = range(5)
 class SwarmConfig:
     """Population, PSO coefficients, mutation trigger, and inner-solver budget.
 
-    ``inner_solver`` may be a single kind or a list of kinds cycled over the
-    particles, giving a heterogeneous swarm whose members explore with
-    different dynamics. ``inner_params`` follows the same convention: one
-    mapping shared by all particles, or a list cycled alongside.
+    Every particle runs the one ``inner_solver`` kind with the one
+    ``inner_params`` mapping; a list for either is refused.
     """
 
     population: int = 5
@@ -55,12 +53,12 @@ class SwarmConfig:
     stop_tol: float = 0.0  # on |change of global best|; 0 runs to max_outer
     max_outer: int = 10
     seed: int = 0
-    inner_solver: str | list = "flow"
-    inner_params: dict | list = field(default_factory=dict)
+    inner_solver: str = "flow"
+    inner_params: dict = field(default_factory=dict)
     inner_tol: float = 1e-6
     inner_max_steps: int = 500
     mutation: bool = True
-    jitter_time_constants: bool = True  # per-particle eps ~ U[0.5, 2], flow only
+    jitter_time_constants: bool = True  # per-particle eps ~ U[0.5, 2], both flows
 
     def __post_init__(self):
         if self.population < 1:
@@ -82,28 +80,15 @@ class SwarmConfig:
             value = getattr(self, name)
             if not (isinstance(value, _REALS) and 0 <= value < math.inf):
                 raise ValueError(f"{name} must be a finite value >= 0, got {value!r}")
-        if [] in (self.inner_solver, self.inner_params):
-            raise ValueError("inner_solver and inner_params must not be empty lists")
-        for kind in self.solver_kinds():
-            if kind not in INNER_SOLVERS:
-                raise ValueError(f"unknown inner solver {kind!r}")
-        for kind, params in map(self.solver_for, range(self.population)):
-            if unknown := set(params) - STEPPERS[kind].params:
-                raise ValueError(f"unknown inner_params for {kind}: {sorted(unknown)}")
-
-    def solver_kinds(self) -> list[str]:
-        if isinstance(self.inner_solver, str):
-            return [self.inner_solver]
-        return list(self.inner_solver)
-
-    def solver_for(self, particle: int) -> tuple[str, dict]:
-        kinds = self.solver_kinds()
-        kind = kinds[particle % len(kinds)]
-        if isinstance(self.inner_params, dict):
-            params = self.inner_params
-        else:
-            params = self.inner_params[particle % len(self.inner_params)]
-        return kind, dict(params)
+        kind, params = self.inner_solver, self.inner_params
+        if not (isinstance(kind, str) and kind in INNER_SOLVERS):
+            raise ValueError(
+                f"inner_solver must be one of {INNER_SOLVERS}, got {kind!r}"
+            )
+        if not isinstance(params, dict):
+            raise ValueError(f"inner_params must be one mapping, got {params!r}")
+        if unknown := set(params) - STEPPERS[kind].params:
+            raise ValueError(f"unknown inner_params for {kind}: {sorted(unknown)}")
 
 
 @dataclass
@@ -155,13 +140,14 @@ def initial_model(shape, rank: int, seed: int, particle: int = 0) -> KruskalMode
 def init_swarm(t: Array, rank: int, cfg: SwarmConfig) -> SwarmState:
     """Uniform-random particle positions; bests initialized in place."""
     shape = np.shape(t)
+    jitter = (cfg.jitter_time_constants
+              and "time_constants" in STEPPERS[cfg.inner_solver].params)
     particles, values = [], []
     for n in range(cfg.population):
         model = initial_model(shape, rank, cfg.seed, n)
         position = model.flatten()
         eps = None
-        kind = cfg.solver_for(n)[0]
-        if cfg.jitter_time_constants and "time_constants" in STEPPERS[kind].params:
+        if jitter:
             eps = _rng(cfg, _JITTER, n, 0).uniform(0.5, 2.0, size=len(shape))
         particles.append(Particle(position, np.zeros_like(position), None, np.inf, eps))
         values.append(objective(t, model))
@@ -268,50 +254,43 @@ def _solve_particles(
     """Inner solve of every particle from its position; ``None`` marks one
     whose solver failed. Past ``deadline`` every solve stops where it is.
 
-    Flow particles that share the kernel settings (preconditioning and ridge)
-    advance together as one stack; each keeps its own step, time constants
-    and stopping point. The stacks contract ``operand``: ``t`` by default,
-    or its :func:`~neurocpd.tensor_ops.tucker_compress` form. The other kinds
-    each run through the driver on ``t``.
+    A flow population advances as one stack; each particle keeps its own
+    step, time constants and stopping point. The stack contracts ``operand``:
+    ``t`` by default, or its :func:`~neurocpd.tensor_ops.tucker_compress` form.
+    Every other kind runs each particle through the driver on ``t``.
     """
     shape = np.shape(t)
-    solved = [None] * len(sw.particles)
-    groups: dict = {}
-    for n, p in enumerate(sw.particles):
-        kind, params = cfg.solver_for(n)
+    stepper = STEPPERS[cfg.inner_solver]
+    states = []
+    for p in sw.particles:
+        params = dict(cfg.inner_params)
         if p.time_constants is not None:
             params.setdefault("time_constants", p.time_constants)
-        stepper = STEPPERS[kind]
-        state = stepper.make_state(
-            KruskalModel.unflatten(p.position, shape, rank), params, cfg.seed
+        model = KruskalModel.unflatten(p.position, shape, rank)
+        states.append(stepper.make_state(model, params, cfg.seed))
+    if cfg.inner_solver == "flow":
+        factors, failed = flow_mod.solve_stack(
+            t if operand is None else operand,
+            [np.stack(fs) for fs in zip(*(s.model.factors for s in states))],
+            np.array([s.step / s.time_constants for s in states]),
+            states[0].precondition,
+            states[0].ridge,
+            tol=cfg.inner_tol,
+            max_steps=cfg.inner_max_steps,
+            deadline=deadline,
         )
-        if kind == "flow":
-            groups.setdefault((state.precondition, state.ridge), []).append(
-                (n, state)
-            )
-            continue
+        return [None if bad else KruskalModel(list(fs))
+                for bad, *fs in zip(failed, *factors)]
+    solved = []
+    for state in states:
         try:
             state, _, _ = drive(
                 t, state, stepper, cfg.inner_tol, cfg.inner_max_steps, deadline
             )
         except SOLVER_FAILURES:
-            continue
-        solved[n] = state.model
-    for (use_precondition, ridge), members in groups.items():
-        states = [state for _, state in members]
-        factors, failed = flow_mod.solve_stack(
-            t if operand is None else operand,
-            [np.stack(fs) for fs in zip(*(s.model.factors for s in states))],
-            np.array([s.step / s.time_constants for s in states]),
-            use_precondition,
-            ridge,
-            tol=cfg.inner_tol,
-            max_steps=cfg.inner_max_steps,
-            deadline=deadline,
-        )
-        for i, (n, _) in enumerate(members):
-            if not failed[i]:
-                solved[n] = KruskalModel([f[i] for f in factors])
+            solved.append(None)
+        else:
+            solved.append(state.model)
     return solved
 
 
@@ -328,8 +307,8 @@ def cno_run(
     solves stop at their current points and their outer iteration is the last.
 
     A swarm of more than one particle compresses ``t`` once
-    (:func:`~neurocpd.tensor_ops.tucker_compress`), and its flow stacks
-    contract the core when there is one. All else reads the dense ``t``. One
+    (:func:`~neurocpd.tensor_ops.tucker_compress`), and its flow stack
+    contracts the core when there is one. All else reads the dense ``t``. One
     particle would not gain from the core, so it never compresses and a
     one-particle swarm stays plain flow.
     """

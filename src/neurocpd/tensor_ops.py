@@ -63,12 +63,6 @@ class KruskalModel:
     def copy(self) -> "KruskalModel":
         return KruskalModel([f.copy() for f in self.factors])
 
-    def full(self) -> Array:
-        return kruskal_full(self)
-
-    def is_nonnegative(self) -> bool:
-        return all(f.min(initial=0.0) >= 0.0 for f in self.factors)
-
     def flatten(self) -> Array:
         """Concatenate the column-major vectorizations of all factors."""
         return np.concatenate([f.ravel(order="F") for f in self.factors])

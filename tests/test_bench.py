@@ -226,7 +226,7 @@ def test_linalg_error_is_a_failed_seed_not_a_config_error(tmp_path, monkeypatch)
     def broken(t, state):
         raise np.linalg.LinAlgError("singular barrier system at row 0")
 
-    monkeypatch.setattr(bench.flow_mod, "flow_step", broken)
+    monkeypatch.setattr(flow, "flow_step", broken)
     raw = base_config(algorithm="flow", output_dir=str(tmp_path), seeds=[0, 1])
     cfg_path = tmp_path / "run.yaml"
     cfg_path.write_text(yaml.safe_dump(raw))
@@ -388,9 +388,23 @@ def test_cno_params_the_runner_sets_or_its_inner_solver_rejects(
     assert ("seed" if "seed" in params else "bogus") in err
 
 
-@pytest.mark.parametrize("key", ["inner_solver", "inner_params"])
-def test_cno_empty_inner_list_is_a_config_error(tmp_path, monkeypatch, capsys, key):
-    raw = base_config(algorithm="cno", params={key: []}, output_dir=str(tmp_path / "out"))
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        pytest.param("inner_solver", [], id="inner_solver"),
+        pytest.param("inner_params", [], id="inner_params"),
+        pytest.param("inner_solver", ["flow"], id="inner_solver-list"),
+        pytest.param("inner_params", [{}], id="inner_params-list"),
+        pytest.param("inner_solver", 3, id="inner_solver-number"),
+        pytest.param("inner_params", "step", id="inner_params-string"),
+    ],
+)
+def test_cno_empty_inner_list_is_a_config_error(
+    tmp_path, monkeypatch, capsys, key, value
+):
+    raw = base_config(
+        algorithm="cno", params={key: value}, output_dir=str(tmp_path / "out")
+    )
     err = _refused_before_any_solve(tmp_path, monkeypatch, capsys, raw)
     assert err.startswith("config error:") and key in err
 
@@ -428,7 +442,20 @@ def test_barrier_schedule_out_of_range_is_a_config_error(
 
 @pytest.mark.parametrize(
     "key,value,named",
-    [("seeds", 3, "seeds"), ("budget", 100, "budget"), ("problem", "caseI", "problem")],
+    [
+        ("seeds", 3, "seeds"),
+        ("budget", 100, "budget"),
+        ("problem", "caseI", "problem"),
+        ("rank", 2.5, "rank"),
+        ("budget", {"iterations": 2.7}, "budget.iterations"),
+        ("record_every", 1.9, "record_every"),
+        ("problem", {"kind": "easy5", "seed": 1.5}, "problem.seed"),
+        ("seeds", [1.5], "seeds"),
+        ("seeds", [True], "seeds"),
+        ("seeds", [-1], "seeds"),
+        ("tol", -1, "tol"),
+        ("tol", float("nan"), "tol"),
+    ],
 )
 def test_config_entry_of_the_wrong_kind_is_a_config_error(
     tmp_path, monkeypatch, capsys, key, value, named

@@ -342,10 +342,11 @@ def test_solve_stack_equals_the_gathering_loop_bitwise(early_stop, use_precondit
 def _flow_particles(t, cfg, rank):
     sw = init_swarm(t, rank, cfg)
     out = []
-    for n, p in enumerate(sw.particles):
+    for p in sw.particles:
         model = KruskalModel.unflatten(p.position, t.shape, rank)
-        params = cfg.solver_for(n)[1]
-        out.append(FlowState(model, time_constants=p.time_constants, **params))
+        out.append(
+            FlowState(model, time_constants=p.time_constants, **cfg.inner_params)
+        )
     return sw, out
 
 
@@ -398,18 +399,28 @@ def test_only_a_swarm_of_several_particles_compresses(
 
 
 @pytest.mark.parametrize(
-    "bad", [{"step": 1e6, "precondition": False}, {"step": 1e6}]
+    "bad", [{"step": 0.5, "precondition": False}, {"step": 0.5}]
 )
-def test_diverging_flow_particle_is_reseeded_alone(bad):
+def test_diverging_flow_particle_is_reseeded_alone(monkeypatch, bad):
+    # The shared step is stable for particle 0 (eps = 1); particle 1's time
+    # constants of 1e-6 raise its Euler weight step / eps to 5e5.
+    def stiff(*args):
+        sw = init_swarm(*args)
+        sw.particles[1].time_constants = np.full(3, 1e-6)
+        swarms.append(sw)
+        return sw
+
+    swarms = []
+    monkeypatch.setattr(swarm, "init_swarm", stiff)
     t, _ = gen_problem("easy5", 0)
     cfg = SwarmConfig(
         population=2, seed=3, max_outer=2, inner_max_steps=40,
-        inner_params=[{}, bad], jitter_time_constants=False,
+        inner_params=bad, jitter_time_constants=False,
     )
-    sw, states = _flow_particles(t, cfg, 3)
+    states = _flow_particles(t, cfg, 3)[1]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        solved = swarm._solve_particles(t, sw, cfg, 3)
+        solved = swarm._solve_particles(t, stiff(t, 3, cfg), cfg, 3)
         model, trace = cno_run(t, 3, cfg)
     assert solved[1] is None
     alone, _ = solve_to_equilibrium(t, states[0], tol=cfg.inner_tol,
@@ -417,6 +428,7 @@ def test_diverging_flow_particle_is_reseeded_alone(bad):
     for a, b in zip(solved[0].factors, alone.model.factors):
         assert_close(a, b)
     assert len(trace) == cfg.max_outer
+    assert all(np.isfinite(p.position).all() for p in swarms[-1].particles)
     assert all(np.isfinite(f).all() for f in model.factors)
 
 
