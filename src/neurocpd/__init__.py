@@ -43,7 +43,6 @@ from .model import (
     precondition,
 )
 from .swarm import (
-    Particle,
     SwarmConfig,
     SwarmState,
     cno_run,

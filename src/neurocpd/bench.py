@@ -29,6 +29,7 @@ import yaml
 from .datagen import gen_problem
 from .driver import drive, keywords
 from .errors import FAILURE_LABELS, SOLVER_FAILURES, ConfigError, describe_failure
+from .model import _REALS
 from .solvers import STEPPERS
 from .swarm import SwarmConfig, _stalled, cno_run, initial_model
 from .tensor_io import load_tensor
@@ -105,6 +106,9 @@ class RunConfig:
         if self.wall_clock_s is not None:
             self.wall_clock_s = _real("budget.wall_clock_s", self.wall_clock_s, True)
         self.tol = _real("tol", self.tol)
+        snr = self.noise_snr_db
+        if snr is not None and not (isinstance(snr, _REALS) and math.isfinite(snr)):
+            raise ConfigError(f"noise_snr_db must be a finite number, got {snr!r}")
         self.record_every = _integer("record_every", self.record_every, 1)
         if not self.seeds:
             raise ConfigError("seeds must be a non-empty list")

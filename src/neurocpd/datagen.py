@@ -180,10 +180,13 @@ def gen_problem(
 
     The tensor is the exact reconstruction of uniform [0, 1) ground-truth
     factors (collinearity-shaped where the kind requests it), plus optional
-    additive nonnegative uniform noise at the given SNR in dB.
+    additive nonnegative uniform noise at the given SNR in dB, which must be
+    finite.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown problem kind {kind!r}; known: {sorted(KINDS)}")
+    if noise_snr_db is not None and not np.isfinite(noise_snr_db):
+        raise ValueError(f"noise_snr_db must be finite, got {noise_snr_db!r}")
     spec = KINDS[kind]
     tag = zlib.crc32(kind.encode())
     factors = []

@@ -1,9 +1,11 @@
 """Collaborative layer: a population of independent solvers coupled by PSO.
 
-Each particle owns a flattened factor model. One outer iteration solves every
-particle's inner dynamics to an approximate equilibrium, refreshes personal
-and global bests (strict improvement only, so the global best is monotone),
-re-seeds the solver initial conditions by the velocity/position update
+The population is held as ``(P, D)`` arrays whose row ``p`` is
+:meth:`~neurocpd.tensor_ops.KruskalModel.flatten` of particle ``p``. One outer
+iteration solves every particle's inner dynamics to an approximate
+equilibrium, refreshes personal and global bests (strict improvement only, so
+the global best is monotone), re-seeds the solver initial conditions by the
+velocity/position update
 
     v' = inertia*v + b1*g1*(p_n - x) + b2*g2*(p_best - x),   x' = [x + v']_+
 
@@ -61,25 +63,24 @@ class SwarmConfig:
     jitter_time_constants: bool = True  # per-particle eps ~ U[0.5, 2], both flows
 
     def __post_init__(self):
-        if self.population < 1:
-            raise ValueError("population must be >= 1")
-        if not 0.0 <= self.inertia <= 1.0:
-            raise ValueError("inertia must lie in [0, 1]")
-        if self.accel_personal < 0 or self.accel_global < 0:
-            raise ValueError("acceleration constants must be >= 0")
-        if self.diversity_threshold < 0:
-            raise ValueError("diversity threshold must be >= 0")
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be >= 1")
-        if not (isinstance(self.inner_max_steps, (int, np.integer))
-                and self.inner_max_steps >= 1):
-            raise ValueError(
-                f"inner_max_steps must be an integer >= 1, got {self.inner_max_steps!r}"
-            )
-        for name in ("inner_tol", "stop_tol"):
+        for name in ("population", "max_outer", "inner_max_steps"):
             value = getattr(self, name)
-            if not (isinstance(value, _REALS) and 0 <= value < math.inf):
-                raise ValueError(f"{name} must be a finite value >= 0, got {value!r}")
+            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                    or value < 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        for names, top, bound in (
+            (("inertia",), 1.0, "lie in [0, 1]"),
+            (("accel_personal", "accel_global", "inner_tol", "stop_tol"),
+             np.finfo(np.float64).max, "be a finite value >= 0"),
+            (("diversity_threshold",), math.inf, "be >= 0 (inf allowed)"),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if not (isinstance(value, _REALS) and 0 <= value <= top):
+                    raise ValueError(f"{name} must {bound}, got {value!r}")
+        for name in ("mutation", "jitter_time_constants"):
+            if not isinstance(value := getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {value!r}")
         kind, params = self.inner_solver, self.inner_params
         if not (isinstance(kind, str) and kind in INNER_SOLVERS):
             raise ValueError(
@@ -92,19 +93,18 @@ class SwarmConfig:
 
 
 @dataclass
-class Particle:
-    position: Array
-    velocity: Array
-    personal_best: Array
-    personal_best_value: float
-    time_constants: Array | None = None
-
-
-@dataclass
 class SwarmState:
-    particles: list[Particle]
-    global_best: Array
+    """The population as arrays: row ``p`` of each ``(P, D)`` matrix is
+    particle ``p``'s flattened model, and row ``p`` of the ``(P, N)``
+    ``time_constants`` its per-mode time constants (``None``: solver defaults)."""
+
+    positions: Array
+    velocities: Array
+    personal_bests: Array
+    personal_best_values: Array
+    global_best: Array | None
     global_best_value: float
+    time_constants: Array | None = None
     outer_iteration: int = 0
     diversity: float = np.inf
 
@@ -140,49 +140,43 @@ def initial_model(shape, rank: int, seed: int, particle: int = 0) -> KruskalMode
 def init_swarm(t: Array, rank: int, cfg: SwarmConfig) -> SwarmState:
     """Uniform-random particle positions; bests initialized in place."""
     shape = np.shape(t)
-    jitter = (cfg.jitter_time_constants
-              and "time_constants" in STEPPERS[cfg.inner_solver].params)
-    particles, values = [], []
-    for n in range(cfg.population):
-        model = initial_model(shape, rank, cfg.seed, n)
-        position = model.flatten()
-        eps = None
-        if jitter:
-            eps = _rng(cfg, _JITTER, n, 0).uniform(0.5, 2.0, size=len(shape))
-        particles.append(Particle(position, np.zeros_like(position), None, np.inf, eps))
-        values.append(objective(t, model))
-    return update_bests(SwarmState(particles, None, np.inf), values)
+    models = [initial_model(shape, rank, cfg.seed, n) for n in range(cfg.population)]
+    positions = np.stack([model.flatten() for model in models])
+    eps = None
+    if (cfg.jitter_time_constants
+            and "time_constants" in STEPPERS[cfg.inner_solver].params):
+        eps = np.stack([_rng(cfg, _JITTER, n, 0).uniform(0.5, 2.0, size=len(shape))
+                        for n in range(cfg.population)])
+    sw = SwarmState(positions, np.zeros_like(positions), positions.copy(),
+                    np.full(cfg.population, np.inf), None, np.inf, eps)
+    return update_bests(sw, [objective(t, model) for model in models])
 
 
 def update_bests(sw: SwarmState, values) -> SwarmState:
     """Fold freshly evaluated particle positions into the bests.
 
     Personal bests move only on strict improvement (ties keep the
-    incumbent); the global best is the argmin of the personal bests and is
-    therefore monotone non-increasing over outer iterations.
+    incumbent); the global best is the first argmin of the personal bests and
+    is therefore monotone non-increasing over outer iterations.
     """
-    values = list(values)
-    if len(values) != len(sw.particles):
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != sw.personal_best_values.shape:
         raise ValueError("need one evaluated value per particle")
-    for p, value in zip(sw.particles, values):
-        if value < p.personal_best_value:
-            p.personal_best = p.position.copy()
-            p.personal_best_value = value
-    best = min(range(len(sw.particles)),
-               key=lambda i: sw.particles[i].personal_best_value)
-    if sw.particles[best].personal_best_value < sw.global_best_value:
-        sw.global_best = sw.particles[best].personal_best.copy()
-        sw.global_best_value = sw.particles[best].personal_best_value
+    better = values < sw.personal_best_values
+    sw.personal_bests[better] = sw.positions[better]
+    sw.personal_best_values[better] = values[better]
+    best = int(np.argmin(sw.personal_best_values))
+    if sw.personal_best_values[best] < sw.global_best_value:
+        sw.global_best = sw.personal_bests[best].copy()
+        sw.global_best_value = float(sw.personal_best_values[best])
     return sw
 
 
 def diversity(sw: SwarmState) -> float:
     """Mean Euclidean distance of personal bests to the global best."""
-    return float(
-        np.mean(
-            [np.linalg.norm(p.personal_best - sw.global_best) for p in sw.particles]
-        )
-    )
+    # one norm per row: norm(..., axis=1) sums in another order
+    return float(np.mean([np.linalg.norm(row - sw.global_best)
+                          for row in sw.personal_bests]))
 
 
 def pso_update(sw: SwarmState, cfg: SwarmConfig) -> SwarmState:
@@ -192,14 +186,14 @@ def pso_update(sw: SwarmState, cfg: SwarmConfig) -> SwarmState:
     outer iteration. The updated positions are the solver initial conditions
     for the next outer iteration.
     """
-    for n, p in enumerate(sw.particles):
-        g1, g2 = _rng(cfg, _PSO, n, sw.outer_iteration).random(2)
-        p.velocity = (
-            cfg.inertia * p.velocity
-            + cfg.accel_personal * g1 * (p.personal_best - p.position)
-            + cfg.accel_global * g2 * (sw.global_best - p.position)
-        )
-        p.position = np.maximum(p.position + p.velocity, 0.0)
+    g1, g2 = np.stack([_rng(cfg, _PSO, n, sw.outer_iteration).random(2)
+                       for n in range(len(sw.positions))]).T[:, :, None]
+    sw.velocities = (
+        cfg.inertia * sw.velocities
+        + cfg.accel_personal * g1 * (sw.personal_bests - sw.positions)
+        + cfg.accel_global * g2 * (sw.global_best - sw.positions)
+    )
+    sw.positions = np.maximum(sw.positions + sw.velocities, 0.0)
     return sw
 
 
@@ -211,16 +205,11 @@ def gabor_wavelet(phi: float, a: float) -> float:
 def mutation_bounds(sw: SwarmState, shape, rank: int) -> tuple[Array, Array]:
     """Per-coordinate box for the mutation: lower 0, upper twice the largest
     global-best entry of the owning factor block (floor 1 for a zero block)."""
-    lower = np.zeros_like(sw.global_best)
-    upper = np.empty_like(sw.global_best)
-    start = 0
-    for dim in shape:
-        size = dim * rank
-        block = sw.global_best[start : start + size]
-        top = 2.0 * float(block.max(initial=0.0))
-        upper[start : start + size] = top if top > 0.0 else 1.0
-        start += size
-    return lower, upper
+    sizes = [dim * rank for dim in shape]
+    tops = [2.0 * float(block.max(initial=0.0))
+            for block in np.split(sw.global_best, np.cumsum(sizes)[:-1])]
+    upper = np.repeat([top if top > 0.0 else 1.0 for top in tops], sizes)
+    return np.zeros_like(sw.global_best), upper
 
 
 def wavelet_mutation(
@@ -235,15 +224,13 @@ def wavelet_mutation(
     """
     lower, upper = mutation_bounds(sw, shape, rank)
     a = math.exp(10.0 * k / k_max)
-    for n, p in enumerate(sw.particles):
-        phi = _rng(cfg, _MUTATE, n, k).uniform(-2.5 * a, 2.5 * a)
-        kappa = gabor_wavelet(phi, a)
-        if kappa > 0:
-            p.position = p.position + kappa * (upper - p.position)
-        else:
-            p.position = p.position + kappa * (p.position - lower)
-        p.position = np.clip(p.position, lower, upper)
-        p.velocity = np.zeros_like(p.velocity)
+    kappa = np.array([
+        [gabor_wavelet(_rng(cfg, _MUTATE, n, k).uniform(-2.5 * a, 2.5 * a), a)]
+        for n in range(len(sw.positions))
+    ])
+    toward = np.where(kappa > 0, upper - sw.positions, sw.positions - lower)
+    sw.positions = np.clip(sw.positions + kappa * toward, lower, upper)
+    sw.velocities = np.zeros_like(sw.velocities)
     return sw
 
 
@@ -262,11 +249,11 @@ def _solve_particles(
     shape = np.shape(t)
     stepper = STEPPERS[cfg.inner_solver]
     states = []
-    for p in sw.particles:
+    for n, position in enumerate(sw.positions):
         params = dict(cfg.inner_params)
-        if p.time_constants is not None:
-            params.setdefault("time_constants", p.time_constants)
-        model = KruskalModel.unflatten(p.position, shape, rank)
+        if sw.time_constants is not None:
+            params.setdefault("time_constants", sw.time_constants[n])
+        model = KruskalModel.unflatten(position, shape, rank)
         states.append(stepper.make_state(model, params, cfg.seed))
     if cfg.inner_solver == "flow":
         factors, failed = flow_mod.solve_stack(
@@ -322,25 +309,28 @@ def cno_run(
     for k in range(cfg.max_outer):
         if deadline is not None and time.perf_counter() > deadline:
             break
+        solved = _solve_particles(t, sw, cfg, rank, deadline, operand)
+        if failed := [n for n, model in enumerate(solved) if model is None]:
+            lower, upper = mutation_bounds(sw, shape, rank)
+            sw.positions[failed] = [_rng(cfg, _RESEED, n, k).uniform(lower, upper)
+                                    for n in failed]
+            sw.velocities[failed] = 0.0
+        # Score a re-seeded particle on unflatten views of its row and a solved
+        # one on its solver's arrays (for flow, slices of the solved stacks):
+        # memory layout moves objective in the last bit, and so the best.
         values = []
-        for n, (p, solved) in enumerate(
-            zip(sw.particles, _solve_particles(t, sw, cfg, rank, deadline, operand))
-        ):
-            if solved is None:
-                lower, upper = mutation_bounds(sw, shape, rank)
-                p.position = _rng(cfg, _RESEED, n, k).uniform(lower, upper)
-                p.velocity = np.zeros_like(p.velocity)
-                solved = KruskalModel.unflatten(p.position, shape, rank)
+        for n, model in enumerate(solved):
+            if model is None:
+                model = KruskalModel.unflatten(sw.positions[n], shape, rank)
             else:
-                p.position = solved.flatten()
-            values.append(objective(t, solved))
+                sw.positions[n] = model.flatten()
+            values.append(objective(t, model))
         sw = update_bests(sw, values)
         sw = pso_update(sw, cfg)
         sw.diversity = diversity(sw)
-        mutated = False
-        if cfg.mutation and sw.diversity < cfg.diversity_threshold:
+        mutated = bool(cfg.mutation and sw.diversity < cfg.diversity_threshold)
+        if mutated:
             sw = wavelet_mutation(sw, cfg, k, cfg.max_outer, shape, rank)
-            mutated = True
         sw.outer_iteration = k + 1
         best_model = KruskalModel.unflatten(sw.global_best, shape, rank)
         objective_value, rel_error = residual_fit(t, best_model)

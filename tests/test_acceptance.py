@@ -29,7 +29,6 @@ from neurocpd.model import (
     projection_bundle,
 )
 from neurocpd.swarm import (
-    Particle,
     SwarmConfig,
     SwarmState,
     cno_run,
@@ -328,13 +327,11 @@ def test_criterion_10_swarm_invariants():
     rng = np.random.default_rng(0)
     for _ in range(20):
         q = int(rng.integers(1, 6))
-        particles = [
-            Particle(rng.random(8), np.zeros(8), rng.random(8), float(rng.random()))
-            for _ in range(q)
-        ]
+        rows = [(rng.random(8), rng.random(8), float(rng.random())) for _ in range(q)]
+        positions, personal_bests, values = map(np.array, zip(*rows))
         gbest = rng.random(8)
-        sw = SwarmState(particles, gbest, 0.0)
-        brute = sum(np.linalg.norm(p.personal_best - gbest) for p in particles) / q
+        sw = SwarmState(positions, np.zeros((q, 8)), personal_bests, values, gbest, 0.0)
+        brute = sum(np.linalg.norm(p - gbest) for p in personal_bests) / q
         assert abs(diversity(sw) - brute) <= 1e-12
     t, _ = gen_problem("easy5", 2)
     for delta in (1e12, 1e-9):

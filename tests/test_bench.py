@@ -455,15 +455,44 @@ def test_barrier_schedule_out_of_range_is_a_config_error(
         ("seeds", [-1], "seeds"),
         ("tol", -1, "tol"),
         ("tol", float("nan"), "tol"),
+        ("params", {"population": 2.5}, "population"),
+        ("params", {"population": True}, "population"),
+        ("params", {"inner_max_steps": True}, "inner_max_steps"),
+        ("params", {"inertia": "abc"}, "inertia"),
+        ("params", {"accel_personal": float("nan")}, "accel_personal"),
+        ("params", {"accel_global": float("inf")}, "accel_global"),
+        ("params", {"diversity_threshold": float("nan")}, "diversity_threshold"),
+        ("params", {"mutation": "no"}, "mutation"),
+        ("params", {"jitter_time_constants": 1}, "jitter_time_constants"),
+        ("noise_snr_db", "abc", "noise_snr_db"),
+        ("noise_snr_db", float("nan"), "noise_snr_db"),
     ],
 )
 def test_config_entry_of_the_wrong_kind_is_a_config_error(
     tmp_path, monkeypatch, capsys, key, value, named
 ):
     raw = base_config(output_dir=str(tmp_path / "out"), **{key: value})
+    if key == "params":  # swarm settings: the bad entry, not an unknown key
+        raw["algorithm"] = "cno"
     err = _refused_before_any_solve(tmp_path, monkeypatch, capsys, raw)
     assert err.startswith("config error:") and named in err
     assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("snr", ["nan", "-inf", "inf"])
+def test_cli_gen_refuses_a_non_finite_noise_snr(tmp_path, capsys, snr):
+    out = tmp_path / "t.txt"
+    argv = ["gen", "--kind", "easy5", "--out", str(out), f"--noise-snr={snr}"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not list(tmp_path.iterdir())
+
+
+def test_negative_noise_snr_and_unbounded_diversity_threshold_are_valid():
+    raw = base_config(algorithm="cno", noise_snr_db=-5,
+                      params={"diversity_threshold": float("inf")})
+    cfg = RunConfig.from_dict(raw)
+    assert np.isfinite(cfg.load_problem()).all()
 
 
 @pytest.mark.parametrize("value", ["abc", -1, 0, float("nan"), float("inf")])

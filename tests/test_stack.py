@@ -342,11 +342,10 @@ def test_solve_stack_equals_the_gathering_loop_bitwise(early_stop, use_precondit
 def _flow_particles(t, cfg, rank):
     sw = init_swarm(t, rank, cfg)
     out = []
-    for p in sw.particles:
-        model = KruskalModel.unflatten(p.position, t.shape, rank)
-        out.append(
-            FlowState(model, time_constants=p.time_constants, **cfg.inner_params)
-        )
+    for n, position in enumerate(sw.positions):
+        model = KruskalModel.unflatten(position, t.shape, rank)
+        eps = None if sw.time_constants is None else sw.time_constants[n]
+        out.append(FlowState(model, time_constants=eps, **cfg.inner_params))
     return sw, out
 
 
@@ -406,7 +405,7 @@ def test_diverging_flow_particle_is_reseeded_alone(monkeypatch, bad):
     # constants of 1e-6 raise its Euler weight step / eps to 5e5.
     def stiff(*args):
         sw = init_swarm(*args)
-        sw.particles[1].time_constants = np.full(3, 1e-6)
+        sw.time_constants = np.array([[1.0] * 3, [1e-6] * 3])
         swarms.append(sw)
         return sw
 
@@ -428,7 +427,7 @@ def test_diverging_flow_particle_is_reseeded_alone(monkeypatch, bad):
     for a, b in zip(solved[0].factors, alone.model.factors):
         assert_close(a, b)
     assert len(trace) == cfg.max_outer
-    assert all(np.isfinite(p.position).all() for p in swarms[-1].particles)
+    assert np.isfinite(swarms[-1].positions).all()
     assert all(np.isfinite(f).all() for f in model.factors)
 
 

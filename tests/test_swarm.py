@@ -3,13 +3,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neurocpd import swarm
 from neurocpd.datagen import gen_problem
 from neurocpd.flow import FlowState, solve_to_equilibrium
 from neurocpd.model import objective
 from neurocpd.swarm import (
-    Particle,
     SwarmConfig,
     SwarmState,
     cno_run,
@@ -25,9 +26,9 @@ from neurocpd.tensor_ops import KruskalModel
 
 
 def one_particle_state(x, v, p, p_val, gbest, gbest_val):
-    particle = Particle(np.array(x, float), np.array(v, float),
-                        np.array(p, float), p_val)
-    return SwarmState([particle], np.array(gbest, float), gbest_val)
+    return SwarmState(np.array([x], float), np.array([v], float),
+                      np.array([p], float), np.array([p_val], float),
+                      np.array(gbest, float), gbest_val)
 
 
 def test_config_validation():
@@ -37,21 +38,23 @@ def test_config_validation():
         SwarmConfig(inertia=1.5)
     with pytest.raises(ValueError):
         SwarmConfig(inner_solver="newton")
+    with pytest.raises(ValueError, match="max_outer"):
+        SwarmConfig(max_outer=2.5)
 
 
 def test_pso_stationary_when_everything_coincides():
     sw = one_particle_state([1.0, 2.0], [0.0, 0.0], [1.0, 2.0], 0.5, [1.0, 2.0], 0.5)
     out = pso_update(sw, SwarmConfig(population=1))
-    assert np.array_equal(out.particles[0].position, [1.0, 2.0])
-    assert np.array_equal(out.particles[0].velocity, [0.0, 0.0])
+    assert np.array_equal(out.positions[0], [1.0, 2.0])
+    assert np.array_equal(out.velocities[0], [0.0, 0.0])
 
 
 def test_pso_pure_inertia_when_accelerations_vanish():
     sw = one_particle_state([1.0, 1.0], [0.2, -0.1], [3.0, 3.0], 0.1, [4.0, 4.0], 0.0)
     cfg = SwarmConfig(population=1, inertia=0.5, accel_personal=0.0, accel_global=0.0)
     out = pso_update(sw, cfg)
-    assert np.allclose(out.particles[0].velocity, [0.1, -0.05])
-    assert np.allclose(out.particles[0].position, [1.1, 0.95])
+    assert np.allclose(out.velocities[0], [0.1, -0.05])
+    assert np.allclose(out.positions[0], [1.1, 0.95])
 
 
 def test_pso_hand_value_with_unit_draws(monkeypatch):
@@ -64,44 +67,158 @@ def test_pso_hand_value_with_unit_draws(monkeypatch):
     cfg = SwarmConfig(population=1, inertia=0.5, accel_personal=0.01,
                       accel_global=0.01)
     out = pso_update(sw, cfg)
-    assert out.particles[0].velocity == pytest.approx(0.03)
-    assert out.particles[0].position == pytest.approx(0.03)
+    assert out.velocities[0] == pytest.approx(0.03)
+    assert out.positions[0] == pytest.approx(0.03)
 
 
 def test_pso_projects_onto_orthant():
     sw = one_particle_state([0.1], [-5.0], [0.1], 1.0, [0.1], 1.0)
     out = pso_update(sw, SwarmConfig(population=1, inertia=1.0))
-    assert out.particles[0].position >= 0.0
+    assert out.positions[0] >= 0.0
 
 
 def test_update_bests_rules():
-    p1 = Particle(np.array([1.0]), np.zeros(1), np.array([2.0]), 5.0)
-    p2 = Particle(np.array([3.0]), np.zeros(1), np.array([4.0]), 3.0)
-    sw = SwarmState([p1, p2], np.array([4.0]), 3.0)
+    sw = SwarmState(np.array([[1.0], [3.0]]), np.zeros((2, 1)),
+                    np.array([[2.0], [4.0]]), np.array([5.0, 3.0]),
+                    np.array([4.0]), 3.0)
     # all worse: nothing changes
     update_bests(sw, [9.0, 9.0])
-    assert p1.personal_best_value == 5.0 and sw.global_best_value == 3.0
+    assert sw.personal_best_values[0] == 5.0 and sw.global_best_value == 3.0
     # tie keeps the incumbent
     update_bests(sw, [5.0, 3.0])
-    assert np.array_equal(p1.personal_best, [2.0])
-    assert np.array_equal(p2.personal_best, [4.0])
+    assert np.array_equal(sw.personal_bests[0], [2.0])
+    assert np.array_equal(sw.personal_bests[1], [4.0])
     # strict improvement moves the personal and global bests
     update_bests(sw, [1.0, 9.0])
-    assert np.array_equal(p1.personal_best, [1.0])
+    assert np.array_equal(sw.personal_bests[0], [1.0])
     assert sw.global_best_value == 1.0 and np.array_equal(sw.global_best, [1.0])
     with pytest.raises(ValueError):
         update_bests(sw, [1.0])
 
 
 def test_diversity_hand_cases():
-    p1 = Particle(np.zeros(2), np.zeros(2), np.array([1.0, 1.0]), 0.0)
-    p2 = Particle(np.zeros(2), np.zeros(2), np.array([1.0, 5.0]), 0.0)
-    sw = SwarmState([p1, p2], np.array([1.0, 1.0]), 0.0)
+    def state(*bests):
+        q = len(bests)
+        return SwarmState(np.zeros((q, 2)), np.zeros((q, 2)), np.array(bests),
+                          np.zeros(q), np.array([1.0, 1.0]), 0.0)
+
+    p1, p2 = [1.0, 1.0], [1.0, 5.0]
+    sw = state(p1, p2)
     assert diversity(sw) == pytest.approx(2.0)  # (0 + 4) / 2
-    sw_same = SwarmState([p1], np.array([1.0, 1.0]), 0.0)
-    assert diversity(sw_same) == 0.0
-    sw_perm = SwarmState([p2, p1], np.array([1.0, 1.0]), 0.0)
-    assert diversity(sw_perm) == pytest.approx(diversity(sw))
+    assert diversity(state(p1)) == 0.0
+    assert diversity(state(p2, p1)) == pytest.approx(diversity(sw))
+
+
+# Per-particle reference loops with the formulas of the swarm before its
+# population became (P, D) arrays; the array updates must match them bitwise.
+
+
+def _loop_update_bests(positions, bests, best_values, gbest, gbest_value, values):
+    bests, best_values = [b.copy() for b in bests], list(best_values)
+    for n, value in enumerate(values):
+        if value < best_values[n]:
+            bests[n] = positions[n].copy()
+            best_values[n] = value
+    best = min(range(len(bests)), key=lambda i: best_values[i])
+    if best_values[best] < gbest_value:
+        gbest = bests[best].copy()
+        gbest_value = best_values[best]
+    return bests, best_values, gbest, gbest_value
+
+
+def _loop_pso(positions, velocities, bests, gbest, cfg, iteration):
+    new_x, new_v = [], []
+    for n, (x, v, best) in enumerate(zip(positions, velocities, bests)):
+        g1, g2 = swarm._rng(cfg, swarm._PSO, n, iteration).random(2)
+        v = (
+            cfg.inertia * v
+            + cfg.accel_personal * g1 * (best - x)
+            + cfg.accel_global * g2 * (gbest - x)
+        )
+        new_x.append(np.maximum(x + v, 0.0))
+        new_v.append(v)
+    return new_x, new_v
+
+
+def _loop_mutation(positions, gbest, cfg, k, k_max, shape, rank):
+    lower = np.zeros_like(gbest)
+    upper = np.empty_like(gbest)
+    start = 0
+    for dim in shape:
+        size = dim * rank
+        block = gbest[start : start + size]
+        top = 2.0 * float(block.max(initial=0.0))
+        upper[start : start + size] = top if top > 0.0 else 1.0
+        start += size
+    a = math.exp(10.0 * k / k_max)
+    out = []
+    for n, x in enumerate(positions):
+        phi = swarm._rng(cfg, swarm._MUTATE, n, k).uniform(-2.5 * a, 2.5 * a)
+        kappa = gabor_wavelet(phi, a)
+        if kappa > 0:
+            x = x + kappa * (upper - x)
+        else:
+            x = x + kappa * (x - lower)
+        out.append(np.clip(x, lower, upper))
+    return out
+
+
+def _bitwise(got, rows):
+    ref = np.array(rows, dtype=np.float64).reshape(got.shape)
+    return got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+_LEVELS = [0.0, 0.5, 1.0, math.inf]  # few values: ties and incumbent repeats
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    population=st.integers(1, 6),
+    rank=st.integers(1, 3),
+    shape=st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple),
+    seed=st.integers(0, 2**32 - 1),
+    levels=st.lists(st.sampled_from(_LEVELS), min_size=13, max_size=13),
+    zero_block=st.booleans(),
+    k=st.integers(0, 6),
+)
+def test_array_updates_equal_the_per_particle_loops_bitwise(
+    population, rank, shape, seed, levels, zero_block, k
+):
+    size = sum(shape) * rank
+    rng = np.random.default_rng(seed)
+    x, v, bests = (rng.random((population, size)) for _ in range(3))
+    v -= 0.5
+    gbest = rng.random(size)
+    if zero_block:
+        gbest[: shape[0] * rank] = 0.0
+    best_values = np.array(levels[:population])
+    values = levels[6 : 6 + population]
+    cfg = SwarmConfig(population=population, seed=seed,
+                      inertia=float(rng.random()),
+                      accel_personal=float(rng.uniform(0, 2)),
+                      accel_global=float(rng.uniform(0, 2)))
+
+    sw = SwarmState(x.copy(), v.copy(), bests.copy(), best_values.copy(),
+                    gbest.copy(), levels[12], outer_iteration=k)
+    ref = _loop_update_bests(x, bests, best_values, gbest, levels[12], values)
+    update_bests(sw, values)
+    assert _bitwise(sw.personal_bests, ref[0])
+    assert _bitwise(sw.personal_best_values, ref[1])
+    assert _bitwise(sw.global_best, ref[2]) and sw.global_best_value == ref[3]
+
+    ref_div = float(np.mean([np.linalg.norm(b - sw.global_best) for b in ref[0]]))
+    assert diversity(sw) == ref_div
+
+    ref_x, ref_v = _loop_pso(sw.positions, sw.velocities, sw.personal_bests,
+                             sw.global_best, cfg, k)
+    pso_update(sw, cfg)
+    assert _bitwise(sw.positions, ref_x) and _bitwise(sw.velocities, ref_v)
+
+    k_max = 6
+    ref_x = _loop_mutation(sw.positions, sw.global_best, cfg, k, k_max, shape, rank)
+    wavelet_mutation(sw, cfg, k, k_max, shape, rank)
+    assert _bitwise(sw.positions, ref_x)
+    assert _bitwise(sw.velocities, np.zeros((population, size)))
 
 
 def test_gabor_wavelet_values():
@@ -115,13 +232,12 @@ def test_mutation_with_unit_amplitude_lands_on_upper_bound(monkeypatch):
             return 0.0  # kappa(0) = 1 at k = 0
 
     monkeypatch.setattr(swarm, "_rng", lambda *a: _Zero())
-    particle = Particle(np.array([0.3, 0.4]), np.ones(2), np.array([0.3, 0.4]), 1.0)
-    sw = SwarmState([particle], np.array([0.5, 1.0]), 1.0)
+    sw = one_particle_state([0.3, 0.4], [1.0, 1.0], [0.3, 0.4], 1.0, [0.5, 1.0], 1.0)
     cfg = SwarmConfig(population=1)
     out = wavelet_mutation(sw, cfg, k=0, k_max=10, shape=(2,), rank=1)
     upper = 2.0 * 1.0  # twice the largest global-best entry of the block
-    assert np.allclose(out.particles[0].position, [upper, upper])
-    assert np.array_equal(out.particles[0].velocity, [0.0, 0.0])
+    assert np.allclose(out.positions[0], [upper, upper])
+    assert np.array_equal(out.velocities[0], [0.0, 0.0])
 
 
 def test_mutation_magnitude_shrinks_with_iteration():
@@ -137,12 +253,12 @@ def test_mutation_magnitude_shrinks_with_iteration():
 
 def test_mutation_respects_bounds():
     rng = np.random.default_rng(3)
-    particle = Particle(rng.random(6), np.zeros(6), rng.random(6), 1.0)
-    sw = SwarmState([particle], rng.random(6), 1.0)
+    sw = one_particle_state(rng.random(6), np.zeros(6), rng.random(6), 1.0,
+                            rng.random(6), 1.0)
     out = wavelet_mutation(sw, SwarmConfig(population=1), k=0, k_max=5,
                            shape=(3,), rank=2)
     lower, upper = swarm.mutation_bounds(sw, (3,), 2)
-    pos = out.particles[0].position
+    pos = out.positions[0]
     assert (pos >= lower).all() and (pos <= upper).all()
 
 
@@ -216,10 +332,10 @@ def test_init_swarm_bests_are_consistent():
     t, _ = gen_problem("easy5", 4)
     cfg = SwarmConfig(population=4, seed=4)
     sw = init_swarm(t, 3, cfg)
-    for p in sw.particles:
-        model = KruskalModel.unflatten(p.personal_best, t.shape, 3)
-        assert p.personal_best_value == pytest.approx(objective(t, model))
-    assert sw.global_best_value == min(p.personal_best_value for p in sw.particles)
+    for best, value in zip(sw.personal_bests, sw.personal_best_values):
+        model = KruskalModel.unflatten(best, t.shape, 3)
+        assert value == pytest.approx(objective(t, model))
+    assert sw.global_best_value == min(sw.personal_best_values)
 
 
 def test_cno_deadline_reaches_the_inner_solves():
