@@ -20,25 +20,24 @@ import math
 import os
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from .datagen import gen_problem
-from .driver import drive, keywords
+from .driver import drive
 from .errors import FAILURE_LABELS, SOLVER_FAILURES, ConfigError, describe_failure
-from .model import _REALS
-from .solvers import STEPPERS
+from .model import _choice, _integer, _real, _switch
+from .solvers import STEPPERS, _check_params
 from .swarm import SwarmConfig, _stalled, cno_run, initial_model
 from .tensor_io import load_tensor
 from .tensor_ops import KruskalModel, frobenius_norm, residual_fit
 
-#: the ``params`` keys of each algorithm; the runner sets the swarm's seed and budget
-PARAMS = {"cno": keywords(SwarmConfig, "seed", "max_outer")}
-PARAMS.update((name, stepper.params) for name, stepper in STEPPERS.items())
-ALGORITHMS = tuple(PARAMS)
+#: the ``params`` keys of ``cno``; the runner sets the swarm's seed and budget
+SWARM_PARAMS = frozenset(f.name for f in fields(SwarmConfig)) - {"seed", "max_outer"}
+ALGORITHMS = ("cno", *STEPPERS)
 
 OUTPUT_ROOT_ENV = "NEUROCPD_OUTPUT_ROOT"
 
@@ -96,31 +95,36 @@ class RunConfig:
     label: str | None = None
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(
-                f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}"
-            )
+        self.algorithm = _choice("algorithm", self.algorithm, ALGORITHMS)
         self.rank = _integer("rank", self.rank, 1)
         self.problem_seed = _integer("problem.seed", self.problem_seed, 0)
         self.iterations = _integer("budget.iterations", self.iterations, 1)
         if self.wall_clock_s is not None:
-            self.wall_clock_s = _real("budget.wall_clock_s", self.wall_clock_s, True)
+            self.wall_clock_s = _real("budget.wall_clock_s", self.wall_clock_s, "()")
         self.tol = _real("tol", self.tol)
-        snr = self.noise_snr_db
-        if snr is not None and not (isinstance(snr, _REALS) and math.isfinite(snr)):
-            raise ConfigError(f"noise_snr_db must be a finite number, got {snr!r}")
+        if (snr := self.noise_snr_db) is not None:
+            self.noise_snr_db = _real("noise_snr_db", snr, "()", -math.inf)
         self.record_every = _integer("record_every", self.record_every, 1)
         if not self.seeds:
             raise ConfigError("seeds must be a non-empty list")
         self.seeds = [_integer("seeds", seed, 0) for seed in self.seeds]
         if self.problem_kind is None and self.problem_path is None:
             raise ConfigError("problem needs either a generator kind or a file path")
-        if unknown := set(self.params) - PARAMS[self.algorithm]:
-            raise ConfigError(f"unknown params for {self.algorithm}: {sorted(unknown)}")
-        if self.algorithm == "cno":
-            SwarmConfig(**self.params)  # checks its values before any solve runs
+        self.deterministic_timing = _switch(
+            "deterministic_timing", self.deterministic_timing
+        )
         if self.label is None:
             self.label = self.algorithm
+        for key in ("output_dir", "label"):
+            if not isinstance(value := getattr(self, key), str):
+                raise ConfigError(f"{key} must be a string, got {value!r}")
+        # every value is checked before any solve runs
+        if self.algorithm != "cno":
+            _check_params(self.algorithm, self.params)
+        elif unknown := set(self.params) - SWARM_PARAMS:
+            raise ConfigError(f"unknown params for cno: {sorted(unknown)}")
+        else:
+            SwarmConfig(**self.params)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -128,7 +132,8 @@ class RunConfig:
         problem = raw.pop("problem", {})
         budget = raw.pop("budget", {})
         seeds = raw.pop("seeds", [0])
-        for key, value in (("problem", problem), ("budget", budget)):
+        params = raw.pop("params", {}) or {}
+        for key, value in dict(problem=problem, budget=budget, params=params).items():
             if not isinstance(value, dict):
                 raise ConfigError(f"{key} must be a mapping, got {value!r}")
         if not isinstance(seeds, (list, tuple)):
@@ -140,20 +145,18 @@ class RunConfig:
             problem_seed=problem.get("seed", 0),
             problem_path=problem.get("path"),
             noise_snr_db=raw.pop("noise_snr_db", None),
-            params=raw.pop("params", {}) or {},
+            params=params,
             iterations=budget.get("iterations", 1000),
             wall_clock_s=budget.get("wall_clock_s"),
             tol=raw.pop("tol", 0.0),
             seeds=list(seeds),
             output_dir=raw.pop("output_dir", "out"),
             record_every=raw.pop("record_every", 1),
-            deterministic_timing=bool(raw.pop("deterministic_timing", False)),
+            deterministic_timing=raw.pop("deterministic_timing", False),
             label=raw.pop("label", None),
         )
         if raw:
             raise ConfigError(f"unknown config keys: {sorted(raw)}")
-        if known["algorithm"] is None or known["rank"] is None:
-            raise ConfigError("config needs 'algorithm' and 'rank'")
         try:
             return cls(**known)
         except (TypeError, ValueError) as exc:
@@ -175,29 +178,6 @@ class RunConfig:
         if root and not path.is_absolute():
             path = Path(root) / path
         return path
-
-
-def _integer(key: str, value, floor: int) -> int:
-    """Config entry ``key``; :class:`ConfigError` unless it is an integer (not
-    a bool) of at least ``floor``."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < floor):
-        raise ConfigError(f"{key} must be an integer >= {floor}, got {value!r}")
-    return int(value)
-
-
-def _real(key: str, value, positive: bool = False) -> float:
-    """``float(value)`` of config entry ``key``; :class:`ConfigError` unless it
-    is finite and at least 0, or above 0 if ``positive`` (YAML reads ``1e-6``
-    as a string, which this accepts)."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
-    if not 0 <= number < math.inf or (positive and number == 0):
-        bound = "> 0" if positive else ">= 0"
-        raise ConfigError(f"{key} must be a finite value {bound}, got {value!r}")
-    return number
 
 
 def load_config(path) -> dict:
@@ -392,6 +372,8 @@ def compare(cfgs: list[RunConfig], seeds: list[int] | None = None) -> list[Compa
         raise ConfigError("compare needs at least one run config")
     if seeds is not None and not seeds:
         raise ConfigError("compare needs at least one seed")
+    if seeds is not None:
+        seeds = [_integer("seeds", seed, 0) for seed in seeds]
     rows = []
     for cfg in cfgs:
         use_seeds = seeds if seeds is not None else cfg.seeds

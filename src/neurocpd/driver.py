@@ -3,7 +3,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from typing import Callable, NamedTuple
 
@@ -14,18 +13,14 @@ from .errors import DivergenceError
 
 class Stepper(NamedTuple):
     """``make_state(model, params, seed)`` builds a state at a start model from
-    a mapping with keys among ``params``; ``residual(t, state)`` returns the
-    stopping residual at the point and the state, carrying what ``step`` reuses."""
+    a mapping with keys among ``params``, the settings the solver reads;
+    ``residual(t, state)`` returns the stopping residual at the point and the
+    state, carrying what ``step`` reuses."""
 
     make_state: Callable
     step: Callable
     residual: Callable
     params: frozenset = frozenset()
-
-
-def keywords(cls, *supplied) -> frozenset:
-    """Init keywords of the dataclass ``cls`` less the ``supplied`` ones."""
-    return frozenset(f.name for f in dataclasses.fields(cls) if f.init) - set(supplied)
 
 
 def drive(

@@ -23,11 +23,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .driver import Stepper, check_finite, drive, keywords
+from .driver import Stepper, check_finite, drive
 from .errors import ArmijoStallError, StepMapInconsistencyError
 from .flow import euler_update
 from .model import (
-    _check_ridge,
+    _choice,
+    _positives,
+    _real,
+    _switch,
     max_abs,
     objective,
     objective_from_parts,
@@ -51,8 +54,8 @@ class ArmijoParams:
     beta: float = 0.5
 
     def __post_init__(self):
-        if not 0 < self.alpha < 1 or not 0 < self.beta < 1:
-            raise ValueError("Armijo parameters must lie in (0, 1)")
+        for key in ("alpha", "beta"):  # frozen: set as the dataclass does
+            object.__setattr__(self, key, _real(key, getattr(self, key), "()", 0, 1))
 
 
 @dataclass
@@ -80,22 +83,20 @@ class DtpnnState:
     directions: list | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.lambdas is None:
-            self.lambdas = np.ones(self.model.order)
-        self.lambdas = np.asarray(self.lambdas, dtype=np.float64)
-        if self.lambdas.shape != (self.model.order,):
-            raise ValueError("need one step size per factor")
-        if not (self.lambdas > 0).all():
-            raise ValueError("step sizes must be positive")
+        self.lambdas = _positives("lambdas", self.lambdas, self.model.order)
         if self.initial_lambdas is None:
             self.initial_lambdas = self.lambdas.copy()
         if isinstance(self.armijo, dict):  # as a YAML config gives it
-            if unknown := set(self.armijo) - keywords(ArmijoParams):
+            if unknown := set(self.armijo) - {"alpha", "beta"}:
                 raise ValueError(f"unknown armijo keys: {sorted(unknown)}")
             self.armijo = ArmijoParams(**self.armijo)
-        if self.semi_implicit_form not in ("corrected", "paper"):
-            raise ValueError(f"unknown semi-implicit form {self.semi_implicit_form!r}")
-        _check_ridge(self.ridge)
+        elif not isinstance(self.armijo, ArmijoParams):
+            raise ValueError(f"armijo must be a mapping, got {self.armijo!r}")
+        self.precondition = _switch("precondition", self.precondition)
+        self.ridge = None if self.ridge is None else _real("ridge", self.ridge)
+        self.semi_implicit_form = _choice(
+            "semi_implicit_form", self.semi_implicit_form, ("corrected", "paper")
+        )
 
 
 def _measured(t: Array, s: DtpnnState):
@@ -230,12 +231,12 @@ def _residual(t: Array, s: DtpnnState):
     return kkt, s
 
 
-def _stepper(step, residual=_residual) -> Stepper:
+def _stepper(step, *settings, residual=_residual) -> Stepper:
     return Stepper(
         lambda model, params, seed: DtpnnState(model, **params),
         step,
         residual,
-        keywords(DtpnnState, "model"),
+        frozenset({"lambdas", "precondition", "ridge", *settings}),
     )
 
 
@@ -244,9 +245,12 @@ def _stepper(step, residual=_residual) -> Stepper:
 # its last sweep recorded (infinite before the first).
 STEPPERS = {
     "explicit": _stepper(lambda t, s: step_explicit(t, s)),
-    "semi_implicit": _stepper(lambda t, s: step_semi_implicit(t, s)),
+    "semi_implicit": _stepper(
+        lambda t, s: step_semi_implicit(t, s), "semi_implicit_form"
+    ),
     "armijo": _stepper(
-        lambda t, s: step_gauss_seidel_armijo(t, s), lambda t, s: (s.kkt_residual, s)
+        lambda t, s: step_gauss_seidel_armijo(t, s), "armijo",
+        residual=lambda t, s: (s.kkt_residual, s),
     ),
 }
 
@@ -266,9 +270,7 @@ def solve(
     one below ``tol`` skipped every block. Returns the final state and
     ``"converged"`` or ``"max_steps"``.
     """
-    if variant not in STEPPERS:
-        raise ValueError(f"unknown DTPNN variant {variant!r}")
-    stepper = STEPPERS[variant]
+    stepper = STEPPERS[_choice("variant", variant, tuple(STEPPERS))]
     if variant == "armijo":
         stepper = stepper._replace(
             step=lambda t, s: step_gauss_seidel_armijo(t, s, tol=tol)

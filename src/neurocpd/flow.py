@@ -19,11 +19,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .driver import Stepper, check_finite, drive, keywords
+from .driver import Stepper, check_finite, drive
 from .errors import SOLVER_FAILURES, BarrierDomainError, BoundaryStallError
 from .model import (
-    _check_barrier,
-    _check_ridge,
+    _choice,
+    _integer,
+    _positives,
+    _real,
+    _switch,
     max_abs,
     preconditioned_barrier_gradients,
     projection_bundle,
@@ -41,8 +44,9 @@ class FlowState:
     """State of one projection-flow or barrier-flow trajectory.
 
     ``step`` defaults to half the smallest time constant, which keeps every
-    Euler update a convex combination and hence nonnegative. Only the barrier
-    flow reads ``integrator`` and ``gamma``, scaled by ``gamma_decay`` every
+    Euler update a convex combination and hence nonnegative. Only the
+    projection flow reads ``precondition``; only the barrier flow reads
+    ``integrator`` and ``gamma``, scaled by ``gamma_decay`` every
     ``decay_every`` steps. ``directions`` keeps the rhs the driver measured
     at ``model`` for its next step; every ``replace`` of the state drops it.
     """
@@ -61,24 +65,18 @@ class FlowState:
     directions: list | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.time_constants is None:
-            self.time_constants = np.ones(self.model.order)
-        self.time_constants = np.asarray(self.time_constants, dtype=np.float64)
-        if self.time_constants.shape != (self.model.order,):
-            raise ValueError("need one time constant per factor")
-        if not (self.time_constants > 0).all():
-            raise ValueError("time constants must be positive")
+        self.time_constants = _positives(
+            "time_constants", self.time_constants, self.model.order
+        )
         if self.step is None:
             self.step = 0.5 * float(self.time_constants.min())
-        if not self.step > 0:
-            raise ValueError("step must be positive")
-        if self.integrator not in ("euler", "rk4"):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
-        _check_barrier(gamma=self.gamma, gamma_decay=self.gamma_decay)
-        every = self.decay_every
-        if not isinstance(every, (int, np.integer)) or every < 1:
-            raise ValueError(f"decay_every must be an integer >= 1, got {every!r}")
-        _check_ridge(self.ridge)
+        self.step = _real("step", self.step, "()")
+        self.precondition = _switch("precondition", self.precondition)
+        self.ridge = None if self.ridge is None else _real("ridge", self.ridge)
+        self.integrator = _choice("integrator", self.integrator, ("euler", "rk4"))
+        self.gamma = _real("gamma", self.gamma, "()")
+        self.gamma_decay = _real("gamma_decay", self.gamma_decay, "()")
+        self.decay_every = _integer("decay_every", self.decay_every, 1)
 
 
 def _directions(t: Array, s: FlowState) -> list[Array]:
@@ -119,8 +117,7 @@ def solve_to_equilibrium(
     equilibrium takes zero steps. Returns the final state and the stop
     reason, ``"converged"`` or ``"max_steps"``.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    tol = _real("tol", tol, "(]")
     s, reason, _ = drive(t, s, FLOW, tol, max_steps)
     return replace(s), reason  # without the measured directions
 
@@ -272,8 +269,7 @@ def solve_barrier(
 ) -> tuple[FlowState, str]:
     """Barrier-flow driver from ``s.gamma``, on the state's own gamma
     schedule, counted in the state's steps."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    tol = _real("tol", tol, "(]")
     s, reason, _ = drive(t, s, BARRIER, tol, max_steps)
     return replace(s), reason  # without the measured directions
 
@@ -286,13 +282,13 @@ def _measured(s: FlowState, directions):
 
 
 # Steps are looked up at call time, so rebinding ``flow_step`` or
-# ``barrier_flow_step`` reaches the driver. The barrier flow lifts its start
-# to entries of at least 1e-3.
+# ``barrier_flow_step`` reaches the driver. Each takes the settings its steps
+# read. The barrier flow lifts its start to entries of at least 1e-3.
 FLOW = Stepper(
     lambda model, params, seed: FlowState(model, **params),
     lambda t, s: flow_step(t, s),
     lambda t, s: _measured(s, _directions(t, s)),
-    keywords(FlowState, "model"),
+    frozenset({"time_constants", "step", "precondition", "ridge"}),
 )
 BARRIER = Stepper(
     lambda model, params, seed: FlowState(
@@ -300,5 +296,6 @@ BARRIER = Stepper(
     ),
     lambda t, s: barrier_flow_step(t, s),
     lambda t, s: _measured(s, barrier_rhs(t, s.model, s.gamma, s.ridge)),
-    keywords(FlowState, "model"),
+    frozenset({"time_constants", "step", "ridge", "integrator", "gamma",
+               "gamma_decay", "decay_every"}),
 )

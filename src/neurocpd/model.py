@@ -34,23 +34,54 @@ AUTO_RIDGE_SCALE = 1e-10
 #: not left to the per-system path
 BORDER = 2.0**500
 
-#: number types a numeric setting may take; concrete types, so the check on
-#: every solver state stays cheap
-_REALS = (int, float, np.integer, np.floating)
+def _integer(key: str, value, floor: int) -> int:
+    """A Python or NumPy integer, not a bool, of at least ``floor``."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if value >= floor:
+            return int(value)
+    raise ValueError(f"{key} must be an integer >= {floor}, got {value!r}")
 
 
-def _check_ridge(ridge) -> None:
-    """Reject a ridge that is neither ``None`` nor a finite value ``>= 0``."""
-    if ridge is None or (isinstance(ridge, _REALS) and 0 <= ridge < math.inf):
-        return
-    raise ValueError(f"ridge must be None or a finite value >= 0, got {ridge!r}")
+def _real(key: str, value, ends: str = "[)", low=0.0, high=math.inf) -> float:
+    """``float(value)`` of a number or a string (YAML reads ``1e-3`` as one),
+    not a bool, between ``low`` and ``high``, each end closed ``[]`` or open
+    ``()`` as ``ends`` marks it. Concrete types keep it cheap on every state."""
+    number = math.nan
+    if isinstance(value, (int, float, np.integer, np.floating, str)):
+        try:
+            number = math.nan if isinstance(value, bool) else float(value)
+        except (ValueError, OverflowError):
+            pass
+    if ((low < number or ends[0] == "[" and low == number)
+            and (number < high or ends[1] == "]" and number == high)):
+        return number
+    interval = f"{ends[0]}{low:g}, {high:g}{ends[1]}"
+    raise ValueError(f"{key} must be a number in {interval}, got {value!r}")
 
 
-def _check_barrier(**settings) -> None:
-    """The rule for the barrier's ``gamma`` and ``gamma_decay``: finite, > 0."""
-    for key, value in settings.items():
-        if not (isinstance(value, _REALS) and 0 < value < math.inf):
-            raise ValueError(f"{key} must be a finite value > 0, got {value!r}")
+def _switch(key: str, value) -> bool:
+    """``True`` or ``False``, as a Python or NumPy bool."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise ValueError(f"{key} must be true or false, got {value!r}")
+
+
+def _choice(key: str, value, names: tuple) -> str:
+    """One of the ``names``."""
+    if isinstance(value, str) and value in names:
+        return value
+    raise ValueError(f"{key} must be one of {names}, got {value!r}")
+
+
+def _positives(key: str, values, order: int) -> Array:
+    """One real > 0 per factor as a float64 array, all 1 for ``None``: the
+    time constants of a flow or the step sizes of a DTPNN."""
+    array = np.ones(order) if values is None else np.asarray(values)
+    if array.dtype != np.float64 and array.ndim == 1:  # ints or strings, say
+        array = np.array([_real(key, v, "(]") for v in array.tolist()])
+    if array.shape == (order,) and (array > 0).all():
+        return array
+    raise ValueError(f"{key} must be {order} reals > 0, one per factor, got {values!r}")
 
 
 def _ridges(grams: Array, ridge: float | None) -> Array | float:
@@ -223,26 +254,27 @@ def _solve_one(grad: Array, system: Array, ridge: float | None, mode: int) -> Ar
     return np.linalg.solve(system, grad.T).T
 
 
-def _check_interior(model: KruskalModel, gamma: float) -> None:
-    """The barrier's domain: a valid ``gamma`` and entries all > 0."""
-    _check_barrier(gamma=gamma)
+def _check_interior(model: KruskalModel, gamma) -> float:
+    """The barrier's domain: ``gamma`` (returned) finite and > 0, entries > 0."""
+    gamma = _real("gamma", gamma, "()")
     for n, f in enumerate(model.factors):
         if f.size and f.min() <= 0.0:
             raise BarrierDomainError(
                 f"factor {n} has nonpositive entries; the log barrier requires "
                 "a strictly positive point"
             )
+    return gamma
 
 
 def barrier_objective(t: Array, model: KruskalModel, gamma: float) -> float:
     """``objective - gamma * sum(log(entries))`` over all factor entries."""
-    _check_interior(model, gamma)
+    gamma = _check_interior(model, gamma)
     logs = sum(float(np.log(f).sum()) for f in model.factors)
     return objective(t, model) - gamma * logs
 
 
 def barrier_gradient(t: Array, model: KruskalModel, mode: int, gamma: float) -> Array:
-    _check_interior(model, gamma)
+    gamma = _check_interior(model, gamma)
     return gradient(t, model, mode) - gamma / model.factors[mode]
 
 
@@ -256,7 +288,7 @@ def barrier_precondition(
     The diagonal term decouples the vec system into one R x R solve per row
     of the factor; the solves are batched over rows.
     """
-    _check_barrier(gamma=gamma)
+    gamma = _real("gamma", gamma, "()")
     if grad.shape != entries.shape:
         raise ValueError("gradient and entry blocks must share a shape")
     base = _ridged(gram, ridge)[None]
@@ -270,7 +302,7 @@ def preconditioned_barrier_gradients(
     factor, bitwise, from one snapshot of the point: one interior check, the
     factor Grams, one MTTKRP call and one solve over the rows of all factors."""
     _check_shapes(t, model)
-    _check_interior(model, gamma)
+    gamma = _check_interior(model, gamma)
     skips = _gram_skips([f.T @ f for f in model.factors])
     mtts = mttkrp_stack(t, [f[None] for f in model.factors])
     grads = [f @ g - m[0] - gamma / f for f, g, m in zip(model.factors, skips, mtts)]

@@ -27,8 +27,8 @@ import numpy as np
 from . import flow as flow_mod
 from .driver import drive
 from .errors import SOLVER_FAILURES
-from .model import _REALS, objective
-from .solvers import STEPPERS
+from .model import _choice, _integer, _real, _switch, objective
+from .solvers import STEPPERS, _check_params
 from .tensor_ops import KruskalModel, residual_fit, tucker_compress
 
 Array = np.ndarray
@@ -63,33 +63,20 @@ class SwarmConfig:
     jitter_time_constants: bool = True  # per-particle eps ~ U[0.5, 2], both flows
 
     def __post_init__(self):
-        for name in ("population", "max_outer", "inner_max_steps"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-                    or value < 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        for names, top, bound in (
-            (("inertia",), 1.0, "lie in [0, 1]"),
-            (("accel_personal", "accel_global", "inner_tol", "stop_tol"),
-             np.finfo(np.float64).max, "be a finite value >= 0"),
-            (("diversity_threshold",), math.inf, "be >= 0 (inf allowed)"),
-        ):
-            for name in names:
-                value = getattr(self, name)
-                if not (isinstance(value, _REALS) and 0 <= value <= top):
-                    raise ValueError(f"{name} must {bound}, got {value!r}")
-        for name in ("mutation", "jitter_time_constants"):
-            if not isinstance(value := getattr(self, name), bool):
-                raise ValueError(f"{name} must be true or false, got {value!r}")
-        kind, params = self.inner_solver, self.inner_params
-        if not (isinstance(kind, str) and kind in INNER_SOLVERS):
-            raise ValueError(
-                f"inner_solver must be one of {INNER_SOLVERS}, got {kind!r}"
-            )
-        if not isinstance(params, dict):
+        for key in ("population", "max_outer", "inner_max_steps"):
+            setattr(self, key, _integer(key, getattr(self, key), 1))
+        self.inertia = _real("inertia", self.inertia, "[]", 0.0, 1.0)
+        for key in ("accel_personal", "accel_global", "inner_tol", "stop_tol"):
+            setattr(self, key, _real(key, getattr(self, key)))
+        self.diversity_threshold = _real(
+            "diversity_threshold", self.diversity_threshold, "[]"
+        )
+        for key in ("mutation", "jitter_time_constants"):
+            setattr(self, key, _switch(key, getattr(self, key)))
+        self.inner_solver = _choice("inner_solver", self.inner_solver, INNER_SOLVERS)
+        if not isinstance(params := self.inner_params, dict):
             raise ValueError(f"inner_params must be one mapping, got {params!r}")
-        if unknown := set(params) - STEPPERS[kind].params:
-            raise ValueError(f"unknown inner_params for {kind}: {sorted(unknown)}")
+        _check_params(self.inner_solver, params)
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import yaml
 
 from neurocpd import bench, cli, dtpnn, flow
+from neurocpd.baselines import SweepState
 from neurocpd.bench import (
     CSV_HEADER,
     RunConfig,
@@ -30,7 +32,7 @@ from neurocpd.errors import (
 from neurocpd.driver import drive
 from neurocpd.model import objective
 from neurocpd.solvers import STEPPERS
-from neurocpd.swarm import SwarmConfig, init_swarm, initial_model
+from neurocpd.swarm import INNER_SOLVERS, SwarmConfig, init_swarm, initial_model
 from neurocpd.tensor_io import load_tensor, save_tensor_bin
 from neurocpd.tensor_ops import KruskalModel, relative_error
 
@@ -329,6 +331,23 @@ def test_cli_gen_run_compare_and_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_compare_with_a_negative_seed_is_a_config_error(
+    tmp_path, monkeypatch, capsys
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(bench, "run_single", no_solve)
+    cmp_path = tmp_path / "cmp.yaml"
+    raw = base_config(output_dir=str(tmp_path / "out"))
+    raw["algorithms"] = [{"label": "hals", "algorithm": "hals"}]
+    yaml.safe_dump(raw, cmp_path.open("w"))
+    assert cli.main(["compare", "--config", str(cmp_path), "--seeds=-1"]) == 1
+    assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert err == "config error: seeds must be an integer >= 0, got -1\n"
+
+
 @pytest.mark.parametrize("seeds", ["5..3", ",", ""])
 def test_cli_compare_with_no_seed_is_a_config_error(tmp_path, monkeypatch, capsys, seeds):
     def no_solve(*args, **kwargs):
@@ -376,6 +395,53 @@ def test_unknown_params_key_is_a_config_error(tmp_path, monkeypatch, capsys, alg
     )
     err = _refused_before_any_solve(tmp_path, monkeypatch, capsys, raw)
     assert err.startswith("config error:") and "bogus" in err and algorithm in err
+
+
+SETTINGS = {
+    "flow": {"time_constants", "step", "precondition", "ridge"},
+    "barrier-flow": {"time_constants", "step", "ridge", "integrator", "gamma",
+                     "gamma_decay", "decay_every"},
+    "dtpnn-explicit": {"lambdas", "precondition", "ridge"},
+    "dtpnn-semiimplicit": {"lambdas", "precondition", "ridge", "semi_implicit_form"},
+    "dtpnn-armijo": {"lambdas", "armijo", "precondition", "ridge"},
+    "hals": set(),
+    "mur": set(),
+}
+
+
+def test_each_solver_takes_exactly_the_settings_it_reads():
+    assert {kind: set(stepper.params) for kind, stepper in STEPPERS.items()} == SETTINGS
+    assert sum(len(keys) for keys in SETTINGS.values()) == 22
+
+
+def _state_fields(kind):
+    if kind in ("hals", "mur"):
+        return set(SweepState._fields) - {"model"}
+    state = flow.FlowState if kind in ("flow", "barrier-flow") else dtpnn.DtpnnState
+    return {f.name for f in fields(state) if f.init} - {"model"}
+
+
+NOT_SETTINGS = [
+    (kind, key)
+    for kind in SETTINGS
+    for key in sorted(_state_fields(kind) - SETTINGS[kind])
+]
+
+
+@pytest.mark.parametrize(
+    "algorithm,key", NOT_SETTINGS, ids=[f"{kind}-{key}" for kind, key in NOT_SETTINGS]
+)
+def test_a_state_field_that_is_not_a_setting_is_unknown_params(
+    tmp_path, monkeypatch, capsys, algorithm, key
+):
+    raw = base_config(
+        algorithm=algorithm, params={key: 0}, output_dir=str(tmp_path / "out")
+    )
+    err = _refused_before_any_solve(tmp_path, monkeypatch, capsys, raw)
+    assert err.startswith("config error: unknown params") and key in err
+    if algorithm in INNER_SOLVERS:
+        with pytest.raises(ValueError, match=f"unknown params for {algorithm}.*{key}"):
+            SwarmConfig(inner_solver=algorithm, inner_params={key: 0})
 
 
 @pytest.mark.parametrize("params", [{"seed": 3}, {"inner_params": {"bogus": 1}}])
@@ -466,26 +532,49 @@ def test_barrier_schedule_out_of_range_is_a_config_error(
         ("params", {"jitter_time_constants": 1}, "jitter_time_constants"),
         ("noise_snr_db", "abc", "noise_snr_db"),
         ("noise_snr_db", float("nan"), "noise_snr_db"),
+        ("params", {"decay_every": True}, "decay_every"),
+        ("params", {"step": float("inf")}, "step"),
+        ("params", {"precondition": "false"}, "precondition"),
+        ("deterministic_timing", "false", "deterministic_timing"),
+        ("params", {"armijo": {"alpha": "x"}}, "alpha"),
+        ("output_dir", 5, "output_dir"),
+        ("label", 5, "label"),
     ],
 )
 def test_config_entry_of_the_wrong_kind_is_a_config_error(
     tmp_path, monkeypatch, capsys, key, value, named
 ):
-    raw = base_config(output_dir=str(tmp_path / "out"), **{key: value})
-    if key == "params":  # swarm settings: the bad entry, not an unknown key
-        raw["algorithm"] = "cno"
+    raw = base_config(**{"output_dir": str(tmp_path / "out"), key: value})
+    if key == "params":  # the bad entry, not an unknown key: a solver setting
+        # goes to a solver that reads it, anything else to the swarm
+        setting = next(iter(value))
+        raw["algorithm"] = next(
+            (kind for kind, keys in SETTINGS.items() if setting in keys), "cno"
+        )
     err = _refused_before_any_solve(tmp_path, monkeypatch, capsys, raw)
     assert err.startswith("config error:") and named in err
     assert not list(tmp_path.rglob("*.csv"))
 
 
-@pytest.mark.parametrize("snr", ["nan", "-inf", "inf"])
+@pytest.mark.parametrize("snr", ["nan", "-inf", "inf", "-1e5", "1e308"])
 def test_cli_gen_refuses_a_non_finite_noise_snr(tmp_path, capsys, snr):
     out = tmp_path / "t.txt"
     argv = ["gen", "--kind", "easy5", "--out", str(out), f"--noise-snr={snr}"]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith("config error:")
     assert not list(tmp_path.iterdir())
+
+
+def test_a_step_yaml_reads_as_a_string_gives_the_same_trace(tmp_path):
+    blobs = []
+    for value in ("1e-3", 1.0e-3):
+        raw = base_config(algorithm="flow", params={"step": value},
+                          output_dir=str(tmp_path / type(value).__name__))
+        raw["budget"]["iterations"] = 20
+        cfg = RunConfig.from_dict(raw)
+        run(cfg)
+        blobs.append((cfg.resolved_output_dir() / "flow_seed0.csv").read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def test_negative_noise_snr_and_unbounded_diversity_threshold_are_valid():

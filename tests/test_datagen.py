@@ -115,6 +115,7 @@ def test_gen_problem_noise_snr():
     assert noisy.min() >= 0.0
     snr = 20.0 * np.log10(np.linalg.norm(clean) / np.linalg.norm(noisy - clean))
     assert snr == pytest.approx(20.0, abs=0.5)
+    assert np.isfinite(gen_problem("easy5", 0, noise_snr_db=-40.0)[0]).all()
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="noise_snr_db"):
             gen_problem("easy5", 0, noise_snr_db=bad)
