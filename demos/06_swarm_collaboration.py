@@ -19,7 +19,7 @@ for q in (1, 5):
     print(f"population {q}:")
     for row in trace:
         fired = " (mutation fired)" if row.mutated else ""
-        print(f"  outer {row.iteration}: best objective {row.best_value:.3e}, "
+        print(f"  outer {row.iteration}: best objective {row.objective:.3e}, "
               f"rel error {row.rel_error:.2e}, diversity {row.diversity:.2f}"
               f"{fired}")
     print()

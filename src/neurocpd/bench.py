@@ -138,16 +138,17 @@ class RunConfig:
                 raise ConfigError(f"{key} must be a mapping, got {value!r}")
         if not isinstance(seeds, (list, tuple)):
             raise ConfigError(f"seeds must be a list, got {seeds!r}")
+        problem, budget = dict(problem), dict(budget)
         known = dict(
             algorithm=raw.pop("algorithm", None),
             rank=raw.pop("rank", None),
-            problem_kind=problem.get("kind"),
-            problem_seed=problem.get("seed", 0),
-            problem_path=problem.get("path"),
+            problem_kind=problem.pop("kind", None),
+            problem_seed=problem.pop("seed", 0),
+            problem_path=problem.pop("path", None),
             noise_snr_db=raw.pop("noise_snr_db", None),
             params=params,
-            iterations=budget.get("iterations", 1000),
-            wall_clock_s=budget.get("wall_clock_s"),
+            iterations=budget.pop("iterations", 1000),
+            wall_clock_s=budget.pop("wall_clock_s", None),
             tol=raw.pop("tol", 0.0),
             seeds=list(seeds),
             output_dir=raw.pop("output_dir", "out"),
@@ -155,8 +156,9 @@ class RunConfig:
             deterministic_timing=raw.pop("deterministic_timing", False),
             label=raw.pop("label", None),
         )
-        if raw:
-            raise ConfigError(f"unknown config keys: {sorted(raw)}")
+        for key, rest in dict(config=raw, problem=problem, budget=budget).items():
+            if rest:
+                raise ConfigError(f"unknown {key} keys: {sorted(rest)}")
         try:
             return cls(**known)
         except (TypeError, ValueError) as exc:
@@ -309,6 +311,7 @@ def _format(value) -> str:
 
 def _write_atomic(path, lines) -> None:
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_text("".join(line + "\n" for line in lines))
     os.replace(tmp, path)
@@ -341,7 +344,6 @@ def write_summary(record: RunRecord, path) -> None:
 def run(cfg: RunConfig) -> list[RunRecord]:
     """Run every seed of the config, writing one CSV + summary per seed."""
     out = cfg.resolved_output_dir()
-    out.mkdir(parents=True, exist_ok=True)
     records = []
     for seed in cfg.seeds:
         record = run_single(cfg, seed)

@@ -106,7 +106,6 @@ def _cmd_compare(args) -> int:
     cfgs = _compare_configs(raw)
     rows = bench.compare(cfgs, seeds)
     out = cfgs[0].resolved_output_dir()
-    out.mkdir(parents=True, exist_ok=True)
     bench.write_compare_csv(rows, out / "compare.csv")
     print(bench.compare_table(rows))
     print(f"summary written to {out / 'compare.csv'}")

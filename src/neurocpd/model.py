@@ -87,7 +87,7 @@ def _positives(key: str, values, order: int) -> Array:
 def _ridges(grams: Array, ridge: float | None) -> Array | float:
     """Ridge of each ``(..., R, R)`` Gram: ``ridge``, or the automatic one."""
     if ridge is not None:
-        return float(ridge)
+        return _real("ridge", ridge)
     return AUTO_RIDGE_SCALE * np.trace(grams, axis1=-2, axis2=-1) / grams.shape[-1]
 
 

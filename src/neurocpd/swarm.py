@@ -3,9 +3,9 @@
 The population is held as ``(P, D)`` arrays whose row ``p`` is
 :meth:`~neurocpd.tensor_ops.KruskalModel.flatten` of particle ``p``. One outer
 iteration solves every particle's inner dynamics to an approximate
-equilibrium, refreshes personal and global bests (strict improvement only, so
-the global best is monotone), re-seeds the solver initial conditions by the
-velocity/position update
+equilibrium, refreshes personal and global bests by the dense objective the
+trace reports (strict improvement only, so the global best is monotone),
+re-seeds the solver initial conditions by the velocity/position update
 
     v' = inertia*v + b1*g1*(p_n - x) + b2*g2*(p_best - x),   x' = [x + v']_+
 
@@ -27,9 +27,9 @@ import numpy as np
 from . import flow as flow_mod
 from .driver import drive
 from .errors import SOLVER_FAILURES
-from .model import _choice, _integer, _real, _switch, objective
+from .model import _choice, _integer, _real, _switch
 from .solvers import STEPPERS, _check_params
-from .tensor_ops import KruskalModel, residual_fit, tucker_compress
+from .tensor_ops import KruskalModel, frobenius_norm, residual_fit, tucker_compress
 
 Array = np.ndarray
 
@@ -83,7 +83,8 @@ class SwarmConfig:
 class SwarmState:
     """The population as arrays: row ``p`` of each ``(P, D)`` matrix is
     particle ``p``'s flattened model, and row ``p`` of the ``(P, N)``
-    ``time_constants`` its per-mode time constants (``None``: solver defaults)."""
+    ``time_constants`` its per-mode time constants (``None``: solver defaults).
+    Best values are the dense objectives :class:`OuterRecord` reports."""
 
     positions: Array
     velocities: Array
@@ -101,8 +102,7 @@ class OuterRecord:
     """One outer iteration of :func:`cno_run`, for traces and invariants."""
 
     iteration: int
-    best_value: float  # the expanded objective the swarm compares
-    objective: float  # of the best model, from the residual of ``rel_error``
+    objective: float  # the global best value, from the residual of ``rel_error``
     rel_error: float
     diversity: float
     mutated: bool
@@ -127,8 +127,8 @@ def initial_model(shape, rank: int, seed: int, particle: int = 0) -> KruskalMode
 def init_swarm(t: Array, rank: int, cfg: SwarmConfig) -> SwarmState:
     """Uniform-random particle positions; bests initialized in place."""
     shape = np.shape(t)
-    models = [initial_model(shape, rank, cfg.seed, n) for n in range(cfg.population)]
-    positions = np.stack([model.flatten() for model in models])
+    positions = np.stack([initial_model(shape, rank, cfg.seed, n).flatten()
+                          for n in range(cfg.population)])
     eps = None
     if (cfg.jitter_time_constants
             and "time_constants" in STEPPERS[cfg.inner_solver].params):
@@ -136,7 +136,14 @@ def init_swarm(t: Array, rank: int, cfg: SwarmConfig) -> SwarmState:
                         for n in range(cfg.population)])
     sw = SwarmState(positions, np.zeros_like(positions), positions.copy(),
                     np.full(cfg.population, np.inf), None, np.inf, eps)
-    return update_bests(sw, [objective(t, model) for model in models])
+    return update_bests(sw, _dense_objectives(t, positions, rank))
+
+
+def _dense_objectives(t: Array, rows: Array, rank: int) -> list[float]:
+    """The :func:`~neurocpd.tensor_ops.residual_fit` objective of each row."""
+    norm = frobenius_norm(t)
+    return [residual_fit(t, KruskalModel.unflatten(row, np.shape(t), rank), norm)[0]
+            for row in rows]
 
 
 def update_bests(sw: SwarmState, values) -> SwarmState:
@@ -225,8 +232,9 @@ def _solve_particles(
     t: Array, sw: SwarmState, cfg: SwarmConfig, rank: int, deadline=None,
     operand=None,
 ):
-    """Inner solve of every particle from its position; ``None`` marks one
-    whose solver failed. Past ``deadline`` every solve stops where it is.
+    """Inner solve of every particle from its position: the solved ``(P, D)``
+    rows and the mask of particles whose solver failed (their rows are not
+    solved points). Past ``deadline`` every solve stops where it is.
 
     A flow population advances as one stack; each particle keeps its own
     step, time constants and stopping point. The stack contracts ``operand``:
@@ -253,19 +261,20 @@ def _solve_particles(
             max_steps=cfg.inner_max_steps,
             deadline=deadline,
         )
-        return [None if bad else KruskalModel(list(fs))
-                for bad, *fs in zip(failed, *factors)]
-    solved = []
-    for state in states:
+        # (P, I_n, R) -> (P, R * I_n): the column-major ravel of flatten
+        return np.hstack([f.transpose(0, 2, 1).reshape(len(f), -1)
+                          for f in factors]), failed
+    rows, failed = sw.positions.copy(), np.zeros(len(states), dtype=bool)
+    for n, state in enumerate(states):
         try:
             state, _, _ = drive(
                 t, state, stepper, cfg.inner_tol, cfg.inner_max_steps, deadline
             )
         except SOLVER_FAILURES:
-            solved.append(None)
+            failed[n] = True
         else:
-            solved.append(state.model)
-    return solved
+            rows[n] = state.model.flatten()
+    return rows, failed
 
 
 def cno_run(
@@ -296,23 +305,13 @@ def cno_run(
     for k in range(cfg.max_outer):
         if deadline is not None and time.perf_counter() > deadline:
             break
-        solved = _solve_particles(t, sw, cfg, rank, deadline, operand)
-        if failed := [n for n, model in enumerate(solved) if model is None]:
+        sw.positions, failed = _solve_particles(t, sw, cfg, rank, deadline, operand)
+        if failed.any():
             lower, upper = mutation_bounds(sw, shape, rank)
             sw.positions[failed] = [_rng(cfg, _RESEED, n, k).uniform(lower, upper)
-                                    for n in failed]
+                                    for n in np.flatnonzero(failed)]
             sw.velocities[failed] = 0.0
-        # Score a re-seeded particle on unflatten views of its row and a solved
-        # one on its solver's arrays (for flow, slices of the solved stacks):
-        # memory layout moves objective in the last bit, and so the best.
-        values = []
-        for n, model in enumerate(solved):
-            if model is None:
-                model = KruskalModel.unflatten(sw.positions[n], shape, rank)
-            else:
-                sw.positions[n] = model.flatten()
-            values.append(objective(t, model))
-        sw = update_bests(sw, values)
+        sw = update_bests(sw, _dense_objectives(t, sw.positions, rank))
         sw = pso_update(sw, cfg)
         sw.diversity = diversity(sw)
         mutated = bool(cfg.mutation and sw.diversity < cfg.diversity_threshold)
@@ -324,7 +323,6 @@ def cno_run(
         trace.append(
             OuterRecord(
                 iteration=k + 1,
-                best_value=sw.global_best_value,
                 objective=objective_value,
                 rel_error=rel_error,
                 diversity=sw.diversity,
@@ -340,4 +338,4 @@ def cno_run(
 def _stalled(trace: list[OuterRecord], tol: float) -> bool:
     """:func:`cno_run`'s ``stop_tol`` test: the global best moved by less than
     ``tol`` in the last of at least two outer iterations."""
-    return len(trace) > 1 and abs(trace[-1].best_value - trace[-2].best_value) < tol
+    return len(trace) > 1 and abs(trace[-1].objective - trace[-2].objective) < tol

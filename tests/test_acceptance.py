@@ -338,7 +338,7 @@ def test_criterion_10_swarm_invariants():
         cfg = SwarmConfig(population=3, seed=2, max_outer=4, inner_max_steps=40,
                           diversity_threshold=delta)
         _, trace = cno_run(t, 3, cfg)
-        best = [r.best_value for r in trace]
+        best = [r.objective for r in trace]
         assert all(b <= a for a, b in zip(best, best[1:]))
         for row in trace:
             assert row.mutated == (row.diversity < delta)

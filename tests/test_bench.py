@@ -539,6 +539,8 @@ def test_barrier_schedule_out_of_range_is_a_config_error(
         ("params", {"armijo": {"alpha": "x"}}, "alpha"),
         ("output_dir", 5, "output_dir"),
         ("label", 5, "label"),
+        ("budget", {"iteration": 3}, "iteration"),
+        ("problem", {"kind": "easy5", "kidn": "caseI"}, "kidn"),
     ],
 )
 def test_config_entry_of_the_wrong_kind_is_a_config_error(
@@ -554,6 +556,19 @@ def test_config_entry_of_the_wrong_kind_is_a_config_error(
     err = _refused_before_any_solve(tmp_path, monkeypatch, capsys, raw)
     assert err.startswith("config error:") and named in err
     assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_a_run_refused_when_its_state_is_made_creates_no_output_dir(
+    tmp_path, capsys
+):
+    # the per-factor list passes the config check; the state refuses it
+    cfg_path = tmp_path / "run.yaml"
+    yaml.safe_dump(base_config(output_dir=str(tmp_path / "fresh_out")),
+                   cfg_path.open("w"))
+    assert cli.main(["run", "--config", str(cfg_path), "--set", "algorithm=flow",
+                     "--set", "params.time_constants=[1,2]"]) == 1
+    assert capsys.readouterr().err.startswith("config error: time_constants")
+    assert not (tmp_path / "fresh_out").exists()
 
 
 @pytest.mark.parametrize("snr", ["nan", "-inf", "inf", "-1e5", "1e308"])

@@ -112,6 +112,15 @@ def test_precondition_singular_raises_with_mode():
     assert err.value.mode == 2
 
 
+@pytest.mark.parametrize("ridge", [-1.0, math.nan])
+def test_both_preconditioners_reject_a_ridge_out_of_range(ridge):
+    grad, gram = np.ones((3, 2)), np.eye(2)
+    with pytest.raises(ValueError, match=r"ridge must be a number in \[0, inf\)"):
+        precondition(grad, gram, ridge=ridge)
+    with pytest.raises(ValueError, match=r"ridge must be a number in \[0, inf\)"):
+        barrier_precondition(grad, gram, np.ones((3, 2)), 1e-3, ridge=ridge)
+
+
 def test_precondition_auto_ridge_and_pseudo_solve():
     grad = np.ones((2, 2))
     out = precondition(grad, np.zeros((2, 2)))

@@ -17,6 +17,7 @@ from neurocpd import flow as flow_mod
 from neurocpd import model as model_mod
 from neurocpd import swarm
 from neurocpd.datagen import gen_problem
+from neurocpd.driver import drive
 from neurocpd.errors import SingularPreconditionerError
 from neurocpd.flow import FlowState, solve_stack, solve_to_equilibrium
 from neurocpd.model import (
@@ -353,14 +354,16 @@ def test_one_outer_iteration_matches_particles_one_by_one():
     t, _ = gen_problem("easy5", 0)
     cfg = SwarmConfig(population=4, seed=9, inner_max_steps=60, inner_tol=1e-2)
     sw, states = _flow_particles(t, cfg, 3)
-    solved = swarm._solve_particles(t, sw, cfg, 3)
+    rows, failed = swarm._solve_particles(t, sw, cfg, 3)
+    assert not failed.any()
     reasons = set()
-    for state, model in zip(states, solved):
+    for state, row in zip(states, rows):
         alone, reason = solve_to_equilibrium(
             t, state, tol=cfg.inner_tol, max_steps=cfg.inner_max_steps
         )
         reasons.add(reason)
-        for a, b in zip(model.factors, alone.model.factors):
+        for a, b in zip(KruskalModel.unflatten(row, t.shape, 3).factors,
+                        alone.model.factors):
             assert_close(a, b)
     assert reasons == {"converged", "max_steps"}  # both stops are exercised
 
@@ -374,11 +377,36 @@ def test_one_outer_iteration_on_the_compressed_tensor_matches_the_dense_one(
     assert form.core.shape == (rank,) * 3  # noiseless rank R: an R^3 core
     cfg = SwarmConfig(population=4, seed=9, inner_max_steps=60, inner_tol=1e-2)
     sw = init_swarm(t, rank, cfg)
-    dense = swarm._solve_particles(t, sw, cfg, rank)
-    compressed = swarm._solve_particles(t, sw, cfg, rank, operand=form)
+    dense, _ = swarm._solve_particles(t, sw, cfg, rank)
+    compressed, _ = swarm._solve_particles(t, sw, cfg, rank, operand=form)
     for got, ref in zip(compressed, dense):
-        for a, b in zip(got.factors, ref.factors):
+        for a, b in zip(KruskalModel.unflatten(got, t.shape, rank).factors,
+                        KruskalModel.unflatten(ref, t.shape, rank).factors):
             assert_close(a, b)
+
+
+@pytest.mark.parametrize("inner", ["flow", "dtpnn-explicit"])
+def test_solved_rows_are_the_flatten_of_the_solved_models(monkeypatch, inner):
+    solved = []
+
+    def flow_spy(*args, **kwargs):
+        factors, failed = solve_stack(*args, **kwargs)
+        solved.extend(KruskalModel([f[p] for f in factors])
+                      for p in range(len(failed)))
+        return factors, failed
+
+    def drive_spy(*args):
+        state, reason, steps = drive(*args)
+        solved.append(state.model)
+        return state, reason, steps
+
+    monkeypatch.setattr(flow_mod, "solve_stack", flow_spy)
+    monkeypatch.setattr(swarm, "drive", drive_spy)
+    t, _ = gen_problem("easy5", 0)
+    cfg = SwarmConfig(population=3, seed=2, inner_max_steps=20, inner_solver=inner)
+    rows, failed = swarm._solve_particles(t, init_swarm(t, 3, cfg), cfg, 3)
+    assert not failed.any()
+    assert np.array_equal(rows, np.stack([m.flatten() for m in solved]))
 
 
 @pytest.mark.parametrize("population,compressions", [(1, 0), (2, 1)])
@@ -419,12 +447,13 @@ def test_diverging_flow_particle_is_reseeded_alone(monkeypatch, bad):
     states = _flow_particles(t, cfg, 3)[1]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        solved = swarm._solve_particles(t, stiff(t, 3, cfg), cfg, 3)
+        rows, failed = swarm._solve_particles(t, stiff(t, 3, cfg), cfg, 3)
         model, trace = cno_run(t, 3, cfg)
-    assert solved[1] is None
+    assert failed.tolist() == [False, True]
     alone, _ = solve_to_equilibrium(t, states[0], tol=cfg.inner_tol,
                                     max_steps=cfg.inner_max_steps)
-    for a, b in zip(solved[0].factors, alone.model.factors):
+    for a, b in zip(KruskalModel.unflatten(rows[0], t.shape, 3).factors,
+                    alone.model.factors):
         assert_close(a, b)
     assert len(trace) == cfg.max_outer
     assert np.isfinite(swarms[-1].positions).all()

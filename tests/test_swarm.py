@@ -22,7 +22,7 @@ from neurocpd.swarm import (
     update_bests,
     wavelet_mutation,
 )
-from neurocpd.tensor_ops import KruskalModel
+from neurocpd.tensor_ops import KruskalModel, residual_fit
 
 
 def one_particle_state(x, v, p, p_val, gbest, gbest_val):
@@ -273,7 +273,7 @@ def test_cno_single_particle_equals_plain_flow():
     state, _ = solve_to_equilibrium(t, state, tol=1e-300, max_steps=200)
     for a, b in zip(model.factors, state.model.factors):
         assert np.array_equal(a, b)
-    assert trace[-1].best_value == pytest.approx(objective(t, state.model), abs=1e-14)
+    assert trace[-1].objective == pytest.approx(objective(t, state.model), abs=1e-14)
 
 
 def test_cno_global_best_monotone_and_deterministic():
@@ -281,9 +281,9 @@ def test_cno_global_best_monotone_and_deterministic():
     cfg = SwarmConfig(population=3, seed=5, max_outer=5, inner_max_steps=40)
     _, trace1 = cno_run(t, 3, cfg)
     _, trace2 = cno_run(t, 3, cfg)
-    best = [r.best_value for r in trace1]
+    best = [r.objective for r in trace1]
     assert all(b <= a for a, b in zip(best, best[1:]))
-    assert best == [r.best_value for r in trace2]
+    assert best == [r.objective for r in trace2]
     assert [r.diversity for r in trace1] == [r.diversity for r in trace2]
 
 
@@ -334,8 +334,57 @@ def test_init_swarm_bests_are_consistent():
     sw = init_swarm(t, 3, cfg)
     for best, value in zip(sw.personal_bests, sw.personal_best_values):
         model = KruskalModel.unflatten(best, t.shape, 3)
-        assert value == pytest.approx(objective(t, model))
+        assert value == residual_fit(t, model)[0]
     assert sw.global_best_value == min(sw.personal_best_values)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_init_swarm_ranks_the_exact_factors_above_a_1e_9_perturbation(
+    monkeypatch, seed
+):
+    # The expanded Gram objective bottoms out near 5e-16 * 0.5 ||t||^2 and
+    # cannot resolve this pair; the dense residual can.
+    t, truth = gen_problem("caseI", seed)
+    rng = np.random.default_rng(seed)
+    near = KruskalModel([f * (1.0 + 1e-9 * rng.standard_normal(f.shape))
+                         for f in truth.factors])
+    for order in ([truth, near], [near, truth]):
+        monkeypatch.setattr(swarm, "initial_model",
+                            lambda shape, rank, seed, n: order[n])
+        sw = init_swarm(t, 10, SwarmConfig(population=2, seed=seed))
+        assert np.array_equal(sw.global_best, truth.flatten())
+
+
+@pytest.mark.parametrize(
+    "kind,rank,inner", [("caseI", 10, "flow"), ("easy5", 3, "barrier-flow")]
+)
+def test_each_recorded_objective_is_the_global_best_value_compared(
+    monkeypatch, kind, rank, inner
+):
+    compared = []
+
+    def spy(sw, values):
+        sw = update_bests(sw, values)
+        compared.append(sw.global_best_value)
+        return sw
+
+    monkeypatch.setattr(swarm, "update_bests", spy)
+    t, _ = gen_problem(kind, 0)
+    cfg = SwarmConfig(population=4, seed=1, max_outer=4, inner_max_steps=30,
+                      inner_solver=inner)
+    _, trace = cno_run(t, rank, cfg)
+    assert [r.objective for r in trace] == compared[1:]  # [0]: init_swarm
+
+
+def test_stop_tol_acts_on_the_recorded_objective():
+    t, _ = gen_problem("easy5", 1)
+    kw = dict(population=3, seed=5, max_outer=6, inner_max_steps=40)
+    _, full = cno_run(t, 3, SwarmConfig(**kw))
+    moves = [abs(b.objective - a.objective) for a, b in zip(full, full[1:])]
+    for tol in moves + [np.nextafter(m, np.inf) for m in moves]:
+        _, trace = cno_run(t, 3, SwarmConfig(stop_tol=tol, **kw))
+        stop = next((k + 2 for k, m in enumerate(moves) if m < tol), len(full))
+        assert [r.objective for r in trace] == [r.objective for r in full[:stop]]
 
 
 def test_cno_deadline_reaches_the_inner_solves():
