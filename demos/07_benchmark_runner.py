@@ -1,17 +1,11 @@
 """Drive the benchmark runner from Python: run a config over seeds, compare
-algorithm variants, and emit CSV traces plus a gnuplot script.
+algorithm variants, and read back the CSV traces.
 """
 
 import tempfile
 from pathlib import Path
 
-from neurocpd.bench import (
-    RunConfig,
-    compare,
-    compare_table,
-    emit_gnuplot,
-    run,
-)
+from neurocpd.bench import RunConfig, compare, compare_table, run
 
 workdir = Path(tempfile.mkdtemp(prefix="neurocpd_demo_"))
 print(f"writing outputs under {workdir}\n")
@@ -38,7 +32,7 @@ rows = compare(cfgs, seeds=[0, 1, 2])
 print(compare_table(rows))
 
 csvs = sorted(workdir.glob("flow_seed*.csv"))
-emit_gnuplot(csvs, [p.stem for p in csvs], workdir / "curves.gp",
-             title="convergence")
-print(f"\ngnuplot script at {workdir / 'curves.gp'}")
-print("run it with: gnuplot", workdir / "curves.gp")
+print("\nCSV traces (iter,objective,rel_error,wall_ms,diversity):")
+for path in csvs:
+    rows = path.read_text().splitlines()[1:]
+    print(f"  {path.name}: {len(rows)} rows, last {rows[-1]}")

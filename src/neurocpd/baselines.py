@@ -53,11 +53,12 @@ def hals_sweep(t: Array, model: KruskalModel, rng=None) -> KruskalModel:
     tcs = (ct @ t.reshape(i * j, k).T).reshape(model.rank, i, j)
     for r, tc in enumerate(tcs):
         a, b, c = fa[:, r], fb[:, r], fc[:, r]  # views: see updates in place
-        cc = ct @ c
-        rng = _hals_column(fa, a, r, tc @ b, (bt @ b) * cc, 0, rng)
-        aa = at @ a
-        rng = _hals_column(fb, b, r, a @ tc, cc * aa, 1, rng)
-        rng = _hals_column(fc, c, r, b @ (a @ t0).reshape(j, k), aa * (bt @ b), 2, rng)
+        cc = ct.dot(c)
+        rng = _hals_column(fa, a, r, tc.dot(b), bt.dot(b) * cc, 0, rng)
+        aa = at.dot(a)
+        rng = _hals_column(fb, b, r, a.dot(tc), cc * aa, 1, rng)
+        m_col = b.dot(a.dot(t0).reshape(j, k))
+        rng = _hals_column(fc, c, r, m_col, aa * bt.dot(b), 2, rng)
     return model
 
 
@@ -65,7 +66,7 @@ def _hals_column(factor, column, r, m_col, g_col, mode, rng):
     """Update ``column``, column ``r`` of ``factor``, in place from its MTTKRP
     and Gram columns; returns the generator, made if a re-seed needed one."""
     denom = g_col[r]
-    numer = m_col - factor @ g_col + column * denom
+    numer = m_col - factor.dot(g_col) + column * denom
     if denom <= DEGENERATE_EPS:
         if np.abs(numer).max(initial=0.0) <= DEGENERATE_EPS:
             column[:] = 0.0

@@ -386,16 +386,10 @@ def compare(cfgs: list[RunConfig], seeds: list[int] | None = None) -> list[Compa
                 failed += 1
             else:
                 finals.append(record.final_rel_error)
-        rows.append(
-            CompareRow(
-                cfg.label,
-                statistics.median(finals) if finals else np.nan,
-                min(finals) if finals else np.nan,
-                max(finals) if finals else np.nan,
-                len(finals),
-                failed,
-            )
-        )
+        spread = [np.nan] * 3
+        if finals:
+            spread = [statistics.median(finals), min(finals), max(finals)]
+        rows.append(CompareRow(cfg.label, *spread, len(finals), failed))
     return sorted(rows, key=lambda r: r.label)
 
 
@@ -419,21 +413,3 @@ def write_compare_csv(rows: list[CompareRow], path) -> None:
         )
     _write_atomic(path, lines)
 
-
-def emit_gnuplot(csv_paths: list, labels: list[str], out_path, title: str = "") -> None:
-    """Gnuplot script plotting rel_error curves from run CSVs."""
-    out_path = Path(out_path)
-    plots = ", \\\n    ".join(
-        f'"{Path(p)}" using 1:3 with lines title "{lab}"'
-        for p, lab in zip(csv_paths, labels)
-    )
-    script = (
-        "set datafile separator ','\n"
-        "set logscale y\n"
-        "set xlabel 'iteration'\n"
-        "set ylabel 'relative error'\n"
-        f"set title '{title}'\n"
-        f"plot {plots}\n"
-        "pause -1\n"
-    )
-    out_path.write_text(script)

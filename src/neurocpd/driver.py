@@ -23,6 +23,16 @@ class Stepper(NamedTuple):
     params: frozenset = frozenset()
 
 
+class State:
+    """A solver's ``settings``, checked once when it is made, and the iterate
+    that :meth:`moved` replaces with no check, dropping ``directions``."""
+
+    def moved(self, **changes):
+        new = object.__new__(type(self))
+        new.__dict__ = {**self.__dict__, "directions": None, **changes}
+        return new
+
+
 def drive(
     t, state, stepper: Stepper, tol=0.0, budget=10000, deadline=None, observer=None
 ):

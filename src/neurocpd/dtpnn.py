@@ -19,15 +19,17 @@ step-size interval ``[max(0, 1-sqrt(c)), 1+sqrt(c)]`` built from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import Stepper, check_finite, drive
+from .driver import State, Stepper, check_finite, drive
 from .errors import ArmijoStallError, StepMapInconsistencyError
 from .flow import euler_update
 from .model import (
     _choice,
+    _parts,
     _positives,
     _real,
     _switch,
@@ -58,58 +60,54 @@ class ArmijoParams:
             object.__setattr__(self, key, _real(key, getattr(self, key), "()", 0, 1))
 
 
-@dataclass
-class DtpnnState:
-    """State of one discrete-time solver trajectory.
+#: A discrete-time solver's settings, checked by :class:`DtpnnState`.
+DtpnnSettings = namedtuple("DtpnnSettings", "initial_lambdas armijo precondition "
+                           "ridge semi_implicit_form")
 
-    ``lambdas`` holds the working per-factor step sizes; the Armijo stepper
-    resets them to ``initial_lambdas`` at the start of every outer iteration.
-    ``kkt_residual`` is the max-norm of the unpreconditioned projected
-    gradient measured at the snapshot each stepper advanced from.
-    ``directions`` keeps the directions the driver measured at ``model`` for
-    the next explicit or semi-implicit step; every ``replace`` drops it.
-    """
 
-    model: KruskalModel
-    lambdas: Array = None
-    armijo: ArmijoParams = field(default_factory=ArmijoParams)
-    iteration: int = 0
-    objective_history: list[float] = field(default_factory=list)
-    precondition: bool = True
-    ridge: float | None = None
-    semi_implicit_form: str = "corrected"  # or "paper"
-    kkt_residual: float = np.inf
-    initial_lambdas: Array = None
-    directions: list | None = field(default=None, init=False, repr=False)
+class DtpnnState(State):
+    """One discrete-time solver trajectory: ``settings``, checked here once,
+    and the iterate. ``lambdas`` are the working step sizes, which the Armijo
+    stepper resets to ``initial_lambdas`` every sweep; ``kkt_residual`` is the
+    unpreconditioned KKT residual at the snapshot each step advanced from;
+    ``norm_sq`` the Armijo sweep's tensor and its ``||X||^2``."""
 
-    def __post_init__(self):
-        self.lambdas = _positives("lambdas", self.lambdas, self.model.order)
-        if self.initial_lambdas is None:
-            self.initial_lambdas = self.lambdas.copy()
-        if isinstance(self.armijo, dict):  # as a YAML config gives it
-            if unknown := set(self.armijo) - {"alpha", "beta"}:
+    def __init__(self, model, lambdas=None, armijo=ArmijoParams(), iteration=0,
+                 objective_history=(), precondition=True, ridge=None,
+                 semi_implicit_form="corrected", kkt_residual=np.inf,
+                 initial_lambdas=None):
+        self.lambdas = _positives("lambdas", lambdas, model.order)
+        if isinstance(armijo, dict):  # as a YAML config gives it
+            if unknown := set(armijo) - {"alpha", "beta"}:
                 raise ValueError(f"unknown armijo keys: {sorted(unknown)}")
-            self.armijo = ArmijoParams(**self.armijo)
-        elif not isinstance(self.armijo, ArmijoParams):
-            raise ValueError(f"armijo must be a mapping, got {self.armijo!r}")
-        self.precondition = _switch("precondition", self.precondition)
-        self.ridge = None if self.ridge is None else _real("ridge", self.ridge)
-        self.semi_implicit_form = _choice(
-            "semi_implicit_form", self.semi_implicit_form, ("corrected", "paper")
+            armijo = ArmijoParams(**armijo)
+        elif not isinstance(armijo, ArmijoParams):
+            raise ValueError(f"armijo must be a mapping, got {armijo!r}")
+        self.settings = DtpnnSettings(
+            self.lambdas.copy() if initial_lambdas is None else initial_lambdas,
+            armijo,
+            _switch("precondition", precondition),
+            None if ridge is None else _real("ridge", ridge),
+            _choice("semi_implicit_form", semi_implicit_form, ("corrected", "paper")),
         )
+        self.model, self.iteration, self.kkt_residual = model, iteration, kkt_residual
+        self.objective_history = list(objective_history)
+        self.directions = self.norm_sq = None
 
 
 def _measured(t: Array, s: DtpnnState):
     """Projection directions and KKT residual at the state's point."""
     if s.directions is not None:
         return s.directions, s.kkt_residual
-    directions, grads = projection_bundle(t, s.model, s.precondition, s.ridge)
+    directions, grads = projection_bundle(
+        t, s.model, s.settings.precondition, s.settings.ridge
+    )
     kkt = max_abs(projected_direction(f, g) for f, g in zip(s.model.factors, grads))
     return directions, kkt
 
 
 def _moved(s: DtpnnState, model: KruskalModel, kkt: float) -> DtpnnState:
-    return replace(s, model=model, iteration=s.iteration + 1, kkt_residual=kkt)
+    return s.moved(model=model, iteration=s.iteration + 1, kkt_residual=kkt)
 
 
 def step_explicit(t: Array, s: DtpnnState) -> DtpnnState:
@@ -132,7 +130,7 @@ def step_semi_implicit(t: Array, s: DtpnnState) -> DtpnnState:
     instead. Both keep the factors entrywise nonnegative for any lam > 0.
     """
     directions, kkt = _measured(t, s)
-    paper = s.semi_implicit_form == "paper"
+    paper = s.settings.semi_implicit_form == "paper"
     new_factors = [
         (f + (1.0 if paper else lam) * (f + d)) / (1.0 + lam)  # f + d = [Z - G]_+
         for f, lam, d in zip(s.model.factors, s.lambdas, directions)
@@ -152,10 +150,14 @@ def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 1e-10) -> Dtp
     :class:`ArmijoStallError`.
     """
     t = np.asarray(t)
-    alpha, beta = s.armijo.alpha, s.armijo.beta
+    settings = s.settings
+    alpha, beta = settings.armijo.alpha, settings.armijo.beta
     model = s.model.copy()
-    norm_x_sq = float(np.dot(t.ravel(), t.ravel()))
-    lambdas = s.initial_lambdas.copy()
+    norm_sq = s.norm_sq
+    if norm_sq is None or norm_sq[0] is not t:
+        norm_sq = (t, float(np.dot(t.ravel(), t.ravel())))
+    norm_x_sq = norm_sq[1]
+    lambdas = settings.initial_lambdas.copy()
     kkt_parts = []
     f_current = None
     eps_mach = float(np.finfo(float).eps)
@@ -177,21 +179,23 @@ def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 1e-10) -> Dtp
         # block is converged to float precision, not stalled.
         gd_plain = float((grad * d_plain).sum())
         curvature = float((d_plain * (d_plain @ gram_skip)).sum())
-        fit = abs(float((grams[mode] * gram_skip).sum()))
-        parts_scale = 0.5 * norm_x_sq + 0.5 * fit + abs(float((factor * mtt).sum()))
+        fit = float((grams[mode] * gram_skip).sum())
+        cross = float((factor * mtt).sum())
+        parts_scale = 0.5 * norm_x_sq + 0.5 * abs(fit) + abs(cross)
         best_decrease = (
             np.inf if curvature <= 0.0 else gd_plain * gd_plain / (2.0 * curvature)
         )
         if best_decrease <= 64.0 * eps_mach * parts_scale:
             continue
-        if f_current is None:
-            f_current = objective_from_parts(norm_x_sq, factor, gram_skip, mtt)
+        if f_current is None:  # from the parts just taken
+            f_current = objective_from_parts(norm_x_sq, fit, cross)
 
         def backtrack(direction, lam):
             for _ in range(MAX_SHRINKAGES):
                 trial = factor + lam * direction
                 displacement = trial - factor
-                f_trial = objective_from_parts(norm_x_sq, trial, gram_skip, mtt)
+                parts = _parts(trial, gram_skip, mtt)
+                f_trial = objective_from_parts(norm_x_sq, *parts)
                 decrease_bound = alpha * lam * float((grad * displacement).sum())
                 if f_trial - f_current < decrease_bound and f_trial <= f_current:
                     return trial, lam, f_trial
@@ -199,8 +203,8 @@ def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 1e-10) -> Dtp
             return None
 
         hit = None
-        if s.precondition:
-            step_grad = precondition(grad, gram_skip, s.ridge, mode)
+        if settings.precondition:
+            step_grad = precondition(grad, gram_skip, settings.ridge, mode)
             hit = backtrack(projected_direction(factor, step_grad), lambdas[mode])
         if hit is None:
             # Plain projected gradient is always a descent direction; the
@@ -218,17 +222,15 @@ def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 1e-10) -> Dtp
         )
     check_finite(model.factors, s.iteration + 1)
     history = s.objective_history + [f_current]
-    return replace(
-        s, model=model, lambdas=lambdas, iteration=s.iteration + 1,
-        kkt_residual=max(kkt_parts), objective_history=history,
+    return s.moved(
+        model=model, lambdas=lambdas, iteration=s.iteration + 1,
+        kkt_residual=max(kkt_parts), objective_history=history, norm_sq=norm_sq,
     )
 
 
 def _residual(t: Array, s: DtpnnState):
     directions, kkt = _measured(t, s)
-    s = replace(s, kkt_residual=kkt)
-    s.directions = directions
-    return kkt, s
+    return kkt, s.moved(kkt_residual=kkt, directions=directions)
 
 
 def _stepper(step, *settings, residual=_residual) -> Stepper:
@@ -354,7 +356,7 @@ def step_size_bound(t: Array, s: DtpnnState) -> StepBound:
     with ``gamma`` from :func:`effective_step_map`. At an equilibrium there
     is no bound to report and ``at_equilibrium`` is set instead.
     """
-    directions, grads = projection_bundle(t, s.model, False, s.ridge)
+    directions, grads = projection_bundle(t, s.model, False, s.settings.ridge)
     denom = sum(float(np.sum(d * d)) for d in directions)  # ||Z - [Z - G]_+||^2
     if denom == 0.0:
         return StepBound(np.nan, np.nan, np.nan, at_equilibrium=True)

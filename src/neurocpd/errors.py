@@ -46,6 +46,10 @@ class BoundaryStallError(NeurocpdError):
         self.iteration = iteration
 
 
+class GammaScheduleError(NeurocpdError):
+    """The barrier weight ``gamma`` left (0, inf) on its decay schedule."""
+
+
 class ArmijoStallError(NeurocpdError):
     """Backtracking exhausted its budget on a block that is not converged."""
 
@@ -79,6 +83,7 @@ FAILURE_LABELS = {
     DivergenceError: "diverged",
     SingularPreconditionerError: "singular_preconditioner",
     BoundaryStallError: "boundary_stall",
+    GammaScheduleError: "gamma_schedule",
     ArmijoStallError: "armijo_stall",
     np.linalg.LinAlgError: "linalg_error",
 }

@@ -15,13 +15,15 @@ halving the step whenever it would cross the boundary. :data:`FLOW` and
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 
 import numpy as np
 
-from .driver import Stepper, check_finite, drive
+from .driver import State, Stepper, check_finite, drive
 from .errors import SOLVER_FAILURES, BarrierDomainError, BoundaryStallError
+from .errors import GammaScheduleError
 from .model import (
+    _barrier_gradients,
     _choice,
     _integer,
     _positives,
@@ -39,51 +41,43 @@ Array = np.ndarray
 MAX_BOUNDARY_HALVINGS = 30
 
 
-@dataclass
-class FlowState:
-    """State of one projection-flow or barrier-flow trajectory.
+#: A flow's settings, checked by :class:`FlowState`, with the Euler weights
+#: ``step / time_constants`` formed once.
+FlowSettings = namedtuple("FlowSettings", "time_constants step weights "
+                          "precondition ridge integrator gamma_decay decay_every")
 
-    ``step`` defaults to half the smallest time constant, which keeps every
-    Euler update a convex combination and hence nonnegative. Only the
-    projection flow reads ``precondition``; only the barrier flow reads
-    ``integrator`` and ``gamma``, scaled by ``gamma_decay`` every
-    ``decay_every`` steps. ``directions`` keeps the rhs the driver measured
-    at ``model`` for its next step; every ``replace`` of the state drops it.
-    """
 
-    model: KruskalModel
-    time_constants: Array = None
-    step: float = None
-    residual: float = np.inf
-    iterations: int = 0
-    precondition: bool = True
-    ridge: float | None = None
-    integrator: str = "euler"  # barrier flow only: "euler" or "rk4"
-    gamma: float = 1e-3
-    gamma_decay: float = 1.0
-    decay_every: int = 100
-    directions: list | None = field(default=None, init=False, repr=False)
+class FlowState(State):
+    """One projection-flow or barrier-flow trajectory: ``settings``, checked
+    here once, and the iterate ``model``, ``residual``, ``iterations``,
+    ``gamma``, ``directions`` (the rhs measured at ``model``) and ``interior``
+    (a barrier step found ``model`` strictly positive). ``step`` defaults to
+    half the smallest time constant, which keeps every Euler update a convex
+    combination. The barrier flow scales ``gamma`` by ``gamma_decay`` every
+    ``decay_every`` steps."""
 
-    def __post_init__(self):
-        self.time_constants = _positives(
-            "time_constants", self.time_constants, self.model.order
+    def __init__(self, model, time_constants=None, step=None, residual=np.inf,
+                 iterations=0, precondition=True, ridge=None, integrator="euler",
+                 gamma=1e-3, gamma_decay=1.0, decay_every=100):
+        eps = _positives("time_constants", time_constants, model.order)
+        step = _real("step", 0.5 * float(eps.min()) if step is None else step, "()")
+        self.settings = FlowSettings(
+            eps, step, step / eps, _switch("precondition", precondition),
+            None if ridge is None else _real("ridge", ridge),
+            _choice("integrator", integrator, ("euler", "rk4")),
+            _real("gamma_decay", gamma_decay, "()"),
+            _integer("decay_every", decay_every, 1),
         )
-        if self.step is None:
-            self.step = 0.5 * float(self.time_constants.min())
-        self.step = _real("step", self.step, "()")
-        self.precondition = _switch("precondition", self.precondition)
-        self.ridge = None if self.ridge is None else _real("ridge", self.ridge)
-        self.integrator = _choice("integrator", self.integrator, ("euler", "rk4"))
-        self.gamma = _real("gamma", self.gamma, "()")
-        self.gamma_decay = _real("gamma_decay", self.gamma_decay, "()")
-        self.decay_every = _integer("decay_every", self.decay_every, 1)
+        self.gamma = _real("gamma", gamma, "()")
+        self.model, self.residual, self.iterations = model, residual, iterations
+        self.directions, self.interior = None, False
 
 
 def _directions(t: Array, s: FlowState) -> list[Array]:
     """Projection directions for all factors from one snapshot."""
-    if s.directions is not None:
-        return s.directions
-    return projection_bundle(t, s.model, s.precondition, s.ridge)[0]
+    settings = s.settings
+    return s.directions or projection_bundle(
+        t, s.model, settings.precondition, settings.ridge)[0]
 
 
 def euler_update(factors, weights, directions, iteration: int) -> KruskalModel:
@@ -97,13 +91,10 @@ def flow_step(t: Array, s: FlowState) -> FlowState:
     """One explicit Euler step, all factors advanced from the same snapshot."""
     directions = _directions(t, s)
     model = euler_update(
-        s.model.factors, s.step / s.time_constants, directions, s.iterations + 1
+        s.model.factors, s.settings.weights, directions, s.iterations + 1
     )
-    return replace(
-        s,
-        model=model,
-        residual=max_abs(directions),
-        iterations=s.iterations + 1,
+    return s.moved(
+        model=model, residual=max_abs(directions), iterations=s.iterations + 1
     )
 
 
@@ -119,7 +110,7 @@ def solve_to_equilibrium(
     """
     tol = _real("tol", tol, "(]")
     s, reason, _ = drive(t, s, FLOW, tol, max_steps)
-    return replace(s), reason  # without the measured directions
+    return s.moved(), reason  # without the measured directions
 
 
 def solve_stack(
@@ -214,17 +205,24 @@ def barrier_rhs(
     return [-d for d in preconditioned_barrier_gradients(t, model, gamma, ridge)]
 
 
+def _barrier_rhs_here(t: Array, s: FlowState) -> list[Array]:
+    """:func:`barrier_rhs` at ``s.model``, unchecked if a barrier step made it."""
+    if s.interior:
+        return [-d for d in _barrier_gradients(t, s.model, s.gamma, s.settings.ridge)]
+    return barrier_rhs(t, s.model, s.gamma, s.settings.ridge)
+
+
 def barrier_flow_step(t: Array, s: FlowState) -> FlowState:
     """One step of the barrier flow at ``s.gamma``, halving ``h`` to stay
     strictly interior; every ``decay_every``-th step scales ``gamma`` by
     ``gamma_decay``. Reuses ``s.directions`` when a residual measurement left
-    them. Raises :class:`BoundaryStallError` after 30 failed halvings.
+    them. Raises :class:`BoundaryStallError` after 30 failed halvings and
+    :class:`GammaScheduleError` if the scaled ``gamma`` leaves (0, inf).
     """
-    rhs = s.directions
-    if rhs is None:
-        rhs = barrier_rhs(t, s.model, s.gamma, s.ridge)
+    settings = s.settings
+    rhs = s.directions or _barrier_rhs_here(t, s)
     iterations = s.iterations + 1
-    h = s.step
+    h = settings.step
     for _ in range(MAX_BOUNDARY_HALVINGS + 1):
         try:
             new_factors = _barrier_advance(t, s, h, rhs)
@@ -232,32 +230,33 @@ def barrier_flow_step(t: Array, s: FlowState) -> FlowState:
             h *= 0.5
             continue
         if all(f.min() > 0.0 for f in new_factors):
-            return replace(
-                s,
-                model=KruskalModel(check_finite(new_factors, iterations)),
-                residual=max_abs(rhs),
-                iterations=iterations,
-                gamma=s.gamma * s.gamma_decay if iterations % s.decay_every == 0
-                else s.gamma,
-            )
+            model = KruskalModel(check_finite(new_factors, iterations))
+            gamma = s.gamma
+            if iterations % settings.decay_every == 0:
+                gamma *= settings.gamma_decay
+                if not 0.0 < gamma < np.inf:
+                    raise GammaScheduleError(f"gamma left (0, inf) on its schedule: "
+                                             f"{gamma!r} (iteration {iterations})")
+            return s.moved(model=model, residual=max_abs(rhs),
+                           iterations=iterations, gamma=gamma, interior=True)
         h *= 0.5
     raise BoundaryStallError(iterations, MAX_BOUNDARY_HALVINGS)
 
 
 def _barrier_advance(t: Array, s: FlowState, h: float, k1):
     """Euler or RK4 update of all factors with step ``h``; ``k1`` is reused."""
-    scale = h / s.time_constants
-    if s.integrator == "euler":
+    settings = s.settings
+    scale = settings.weights if h == settings.step else h / settings.time_constants
+    if settings.integrator == "euler":
         return [f + sc * d for f, sc, d in zip(s.model.factors, scale, k1)]
 
-    def shifted(ks, w):
-        return KruskalModel(
-            [f + w * sc * k for f, sc, k in zip(s.model.factors, scale, ks)]
-        )
+    def stage(ks, w):
+        shifted = [f + w * sc * k for f, sc, k in zip(s.model.factors, scale, ks)]
+        return barrier_rhs(t, KruskalModel(shifted), s.gamma, settings.ridge)
 
-    k2 = barrier_rhs(t, shifted(k1, 0.5), s.gamma, s.ridge)
-    k3 = barrier_rhs(t, shifted(k2, 0.5), s.gamma, s.ridge)
-    k4 = barrier_rhs(t, shifted(k3, 1.0), s.gamma, s.ridge)
+    k2 = stage(k1, 0.5)
+    k3 = stage(k2, 0.5)
+    k4 = stage(k3, 1.0)
     return [
         f + sc / 6.0 * (a + 2 * b + 2 * c + d)
         for f, sc, a, b, c, d in zip(s.model.factors, scale, k1, k2, k3, k4)
@@ -271,14 +270,12 @@ def solve_barrier(
     schedule, counted in the state's steps."""
     tol = _real("tol", tol, "(]")
     s, reason, _ = drive(t, s, BARRIER, tol, max_steps)
-    return replace(s), reason  # without the measured directions
+    return s.moved(), reason  # without the measured directions
 
 
 def _measured(s: FlowState, directions):
     value = max_abs(directions)
-    s = replace(s, residual=value)
-    s.directions = directions
-    return value, s
+    return value, s.moved(residual=value, directions=directions)
 
 
 # Steps are looked up at call time, so rebinding ``flow_step`` or
@@ -295,7 +292,7 @@ BARRIER = Stepper(
         KruskalModel([np.maximum(f, 1e-3) for f in model.factors]), **params
     ),
     lambda t, s: barrier_flow_step(t, s),
-    lambda t, s: _measured(s, barrier_rhs(t, s.model, s.gamma, s.ridge)),
+    lambda t, s: _measured(s, _barrier_rhs_here(t, s)),
     frozenset({"time_constants", "step", "ridge", "integrator", "gamma",
                "gamma_decay", "decay_every"}),
 )

@@ -105,16 +105,16 @@ def _check_shapes(t: Array, model: KruskalModel) -> None:
         raise ValueError(f"tensor shape {np.shape(t)} != model shape {model.shape}")
 
 
-def objective_from_parts(
-    norm_x_sq: float, factor: Array, gram_skip: Array, mtt: Array
-) -> float:
-    """Objective via the expanded form, given one mode's Gram and MTTKRP.
+def objective_from_parts(norm_x_sq: float, fit: float, cross: float) -> float:
+    """The objective in the expanded form ``0.5*||X||^2 + 0.5*fit - cross``,
+    from the :func:`_parts` of any one mode; solvers reuse the parts to make
+    backtracking evaluations cheap."""
+    return 0.5 * norm_x_sq + 0.5 * fit - cross
 
-    ``0.5*||X||^2 + 0.5*<Z^T Z, G> - <Z, M>`` equals the full objective for
-    any mode; solvers reuse it to make backtracking evaluations cheap.
-    """
-    fit = float((factor.T @ factor * gram_skip).sum())
-    return 0.5 * norm_x_sq + 0.5 * fit - float((factor * mtt).sum())
+
+def _parts(factor: Array, gram_skip: Array, mtt: Array) -> tuple[float, float]:
+    """``<Z^T Z, G>`` and ``<Z, M>`` of a factor, its Gram product and MTTKRP."""
+    return float((factor.T @ factor * gram_skip).sum()), float((factor * mtt).sum())
 
 
 def objective(t: Array, model: KruskalModel) -> float:
@@ -122,9 +122,8 @@ def objective(t: Array, model: KruskalModel) -> float:
     t = np.asarray(t)
     _check_shapes(t, model)
     norm_x_sq = float(np.dot(t.ravel(), t.ravel()))
-    return objective_from_parts(
-        norm_x_sq, model.factors[0], hadamard_gram(model, 0), mttkrp(t, model, 0)
-    )
+    parts = _parts(model.factors[0], hadamard_gram(model, 0), mttkrp(t, model, 0))
+    return objective_from_parts(norm_x_sq, *parts)
 
 
 def gradient(t: Array, model: KruskalModel, mode: int) -> Array:
@@ -302,7 +301,11 @@ def preconditioned_barrier_gradients(
     factor, bitwise, from one snapshot of the point: one interior check, the
     factor Grams, one MTTKRP call and one solve over the rows of all factors."""
     _check_shapes(t, model)
-    gamma = _check_interior(model, gamma)
+    return _barrier_gradients(t, model, _check_interior(model, gamma), ridge)
+
+
+def _barrier_gradients(t, model: KruskalModel, gamma: float, ridge) -> list[Array]:
+    """:func:`preconditioned_barrier_gradients` at a point already checked."""
     skips = _gram_skips([f.T @ f for f in model.factors])
     mtts = mttkrp_stack(t, [f[None] for f in model.factors])
     grads = [f @ g - m[0] - gamma / f for f, g, m in zip(model.factors, skips, mtts)]
@@ -316,8 +319,9 @@ def _barrier_solve(grads, bases: Array, entries, gamma: float, modes):
     so one call over the rows of every block gives the per-block results."""
     sizes = [len(e) for e in entries]
     systems = np.repeat(bases, sizes, axis=0)
-    idx = np.arange(bases.shape[-1])
-    systems[:, idx, idx] += gamma / (np.concatenate(entries) ** 2)
+    rank = bases.shape[-1]
+    diagonals = systems.reshape(len(systems), rank * rank)[:, :: rank + 1]
+    diagonals += gamma / (np.concatenate(entries) ** 2)
     rhs = np.concatenate(grads)
     try:
         out = np.linalg.solve(systems, rhs[:, :, None])[:, :, 0]

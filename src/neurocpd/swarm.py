@@ -251,12 +251,12 @@ def _solve_particles(
         model = KruskalModel.unflatten(position, shape, rank)
         states.append(stepper.make_state(model, params, cfg.seed))
     if cfg.inner_solver == "flow":
+        settings = states[0].settings
         factors, failed = flow_mod.solve_stack(
             t if operand is None else operand,
             [np.stack(fs) for fs in zip(*(s.model.factors for s in states))],
-            np.array([s.step / s.time_constants for s in states]),
-            states[0].precondition,
-            states[0].ridge,
+            np.array([s.settings.weights for s in states]),
+            settings.precondition, settings.ridge,
             tol=cfg.inner_tol,
             max_steps=cfg.inner_max_steps,
             deadline=deadline,

@@ -111,13 +111,3 @@ def write_metadata(path, entries: dict) -> None:
         for key, value in entries.items():
             fh.write(f"{key} = {value}\n")
 
-
-def read_metadata(path) -> dict:
-    out = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
-    return out

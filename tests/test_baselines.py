@@ -359,3 +359,20 @@ def test_hals_sweep_equals_the_column_loop_bitwise(shape, rank, seed, reseed):
             assert_bitwise(model, expected)
         # both drew the same number of re-seeds from their streams
         assert rng.random() == loop_rng.random()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(*[st.integers(1, 12)] * 3),
+    rank=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hals_sweep_matrix_vector_products_equal_matmul_bitwise(shape, rank, seed):
+    # the sweep takes its column products with ndarray.dot; the reference
+    # takes every one with @
+    t, model = instance(shape, rank, seed)
+    expected = model
+    for _ in range(3):
+        model = hals_sweep(t, model)
+        expected = hals_column_loop(t, expected)
+        assert_bitwise(model, expected)

@@ -1,5 +1,5 @@
+import inspect
 import re
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +14,6 @@ from neurocpd.bench import (
     apply_overrides,
     compare,
     compare_table,
-    emit_gnuplot,
     load_config,
     run,
     run_single,
@@ -27,6 +26,7 @@ from neurocpd.errors import (
     BoundaryStallError,
     ConfigError,
     DivergenceError,
+    GammaScheduleError,
     SingularPreconditionerError,
 )
 from neurocpd.driver import drive
@@ -288,12 +288,6 @@ def test_compare_single_run_and_permutation_invariance(tmp_path):
         compare([])
 
 
-def test_emit_gnuplot(tmp_path):
-    emit_gnuplot([tmp_path / "a.csv"], ["flow"], tmp_path / "plot.gp", "demo")
-    script = (tmp_path / "plot.gp").read_text()
-    assert "set logscale y" in script and "using 1:3" in script
-
-
 def test_cli_gen_run_compare_and_exit_codes(tmp_path, capsys):
     out = tmp_path / "t.txt"
     assert cli.main(["gen", "--kind", "easy5", "--seed", "3", "--out", str(out)]) == 0
@@ -418,7 +412,7 @@ def _state_fields(kind):
     if kind in ("hals", "mur"):
         return set(SweepState._fields) - {"model"}
     state = flow.FlowState if kind in ("flow", "barrier-flow") else dtpnn.DtpnnState
-    return {f.name for f in fields(state) if f.init} - {"model"}
+    return set(inspect.signature(state).parameters) - {"model"}
 
 
 NOT_SETTINGS = [
@@ -693,11 +687,29 @@ def test_ridge_out_of_range_is_a_config_error(
     assert err.startswith("config error:") and "ridge" in err
 
 
+def test_a_gamma_schedule_that_underflows_ends_as_a_solver_failure(tmp_path, capsys):
+    # gamma 1e-3 scaled by 1e-200 every step reads 0.0 after the second
+    cfg_path = tmp_path / "run.yaml"
+    raw = base_config(
+        algorithm="barrier-flow",
+        params={"gamma_decay": 1.0e-200, "decay_every": 1},
+        output_dir=str(tmp_path / "out"),
+    )
+    yaml.safe_dump(raw, cfg_path.open("w"))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2  # every seed failed
+    summary = (tmp_path / "out" / "barrier-flow_seed0.summary.txt").read_text()
+    assert ("termination = gamma_schedule: gamma left (0, inf) on its schedule: "
+            "0.0 (iteration 2)") in summary
+    trace = (tmp_path / "out" / "barrier-flow_seed0.csv").read_text().splitlines()
+    assert [row.partition(",")[0] for row in trace] == ["iter", "1"]
+    capsys.readouterr()
+
+
 def test_armijo_params_from_a_config_mapping(tmp_path, capsys):
     state = STEPPERS["dtpnn-armijo"].make_state(
         initial_model((3, 3, 3), 2, 0), {"armijo": {"alpha": 0.1}}, 0
     )
-    assert state.armijo == dtpnn.ArmijoParams(alpha=0.1)
+    assert state.settings.armijo == dtpnn.ArmijoParams(alpha=0.1)
     cfg_path = tmp_path / "run.yaml"
     raw = base_config(
         algorithm="dtpnn-armijo",
@@ -781,6 +793,7 @@ FAILURES = [
     (SingularPreconditionerError(1), "singular_preconditioner"),
     (BoundaryStallError(3, 30), "boundary_stall"),
     (ArmijoStallError(0, 60, 1e-2), "armijo_stall"),
+    (GammaScheduleError(0.0, 2), "gamma_schedule"),
     (np.linalg.LinAlgError("singular barrier system at row 0"), "linalg_error"),
 ]
 

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -93,3 +94,129 @@ def test_zero_tol_measures_no_residual(monkeypatch, name):
     stepper = STEPPERS[name]
     state = stepper.make_state(initial_model(t.shape, 3, 0), {}, 0)
     assert drive(t, state, stepper, budget=3)[1:] == ("max_steps", 3)
+
+
+# one entry per public step; a barrier schedule that moves gamma in the run
+PUBLIC_STEPS = [
+    ("flow", {}, flow.flow_step),
+    ("barrier-flow", {"gamma_decay": 0.5, "decay_every": 7}, flow.barrier_flow_step),
+    ("barrier-flow", {"integrator": "rk4", "gamma_decay": 0.5, "decay_every": 7},
+     flow.barrier_flow_step),
+    ("dtpnn-explicit", {"lambdas": [0.5] * 3}, dtpnn.step_explicit),
+    ("dtpnn-semiimplicit", {}, dtpnn.step_semi_implicit),
+    ("dtpnn-armijo", {}, dtpnn.step_gauss_seidel_armijo),
+]
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-300])
+@pytest.mark.parametrize(
+    "name,params,step", PUBLIC_STEPS,
+    ids=["flow", "barrier-euler", "barrier-rk4", "explicit", "semi", "armijo"],
+)
+def test_drive_equals_50_calls_of_the_public_step_bitwise(name, params, step, tol):
+    # tol > 0 makes the driver measure each point and hand the step its rhs
+    t, _ = gen_problem("difficult9", 1)
+    stepper = STEPPERS[name]
+    start = stepper.make_state(initial_model(t.shape, 10, 1501), params, 0)
+    driven, reason, steps = drive(t, start, stepper, tol, 50)
+    stepped = start
+    for _ in range(50):
+        stepped = step(t, stepped)
+    assert (reason, steps) == ("max_steps", 50)
+    for a, b in zip(driven.model.factors, stepped.model.factors):
+        assert np.array_equal(a, b)
+    for key in ("iterations", "iteration", "gamma", "residual", "kkt_residual"):
+        assert getattr(driven, key, None) == getattr(stepped, key, None)
+    for a, b in zip(start.model.factors, stepped.model.factors):
+        assert not np.array_equal(a, b)
+
+
+def test_steps_run_no_setting_check(monkeypatch):
+    t, _ = gen_problem("difficult9", 1)
+    made = {
+        name: (STEPPERS[name], STEPPERS[name].make_state(
+            initial_model(t.shape, 10, 1501), params, 0))
+        for name, params, _ in PUBLIC_STEPS
+    }
+
+    def forbidden(*args):
+        raise AssertionError("a setting was checked again")
+
+    for module in (flow, dtpnn):
+        for check in ("_positives", "_real", "_switch", "_choice", "_integer"):
+            if hasattr(module, check):
+                monkeypatch.setattr(module, check, forbidden)
+    for stepper, state in made.values():
+        for tol in (0.0, 1e-300):
+            assert drive(t, state, stepper, tol, 5)[1:] == ("max_steps", 5)
+
+
+def one_entry_model():
+    return KruskalModel([[[1.0]]] * 3)
+
+
+# every value a config-error test refuses, with the message the refusal names
+REFUSALS = [
+    (flow.FlowState, "gamma", 0, "gamma must be a number in (0, inf), got 0"),
+    (flow.FlowState, "gamma_decay", 0,
+     "gamma_decay must be a number in (0, inf), got 0"),
+    (flow.FlowState, "decay_every", 0, "decay_every must be an integer >= 1, got 0"),
+    (flow.FlowState, "gamma", math.inf, "gamma must be a number in (0, inf), got inf"),
+    (flow.FlowState, "gamma", math.nan, "gamma must be a number in (0, inf), got nan"),
+    (flow.FlowState, "gamma_decay", math.inf,
+     "gamma_decay must be a number in (0, inf), got inf"),
+    (flow.FlowState, "gamma_decay", math.nan,
+     "gamma_decay must be a number in (0, inf), got nan"),
+    (flow.FlowState, "decay_every", 1.5,
+     "decay_every must be an integer >= 1, got 1.5"),
+    (flow.FlowState, "decay_every", True,
+     "decay_every must be an integer >= 1, got True"),
+    (flow.FlowState, "step", math.inf, "step must be a number in (0, inf), got inf"),
+    (flow.FlowState, "step", 0.0, "step must be a number in (0, inf), got 0.0"),
+    (flow.FlowState, "precondition", "false",
+     "precondition must be true or false, got 'false'"),
+    (flow.FlowState, "ridge", -1.0, "ridge must be a number in [0, inf), got -1.0"),
+    (flow.FlowState, "ridge", math.nan, "ridge must be a number in [0, inf), got nan"),
+    (flow.FlowState, "ridge", math.inf, "ridge must be a number in [0, inf), got inf"),
+    (flow.FlowState, "ridge", "one", "ridge must be a number in [0, inf), got 'one'"),
+    (flow.FlowState, "time_constants", [1, 2],
+     "time_constants must be 3 reals > 0, one per factor, got [1, 2]"),
+    (flow.FlowState, "time_constants", [1.0, -1.0, 1.0],
+     "time_constants must be 3 reals > 0, one per factor, got [1.0, -1.0, 1.0]"),
+    (flow.FlowState, "integrator", "heun",
+     "integrator must be one of ('euler', 'rk4'), got 'heun'"),
+    (dtpnn.DtpnnState, "ridge", -1.0, "ridge must be a number in [0, inf), got -1.0"),
+    (dtpnn.DtpnnState, "ridge", math.nan,
+     "ridge must be a number in [0, inf), got nan"),
+    (dtpnn.DtpnnState, "ridge", math.inf,
+     "ridge must be a number in [0, inf), got inf"),
+    (dtpnn.DtpnnState, "ridge", "one",
+     "ridge must be a number in [0, inf), got 'one'"),
+    (dtpnn.DtpnnState, "precondition", "false",
+     "precondition must be true or false, got 'false'"),
+    (dtpnn.DtpnnState, "armijo", {"alpha": "x"},
+     "alpha must be a number in (0, 1), got 'x'"),
+    (dtpnn.DtpnnState, "armijo", {"alpha": 0.1, "bogus": 1},
+     "unknown armijo keys: ['bogus']"),
+    (dtpnn.DtpnnState, "armijo", {"beta": 1.5},
+     "beta must be a number in (0, 1), got 1.5"),
+    (dtpnn.DtpnnState, "armijo", "x", "armijo must be a mapping, got 'x'"),
+    (dtpnn.DtpnnState, "lambdas", [1.0],
+     "lambdas must be 3 reals > 0, one per factor, got [1.0]"),
+    (dtpnn.DtpnnState, "lambdas", [0.0, 1.0, 1.0],
+     "lambdas must be 3 reals > 0, one per factor, got [0.0, 1.0, 1.0]"),
+    (dtpnn.DtpnnState, "semi_implicit_form", "implicit",
+     "semi_implicit_form must be one of ('corrected', 'paper'), got 'implicit'"),
+]
+
+
+@pytest.mark.parametrize(
+    "state,key,value,message", REFUSALS,
+    ids=[f"{r[0].__name__}-{r[1]}-{n}" for n, r in enumerate(REFUSALS)],
+)
+def test_direct_state_construction_refuses_with_the_same_message(
+    state, key, value, message
+):
+    with pytest.raises(ValueError) as refused:
+        state(one_entry_model(), **{key: value})
+    assert str(refused.value) == message

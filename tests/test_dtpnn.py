@@ -84,7 +84,7 @@ def test_armijo_fixed_point_without_shrinkage():
     stepped = step_gauss_seidel_armijo(t, s)
     for a, b in zip(stepped.model.factors, model.factors):
         assert np.array_equal(a, b)
-    assert np.array_equal(stepped.lambdas, s.initial_lambdas)
+    assert np.array_equal(stepped.lambdas, s.settings.initial_lambdas)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -29,7 +29,7 @@ from neurocpd.tensor_ops import (
 
 def mode_rhs(t, s, mode):
     """The flow's right-hand side ``-Z + [Z - grad * P^{-1}]_+`` of one factor."""
-    return projection_bundle(t, s.model, s.precondition, s.ridge)[0][mode]
+    return projection_bundle(t, s.model, s.settings.precondition, s.settings.ridge)[0][mode]
 
 
 def scalar_state(x, value, **kw):

@@ -290,3 +290,24 @@ def test_ridged_gram_skips_equal_the_ones_and_identity_products_bitwise(
         assert np.array_equal(got, identity_product_ridged(systems, ridge))
         assert not np.shares_memory(got, systems)
     assert all(np.array_equal(g, k) for g, k in zip(grams, kept))  # inputs kept
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+    rank=st.integers(1, 12),
+    gamma=st.floats(1e-8, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_barrier_solve_equals_the_row_by_row_solve_bitwise(rows, rank, gamma, seed):
+    rng = np.random.default_rng(seed)
+    spread = [rng.normal(size=(rank + 2, rank)) for _ in rows]
+    bases = np.stack([m.T @ m + 1e-3 * np.eye(rank) for m in spread])
+    entries = [0.05 + rng.random((n, rank)) for n in rows]
+    grads = [rng.normal(size=(n, rank)) for n in rows]
+    got = model_mod._barrier_solve(grads, bases, entries, gamma, range(len(rows)))
+    for base, z, grad, block in zip(bases, entries, grads, got):
+        for i in range(len(z)):  # base + gamma * diag(1 / z_i^2), one row alone
+            system = base.copy()
+            system[np.diag_indices(rank)] += gamma / (z[i] ** 2)
+            assert np.array_equal(block[i], np.linalg.solve(system, grad[i]))

@@ -407,3 +407,17 @@ def test_zero_inner_tol_runs_every_kind_to_its_step_budget(kind, params):
                       inner_solver=kind, inner_params=params)
     _, trace = cno_run(t, 3, cfg)
     assert len(trace) == 2
+
+
+def test_a_barrier_particle_whose_gamma_underflows_is_reseeded():
+    # gamma 1e-3 scaled by 1e-200 every step reads 0.0 after the second
+    t, _ = gen_problem("easy5", 0)
+    cfg = SwarmConfig(
+        population=2, max_outer=2, inner_solver="barrier-flow", inner_max_steps=5,
+        inner_params={"gamma_decay": 1.0e-200, "decay_every": 1},
+    )
+    rows, failed = swarm._solve_particles(t, init_swarm(t, 3, cfg), cfg, 3)
+    assert failed.tolist() == [True, True]
+    model, trace = cno_run(t, 3, cfg)
+    assert len(trace) == 2
+    assert all(np.isfinite(f).all() for f in model.factors)

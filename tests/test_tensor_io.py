@@ -5,7 +5,6 @@ from neurocpd.tensor_io import (
     load_tensor,
     load_tensor_bin,
     load_tensor_txt,
-    read_metadata,
     save_tensor,
     save_tensor_bin,
     save_tensor_txt,
@@ -74,8 +73,7 @@ def test_binary_rejects_truncated_payload(tmp_path):
 def test_metadata_roundtrip(tmp_path):
     path = tmp_path / "t.txt.meta"
     write_metadata(path, {"kind": "caseI", "seed": 3, "rank": 10})
-    back = read_metadata(path)
-    assert back == {"kind": "caseI", "seed": "3", "rank": "10"}
+    assert path.read_text() == "kind = caseI\nseed = 3\nrank = 10\n"
 
 
 @pytest.mark.parametrize("keep", [8, 12, 20])
