@@ -24,8 +24,7 @@ class Stepper(NamedTuple):
 
 
 class State:
-    """A solver's ``settings``, checked once when it is made, and the iterate
-    that :meth:`moved` replaces with no check, dropping ``directions``."""
+    """A solver state; :meth:`moved` makes the next, unchecked and unmeasured."""
 
     def moved(self, **changes):
         new = object.__new__(type(self))

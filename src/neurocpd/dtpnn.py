@@ -66,11 +66,9 @@ DtpnnSettings = namedtuple("DtpnnSettings", "initial_lambdas armijo precondition
 
 
 class DtpnnState(State):
-    """One discrete-time solver trajectory: ``settings``, checked here once,
-    and the iterate. ``lambdas`` are the working step sizes, which the Armijo
-    stepper resets to ``initial_lambdas`` every sweep; ``kkt_residual`` is the
-    unpreconditioned KKT residual at the snapshot each step advanced from;
-    ``norm_sq`` the Armijo sweep's tensor and its ``||X||^2``."""
+    """A discrete-time trajectory: ``settings``, checked here once, and the
+    iterate. An Armijo sweep starts its step sizes ``lambdas`` from
+    ``initial_lambdas`` and keeps its tensor's ``||X||^2`` in ``norm_sq``."""
 
     def __init__(self, model, lambdas=None, armijo=ArmijoParams(), iteration=0,
                  objective_history=(), precondition=True, ridge=None,
@@ -153,10 +151,9 @@ def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 1e-10) -> Dtp
     settings = s.settings
     alpha, beta = settings.armijo.alpha, settings.armijo.beta
     model = s.model.copy()
-    norm_sq = s.norm_sq
-    if norm_sq is None or norm_sq[0] is not t:
-        norm_sq = (t, float(np.dot(t.ravel(), t.ravel())))
-    norm_x_sq = norm_sq[1]
+    if s.norm_sq is None or s.norm_sq[0] is not t:
+        s = s.moved(norm_sq=(t, float(np.dot(t.ravel(), t.ravel()))))
+    norm_x_sq = s.norm_sq[1]
     lambdas = settings.initial_lambdas.copy()
     kkt_parts = []
     f_current = None
@@ -187,7 +184,7 @@ def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 1e-10) -> Dtp
         )
         if best_decrease <= 64.0 * eps_mach * parts_scale:
             continue
-        if f_current is None:  # from the parts just taken
+        if f_current is None:
             f_current = objective_from_parts(norm_x_sq, fit, cross)
 
         def backtrack(direction, lam):
@@ -224,7 +221,7 @@ def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 1e-10) -> Dtp
     history = s.objective_history + [f_current]
     return s.moved(
         model=model, lambdas=lambdas, iteration=s.iteration + 1,
-        kkt_residual=max(kkt_parts), objective_history=history, norm_sq=norm_sq,
+        kkt_residual=max(kkt_parts), objective_history=history,
     )
 
 

@@ -47,7 +47,7 @@ class BoundaryStallError(NeurocpdError):
 
 
 class GammaScheduleError(NeurocpdError):
-    """The barrier weight ``gamma`` left (0, inf) on its decay schedule."""
+    """The barrier weight left (0, inf) on its decay schedule."""
 
 
 class ArmijoStallError(NeurocpdError):

@@ -41,20 +41,16 @@ Array = np.ndarray
 MAX_BOUNDARY_HALVINGS = 30
 
 
-#: A flow's settings, checked by :class:`FlowState`, with the Euler weights
-#: ``step / time_constants`` formed once.
+#: A flow's settings, checked by :class:`FlowState`, with the Euler
+#: weights ``step / time_constants``.
 FlowSettings = namedtuple("FlowSettings", "time_constants step weights "
                           "precondition ridge integrator gamma_decay decay_every")
 
 
 class FlowState(State):
-    """One projection-flow or barrier-flow trajectory: ``settings``, checked
-    here once, and the iterate ``model``, ``residual``, ``iterations``,
-    ``gamma``, ``directions`` (the rhs measured at ``model``) and ``interior``
-    (a barrier step found ``model`` strictly positive). ``step`` defaults to
-    half the smallest time constant, which keeps every Euler update a convex
-    combination. The barrier flow scales ``gamma`` by ``gamma_decay`` every
-    ``decay_every`` steps."""
+    """A flow trajectory: ``settings``, checked here once, and the iterate.
+    ``step`` defaults to half the smallest time constant, which keeps every
+    Euler update convex; ``interior`` marks a ``model`` a barrier step made."""
 
     def __init__(self, model, time_constants=None, step=None, residual=np.inf,
                  iterations=0, precondition=True, ridge=None, integrator="euler",
@@ -108,9 +104,7 @@ def solve_to_equilibrium(
     equilibrium takes zero steps. Returns the final state and the stop
     reason, ``"converged"`` or ``"max_steps"``.
     """
-    tol = _real("tol", tol, "(]")
-    s, reason, _ = drive(t, s, FLOW, tol, max_steps)
-    return s.moved(), reason  # without the measured directions
+    return drive(t, s, FLOW, _real("tol", tol, "(]"), max_steps)[:2]
 
 
 def solve_stack(
@@ -206,7 +200,7 @@ def barrier_rhs(
 
 
 def _barrier_rhs_here(t: Array, s: FlowState) -> list[Array]:
-    """:func:`barrier_rhs` at ``s.model``, unchecked if a barrier step made it."""
+    """:func:`barrier_rhs`, unchecked if a barrier step made ``s.model``."""
     if s.interior:
         return [-d for d in _barrier_gradients(t, s.model, s.gamma, s.settings.ridge)]
     return barrier_rhs(t, s.model, s.gamma, s.settings.ridge)
@@ -235,8 +229,7 @@ def barrier_flow_step(t: Array, s: FlowState) -> FlowState:
             if iterations % settings.decay_every == 0:
                 gamma *= settings.gamma_decay
                 if not 0.0 < gamma < np.inf:
-                    raise GammaScheduleError(f"gamma left (0, inf) on its schedule: "
-                                             f"{gamma!r} (iteration {iterations})")
+                    raise GammaScheduleError(f"gamma {gamma!r} at step {iterations}")
             return s.moved(model=model, residual=max_abs(rhs),
                            iterations=iterations, gamma=gamma, interior=True)
         h *= 0.5
@@ -268,9 +261,7 @@ def solve_barrier(
 ) -> tuple[FlowState, str]:
     """Barrier-flow driver from ``s.gamma``, on the state's own gamma
     schedule, counted in the state's steps."""
-    tol = _real("tol", tol, "(]")
-    s, reason, _ = drive(t, s, BARRIER, tol, max_steps)
-    return s.moved(), reason  # without the measured directions
+    return drive(t, s, BARRIER, _real("tol", tol, "(]"), max_steps)[:2]
 
 
 def _measured(s: FlowState, directions):

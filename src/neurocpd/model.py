@@ -106,9 +106,8 @@ def _check_shapes(t: Array, model: KruskalModel) -> None:
 
 
 def objective_from_parts(norm_x_sq: float, fit: float, cross: float) -> float:
-    """The objective in the expanded form ``0.5*||X||^2 + 0.5*fit - cross``,
-    from the :func:`_parts` of any one mode; solvers reuse the parts to make
-    backtracking evaluations cheap."""
+    """The objective ``0.5*||X||^2 + 0.5*fit - cross`` from the :func:`_parts`
+    of any one mode, which backtracking solvers reuse."""
     return 0.5 * norm_x_sq + 0.5 * fit - cross
 
 

@@ -251,12 +251,11 @@ def _solve_particles(
         model = KruskalModel.unflatten(position, shape, rank)
         states.append(stepper.make_state(model, params, cfg.seed))
     if cfg.inner_solver == "flow":
-        settings = states[0].settings
         factors, failed = flow_mod.solve_stack(
             t if operand is None else operand,
             [np.stack(fs) for fs in zip(*(s.model.factors for s in states))],
             np.array([s.settings.weights for s in states]),
-            settings.precondition, settings.ridge,
+            states[0].settings.precondition, states[0].settings.ridge,
             tol=cfg.inner_tol,
             max_steps=cfg.inner_max_steps,
             deadline=deadline,
@@ -320,16 +319,8 @@ def cno_run(
         sw.outer_iteration = k + 1
         best_model = KruskalModel.unflatten(sw.global_best, shape, rank)
         objective_value, rel_error = residual_fit(t, best_model)
-        trace.append(
-            OuterRecord(
-                iteration=k + 1,
-                objective=objective_value,
-                rel_error=rel_error,
-                diversity=sw.diversity,
-                mutated=mutated,
-                wall_s=time.perf_counter() - started,
-            )
-        )
+        trace.append(OuterRecord(k + 1, objective_value, rel_error, sw.diversity,
+                                 mutated, time.perf_counter() - started))
         if _stalled(trace, cfg.stop_tol):
             break
     return KruskalModel.unflatten(sw.global_best, shape, rank), trace

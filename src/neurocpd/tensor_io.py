@@ -107,7 +107,5 @@ def load_tensor(path) -> np.ndarray:
 
 
 def write_metadata(path, entries: dict) -> None:
-    with open(path, "w") as fh:
-        for key, value in entries.items():
-            fh.write(f"{key} = {value}\n")
+    Path(path).write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
 

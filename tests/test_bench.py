@@ -698,8 +698,7 @@ def test_a_gamma_schedule_that_underflows_ends_as_a_solver_failure(tmp_path, cap
     yaml.safe_dump(raw, cfg_path.open("w"))
     assert cli.main(["run", "--config", str(cfg_path)]) == 2  # every seed failed
     summary = (tmp_path / "out" / "barrier-flow_seed0.summary.txt").read_text()
-    assert ("termination = gamma_schedule: gamma left (0, inf) on its schedule: "
-            "0.0 (iteration 2)") in summary
+    assert "termination = gamma_schedule: gamma 0.0 at step 2" in summary
     trace = (tmp_path / "out" / "barrier-flow_seed0.csv").read_text().splitlines()
     assert [row.partition(",")[0] for row in trace] == ["iter", "1"]
     capsys.readouterr()
@@ -793,7 +792,7 @@ FAILURES = [
     (SingularPreconditionerError(1), "singular_preconditioner"),
     (BoundaryStallError(3, 30), "boundary_stall"),
     (ArmijoStallError(0, 60, 1e-2), "armijo_stall"),
-    (GammaScheduleError(0.0, 2), "gamma_schedule"),
+    (GammaScheduleError("gamma 0.0 at step 2"), "gamma_schedule"),
     (np.linalg.LinAlgError("singular barrier system at row 0"), "linalg_error"),
 ]
 
