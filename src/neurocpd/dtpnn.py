@@ -141,7 +141,9 @@ def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 1e-10) -> Dtp
 
     Blocks are updated in factor order; each block's step size starts from
     its initial value and is multiplied by beta until the sufficient-decrease
-    inequality holds for that block, so the objective never increases. A
+    inequality holds for that block, so the objective never increases. The
+    search follows the preconditioned projected direction if it descends,
+    and else, or if that search fails, the plain projected gradient. A
     block whose projected-gradient residual is already below ``tol`` (or
     below the float-precision floor once backtracking can make no further
     progress) is left in place; a genuinely stuck block raises
@@ -202,10 +204,11 @@ def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 1e-10) -> Dtp
         hit = None
         if settings.precondition:
             step_grad = precondition(grad, gram_skip, settings.ridge, mode)
-            hit = backtrack(projected_direction(factor, step_grad), lambdas[mode])
-        if hit is None:
-            # Plain projected gradient is always a descent direction; the
-            # preconditioned one can fail on mixed active sets.
+            direction = projected_direction(factor, step_grad)
+            # on mixed active sets the preconditioned direction can ascend
+            if float((grad * direction).sum()) < 0.0:
+                hit = backtrack(direction, lambdas[mode])
+        if hit is None:  # the plain projected gradient always descends
             hit = backtrack(d_plain, lambdas[mode])
         if hit is None:
             if best_decrease <= 1e6 * eps_mach * parts_scale:

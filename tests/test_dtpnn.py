@@ -25,7 +25,8 @@ from neurocpd.errors import (
     StepMapInconsistencyError,
 )
 from neurocpd.flow import FlowState, flow_step
-from neurocpd.model import gradients
+from neurocpd.model import gradients, precondition
+from neurocpd.swarm import initial_model
 from neurocpd.tensor_ops import KruskalModel, hadamard_gram, mttkrp, relative_error
 
 
@@ -150,6 +151,29 @@ def test_armijo_difficult9_error_drops_tenfold():
     start = relative_error(t, init)
     s, _ = solve(t, DtpnnState(init), variant="armijo", tol=1e-9, max_steps=2000)
     assert relative_error(t, s.model) <= start / 10.0
+
+
+def test_armijo_moves_a_block_only_downhill(monkeypatch):
+    # On difficult9 problem 1008 from init 1508 the preconditioned direction
+    # of block 1 ascends in sweep 50; backtracking along it accepted a null
+    # move once rounding hid the increase (1000 sweeps ended at 1.3e-2).
+    t, _ = gen_problem("difficult9", 1008)
+    blocks = []
+
+    def recorded(grad, gram, ridge=None, mode=0):
+        blocks.append((mode, grad))
+        return precondition(grad, gram, ridge, mode)
+
+    monkeypatch.setattr(dtpnn, "precondition", recorded)
+    s = DtpnnState(initial_model(t.shape, 10, 1508))
+    for sweep in range(1000):
+        blocks.clear()
+        before = s.model.factors
+        s = step_gauss_seidel_armijo(t, s)
+        for mode, grad in blocks:
+            moved = s.model.factors[mode] - before[mode]
+            assert float((grad * moved).sum()) <= 0.0, (sweep, mode)
+    assert relative_error(t, s.model) < 1e-3
 
 
 def test_semi_implicit_zero_gradient_lambda_one_unchanged():
