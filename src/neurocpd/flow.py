@@ -50,7 +50,7 @@ FlowSettings = namedtuple("FlowSettings", "time_constants step weights "
 class FlowState(State):
     """A flow trajectory: ``settings``, checked here once, and the iterate.
     ``step`` defaults to half the smallest time constant, which keeps every
-    Euler update convex; ``interior`` marks a ``model`` a barrier step made."""
+    Euler update convex; ``interior`` is the last ``model`` a barrier step made."""
 
     def __init__(self, model, time_constants=None, step=None, residual=np.inf,
                  iterations=0, precondition=True, ridge=None, integrator="euler",
@@ -66,7 +66,7 @@ class FlowState(State):
         )
         self.gamma = _real("gamma", gamma, "()")
         self.model, self.residual, self.iterations = model, residual, iterations
-        self.directions, self.interior = None, False
+        self.directions = self.interior = None
 
 
 def _directions(t: Array, s: FlowState) -> list[Array]:
@@ -200,8 +200,8 @@ def barrier_rhs(
 
 
 def _barrier_rhs_here(t: Array, s: FlowState) -> list[Array]:
-    """:func:`barrier_rhs`, unchecked if a barrier step made ``s.model``."""
-    if s.interior:
+    """:func:`barrier_rhs`, unchecked at a model a barrier step made."""
+    if s.interior is s.model:
         return [-d for d in _barrier_gradients(t, s.model, s.gamma, s.settings.ridge)]
     return barrier_rhs(t, s.model, s.gamma, s.settings.ridge)
 
@@ -231,7 +231,7 @@ def barrier_flow_step(t: Array, s: FlowState) -> FlowState:
                 if not 0.0 < gamma < np.inf:
                     raise GammaScheduleError(f"gamma {gamma!r} at step {iterations}")
             return s.moved(model=model, residual=max_abs(rhs),
-                           iterations=iterations, gamma=gamma, interior=True)
+                           iterations=iterations, gamma=gamma, interior=model)
         h *= 0.5
     raise BoundaryStallError(iterations, MAX_BOUNDARY_HALVINGS)
 

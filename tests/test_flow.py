@@ -3,7 +3,7 @@ import pytest
 
 from neurocpd import flow
 from neurocpd.datagen import gen_problem
-from neurocpd.errors import DivergenceError
+from neurocpd.errors import BarrierDomainError, DivergenceError
 from neurocpd.flow import (
     FlowState,
     barrier_flow_step,
@@ -176,6 +176,16 @@ def test_barrier_symmetric_instance_preserves_symmetry():
     stepped = barrier_flow_step(t, s)
     for other in stepped.model.factors[1:]:
         assert np.allclose(stepped.model.factors[0], other, rtol=0, atol=1e-13)
+
+
+def test_barrier_step_checks_a_point_no_barrier_step_made():
+    # a projection step may leave zeros; the next barrier step must see them
+    t, s = interior_state(3, step=1.0, time_constants=[1.0] * 3, precondition=False)
+    s = barrier_flow_step(t, s)
+    s = flow_step(t, s)
+    assert min(f.min() for f in s.model.factors) == 0.0
+    with pytest.raises(BarrierDomainError):
+        barrier_flow_step(t, s)
 
 
 def test_barrier_halving_keeps_interior():
