@@ -97,21 +97,30 @@ def mur_sweep(t: Array, model: KruskalModel, eps: float = 1e-16) -> KruskalModel
 
 
 class SweepState(NamedTuple):
-    """A baseline's model, and the generator HALS re-seeds columns from."""
+    """A baseline's model, the generator HALS re-seeds columns from, and the
+    KKT residual its last step measured."""
 
     model: KruskalModel
     rng: np.random.Generator | None = None
+    residual: float = np.inf
+
+
+def _sweep_step(t, s: SweepState, tol: float, sweep, *args) -> SweepState:
+    """One ``sweep(t, model, *args)``; none if the KKT residual, measured only
+    for ``tol > 0``, is below ``tol``."""
+    residual = kkt_residual(t, s.model) if tol > 0 else np.inf
+    if residual < tol:
+        return s._replace(residual=residual)
+    return SweepState(sweep(t, s.model, *args), s.rng, residual)
 
 
 # One sweep per driver step, looked up at call time; HALS re-seeds columns
 # from the (seed, 7) stream. Both stop on the KKT residual.
 HALS = Stepper(
     lambda model, params, seed: SweepState(model, np.random.default_rng([seed, 7])),
-    lambda t, s: SweepState(hals_sweep(t, s.model, s.rng), s.rng),
-    lambda t, s: (kkt_residual(t, s.model), s),
+    lambda t, s, tol: _sweep_step(t, s, tol, hals_sweep, s.rng),
 )
 MUR = Stepper(
     lambda model, params, seed: SweepState(model),
-    lambda t, s: SweepState(mur_sweep(t, s.model)),
-    lambda t, s: (kkt_residual(t, s.model), s),
+    lambda t, s, tol: _sweep_step(t, s, tol, mur_sweep),
 )

@@ -14,21 +14,20 @@ from .errors import DivergenceError
 class Stepper(NamedTuple):
     """``make_state(model, params, seed)`` builds a state at a start model from
     a mapping with keys among ``params``, the settings the solver reads;
-    ``residual(t, state)`` returns the stopping residual at the point and the
-    state, carrying what ``step`` reuses."""
+    ``step(t, state, tol)`` measures the residual at the state's point and,
+    if it is below ``tol``, stays there with ``residual`` set, no step taken."""
 
     make_state: Callable
     step: Callable
-    residual: Callable
     params: frozenset = frozenset()
 
 
 class State:
-    """A solver state; :meth:`moved` makes the next, unchecked and unmeasured."""
+    """A solver state; :meth:`moved` makes the next with its settings unchecked."""
 
     def moved(self, **changes):
         new = object.__new__(type(self))
-        new.__dict__ = {**self.__dict__, "directions": None, **changes}
+        new.__dict__ = {**self.__dict__, **changes}
         return new
 
 
@@ -37,22 +36,20 @@ def drive(
 ):
     """Advance ``state`` until it converges, runs out of steps or of time.
 
-    With ``tol > 0`` the residual is measured at the current point before
-    each step and a value below ``tol`` stops the run there, so a converged
-    return is exactly the measured point and a start at an equilibrium takes
-    no step. ``deadline`` is an absolute :func:`time.perf_counter` time,
-    checked before each step; ``observer(steps, state)`` runs after each.
-    Returns the state, ``"converged"``, ``"max_steps"`` or ``"wall_clock"``,
-    and the number of steps taken.
+    Each step measures the point it leaves and stays there if its residual is
+    below ``tol``, so a converged run ends at the point its last step measured
+    and a start at an equilibrium takes no step. ``deadline`` is an absolute
+    :func:`time.perf_counter` time, checked before each step, so a run past
+    it stops unmeasured; ``observer(steps, state)`` runs after each step
+    taken. Returns the state, ``"converged"``, ``"max_steps"`` or
+    ``"wall_clock"``, and the number of steps taken.
     """
     for steps in range(budget):
-        if tol > 0:
-            value, state = stepper.residual(t, state)
-            if value < tol:
-                return state, "converged", steps
         if deadline is not None and time.perf_counter() > deadline:
             return state, "wall_clock", steps
-        state = stepper.step(t, state)
+        state = stepper.step(t, state, tol)
+        if state.residual < tol:
+            return state, "converged", steps
         if observer is not None:
             observer(steps + 1, state)
     return state, "max_steps", budget

@@ -26,7 +26,7 @@ import numpy as np
 
 from .driver import State, Stepper, check_finite, drive
 from .errors import ArmijoStallError, StepMapInconsistencyError
-from .flow import euler_update
+from .flow import _limits, euler_update
 from .model import (
     _choice,
     _parts,
@@ -70,10 +70,8 @@ class DtpnnState(State):
     iterate. An Armijo sweep starts its step sizes ``lambdas`` from
     ``initial_lambdas`` and keeps its tensor's ``||X||^2`` in ``norm_sq``."""
 
-    def __init__(self, model, lambdas=None, armijo=ArmijoParams(), iteration=0,
-                 objective_history=(), precondition=True, ridge=None,
-                 semi_implicit_form="corrected", kkt_residual=np.inf,
-                 initial_lambdas=None):
+    def __init__(self, model, lambdas=None, armijo=ArmijoParams(), precondition=True,
+                 ridge=None, semi_implicit_form="corrected"):
         self.lambdas = _positives("lambdas", lambdas, model.order)
         if isinstance(armijo, dict):  # as a YAML config gives it
             if unknown := set(armijo) - {"alpha", "beta"}:
@@ -82,21 +80,18 @@ class DtpnnState(State):
         elif not isinstance(armijo, ArmijoParams):
             raise ValueError(f"armijo must be a mapping, got {armijo!r}")
         self.settings = DtpnnSettings(
-            self.lambdas.copy() if initial_lambdas is None else initial_lambdas,
+            self.lambdas.copy(),
             armijo,
             _switch("precondition", precondition),
             None if ridge is None else _real("ridge", ridge),
             _choice("semi_implicit_form", semi_implicit_form, ("corrected", "paper")),
         )
-        self.model, self.iteration, self.kkt_residual = model, iteration, kkt_residual
-        self.objective_history = list(objective_history)
-        self.directions = self.norm_sq = None
+        self.model, self.iteration, self.residual = model, 0, np.inf
+        self.objective_history, self.norm_sq = [], None
 
 
 def _measured(t: Array, s: DtpnnState):
     """Projection directions and KKT residual at the state's point."""
-    if s.directions is not None:
-        return s.directions, s.kkt_residual
     directions, grads = projection_bundle(
         t, s.model, s.settings.precondition, s.settings.ridge
     )
@@ -105,29 +100,35 @@ def _measured(t: Array, s: DtpnnState):
 
 
 def _moved(s: DtpnnState, model: KruskalModel, kkt: float) -> DtpnnState:
-    return s.moved(model=model, iteration=s.iteration + 1, kkt_residual=kkt)
+    return s.moved(model=model, iteration=s.iteration + 1, residual=kkt)
 
 
-def step_explicit(t: Array, s: DtpnnState) -> DtpnnState:
-    """Fully explicit step: every factor moves from the same snapshot.
+def step_explicit(t: Array, s: DtpnnState, tol: float = 0.0) -> DtpnnState:
+    """Fully explicit step: every factor moves from the same snapshot; none
+    if the KKT ``residual`` at the point is below ``tol``.
 
     With ``0 < lambda <= 1`` each update is a convex combination of the
     current (nonnegative) factor and a projected point, so nonnegativity is
     preserved. It is the flow's Euler update with weights ``lambda``.
     """
     directions, kkt = _measured(t, s)
+    if kkt < tol:
+        return s.moved(residual=kkt)
     return _moved(
         s, euler_update(s.model.factors, s.lambdas, directions, s.iteration + 1), kkt
     )
 
 
-def step_semi_implicit(t: Array, s: DtpnnState) -> DtpnnState:
-    """Semi-implicit step ``(Z + lam*[Z - G]_+)/(1 + lam)`` (corrected form).
+def step_semi_implicit(t: Array, s: DtpnnState, tol: float = 0.0) -> DtpnnState:
+    """Semi-implicit step ``(Z + lam*[Z - G]_+)/(1 + lam)`` (corrected form);
+    none if the KKT ``residual`` at the point is below ``tol``.
 
     ``semi_implicit_form="paper"`` selects ``(Z + [Z - G]_+)/(1 + lam)``
     instead. Both keep the factors entrywise nonnegative for any lam > 0.
     """
     directions, kkt = _measured(t, s)
+    if kkt < tol:
+        return s.moved(residual=kkt)
     paper = s.settings.semi_implicit_form == "paper"
     new_factors = [
         (f + (1.0 if paper else lam) * (f + d)) / (1.0 + lam)  # f + d = [Z - G]_+
@@ -136,18 +137,18 @@ def step_semi_implicit(t: Array, s: DtpnnState) -> DtpnnState:
     return _moved(s, KruskalModel(check_finite(new_factors, s.iteration + 1)), kkt)
 
 
-def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 1e-10) -> DtpnnState:
+def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 0.0) -> DtpnnState:
     """One Gauss-Seidel sweep with per-block Armijo backtracking.
 
     Blocks are updated in factor order; each block's step size starts from
     its initial value and is multiplied by beta until the sufficient-decrease
     inequality holds for that block, so the objective never increases. The
     search follows the preconditioned projected direction if it descends,
-    and else, or if that search fails, the plain projected gradient. A
-    block whose projected-gradient residual is already below ``tol`` (or
-    below the float-precision floor once backtracking can make no further
-    progress) is left in place; a genuinely stuck block raises
-    :class:`ArmijoStallError`.
+    and else, or if that search fails, the plain projected gradient. A block
+    whose projected-gradient residual is below ``max(tol, 1e-10)`` (or at
+    the float-precision floor) is left in place, so a sweep whose largest
+    block ``residual`` is below ``tol`` is no step; a genuinely stuck block
+    raises :class:`ArmijoStallError`.
     """
     t = np.asarray(t)
     settings = s.settings
@@ -157,6 +158,7 @@ def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 1e-10) -> Dtp
         s = s.moved(norm_sq=(t, float(np.dot(t.ravel(), t.ravel()))))
     norm_x_sq = s.norm_sq[1]
     lambdas = settings.initial_lambdas.copy()
+    floor = max(tol, 1e-10)
     kkt_parts = []
     f_current = None
     eps_mach = float(np.finfo(float).eps)
@@ -170,7 +172,7 @@ def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 1e-10) -> Dtp
         d_plain = projected_direction(factor, grad)
         residual = float(np.abs(d_plain).max())
         kkt_parts.append(residual)
-        if residual < tol:
+        if residual < floor:
             continue  # block already at its KKT point
         # The block objective is quadratic along any direction, so the best
         # decrease the plain direction can offer is (g.d)^2 / (2 d'Hd). Once
@@ -216,6 +218,8 @@ def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 1e-10) -> Dtp
             raise ArmijoStallError(mode, MAX_SHRINKAGES, residual)
         model.factors[mode], lambdas[mode], f_current = hit
         grams[mode] = model.factors[mode].T @ model.factors[mode]
+    if max(kkt_parts) < tol:
+        return s.moved(residual=max(kkt_parts))
     if f_current is None:
         f_current = (
             s.objective_history[-1] if s.objective_history else objective(t, model)
@@ -224,35 +228,26 @@ def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 1e-10) -> Dtp
     history = s.objective_history + [f_current]
     return s.moved(
         model=model, lambdas=lambdas, iteration=s.iteration + 1,
-        kkt_residual=max(kkt_parts), objective_history=history,
+        residual=max(kkt_parts), objective_history=history,
     )
 
 
-def _residual(t: Array, s: DtpnnState):
-    directions, kkt = _measured(t, s)
-    return kkt, s.moved(kkt_residual=kkt, directions=directions)
-
-
-def _stepper(step, *settings, residual=_residual) -> Stepper:
+def _stepper(step, *settings) -> Stepper:
     return Stepper(
         lambda model, params, seed: DtpnnState(model, **params),
         step,
-        residual,
         frozenset({"lambdas", "precondition", "ridge", *settings}),
     )
 
 
-# Steps are looked up at call time, so rebinding one reaches the driver. A
-# Gauss-Seidel sweep measures its blocks as it goes: its residual is the one
-# its last sweep recorded (infinite before the first).
+# Steps are looked up at call time, so rebinding one reaches the driver.
 STEPPERS = {
-    "explicit": _stepper(lambda t, s: step_explicit(t, s)),
+    "explicit": _stepper(lambda t, s, tol: step_explicit(t, s, tol)),
     "semi_implicit": _stepper(
-        lambda t, s: step_semi_implicit(t, s), "semi_implicit_form"
+        lambda t, s, tol: step_semi_implicit(t, s, tol), "semi_implicit_form"
     ),
     "armijo": _stepper(
-        lambda t, s: step_gauss_seidel_armijo(t, s), "armijo",
-        residual=lambda t, s: (s.kkt_residual, s),
+        lambda t, s, tol: step_gauss_seidel_armijo(t, s, tol), "armijo"
     ),
 }
 
@@ -266,18 +261,15 @@ def solve(
 ) -> tuple[DtpnnState, str]:
     """Iterate the chosen stepper until the KKT residual drops below ``tol``.
 
-    The residual is evaluated from the true (unpreconditioned) gradients at
-    the current point before each step, so a converged return is exactly the
-    point at which the residual was measured; an Armijo sweep that records
-    one below ``tol`` skipped every block. Returns the final state and
-    ``"converged"`` or ``"max_steps"``.
+    Each step measures the residual from the true (unpreconditioned)
+    gradients at its point before it moves, so a converged return is exactly
+    the point at which the residual was measured; for ``armijo`` that is a
+    sweep that left every block in place. ``tol`` and ``max_steps`` are
+    checked as :func:`~neurocpd.flow.solve_to_equilibrium` checks them.
+    Returns the final state and ``"converged"`` or ``"max_steps"``.
     """
     stepper = STEPPERS[_choice("variant", variant, tuple(STEPPERS))]
-    if variant == "armijo":
-        stepper = stepper._replace(
-            step=lambda t, s: step_gauss_seidel_armijo(t, s, tol=tol)
-        )
-    return drive(t, s, stepper, tol, max_steps)[:2]
+    return drive(t, s, stepper, *_limits(tol, max_steps))[:2]
 
 
 @dataclass(frozen=True)

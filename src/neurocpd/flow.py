@@ -52,9 +52,9 @@ class FlowState(State):
     ``step`` defaults to half the smallest time constant, which keeps every
     Euler update convex; ``interior`` is the last ``model`` a barrier step made."""
 
-    def __init__(self, model, time_constants=None, step=None, residual=np.inf,
-                 iterations=0, precondition=True, ridge=None, integrator="euler",
-                 gamma=1e-3, gamma_decay=1.0, decay_every=100):
+    def __init__(self, model, time_constants=None, step=None, precondition=True,
+                 ridge=None, integrator="euler", gamma=1e-3, gamma_decay=1.0,
+                 decay_every=100):
         eps = _positives("time_constants", time_constants, model.order)
         step = _real("step", 0.5 * float(eps.min()) if step is None else step, "()")
         self.settings = FlowSettings(
@@ -65,15 +65,8 @@ class FlowState(State):
             _integer("decay_every", decay_every, 1),
         )
         self.gamma = _real("gamma", gamma, "()")
-        self.model, self.residual, self.iterations = model, residual, iterations
-        self.directions = self.interior = None
-
-
-def _directions(t: Array, s: FlowState) -> list[Array]:
-    """Projection directions for all factors from one snapshot."""
-    settings = s.settings
-    return s.directions or projection_bundle(
-        t, s.model, settings.precondition, settings.ridge)[0]
+        self.model, self.interior = model, None
+        self.residual, self.iterations = np.inf, 0
 
 
 def euler_update(factors, weights, directions, iteration: int) -> KruskalModel:
@@ -83,15 +76,16 @@ def euler_update(factors, weights, directions, iteration: int) -> KruskalModel:
     return KruskalModel(check_finite(new, iteration))
 
 
-def flow_step(t: Array, s: FlowState) -> FlowState:
-    """One explicit Euler step, all factors advanced from the same snapshot."""
-    directions = _directions(t, s)
-    model = euler_update(
-        s.model.factors, s.settings.weights, directions, s.iterations + 1
-    )
-    return s.moved(
-        model=model, residual=max_abs(directions), iterations=s.iterations + 1
-    )
+def flow_step(t: Array, s: FlowState, tol: float = 0.0) -> FlowState:
+    """One explicit Euler step, all factors advanced from the same snapshot;
+    none if the rhs max-norm ``residual`` at the point is below ``tol``."""
+    settings, steps = s.settings, s.iterations + 1
+    directions = projection_bundle(t, s.model, settings.precondition, settings.ridge)[0]
+    residual = max_abs(directions)
+    if residual < tol:
+        return s.moved(residual=residual)
+    model = euler_update(s.model.factors, settings.weights, directions, steps)
+    return s.moved(model=model, residual=residual, iterations=steps)
 
 
 def solve_to_equilibrium(
@@ -99,12 +93,18 @@ def solve_to_equilibrium(
 ) -> tuple[FlowState, str]:
     """Integrate until the max-norm of every factor rhs drops below ``tol``.
 
-    The residual is checked before stepping, so a converged return is exactly
-    the point at which every rhs max-norm is below ``tol``; starting at an
-    equilibrium takes zero steps. Returns the final state and the stop
-    reason, ``"converged"`` or ``"max_steps"``.
+    Each step measures its point before it moves, so a converged return is
+    exactly the point at which every rhs max-norm is below ``tol``; starting
+    at an equilibrium takes zero steps. Returns the final state and the stop
+    reason, ``"converged"`` or ``"max_steps"``; a ``tol`` outside (0, inf] or
+    a ``max_steps`` that is not an integer >= 0 is a ValueError.
     """
-    return drive(t, s, FLOW, _real("tol", tol, "(]"), max_steps)[:2]
+    return drive(t, s, FLOW, *_limits(tol, max_steps))[:2]
+
+
+def _limits(tol, max_steps):
+    """A library solve's ``tol`` and ``max_steps``, checked."""
+    return _real("tol", tol, "(]"), _integer("max_steps", max_steps, 0)
 
 
 def solve_stack(
@@ -199,22 +199,22 @@ def barrier_rhs(
     return [-d for d in preconditioned_barrier_gradients(t, model, gamma, ridge)]
 
 
-def _barrier_rhs_here(t: Array, s: FlowState) -> list[Array]:
-    """:func:`barrier_rhs`, unchecked at a model a barrier step made."""
-    if s.interior is s.model:
-        return [-d for d in _barrier_gradients(t, s.model, s.gamma, s.settings.ridge)]
-    return barrier_rhs(t, s.model, s.gamma, s.settings.ridge)
-
-
-def barrier_flow_step(t: Array, s: FlowState) -> FlowState:
+def barrier_flow_step(t: Array, s: FlowState, tol: float = 0.0) -> FlowState:
     """One step of the barrier flow at ``s.gamma``, halving ``h`` to stay
     strictly interior; every ``decay_every``-th step scales ``gamma`` by
-    ``gamma_decay``. Reuses ``s.directions`` when a residual measurement left
-    them. Raises :class:`BoundaryStallError` after 30 failed halvings and
-    :class:`GammaScheduleError` if the scaled ``gamma`` leaves (0, inf).
+    ``gamma_decay``. None if the rhs max-norm ``residual`` at the point is
+    below ``tol``. Raises :class:`BoundaryStallError` after 30 failed
+    halvings and :class:`GammaScheduleError` if the scaled ``gamma`` leaves
+    (0, inf).
     """
     settings = s.settings
-    rhs = s.directions or _barrier_rhs_here(t, s)
+    if s.interior is s.model:  # a barrier step made it: skip the interior check
+        rhs = [-d for d in _barrier_gradients(t, s.model, s.gamma, settings.ridge)]
+    else:
+        rhs = barrier_rhs(t, s.model, s.gamma, settings.ridge)
+    residual = max_abs(rhs)
+    if residual < tol:
+        return s.moved(residual=residual)
     iterations = s.iterations + 1
     h = settings.step
     for _ in range(MAX_BOUNDARY_HALVINGS + 1):
@@ -230,7 +230,7 @@ def barrier_flow_step(t: Array, s: FlowState) -> FlowState:
                 gamma *= settings.gamma_decay
                 if not 0.0 < gamma < np.inf:
                     raise GammaScheduleError(f"gamma {gamma!r} at step {iterations}")
-            return s.moved(model=model, residual=max_abs(rhs),
+            return s.moved(model=model, residual=residual,
                            iterations=iterations, gamma=gamma, interior=model)
         h *= 0.5
     raise BoundaryStallError(iterations, MAX_BOUNDARY_HALVINGS)
@@ -259,14 +259,9 @@ def _barrier_advance(t: Array, s: FlowState, h: float, k1):
 def solve_barrier(
     t: Array, s: FlowState, tol: float = 1e-6, max_steps: int = 10000
 ) -> tuple[FlowState, str]:
-    """Barrier-flow driver from ``s.gamma``, on the state's own gamma
-    schedule, counted in the state's steps."""
-    return drive(t, s, BARRIER, _real("tol", tol, "(]"), max_steps)[:2]
-
-
-def _measured(s: FlowState, directions):
-    value = max_abs(directions)
-    return value, s.moved(residual=value, directions=directions)
+    """:func:`solve_to_equilibrium` of the barrier flow from ``s.gamma``, on
+    the state's own gamma schedule, counted in the state's steps."""
+    return drive(t, s, BARRIER, *_limits(tol, max_steps))[:2]
 
 
 # Steps are looked up at call time, so rebinding ``flow_step`` or
@@ -274,16 +269,14 @@ def _measured(s: FlowState, directions):
 # read. The barrier flow lifts its start to entries of at least 1e-3.
 FLOW = Stepper(
     lambda model, params, seed: FlowState(model, **params),
-    lambda t, s: flow_step(t, s),
-    lambda t, s: _measured(s, _directions(t, s)),
+    lambda t, s, tol: flow_step(t, s, tol),
     frozenset({"time_constants", "step", "precondition", "ridge"}),
 )
 BARRIER = Stepper(
     lambda model, params, seed: FlowState(
         KruskalModel([np.maximum(f, 1e-3) for f in model.factors]), **params
     ),
-    lambda t, s: barrier_flow_step(t, s),
-    lambda t, s: _measured(s, _barrier_rhs_here(t, s)),
+    lambda t, s, tol: barrier_flow_step(t, s, tol),
     frozenset({"time_constants", "step", "ridge", "integrator", "gamma",
                "gamma_decay", "decay_every"}),
 )

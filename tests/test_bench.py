@@ -225,7 +225,7 @@ def test_singular_preconditioner_fails_one_seed_and_keeps_the_next(tmp_path):
 
 
 def test_linalg_error_is_a_failed_seed_not_a_config_error(tmp_path, monkeypatch):
-    def broken(t, state):
+    def broken(t, state, tol=0.0):
         raise np.linalg.LinAlgError("singular barrier system at row 0")
 
     monkeypatch.setattr(flow, "flow_step", broken)
@@ -408,11 +408,21 @@ def test_each_solver_takes_exactly_the_settings_it_reads():
     assert sum(len(keys) for keys in SETTINGS.values()) == 22
 
 
+# iterate fields, which the states make fresh and a config may not set
+FORMER_ITERATE_KEYWORDS = {
+    "flow": {"residual", "iterations"},
+    "dtpnn": {"iteration", "objective_history", "kkt_residual", "initial_lambdas",
+              "residual"},
+}
+
+
 def _state_fields(kind):
     if kind in ("hals", "mur"):
         return set(SweepState._fields) - {"model"}
-    state = flow.FlowState if kind in ("flow", "barrier-flow") else dtpnn.DtpnnState
-    return set(inspect.signature(state).parameters) - {"model"}
+    family = "flow" if kind in ("flow", "barrier-flow") else "dtpnn"
+    state = flow.FlowState if family == "flow" else dtpnn.DtpnnState
+    fields = set(inspect.signature(state).parameters) - {"model"}
+    return fields | FORMER_ITERATE_KEYWORDS[family]
 
 
 NOT_SETTINGS = [
@@ -763,10 +773,15 @@ def _library_solve(algorithm, t, init, tol, budget):
     if algorithm == "barrier-flow":
         interior = KruskalModel([0.1 + 0.9 * f for f in init.factors])
         return flow.solve_barrier(t, flow.FlowState(interior), tol, budget)
-    return dtpnn.solve(t, dtpnn.DtpnnState(init), "explicit", tol, budget)
+    variant = {"dtpnn-explicit": "explicit", "dtpnn-armijo": "armijo",
+               "dtpnn-semiimplicit": "semi_implicit"}[algorithm]
+    return dtpnn.solve(t, dtpnn.DtpnnState(init), variant, tol, budget)
 
 
-@pytest.mark.parametrize("algorithm", ["flow", "barrier-flow", "dtpnn-explicit"])
+@pytest.mark.parametrize(
+    "algorithm",
+    ["flow", "barrier-flow", "dtpnn-explicit", "dtpnn-armijo", "dtpnn-semiimplicit"],
+)
 def test_early_stop_matches_the_library_solve(tmp_path, algorithm):
     # the run stops at the measured point, as the library solve does: no
     # step is taken past the iterate whose residual is below tol

@@ -7,7 +7,7 @@ import pytest
 from neurocpd import baselines, dtpnn, flow
 from neurocpd.datagen import gen_problem
 from neurocpd.driver import drive
-from neurocpd.model import projection_bundle
+from neurocpd.model import kkt_residual, projection_bundle
 from neurocpd.solvers import STEPPERS
 from neurocpd.swarm import initial_model
 from neurocpd.tensor_ops import KruskalModel
@@ -17,11 +17,8 @@ def exact_scalar():
     return np.full((1, 1, 1), 1.0), KruskalModel([[[1.0]], [[1.0]], [[1.0]]])
 
 
-# the barrier flow's equilibrium is not the exact fit, and an Armijo sweep
-# measures its residual while it moves
-@pytest.mark.parametrize(
-    "name", sorted(set(STEPPERS) - {"barrier-flow", "dtpnn-armijo"})
-)
+# the barrier flow's equilibrium is not the exact fit
+@pytest.mark.parametrize("name", sorted(set(STEPPERS) - {"barrier-flow"}))
 def test_start_at_exact_fit_takes_no_step(name):
     t, model = exact_scalar()
     stepper = STEPPERS[name]
@@ -42,6 +39,41 @@ def test_observer_sees_every_step_and_budget_bounds_them(name):
         t, state, stepper, budget=4, observer=lambda k, s: seen.append(k)
     )
     assert (reason, steps, seen) == ("max_steps", 4, [1, 2, 3, 4])
+
+
+def _iterate(state):
+    """What a step may change besides the model: its count, schedule and
+    Armijo working state."""
+    keys = ("iterations", "iteration", "gamma", "lambdas", "objective_history")
+    return [np.asarray(getattr(state, key)).tolist() for key in keys
+            if hasattr(state, key)]
+
+
+@pytest.mark.parametrize("name", sorted(STEPPERS))
+def test_a_step_below_tol_stays_at_the_point_it_measured(name):
+    t, _ = gen_problem("easy5", 0)
+    stepper = STEPPERS[name]
+    state = stepper.make_state(initial_model(t.shape, 3, 0), {}, 0)
+    state = stepper.step(t, stepper.step(t, state, 0.0), 0.0)  # an iterate to keep
+    point = stepper.step(t, state, np.inf).residual
+    stayed = stepper.step(t, state, np.nextafter(point, np.inf))
+    for a, b in zip(stayed.model.factors, state.model.factors):
+        assert np.array_equal(a, b)
+    assert _iterate(stayed) == _iterate(state) and stayed.residual == point
+    moved = stepper.step(t, state, point)  # not below tol: it moves
+    assert _iterate(moved) != _iterate(state) or name in ("hals", "mur")
+    assert moved.residual == point or name == "dtpnn-armijo"
+    assert not all(
+        np.array_equal(a, b) for a, b in zip(moved.model.factors, state.model.factors)
+    )
+    zero = stepper.step(t, state, 0.0)
+    if name in ("hals", "mur"):  # tol 0 measures nothing
+        assert zero.residual == np.inf and point == kkt_residual(t, state.model)
+    elif name == "dtpnn-armijo":
+        # a moving sweep measures each block after the ones before it moved
+        assert point == pytest.approx(kkt_residual(t, state.model), rel=1e-9)
+    else:
+        assert zero.residual == point
 
 
 def test_past_deadline_takes_no_step():
@@ -114,7 +146,7 @@ PUBLIC_STEPS = [
     ids=["flow", "barrier-euler", "barrier-rk4", "explicit", "semi", "armijo"],
 )
 def test_drive_equals_50_calls_of_the_public_step_bitwise(name, params, step, tol):
-    # tol > 0 makes the driver measure each point and hand the step its rhs
+    # a tol above 0 reaches each step but stops none here
     t, _ = gen_problem("difficult9", 1)
     stepper = STEPPERS[name]
     start = stepper.make_state(initial_model(t.shape, 10, 1501), params, 0)
@@ -125,10 +157,31 @@ def test_drive_equals_50_calls_of_the_public_step_bitwise(name, params, step, to
     assert (reason, steps) == ("max_steps", 50)
     for a, b in zip(driven.model.factors, stepped.model.factors):
         assert np.array_equal(a, b)
-    for key in ("iterations", "iteration", "gamma", "residual", "kkt_residual"):
+    for key in ("iterations", "iteration", "gamma", "residual"):
         assert getattr(driven, key, None) == getattr(stepped, key, None)
     for a, b in zip(start.model.factors, stepped.model.factors):
         assert not np.array_equal(a, b)
+
+
+LIBRARY_SOLVES = {
+    "flow": lambda t, m, tol, n: flow.solve_to_equilibrium(
+        t, flow.FlowState(m), tol, n),
+    "barrier": lambda t, m, tol, n: flow.solve_barrier(t, flow.FlowState(m), tol, n),
+    "dtpnn": lambda t, m, tol, n: dtpnn.solve(t, dtpnn.DtpnnState(m), "armijo", tol, n),
+}
+
+
+@pytest.mark.parametrize("solve", sorted(LIBRARY_SOLVES))
+@pytest.mark.parametrize(
+    "tol,max_steps,key",
+    [(math.nan, 5, "tol"), (-1.0, 5, "tol"), (0.0, 5, "tol"), ("tight", 5, "tol"),
+     (None, 5, "tol"), (1e-3, 2.5, "max_steps"), (1e-3, -3, "max_steps"),
+     (1e-3, True, "max_steps"), (1e-3, "5", "max_steps")],
+)
+def test_library_solves_refuse_a_bad_tol_or_max_steps(solve, tol, max_steps, key):
+    t, model = exact_scalar()
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        LIBRARY_SOLVES[solve](t, model, tol, max_steps)
 
 
 def test_steps_run_no_setting_check(monkeypatch):

@@ -141,7 +141,7 @@ def test_armijo_sweep_equals_per_block_reference_bitwise(
         for a, b in zip(s.model.factors, expected.model.factors):
             assert np.array_equal(a, b)
         assert np.array_equal(s.lambdas, expected.lambdas)
-        assert s.kkt_residual == expected.kkt_residual
+        assert s.residual == expected.residual
         assert s.objective_history == expected.objective_history
 
 
@@ -192,7 +192,7 @@ def test_semi_implicit_residual_decays_along_run():
     residuals = []
     for _ in range(400):
         s = step_semi_implicit(t, s)
-        residuals.append(s.kkt_residual)
+        residuals.append(s.residual)
         assert all(f.min() >= 0.0 for f in s.model.factors)
     assert residuals[-1] < 1e-3 * residuals[0]
 
