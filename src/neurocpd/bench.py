@@ -129,33 +129,26 @@ class RunConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         raw = dict(raw)
-        problem = raw.pop("problem", {})
-        budget = raw.pop("budget", {})
-        seeds = raw.pop("seeds", [0])
-        params = raw.pop("params", {}) or {}
-        for key, value in dict(problem=problem, budget=budget, params=params).items():
+        problem, budget = raw.pop("problem", {}), raw.pop("budget", {})
+        if "params" in raw:
+            raw["params"] = raw["params"] or {}
+        for key, value in dict(problem=problem, budget=budget,
+                               params=raw.get("params", {})).items():
             if not isinstance(value, dict):
                 raise ConfigError(f"{key} must be a mapping, got {value!r}")
-        if not isinstance(seeds, (list, tuple)):
+        if not isinstance(seeds := raw.get("seeds", []), (list, tuple)):
             raise ConfigError(f"seeds must be a list, got {seeds!r}")
         problem, budget = dict(problem), dict(budget)
-        known = dict(
-            algorithm=raw.pop("algorithm", None),
-            rank=raw.pop("rank", None),
-            problem_kind=problem.pop("kind", None),
-            problem_seed=problem.pop("seed", 0),
-            problem_path=problem.pop("path", None),
-            noise_snr_db=raw.pop("noise_snr_db", None),
-            params=params,
-            iterations=budget.pop("iterations", 1000),
-            wall_clock_s=budget.pop("wall_clock_s", None),
-            tol=raw.pop("tol", 0.0),
-            seeds=list(seeds),
-            output_dir=raw.pop("output_dir", "out"),
-            record_every=raw.pop("record_every", 1),
-            deterministic_timing=raw.pop("deterministic_timing", False),
-            label=raw.pop("label", None),
-        )
+        # only the keys given; a missing algorithm or rank fails its own check
+        known = dict(algorithm=None, rank=None)
+        known.update({key: raw.pop(key) for key in (
+            "algorithm", "rank", "noise_snr_db", "params", "tol", "seeds",
+            "output_dir", "record_every", "deterministic_timing", "label",
+        ) if key in raw})
+        known.update({f"problem_{key}": problem.pop(key)
+                      for key in ("kind", "seed", "path") if key in problem})
+        known.update({key: budget.pop(key)
+                      for key in ("iterations", "wall_clock_s") if key in budget})
         for key, rest in dict(config=raw, problem=problem, budget=budget).items():
             if rest:
                 raise ConfigError(f"unknown {key} keys: {sorted(rest)}")
@@ -252,7 +245,7 @@ def _run_stepwise(t, cfg: RunConfig, seed: int, rec: _Recorder):
     deadline = None if cfg.wall_clock_s is None else rec.started + cfg.wall_clock_s
     state = stepper.make_state(init, dict(cfg.params), seed)
     state, reason, steps = drive(
-        t, state, stepper, cfg.tol, cfg.iterations, deadline, rec.observe
+        t, state, stepper.step, cfg.tol, cfg.iterations, deadline, rec.observe
     )
     if not rec.rows or rec.rows[-1].iteration != steps:
         rec.record_model(steps, state.model)

@@ -1,5 +1,6 @@
-"""One driver loop for every single-trajectory solver, each given as a
-:class:`Stepper` (see :data:`neurocpd.solvers.STEPPERS` for them by name)."""
+"""One driver loop that advances every trajectory: each single-trajectory
+solver's :class:`Stepper` step (see :data:`neurocpd.solvers.STEPPERS` for them
+by name) and the swarm's flow stack (:func:`neurocpd.flow.stack_step`)."""
 
 from __future__ import annotations
 
@@ -32,9 +33,10 @@ class State:
 
 
 def drive(
-    t, state, stepper: Stepper, tol=0.0, budget=10000, deadline=None, observer=None
+    t, state, step: Callable, tol=0.0, budget=10000, deadline=None, observer=None
 ):
-    """Advance ``state`` until it converges, runs out of steps or of time.
+    """Advance ``state`` by ``step(t, state, tol)`` until it converges, runs
+    out of steps or of time.
 
     Each step measures the point it leaves and stays there if its residual is
     below ``tol``, so a converged run ends at the point its last step measured
@@ -47,7 +49,7 @@ def drive(
     for steps in range(budget):
         if deadline is not None and time.perf_counter() > deadline:
             return state, "wall_clock", steps
-        state = stepper.step(t, state, tol)
+        state = step(t, state, tol)
         if state.residual < tol:
             return state, "converged", steps
         if observer is not None:

@@ -68,7 +68,7 @@ DtpnnSettings = namedtuple("DtpnnSettings", "initial_lambdas armijo precondition
 class DtpnnState(State):
     """A discrete-time trajectory: ``settings``, checked here once, and the
     iterate. An Armijo sweep starts its step sizes ``lambdas`` from
-    ``initial_lambdas`` and keeps its tensor's ``||X||^2`` in ``norm_sq``."""
+    ``initial_lambdas``."""
 
     def __init__(self, model, lambdas=None, armijo=ArmijoParams(), precondition=True,
                  ridge=None, semi_implicit_form="corrected"):
@@ -87,7 +87,7 @@ class DtpnnState(State):
             _choice("semi_implicit_form", semi_implicit_form, ("corrected", "paper")),
         )
         self.model, self.iteration, self.residual = model, 0, np.inf
-        self.objective_history, self.norm_sq = [], None
+        self.objective_history = []
 
 
 def _measured(t: Array, s: DtpnnState):
@@ -154,9 +154,7 @@ def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 0.0) -> Dtpnn
     settings = s.settings
     alpha, beta = settings.armijo.alpha, settings.armijo.beta
     model = s.model.copy()
-    if s.norm_sq is None or s.norm_sq[0] is not t:
-        s = s.moved(norm_sq=(t, float(np.dot(t.ravel(), t.ravel()))))
-    norm_x_sq = s.norm_sq[1]
+    norm_x_sq = float(np.dot(t.ravel(), t.ravel()))
     lambdas = settings.initial_lambdas.copy()
     floor = max(tol, 1e-10)
     kkt_parts = []
@@ -269,7 +267,7 @@ def solve(
     Returns the final state and ``"converged"`` or ``"max_steps"``.
     """
     stepper = STEPPERS[_choice("variant", variant, tuple(STEPPERS))]
-    return drive(t, s, stepper, *_limits(tol, max_steps))[:2]
+    return drive(t, s, stepper.step, *_limits(tol, max_steps))[:2]
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,12 @@ iterate stays a convex combination of nonnegative points. The log-barrier
 variant drops the projection and follows the Newton-preconditioned flow
 ``eps * dZ/dt = -Hbar^{-1} grad_Z`` strictly inside the positive orthant,
 halving the step whenever it would cross the boundary. :data:`FLOW` and
-:data:`BARRIER` are the two as driver steppers.
+:data:`BARRIER` are the two as driver steppers; :func:`stack_step` advances
+a :class:`FlowStack` of many flows at once under the same driver.
 """
 
 from __future__ import annotations
 
-import time
 from collections import namedtuple
 
 import numpy as np
@@ -23,7 +23,6 @@ from .driver import State, Stepper, check_finite, drive
 from .errors import SOLVER_FAILURES, BarrierDomainError, BoundaryStallError
 from .errors import GammaScheduleError
 from .model import (
-    _barrier_gradients,
     _choice,
     _integer,
     _positives,
@@ -50,7 +49,7 @@ FlowSettings = namedtuple("FlowSettings", "time_constants step weights "
 class FlowState(State):
     """A flow trajectory: ``settings``, checked here once, and the iterate.
     ``step`` defaults to half the smallest time constant, which keeps every
-    Euler update convex; ``interior`` is the last ``model`` a barrier step made."""
+    Euler update convex."""
 
     def __init__(self, model, time_constants=None, step=None, precondition=True,
                  ridge=None, integrator="euler", gamma=1e-3, gamma_decay=1.0,
@@ -65,7 +64,7 @@ class FlowState(State):
             _integer("decay_every", decay_every, 1),
         )
         self.gamma = _real("gamma", gamma, "()")
-        self.model, self.interior = model, None
+        self.model = model
         self.residual, self.iterations = np.inf, 0
 
 
@@ -99,7 +98,7 @@ def solve_to_equilibrium(
     reason, ``"converged"`` or ``"max_steps"``; a ``tol`` outside (0, inf] or
     a ``max_steps`` that is not an integer >= 0 is a ValueError.
     """
-    return drive(t, s, FLOW, *_limits(tol, max_steps))[:2]
+    return drive(t, s, FLOW.step, *_limits(tol, max_steps))[:2]
 
 
 def _limits(tol, max_steps):
@@ -107,62 +106,59 @@ def _limits(tol, max_steps):
     return _real("tol", tol, "(]"), _integer("max_steps", max_steps, 0)
 
 
-def solve_stack(
-    t: Array,
-    factors,
-    scales: Array,
-    use_precondition: bool = True,
-    ridge: float | None = None,
-    tol: float = 1e-6,
-    max_steps: int = 10000,
-    deadline: float | None = None,
-) -> tuple[list[Array], Array]:
-    """Integrate P independent flows as one stack, each to its own stop.
+class FlowStack(State):
+    """P independent flows as one stack, each to its own stop.
 
-    ``factors[n]`` is the ``(P, I_n, R)`` stack of start points of factor
-    ``n`` and ``scales[p, n]`` the Euler weight ``h / eps_n`` of trajectory
-    ``p``. Every trajectory follows :func:`solve_to_equilibrium`: its residual
-    is checked before each step and it stops once converged or after
-    ``max_steps`` steps; all stop where they are once the absolute
-    :func:`time.perf_counter` time ``deadline`` has passed. A trajectory whose
-    step is not finite, or whose directions raise one of the solver failures,
-    stops as failed at its last finite point; the others go on as if it were
-    not there. With ``tol`` 0 every trajectory runs ``max_steps`` steps, as
-    under :func:`~neurocpd.driver.drive`. ``t`` is the dense tensor or its
-    :class:`~neurocpd.tensor_ops.TuckerForm`, passed on to
-    :func:`~neurocpd.model.projection_stack`. Returns the final stacks and the
-    per-trajectory failure mask.
+    ``factors[n]`` is the ``(P, I_n, R)`` stack of factor ``n`` and row ``p``
+    of ``weights`` the Euler weights ``h / eps_n`` of trajectory ``p``; all
+    share ``precondition`` and ``ridge``. ``active`` marks the trajectories
+    still moving and ``failed`` those stopped by a failure. ``residual`` is
+    inf while any trajectory is active and -inf once none is, so
+    :func:`~neurocpd.driver.drive` stops the stack when the last one stops.
     """
-    factors = [np.array(f, dtype=np.float64) for f in factors]
-    scales = np.asarray(scales, dtype=np.float64)
-    active = np.ones(len(scales), dtype=bool)
-    failed = np.zeros(len(scales), dtype=bool)
-    for _ in range(max_steps):
-        idx = np.flatnonzero(active)
-        if idx.size == 0 or (deadline is not None and time.perf_counter() > deadline):
-            break
-        whole = idx.size == len(active)  # no gather or scatter while all move
-        current = factors if whole else [f[idx] for f in factors]
-        directions, broken = _stack_directions(t, current, use_precondition, ridge)
-        residual = np.max([np.abs(d).max(axis=(1, 2)) for d in directions], axis=0)
-        moving = ~broken & ~(residual < tol)
-        stepped = [
-            f + scales[idx, n][:, None, None] * d
-            for n, (f, d) in enumerate(zip(current, directions))
-        ]
-        finite = np.logical_and.reduce(
-            [np.isfinite(f).all(axis=(1, 2)) for f in stepped]
-        )
-        broken |= moving & ~finite
-        moving &= finite
-        if whole and moving.all():
-            factors = stepped
-            continue
-        for f, new in zip(factors, stepped):
-            f[idx[moving]] = new[moving]
-        failed[idx[broken]] = True
-        active[idx[~moving]] = False
-    return factors, failed
+
+    def __init__(self, factors, weights, precondition=True, ridge=None):
+        self.factors = [np.asarray(f, dtype=np.float64) for f in factors]
+        self.weights = np.asarray(weights, dtype=np.float64)
+        self.precondition, self.ridge = precondition, ridge
+        self.active = np.ones(len(self.weights), dtype=bool)
+        self.failed = np.zeros(len(self.weights), dtype=bool)
+        self.residual = np.inf
+
+
+def stack_step(t: Array, s: FlowStack, tol: float = 0.0) -> FlowStack:
+    """One Euler step of every active trajectory of the stack.
+
+    Each trajectory follows :func:`flow_step`: one whose rhs max-norm is
+    below ``tol`` stops there. One whose step is not finite, or whose
+    directions raise one of the solver failures, stops as failed at its last
+    finite point; the others go on as if it were not there. ``t`` is the
+    dense tensor or its :class:`~neurocpd.tensor_ops.TuckerForm`, passed on
+    to :func:`~neurocpd.model.projection_stack`.
+    """
+    idx = np.flatnonzero(s.active)
+    whole = idx.size == len(s.active)  # no gather or scatter while all move
+    current = s.factors if whole else [f[idx] for f in s.factors]
+    directions, broken = _stack_directions(t, current, s.precondition, s.ridge)
+    residual = np.max([np.abs(d).max(axis=(1, 2)) for d in directions], axis=0)
+    moving = ~broken & ~(residual < tol)
+    stepped = [
+        f + s.weights[idx, n][:, None, None] * d
+        for n, (f, d) in enumerate(zip(current, directions))
+    ]
+    finite = np.logical_and.reduce([np.isfinite(f).all(axis=(1, 2)) for f in stepped])
+    broken |= moving & ~finite
+    moving &= finite
+    if whole and moving.all():
+        return s.moved(factors=stepped)
+    factors = [f.copy() for f in s.factors]
+    for f, new in zip(factors, stepped):
+        f[idx[moving]] = new[moving]
+    active, failed = s.active.copy(), s.failed.copy()
+    failed[idx[broken]] = True
+    active[idx[~moving]] = False
+    return s.moved(factors=factors, active=active, failed=failed,
+                   residual=np.inf if active.any() else -np.inf)
 
 
 def _stack_directions(t: Array, factors, use_precondition: bool, ridge):
@@ -208,10 +204,7 @@ def barrier_flow_step(t: Array, s: FlowState, tol: float = 0.0) -> FlowState:
     (0, inf).
     """
     settings = s.settings
-    if s.interior is s.model:  # a barrier step made it: skip the interior check
-        rhs = [-d for d in _barrier_gradients(t, s.model, s.gamma, settings.ridge)]
-    else:
-        rhs = barrier_rhs(t, s.model, s.gamma, settings.ridge)
+    rhs = barrier_rhs(t, s.model, s.gamma, settings.ridge)
     residual = max_abs(rhs)
     if residual < tol:
         return s.moved(residual=residual)
@@ -231,7 +224,7 @@ def barrier_flow_step(t: Array, s: FlowState, tol: float = 0.0) -> FlowState:
                 if not 0.0 < gamma < np.inf:
                     raise GammaScheduleError(f"gamma {gamma!r} at step {iterations}")
             return s.moved(model=model, residual=residual,
-                           iterations=iterations, gamma=gamma, interior=model)
+                           iterations=iterations, gamma=gamma)
         h *= 0.5
     raise BoundaryStallError(iterations, MAX_BOUNDARY_HALVINGS)
 
@@ -239,7 +232,7 @@ def barrier_flow_step(t: Array, s: FlowState, tol: float = 0.0) -> FlowState:
 def _barrier_advance(t: Array, s: FlowState, h: float, k1):
     """Euler or RK4 update of all factors with step ``h``; ``k1`` is reused."""
     settings = s.settings
-    scale = settings.weights if h == settings.step else h / settings.time_constants
+    scale = h / settings.time_constants
     if settings.integrator == "euler":
         return [f + sc * d for f, sc, d in zip(s.model.factors, scale, k1)]
 
@@ -261,7 +254,7 @@ def solve_barrier(
 ) -> tuple[FlowState, str]:
     """:func:`solve_to_equilibrium` of the barrier flow from ``s.gamma``, on
     the state's own gamma schedule, counted in the state's steps."""
-    return drive(t, s, BARRIER, *_limits(tol, max_steps))[:2]
+    return drive(t, s, BARRIER.step, *_limits(tol, max_steps))[:2]
 
 
 # Steps are looked up at call time, so rebinding ``flow_step`` or

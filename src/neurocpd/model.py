@@ -300,11 +300,7 @@ def preconditioned_barrier_gradients(
     factor, bitwise, from one snapshot of the point: one interior check, the
     factor Grams, one MTTKRP call and one solve over the rows of all factors."""
     _check_shapes(t, model)
-    return _barrier_gradients(t, model, _check_interior(model, gamma), ridge)
-
-
-def _barrier_gradients(t, model: KruskalModel, gamma: float, ridge) -> list[Array]:
-    """:func:`preconditioned_barrier_gradients` at a point already checked."""
+    gamma = _check_interior(model, gamma)
     skips = _gram_skips([f.T @ f for f in model.factors])
     mtts = mttkrp_stack(t, [f[None] for f in model.factors])
     grads = [f @ g - m[0] - gamma / f for f, g, m in zip(model.factors, skips, mtts)]

@@ -236,10 +236,12 @@ def _solve_particles(
     rows and the mask of particles whose solver failed (their rows are not
     solved points). Past ``deadline`` every solve stops where it is.
 
-    A flow population advances as one stack; each particle keeps its own
-    step, time constants and stopping point. The stack contracts ``operand``:
-    ``t`` by default, or its :func:`~neurocpd.tensor_ops.tucker_compress` form.
-    Every other kind runs each particle through the driver on ``t``.
+    Every solve goes through :func:`~neurocpd.driver.drive`. A flow population
+    advances as one :class:`~neurocpd.flow.FlowStack`; each particle keeps its
+    own step, time constants and stopping point. The stack contracts
+    ``operand``: ``t`` by default, or its
+    :func:`~neurocpd.tensor_ops.tucker_compress` form. Every other kind runs
+    each particle alone on ``t``.
     """
     shape = np.shape(t)
     stepper = STEPPERS[cfg.inner_solver]
@@ -251,23 +253,23 @@ def _solve_particles(
         model = KruskalModel.unflatten(position, shape, rank)
         states.append(stepper.make_state(model, params, cfg.seed))
     if cfg.inner_solver == "flow":
-        factors, failed = flow_mod.solve_stack(
-            t if operand is None else operand,
+        stack = flow_mod.FlowStack(
             [np.stack(fs) for fs in zip(*(s.model.factors for s in states))],
-            np.array([s.settings.weights for s in states]),
+            [s.settings.weights for s in states],
             states[0].settings.precondition, states[0].settings.ridge,
-            tol=cfg.inner_tol,
-            max_steps=cfg.inner_max_steps,
-            deadline=deadline,
+        )
+        stack, _, _ = drive(
+            t if operand is None else operand, stack, flow_mod.stack_step,
+            cfg.inner_tol, cfg.inner_max_steps, deadline,
         )
         # (P, I_n, R) -> (P, R * I_n): the column-major ravel of flatten
         return np.hstack([f.transpose(0, 2, 1).reshape(len(f), -1)
-                          for f in factors]), failed
+                          for f in stack.factors]), stack.failed
     rows, failed = sw.positions.copy(), np.zeros(len(states), dtype=bool)
     for n, state in enumerate(states):
         try:
             state, _, _ = drive(
-                t, state, stepper, cfg.inner_tol, cfg.inner_max_steps, deadline
+                t, state, stepper.step, cfg.inner_tol, cfg.inner_max_steps, deadline
             )
         except SOLVER_FAILURES:
             failed[n] = True

@@ -64,6 +64,28 @@ def test_config_from_dict_and_validation():
         RunConfig.from_dict({"algorithm": "hals", "rank": 3})  # no problem
 
 
+def test_a_config_of_the_required_keys_takes_the_dataclass_defaults():
+    cfg = RunConfig.from_dict({"algorithm": "flow", "rank": 3,
+                               "problem": {"kind": "easy5"}})
+    assert cfg == RunConfig("flow", 3, problem_kind="easy5")
+    assert (cfg.problem_seed, cfg.iterations, cfg.tol, cfg.seeds) == (0, 1000, 0.0, [0])
+    assert (cfg.output_dir, cfg.record_every, cfg.deterministic_timing) == (
+        "out", 1, False)
+
+
+@pytest.mark.parametrize("missing,message", [
+    ("algorithm", f"algorithm must be one of {bench.ALGORITHMS}, got None"),
+    ("rank", "rank must be an integer >= 1, got None"),
+])
+def test_a_config_without_algorithm_or_rank_is_a_config_error(
+    tmp_path, monkeypatch, capsys, missing, message
+):
+    raw = base_config(output_dir=str(tmp_path / "out"))
+    del raw[missing]
+    err = _refused_before_any_solve(tmp_path, monkeypatch, capsys, raw)
+    assert err == f"config error: {message}\n"
+
+
 def test_apply_overrides_dotted_paths():
     raw = base_config()
     apply_overrides(raw, ["budget.iterations=7", "problem.seed=3", "tol=1e-5"])
@@ -173,7 +195,7 @@ def test_recorded_rel_error_is_relative_error_on_every_row():
 
     stepper = STEPPERS["flow"]
     state = stepper.make_state(initial_model(t.shape, 3, 0), {}, 0)
-    drive(t, state, stepper, 0.0, 40, None, observe)
+    drive(t, state, stepper.step, 0.0, 40, None, observe)
     assert len(rec.rows) == len(models) == 40
     for row, model in zip(rec.rows, models):
         assert row.rel_error == relative_error(t, model)
@@ -682,7 +704,7 @@ def test_ridge_out_of_range_is_a_config_error(
     for name in RIDGE_ALGORITHMS[:-1]:
         stepper = STEPPERS[name]
         monkeypatch.setitem(STEPPERS, name, stepper._replace(step=no_step))
-    monkeypatch.setattr(flow, "solve_stack", no_step)
+    monkeypatch.setattr(flow, "stack_step", no_step)
     params = {"ridge": ridge}
     if algorithm == "cno":
         params = {"population": 2, "inner_params": params}

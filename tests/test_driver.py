@@ -23,7 +23,7 @@ def test_start_at_exact_fit_takes_no_step(name):
     t, model = exact_scalar()
     stepper = STEPPERS[name]
     state = stepper.make_state(model, {}, 0)
-    out, reason, steps = drive(t, state, stepper, tol=1e-8, budget=5)
+    out, reason, steps = drive(t, state, stepper.step, tol=1e-8, budget=5)
     assert (reason, steps) == ("converged", 0)
     for a, b in zip(out.model.factors, state.model.factors):
         assert np.array_equal(a, b)
@@ -36,7 +36,7 @@ def test_observer_sees_every_step_and_budget_bounds_them(name):
     seen = []
     state = stepper.make_state(initial_model(t.shape, 3, 0), {}, 0)
     _, reason, steps = drive(
-        t, state, stepper, budget=4, observer=lambda k, s: seen.append(k)
+        t, state, stepper.step, budget=4, observer=lambda k, s: seen.append(k)
     )
     assert (reason, steps, seen) == ("max_steps", 4, [1, 2, 3, 4])
 
@@ -81,7 +81,7 @@ def test_past_deadline_takes_no_step():
     stepper = STEPPERS["flow"]
     state = stepper.make_state(initial_model(t.shape, 3, 0), {}, 0)
     out, reason, steps = drive(
-        t, state, stepper, budget=10, deadline=time.perf_counter() - 1.0
+        t, state, stepper.step, budget=10, deadline=time.perf_counter() - 1.0
     )
     assert (reason, steps, out) == ("wall_clock", 0, state)
 
@@ -93,7 +93,7 @@ def test_barrier_schedule_lives_in_the_state():
         initial_model(t.shape, 3, 3), {"gamma_decay": 0.5, "decay_every": 4}, 0
     )
     assert all(f.min() >= 1e-3 for f in state.model.factors)
-    out, _, _ = drive(t, state, stepper, budget=9)
+    out, _, _ = drive(t, state, stepper.step, budget=9)
     assert out.gamma == 1e-3 * 0.5 * 0.5
     assert all(f.min() > 0.0 for f in out.model.factors)
 
@@ -112,7 +112,7 @@ def test_measuring_the_residual_adds_no_projection_bundle(monkeypatch, name):
     stepper = STEPPERS[name]
     params = {} if name == "flow" else {"lambdas": [0.5] * 3}
     state = stepper.make_state(initial_model(t.shape, 3, 0), params, 0)
-    _, reason, steps = drive(t, state, stepper, tol=1e-300, budget=7)
+    _, reason, steps = drive(t, state, stepper.step, tol=1e-300, budget=7)
     assert (reason, steps, len(calls)) == ("max_steps", 7, 7)
 
 
@@ -125,7 +125,7 @@ def test_zero_tol_measures_no_residual(monkeypatch, name):
     t, _ = gen_problem("easy5", 0)
     stepper = STEPPERS[name]
     state = stepper.make_state(initial_model(t.shape, 3, 0), {}, 0)
-    assert drive(t, state, stepper, budget=3)[1:] == ("max_steps", 3)
+    assert drive(t, state, stepper.step, budget=3)[1:] == ("max_steps", 3)
 
 
 # one entry per public step; a barrier schedule that moves gamma in the run
@@ -150,7 +150,7 @@ def test_drive_equals_50_calls_of_the_public_step_bitwise(name, params, step, to
     t, _ = gen_problem("difficult9", 1)
     stepper = STEPPERS[name]
     start = stepper.make_state(initial_model(t.shape, 10, 1501), params, 0)
-    driven, reason, steps = drive(t, start, stepper, tol, 50)
+    driven, reason, steps = drive(t, start, stepper.step, tol, 50)
     stepped = start
     for _ in range(50):
         stepped = step(t, stepped)
@@ -201,7 +201,7 @@ def test_steps_run_no_setting_check(monkeypatch):
                 monkeypatch.setattr(module, check, forbidden)
     for stepper, state in made.values():
         for tol in (0.0, 1e-300):
-            assert drive(t, state, stepper, tol, 5)[1:] == ("max_steps", 5)
+            assert drive(t, state, stepper.step, tol, 5)[1:] == ("max_steps", 5)
 
 
 def one_entry_model():

@@ -1,4 +1,4 @@
-"""The stacked projection kernel and the swarm's stacked flow solve.
+"""The stacked projection kernel and the swarm's flow stack under the driver.
 
 The kernel advances P models at once; its reference is the per-factor loop
 that computed one model's directions before the kernel existed. The loop
@@ -6,6 +6,7 @@ kept here calls an independent Khatri-Rao MTTKRP and also reports the
 condition number of each preconditioner system.
 """
 
+import time
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from neurocpd import swarm
 from neurocpd.datagen import gen_problem
 from neurocpd.driver import drive
 from neurocpd.errors import SingularPreconditionerError
-from neurocpd.flow import FlowState, solve_stack, solve_to_equilibrium
+from neurocpd.flow import FlowStack, FlowState, solve_to_equilibrium, stack_step
 from neurocpd.model import (
     AUTO_RIDGE_SCALE,
     BORDER,
@@ -280,10 +281,16 @@ def test_projection_bundle_is_one_slice_of_the_stack():
             assert np.array_equal(a, b[0])
 
 
+def drive_stack(t, factors, scales, use_precondition, ridge, tol, max_steps):
+    """The final stack of :func:`drive` on a :class:`FlowStack`."""
+    start = FlowStack(factors, scales, use_precondition, ridge)
+    return drive(t, start, stack_step, tol, max_steps)[0]
+
+
 def solve_stack_gathering_every_step(
     t, factors, scales, use_precondition, ridge, tol, max_steps
 ):
-    """``solve_stack`` as it was before its all-active path: every step
+    """The stack solve as it was before its all-active path: every step
     gathers the active trajectories and scatters the moving ones back."""
     factors = [np.array(f, dtype=np.float64) for f in factors]
     scales = np.asarray(scales, dtype=np.float64)
@@ -330,7 +337,8 @@ def test_solve_stack_equals_the_gathering_loop_bitwise(early_stop, use_precondit
             stack[0] = f
     scales = rng.uniform(0.2, 0.5, size=(4, 3))
     args = (t, stacks, scales, use_precondition, None)
-    got, got_failed = solve_stack(*args, tol=1e-8, max_steps=25)
+    stack = drive_stack(*args, 1e-8, 25)
+    got, got_failed = stack.factors, stack.failed
     ref, ref_failed = solve_stack_gathering_every_step(*args, 1e-8, 25)
     assert np.array_equal(got_failed, ref_failed) and not got_failed.any()
     for a, b in zip(got, ref):
@@ -389,18 +397,15 @@ def test_one_outer_iteration_on_the_compressed_tensor_matches_the_dense_one(
 def test_solved_rows_are_the_flatten_of_the_solved_models(monkeypatch, inner):
     solved = []
 
-    def flow_spy(*args, **kwargs):
-        factors, failed = solve_stack(*args, **kwargs)
-        solved.extend(KruskalModel([f[p] for f in factors])
-                      for p in range(len(failed)))
-        return factors, failed
-
     def drive_spy(*args):
         state, reason, steps = drive(*args)
-        solved.append(state.model)
+        if isinstance(state, FlowStack):
+            solved.extend(KruskalModel([f[p] for f in state.factors])
+                          for p in range(len(state.failed)))
+        else:
+            solved.append(state.model)
         return state, reason, steps
 
-    monkeypatch.setattr(flow_mod, "solve_stack", flow_spy)
     monkeypatch.setattr(swarm, "drive", drive_spy)
     t, _ = gen_problem("easy5", 0)
     cfg = SwarmConfig(population=3, seed=2, inner_max_steps=20, inner_solver=inner)
@@ -467,15 +472,54 @@ def test_singular_slice_fails_alone_in_the_stack():
     stacks[0][1, :, 0] = 0.0  # zero column: singular Gram-skip for modes 1, 2
     with pytest.raises(SingularPreconditionerError):
         projection_stack(t, stacks, True, 0.0)
-    factors, failed = solve_stack(
-        t, stacks, np.full((2, 3), 0.5), True, 0.0, tol=1e-12, max_steps=5
-    )
+    stack = drive_stack(t, stacks, np.full((2, 3), 0.5), True, 0.0, 1e-12, 5)
+    factors, failed = stack.factors, stack.failed
     assert failed.tolist() == [False, True]
     state = FlowState(KruskalModel([f[0] for f in stacks]), ridge=0.0)
     state, _ = solve_to_equilibrium(t, state, tol=1e-12, max_steps=5)
     for stepped, start, alone in zip(factors, stacks, state.model.factors):
         assert_close(stepped[0], alone)
         assert np.array_equal(stepped[1], start[1])  # stopped where it failed
+
+
+def test_a_stack_past_its_deadline_takes_no_step():
+    rng = np.random.default_rng(3)
+    t = rng.random((4, 5, 3))
+    stacks = [rng.random((3, dim, 2)) for dim in t.shape]
+    start = FlowStack(stacks, np.full((3, 3), 0.5))
+    out, reason, steps = drive(
+        t, start, stack_step, 0.0, 10, time.perf_counter() - 1.0
+    )
+    assert (reason, steps) == ("wall_clock", 0)
+    assert all(np.array_equal(a, b) for a, b in zip(out.factors, stacks))
+    assert out.active.all() and not out.failed.any()
+
+
+@pytest.mark.parametrize("spare", [1, 0, 5])
+def test_the_stack_converges_once_every_trajectory_has_stopped(spare):
+    # trajectory 0 starts at an exact fit and stops at its first check;
+    # trajectory 1 has a zero column, so a singular Gram-skip at ridge 0, and
+    # fails there; trajectory 2 starts near the fit and converges later
+    rng = np.random.default_rng(5)
+    truth = [0.1 + rng.random((dim, 3)) for dim in (5, 4, 6)]
+    t = np.einsum("ir,jr,kr->ijk", *truth)
+    stacks = [np.stack([f, rng.random(f.shape), f * (1 + 0.05 * rng.random(f.shape))])
+              for f in truth]
+    stacks[0][1, :, 0] = 0.0
+    near = FlowState(KruskalModel([f[2] for f in stacks]),
+                     time_constants=[1.0] * 3, step=0.5, ridge=0.0)
+    alone, reason = solve_to_equilibrium(t, near, tol=1e-3, max_steps=1000)
+    longest = alone.iterations
+    assert reason == "converged" and longest > 0
+    # ``spare`` 0: the budget ends before trajectory 2's last check
+    budget = longest + spare
+    out, reason, steps = drive(t, FlowStack(stacks, np.full((3, 3), 0.5), True, 0.0),
+                               stack_step, 1e-3, budget)
+    assert (reason, steps) == (("converged", longest) if spare else ("max_steps", budget))
+    assert out.failed.tolist() == [False, True, False]
+    assert out.active.tolist() == [False, False, not spare]
+    for got, start, ref in zip(out.factors, stacks, alone.model.factors):
+        assert np.array_equal(got[:2], start[:2]) and np.array_equal(got[2], ref)
 
 
 def test_indefinite_slice_falls_back_to_least_squares_alone():
