@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .datagen import gen_problem
+from .datagen import _spec, gen_problem
 from .driver import drive
 from .errors import FAILURE_LABELS, SOLVER_FAILURES, ConfigError, describe_failure
 from .model import _choice, _integer, _real, _switch
@@ -110,6 +110,8 @@ class RunConfig:
         self.seeds = [_integer("seeds", seed, 0) for seed in self.seeds]
         if self.problem_kind is None and self.problem_path is None:
             raise ConfigError("problem needs either a generator kind or a file path")
+        if self.problem_kind is not None:
+            _spec(self.problem_kind)
         self.deterministic_timing = _switch(
             "deterministic_timing", self.deterministic_timing
         )
@@ -130,8 +132,8 @@ class RunConfig:
     def from_dict(cls, raw: dict) -> "RunConfig":
         raw = dict(raw)
         problem, budget = raw.pop("problem", {}), raw.pop("budget", {})
-        if "params" in raw:
-            raw["params"] = raw["params"] or {}
+        if "params" in raw and raw["params"] is None:  # a bare YAML ``params:``
+            raw["params"] = {}
         for key, value in dict(problem=problem, budget=budget,
                                params=raw.get("params", {})).items():
             if not isinstance(value, dict):

@@ -169,6 +169,13 @@ for _r in range(11, 17):
     KINDS[f"difficult9_R{_r}"] = ProblemKind((9, 9, 9), _r)
 
 
+def _spec(kind: str) -> ProblemKind:
+    """The generator of ``kind``; an unknown kind is a ValueError."""
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ValueError(f"unknown problem kind {kind!r}; known: {sorted(KINDS)}")
+    return KINDS[kind]
+
+
 def gen_problem(
     kind: str, seed: int, noise_snr_db: float | None = None
 ) -> tuple[Array, KruskalModel]:
@@ -179,9 +186,7 @@ def gen_problem(
     additive nonnegative uniform noise at the given SNR in dB, which must be
     finite and give a finite noise scale and tensor.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown problem kind {kind!r}; known: {sorted(KINDS)}")
-    spec = KINDS[kind]
+    spec = _spec(kind)
     tag = zlib.crc32(kind.encode())
     factors = []
     for n, dim in enumerate(spec.shape):

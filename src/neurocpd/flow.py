@@ -20,8 +20,7 @@ from collections import namedtuple
 import numpy as np
 
 from .driver import State, Stepper, check_finite, drive
-from .errors import SOLVER_FAILURES, BarrierDomainError, BoundaryStallError
-from .errors import GammaScheduleError
+from .errors import BarrierDomainError, BoundaryStallError, GammaScheduleError
 from .model import (
     _choice,
     _integer,
@@ -112,9 +111,9 @@ class FlowStack(State):
     ``factors[n]`` is the ``(P, I_n, R)`` stack of factor ``n`` and row ``p``
     of ``weights`` the Euler weights ``h / eps_n`` of trajectory ``p``; all
     share ``precondition`` and ``ridge``. ``active`` marks the trajectories
-    still moving and ``failed`` those stopped by a failure. ``residual`` is
-    inf while any trajectory is active and -inf once none is, so
-    :func:`~neurocpd.driver.drive` stops the stack when the last one stops.
+    still moving. ``residual`` is inf while any trajectory is active and -inf
+    once none is, so :func:`~neurocpd.driver.drive` stops the stack when the
+    last one stops.
     """
 
     def __init__(self, factors, weights, precondition=True, ridge=None):
@@ -122,7 +121,6 @@ class FlowStack(State):
         self.weights = np.asarray(weights, dtype=np.float64)
         self.precondition, self.ridge = precondition, ridge
         self.active = np.ones(len(self.weights), dtype=bool)
-        self.failed = np.zeros(len(self.weights), dtype=bool)
         self.residual = np.inf
 
 
@@ -130,62 +128,31 @@ def stack_step(t: Array, s: FlowStack, tol: float = 0.0) -> FlowStack:
     """One Euler step of every active trajectory of the stack.
 
     Each trajectory follows :func:`flow_step`: one whose rhs max-norm is
-    below ``tol`` stops there. One whose step is not finite, or whose
-    directions raise one of the solver failures, stops as failed at its last
-    finite point; the others go on as if it were not there. ``t`` is the
-    dense tensor or its :class:`~neurocpd.tensor_ops.TuckerForm`, passed on
-    to :func:`~neurocpd.model.projection_stack`.
+    below ``tol`` stops there. The step is all or nothing: if any trajectory
+    fails, it raises that solver failure, :class:`DivergenceError` for a
+    step that is not finite, and no trajectory moves. ``t`` is the dense
+    tensor or its :class:`~neurocpd.tensor_ops.TuckerForm`, passed on to
+    :func:`~neurocpd.model.projection_stack`.
     """
     idx = np.flatnonzero(s.active)
     whole = idx.size == len(s.active)  # no gather or scatter while all move
     current = s.factors if whole else [f[idx] for f in s.factors]
-    directions, broken = _stack_directions(t, current, s.precondition, s.ridge)
+    directions = projection_stack(t, current, s.precondition, s.ridge)[0]
     residual = np.max([np.abs(d).max(axis=(1, 2)) for d in directions], axis=0)
-    moving = ~broken & ~(residual < tol)
-    stepped = [
+    moving = ~(residual < tol)
+    stepped = check_finite([
         f + s.weights[idx, n][:, None, None] * d
         for n, (f, d) in enumerate(zip(current, directions))
-    ]
-    finite = np.logical_and.reduce([np.isfinite(f).all(axis=(1, 2)) for f in stepped])
-    broken |= moving & ~finite
-    moving &= finite
+    ], None)
     if whole and moving.all():
         return s.moved(factors=stepped)
     factors = [f.copy() for f in s.factors]
     for f, new in zip(factors, stepped):
         f[idx[moving]] = new[moving]
-    active, failed = s.active.copy(), s.failed.copy()
-    failed[idx[broken]] = True
+    active = s.active.copy()
     active[idx[~moving]] = False
-    return s.moved(factors=factors, active=active, failed=failed,
+    return s.moved(factors=factors, active=active,
                    residual=np.inf if active.any() else -np.inf)
-
-
-def _stack_directions(t: Array, factors, use_precondition: bool, ridge):
-    """Directions of a stack, and the slices whose directions raised.
-
-    The whole stack is one kernel call; only if that raises is each slice
-    computed alone, so that one failing trajectory does not stop the rest.
-    """
-    count = len(factors[0])
-    try:
-        directions = projection_stack(t, factors, use_precondition, ridge)[0]
-        return directions, np.zeros(count, dtype=bool)
-    except SOLVER_FAILURES:
-        pass
-    directions = [np.zeros_like(f) for f in factors]
-    broken = np.zeros(count, dtype=bool)
-    for p in range(count):
-        try:
-            alone = projection_stack(
-                t, [f[p : p + 1] for f in factors], use_precondition, ridge
-            )[0]
-        except SOLVER_FAILURES:
-            broken[p] = True
-            continue
-        for d, one in zip(directions, alone):
-            d[p] = one[0]
-    return directions, broken
 
 
 def barrier_rhs(

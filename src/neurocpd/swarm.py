@@ -240,8 +240,9 @@ def _solve_particles(
     advances as one :class:`~neurocpd.flow.FlowStack`; each particle keeps its
     own step, time constants and stopping point. The stack contracts
     ``operand``: ``t`` by default, or its
-    :func:`~neurocpd.tensor_ops.tucker_compress` form. Every other kind runs
-    each particle alone on ``t``.
+    :func:`~neurocpd.tensor_ops.tucker_compress` form. Every other kind, and
+    a flow stack whose step fails, runs each particle alone on ``t`` from its
+    position, so only the particles that fail alone are marked.
     """
     shape = np.shape(t)
     stepper = STEPPERS[cfg.inner_solver]
@@ -258,13 +259,17 @@ def _solve_particles(
             [s.settings.weights for s in states],
             states[0].settings.precondition, states[0].settings.ridge,
         )
-        stack, _, _ = drive(
-            t if operand is None else operand, stack, flow_mod.stack_step,
-            cfg.inner_tol, cfg.inner_max_steps, deadline,
-        )
-        # (P, I_n, R) -> (P, R * I_n): the column-major ravel of flatten
-        return np.hstack([f.transpose(0, 2, 1).reshape(len(f), -1)
-                          for f in stack.factors]), stack.failed
+        try:
+            stack, _, _ = drive(
+                t if operand is None else operand, stack, flow_mod.stack_step,
+                cfg.inner_tol, cfg.inner_max_steps, deadline,
+            )
+        except SOLVER_FAILURES:
+            pass  # re-solved below, one particle at a time
+        else:
+            # (P, I_n, R) -> (P, R * I_n): the column-major ravel of flatten
+            return np.hstack([f.transpose(0, 2, 1).reshape(len(f), -1)
+                              for f in stack.factors]), np.zeros(len(states), bool)
     rows, failed = sw.positions.copy(), np.zeros(len(states), dtype=bool)
     for n, state in enumerate(states):
         try:

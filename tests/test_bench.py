@@ -379,6 +379,36 @@ def test_cli_compare_with_no_seed_is_a_config_error(tmp_path, monkeypatch, capsy
     assert capsys.readouterr().err.startswith("config error:")
 
 
+def test_cli_compare_with_an_unknown_kind_in_a_later_variant_runs_nothing(
+    tmp_path, monkeypatch, capsys
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(bench, "run_single", no_solve)
+    cmp_path = tmp_path / "cmp.yaml"
+    raw = base_config(output_dir=str(tmp_path / "out"))
+    raw["algorithms"] = [
+        {"label": "hals", "algorithm": "hals"},
+        {"label": "mur", "algorithm": "mur", "problem": {"kind": "easy55"}},
+    ]
+    yaml.safe_dump(raw, cmp_path.open("w"))
+    assert cli.main(["compare", "--config", str(cmp_path)]) == 1
+    assert not (tmp_path / "out").exists()  # no compare.csv was written
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown problem kind 'easy55'")
+
+
+@pytest.mark.parametrize("params", [[], 0, False, ""])
+def test_params_that_is_not_a_mapping_is_a_config_error(params):
+    with pytest.raises(ConfigError, match="params must be a mapping"):
+        RunConfig.from_dict(base_config(params=params))
+
+
+def test_a_bare_params_key_reads_as_no_settings():
+    assert RunConfig.from_dict(base_config(params=None)).params == {}
+
+
 EIGHT_ALGORITHMS = [
     "flow",
     "barrier-flow",
@@ -567,6 +597,8 @@ def test_barrier_schedule_out_of_range_is_a_config_error(
         ("label", 5, "label"),
         ("budget", {"iteration": 3}, "iteration"),
         ("problem", {"kind": "easy5", "kidn": "caseI"}, "kidn"),
+        ("problem", {"kind": "easy55"}, "easy55"),
+        ("problem", {"kind": ["easy5"]}, "problem kind"),
     ],
 )
 def test_config_entry_of_the_wrong_kind_is_a_config_error(

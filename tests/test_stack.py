@@ -14,12 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neurocpd import flow as flow_mod
 from neurocpd import model as model_mod
 from neurocpd import swarm
 from neurocpd.datagen import gen_problem
 from neurocpd.driver import drive
-from neurocpd.errors import SingularPreconditionerError
+from neurocpd.errors import DivergenceError, SingularPreconditionerError
 from neurocpd.flow import FlowStack, FlowState, solve_to_equilibrium, stack_step
 from neurocpd.model import (
     AUTO_RIDGE_SCALE,
@@ -295,31 +294,22 @@ def solve_stack_gathering_every_step(
     factors = [np.array(f, dtype=np.float64) for f in factors]
     scales = np.asarray(scales, dtype=np.float64)
     active = np.ones(len(scales), dtype=bool)
-    failed = np.zeros(len(scales), dtype=bool)
     for _ in range(max_steps):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
         current = [f[idx] for f in factors]
-        directions, broken = flow_mod._stack_directions(
-            t, current, use_precondition, ridge
-        )
+        directions = projection_stack(t, current, use_precondition, ridge)[0]
         residual = np.max([np.abs(d).max(axis=(1, 2)) for d in directions], axis=0)
-        moving = ~broken & ~(residual < tol)
+        moving = ~(residual < tol)
         stepped = [
             f + scales[idx, n][:, None, None] * d
             for n, (f, d) in enumerate(zip(current, directions))
         ]
-        finite = np.logical_and.reduce(
-            [np.isfinite(f).all(axis=(1, 2)) for f in stepped]
-        )
-        broken |= moving & ~finite
-        moving &= finite
         for f, new in zip(factors, stepped):
             f[idx[moving]] = new[moving]
-        failed[idx[broken]] = True
         active[idx[~moving]] = False
-    return factors, failed
+    return factors
 
 
 @pytest.mark.parametrize("early_stop", [False, True])
@@ -337,10 +327,8 @@ def test_solve_stack_equals_the_gathering_loop_bitwise(early_stop, use_precondit
             stack[0] = f
     scales = rng.uniform(0.2, 0.5, size=(4, 3))
     args = (t, stacks, scales, use_precondition, None)
-    stack = drive_stack(*args, 1e-8, 25)
-    got, got_failed = stack.factors, stack.failed
-    ref, ref_failed = solve_stack_gathering_every_step(*args, 1e-8, 25)
-    assert np.array_equal(got_failed, ref_failed) and not got_failed.any()
+    got = drive_stack(*args, 1e-8, 25).factors
+    ref = solve_stack_gathering_every_step(*args, 1e-8, 25)
     for a, b in zip(got, ref):
         assert np.array_equal(a, b)
     moved = [any(not np.array_equal(a[p], s[p]) for a, s in zip(got, stacks))
@@ -401,7 +389,7 @@ def test_solved_rows_are_the_flatten_of_the_solved_models(monkeypatch, inner):
         state, reason, steps = drive(*args)
         if isinstance(state, FlowStack):
             solved.extend(KruskalModel([f[p] for f in state.factors])
-                          for p in range(len(state.failed)))
+                          for p in range(len(state.active)))
         else:
             solved.append(state.model)
         return state, reason, steps
@@ -465,21 +453,68 @@ def test_diverging_flow_particle_is_reseeded_alone(monkeypatch, bad):
     assert all(np.isfinite(f).all() for f in model.factors)
 
 
-def test_singular_slice_fails_alone_in_the_stack():
+def test_singular_slice_fails_alone_in_the_swarm():
+    # the stack raises for its singular slice; the swarm re-solves the
+    # particles one at a time and fails that one only
     rng = np.random.default_rng(2)
     t = rng.random((4, 4, 4))
     stacks = [rng.random((2, 4, 3)) for _ in range(3)]
     stacks[0][1, :, 0] = 0.0  # zero column: singular Gram-skip for modes 1, 2
     with pytest.raises(SingularPreconditionerError):
-        projection_stack(t, stacks, True, 0.0)
-    stack = drive_stack(t, stacks, np.full((2, 3), 0.5), True, 0.0, 1e-12, 5)
-    factors, failed = stack.factors, stack.failed
+        drive_stack(t, stacks, np.full((2, 3), 0.5), True, 0.0, 1e-12, 5)
+    cfg = SwarmConfig(population=2, inner_tol=1e-12, inner_max_steps=5,
+                      inner_params={"ridge": 0.0}, jitter_time_constants=False)
+    positions = np.stack([KruskalModel([f[p] for f in stacks]).flatten()
+                          for p in range(2)])
+    sw = swarm.SwarmState(positions, np.zeros_like(positions), positions.copy(),
+                          np.full(2, np.inf), None, np.inf)
+    rows, failed = swarm._solve_particles(t, sw, cfg, 3)
     assert failed.tolist() == [False, True]
     state = FlowState(KruskalModel([f[0] for f in stacks]), ridge=0.0)
     state, _ = solve_to_equilibrium(t, state, tol=1e-12, max_steps=5)
-    for stepped, start, alone in zip(factors, stacks, state.model.factors):
-        assert_close(stepped[0], alone)
-        assert np.array_equal(stepped[1], start[1])  # stopped where it failed
+    assert np.array_equal(rows[0], state.model.flatten())
+    assert np.array_equal(rows[1], sw.positions[1])  # not a solved point
+
+
+def test_a_non_finite_step_raises_and_leaves_the_stack_unchanged():
+    rng = np.random.default_rng(6)
+    t = rng.random((4, 5, 3))
+    stacks = [rng.random((3, dim, 2)) for dim in t.shape]
+    weights = np.full((3, 3), 0.5)
+    weights[1] = np.inf  # trajectory 1's step is not finite
+    start = FlowStack([f.copy() for f in stacks], weights)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(DivergenceError):
+            stack_step(t, start, 1e-12)
+    assert all(np.array_equal(a, b) for a, b in zip(start.factors, stacks))
+    assert start.active.all() and start.residual == np.inf
+
+
+def test_healthy_rows_of_a_failed_compressed_stack_are_their_dense_solves():
+    # particle 1's time constants of 1e-6 give it an Euler weight of 5e5, so
+    # the stack on the core raises; every particle is then solved alone on t
+    t, _ = gen_problem("easy5", 0)
+    form = tucker_compress(t)
+    assert form is not None
+    cfg = SwarmConfig(population=3, seed=4, inner_max_steps=40,
+                      inner_params={"step": 0.5}, jitter_time_constants=False)
+    sw = init_swarm(t, 3, cfg)
+    sw.time_constants = np.array([[1.0] * 3, [1e-6] * 3, [0.7, 1.3, 1.1]])
+    states = [FlowState(KruskalModel.unflatten(row, t.shape, 3), eps, step=0.5)
+              for row, eps in zip(sw.positions, sw.time_constants)]
+    stack = FlowStack([np.stack(fs) for fs in zip(*(s.model.factors for s in states))],
+                      [s.settings.weights for s in states])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(DivergenceError):
+            drive(form, stack, stack_step, cfg.inner_tol, cfg.inner_max_steps)
+        rows, failed = swarm._solve_particles(t, sw, cfg, 3, operand=form)
+    assert failed.tolist() == [False, True, False]
+    for p in (0, 2):
+        alone, _ = solve_to_equilibrium(t, states[p], tol=cfg.inner_tol,
+                                        max_steps=cfg.inner_max_steps)
+        assert np.array_equal(rows[p], alone.model.flatten())
 
 
 def test_a_stack_past_its_deadline_takes_no_step():
@@ -492,34 +527,30 @@ def test_a_stack_past_its_deadline_takes_no_step():
     )
     assert (reason, steps) == ("wall_clock", 0)
     assert all(np.array_equal(a, b) for a, b in zip(out.factors, stacks))
-    assert out.active.all() and not out.failed.any()
+    assert out.active.all()
 
 
 @pytest.mark.parametrize("spare", [1, 0, 5])
 def test_the_stack_converges_once_every_trajectory_has_stopped(spare):
     # trajectory 0 starts at an exact fit and stops at its first check;
-    # trajectory 1 has a zero column, so a singular Gram-skip at ridge 0, and
-    # fails there; trajectory 2 starts near the fit and converges later
+    # trajectory 1 starts near the fit and converges later
     rng = np.random.default_rng(5)
     truth = [0.1 + rng.random((dim, 3)) for dim in (5, 4, 6)]
     t = np.einsum("ir,jr,kr->ijk", *truth)
-    stacks = [np.stack([f, rng.random(f.shape), f * (1 + 0.05 * rng.random(f.shape))])
-              for f in truth]
-    stacks[0][1, :, 0] = 0.0
-    near = FlowState(KruskalModel([f[2] for f in stacks]),
+    stacks = [np.stack([f, f * (1 + 0.05 * rng.random(f.shape))]) for f in truth]
+    near = FlowState(KruskalModel([f[1] for f in stacks]),
                      time_constants=[1.0] * 3, step=0.5, ridge=0.0)
     alone, reason = solve_to_equilibrium(t, near, tol=1e-3, max_steps=1000)
     longest = alone.iterations
     assert reason == "converged" and longest > 0
     # ``spare`` 0: the budget ends before trajectory 2's last check
     budget = longest + spare
-    out, reason, steps = drive(t, FlowStack(stacks, np.full((3, 3), 0.5), True, 0.0),
+    out, reason, steps = drive(t, FlowStack(stacks, np.full((2, 3), 0.5), True, 0.0),
                                stack_step, 1e-3, budget)
     assert (reason, steps) == (("converged", longest) if spare else ("max_steps", budget))
-    assert out.failed.tolist() == [False, True, False]
-    assert out.active.tolist() == [False, False, not spare]
+    assert out.active.tolist() == [False, not spare]
     for got, start, ref in zip(out.factors, stacks, alone.model.factors):
-        assert np.array_equal(got[:2], start[:2]) and np.array_equal(got[2], ref)
+        assert np.array_equal(got[0], start[0]) and np.array_equal(got[1], ref)
 
 
 def test_indefinite_slice_falls_back_to_least_squares_alone():
