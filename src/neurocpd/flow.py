@@ -8,9 +8,9 @@ integrated with explicit Euler at a fixed step ``h <= min(eps)`` so every
 iterate stays a convex combination of nonnegative points. The log-barrier
 variant drops the projection and follows the Newton-preconditioned flow
 ``eps * dZ/dt = -Hbar^{-1} grad_Z`` strictly inside the positive orthant,
-halving the step whenever it would cross the boundary. :data:`FLOW` and
-:data:`BARRIER` are the two as driver steppers; :func:`stack_step` advances
-a :class:`FlowStack` of many flows at once under the same driver.
+halving the step whenever it would cross the boundary, on one block of all
+factors' rows. :data:`FLOW` and :data:`BARRIER` are the two as driver
+steppers; :func:`stack_step` advances a :class:`FlowStack`.
 """
 
 from __future__ import annotations
@@ -22,13 +22,13 @@ import numpy as np
 from .driver import State, Stepper, check_finite, drive
 from .errors import BarrierDomainError, BoundaryStallError, GammaScheduleError
 from .model import (
+    _barrier_rhs,
     _choice,
     _integer,
     _positives,
     _real,
     _switch,
     max_abs,
-    preconditioned_barrier_gradients,
     projection_bundle,
     projection_stack,
 )
@@ -39,10 +39,12 @@ Array = np.ndarray
 MAX_BOUNDARY_HALVINGS = 30
 
 
-#: A flow's settings, checked by :class:`FlowState`, with the Euler
-#: weights ``step / time_constants``.
-FlowSettings = namedtuple("FlowSettings", "time_constants step weights "
-                          "precondition ridge integrator gamma_decay decay_every")
+#: A flow's settings, checked by :class:`FlowState`, with the Euler weights
+#: ``step / time_constants``, also per row of the barrier's block of factors,
+#: and each factor's slice of that block.
+FlowSettings = namedtuple("FlowSettings", "time_constants step weights row_weights "
+                          "slices precondition ridge integrator gamma_decay "
+                          "decay_every")
 
 
 class FlowState(State):
@@ -56,7 +58,9 @@ class FlowState(State):
         eps = _positives("time_constants", time_constants, model.order)
         step = _real("step", 0.5 * float(eps.min()) if step is None else step, "()")
         self.settings = FlowSettings(
-            eps, step, step / eps, _switch("precondition", precondition),
+            eps, step, step / eps, np.repeat(step / eps, model.shape)[:, None],
+            [slice(e - n, e) for n, e in zip(model.shape, np.cumsum(model.shape))],
+            _switch("precondition", precondition),
             None if ridge is None else _real("ridge", ridge),
             _choice("integrator", integrator, ("euler", "rk4")),
             _real("gamma_decay", gamma_decay, "()"),
@@ -69,9 +73,12 @@ class FlowState(State):
 
 def euler_update(factors, weights, directions, iteration: int) -> KruskalModel:
     """``factors[n] + weights[n] * directions[n]``: the flow's Euler step for
-    weights ``h / eps_n``, the explicit DTPNN step for step sizes ``lambda_n``."""
-    new = [f + w * d for f, w, d in zip(factors, weights, directions)]
-    return KruskalModel(check_finite(new, iteration))
+    weights ``h / eps_n``, the explicit DTPNN step for step sizes ``lambda_n``,
+    made in place in the ``directions``."""
+    for f, w, d in zip(factors, weights, directions):
+        d *= w
+        d += f
+    return KruskalModel(check_finite(directions, iteration))
 
 
 def flow_step(t: Array, s: FlowState, tol: float = 0.0) -> FlowState:
@@ -155,13 +162,6 @@ def stack_step(t: Array, s: FlowStack, tol: float = 0.0) -> FlowStack:
                    residual=np.inf if active.any() else -np.inf)
 
 
-def barrier_rhs(
-    t: Array, model: KruskalModel, gamma: float, ridge: float | None = None
-) -> list[Array]:
-    """Barrier-flow right-hand sides ``-Hbar^{-1} grad`` for all factors."""
-    return [-d for d in preconditioned_barrier_gradients(t, model, gamma, ridge)]
-
-
 def barrier_flow_step(t: Array, s: FlowState, tol: float = 0.0) -> FlowState:
     """One step of the barrier flow at ``s.gamma``, halving ``h`` to stay
     strictly interior; every ``decay_every``-th step scales ``gamma`` by
@@ -171,49 +171,48 @@ def barrier_flow_step(t: Array, s: FlowState, tol: float = 0.0) -> FlowState:
     (0, inf).
     """
     settings = s.settings
-    rhs = barrier_rhs(t, s.model, s.gamma, settings.ridge)
-    residual = max_abs(rhs)
+    rows = np.concatenate(s.model.factors)
+    k1 = _barrier_rhs(t, s.model, rows, s.gamma, settings.ridge)
+    residual = float(np.abs(k1).max())
     if residual < tol:
         return s.moved(residual=residual)
     iterations = s.iterations + 1
-    h = settings.step
+    weights = settings.row_weights  # h / eps; halving is exact
     for _ in range(MAX_BOUNDARY_HALVINGS + 1):
         try:
-            new_factors = _barrier_advance(t, s, h, rhs)
-        except BarrierDomainError:
-            h *= 0.5
-            continue
-        if all(f.min() > 0.0 for f in new_factors):
-            model = KruskalModel(check_finite(new_factors, iterations))
-            gamma = s.gamma
-            if iterations % settings.decay_every == 0:
-                gamma *= settings.gamma_decay
-                if not 0.0 < gamma < np.inf:
-                    raise GammaScheduleError(f"gamma {gamma!r} at step {iterations}")
-            return s.moved(model=model, residual=residual,
-                           iterations=iterations, gamma=gamma)
-        h *= 0.5
-    raise BoundaryStallError(iterations, MAX_BOUNDARY_HALVINGS)
+            new = _barrier_advance(t, s, rows, weights, k1)
+        except BarrierDomainError:  # an RK4 stage left the domain
+            pass
+        else:
+            if new.min() > 0.0:
+                break
+        weights = weights * 0.5
+    else:
+        raise BoundaryStallError(iterations, MAX_BOUNDARY_HALVINGS)
+    check_finite((new,), iterations)
+    model = KruskalModel([new[r] for r in settings.slices])
+    gamma = s.gamma
+    if iterations % settings.decay_every == 0:
+        gamma *= settings.gamma_decay
+        if not 0.0 < gamma < np.inf:
+            raise GammaScheduleError(f"gamma {gamma!r} at step {iterations}")
+    return s.moved(model=model, residual=residual, iterations=iterations, gamma=gamma)
 
 
-def _barrier_advance(t: Array, s: FlowState, h: float, k1):
-    """Euler or RK4 update of all factors with step ``h``; ``k1`` is reused."""
-    settings = s.settings
-    scale = h / settings.time_constants
-    if settings.integrator == "euler":
-        return [f + sc * d for f, sc, d in zip(s.model.factors, scale, k1)]
+def _barrier_advance(t: Array, s: FlowState, rows: Array, weights: Array, k1):
+    """Euler or RK4 update of the row block; ``k1`` is reused."""
+    if s.settings.integrator == "euler":
+        return rows + weights * k1
 
-    def stage(ks, w):
-        shifted = [f + w * sc * k for f, sc, k in zip(s.model.factors, scale, ks)]
-        return barrier_rhs(t, KruskalModel(shifted), s.gamma, settings.ridge)
+    def stage(k, w):
+        shifted = rows + w * weights * k
+        model = KruskalModel([shifted[r] for r in s.settings.slices])
+        return _barrier_rhs(t, model, shifted, s.gamma, s.settings.ridge)
 
     k2 = stage(k1, 0.5)
     k3 = stage(k2, 0.5)
     k4 = stage(k3, 1.0)
-    return [
-        f + sc / 6.0 * (a + 2 * b + 2 * c + d)
-        for f, sc, a, b, c, d in zip(s.model.factors, scale, k1, k2, k3, k4)
-    ]
+    return rows + weights / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def solve_barrier(

@@ -5,24 +5,24 @@ Objective ``F = 0.5 * ||X - full(model)||_F^2`` with per-factor gradients
     grad_n = Z_n @ hadamard_gram(model, n) - mttkrp(X, model, n)
 
 Gram-structured preconditioning exploits the block Hessian ``P kron I``: the
-vec-level solve collapses to a single R x R symmetric solve applied from the
-right. The stacked kernel makes those solves from one Cholesky factorization
-of the bordered systems ``[[S, I], [I, c*I]]``, whose lower-left block is
-``L^{-T}`` for ``S = L L^T``: each direction is then two matrix products.
-The log-barrier variant subtracts ``gamma * sum(log(entries))`` so the
-penalty diverges at the boundary of the positive orthant; its Hessian adds a
-diagonal and the solve decouples into independent R x R systems per row.
+vec-level solve is one R x R solve from the right, made from the Cholesky
+factor of a bordered system (:func:`_solve_modes`). The log-barrier variant
+subtracts ``gamma * sum(log(entries))``; its Hessian adds a diagonal, so
+the solve decouples into one R x R system per row of the ``(sum I_n, R)``
+block of stacked factors (:func:`_barrier_rhs`).
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import BarrierDomainError, SingularPreconditionerError
-from .tensor_ops import KruskalModel, hadamard_gram, mttkrp, mttkrp_stack
+from .tensor_ops import (
+    KruskalModel, hadamard_gram, mttkrp, mttkrp_stack, sweep_mttkrps,
+)
 
 Array = np.ndarray
 
@@ -84,19 +84,18 @@ def _positives(key: str, values, order: int) -> Array:
     raise ValueError(f"{key} must be {order} reals > 0, one per factor, got {values!r}")
 
 
-def _ridges(grams: Array, ridge: float | None) -> Array | float:
-    """Ridge of each ``(..., R, R)`` Gram: ``ridge``, or the automatic one."""
-    if ridge is not None:
-        return _real("ridge", ridge)
-    return AUTO_RIDGE_SCALE * np.trace(grams, axis1=-2, axis2=-1) / grams.shape[-1]
+def _diagonals(systems: Array) -> Array:
+    """Diagonals of a C-contiguous ``(..., R, R)`` stack, as a view."""
+    return systems.reshape(*systems.shape[:-2], -1)[..., :: systems.shape[-1] + 1]
 
 
-def _ridged(grams: Array, ridge: float | None) -> Array:
-    """The systems ``P + ridge*I`` of a ``(..., R, R)`` stack of Grams."""
-    rank = grams.shape[-1]
-    systems = grams.copy()
-    diagonal = systems.reshape(*grams.shape[:-2], rank * rank)[..., :: rank + 1]
-    diagonal += np.asarray(_ridges(grams, ridge))[..., None]
+def _ridged(grams: Array, ridge: float | None, copy: bool = True) -> Array:
+    """``P + ridge*I`` for a ``(..., R, R)`` stack ``P`` of Grams, ridge
+    ``1e-10 * trace(P) / R`` for ``None``; in place (C order) if not ``copy``."""
+    systems = grams.copy() if copy else grams
+    diagonals = _diagonals(systems)
+    diagonals += (AUTO_RIDGE_SCALE * diagonals.sum(-1)[..., None] / systems.shape[-1]
+                  if ridge is None else _real("ridge", ridge))
     return systems
 
 
@@ -136,9 +135,13 @@ def gradients(t: Array, model: KruskalModel) -> list[Array]:
     return projection_bundle(t, model, False, None)[1]
 
 
-def projected_direction(factor: Array, grad: Array) -> Array:
-    """Projection-dynamics direction ``[Z - G]_+ - Z``; zero iff KKT holds."""
-    return np.maximum(factor - grad, 0.0) - factor
+def projected_direction(factor: Array, grad: Array, out=None) -> Array:
+    """Projection-dynamics direction ``[Z - G]_+ - Z``, made in ``out`` if
+    given (it may be ``grad``); zero iff KKT holds."""
+    direction = np.subtract(factor, grad, out=out)
+    np.maximum(direction, 0.0, out=direction)
+    direction -= factor
+    return direction
 
 
 def max_abs(blocks) -> float:
@@ -160,30 +163,31 @@ def projection_stack(
     hold one such stack per factor, slice ``p`` belonging to model ``p``.
     The direction for factor ``Z`` is ``[Z - G]_+ - Z`` where ``G`` is the
     (optionally Gram-preconditioned) gradient; the continuous flow, the
-    discrete steppers and the swarm all advance along these. Per iterate the
-    Grams are one batched product, the MTTKRPs come from
-    :func:`~neurocpd.tensor_ops.mttkrp_stack` and the ``R x R`` preconditioner
-    solves are made by :func:`_solve_modes`. ``t`` is only read by
-    ``mttkrp_stack``, so it may be a :class:`~neurocpd.tensor_ops.TuckerForm`.
+    discrete steppers and the swarm all advance along these. ``t`` is only
+    read by :func:`~neurocpd.tensor_ops.mttkrp_stack`, so it may be a
+    :class:`~neurocpd.tensor_ops.TuckerForm`.
     """
     grams = [np.matmul(f.transpose(0, 2, 1), f) for f in factors]
     skips = _gram_skips(grams)
-    grads = [f @ g - m for f, g, m in zip(factors, skips, mttkrp_stack(t, factors))]
-    step_grads = grads
-    if use_precondition:
-        systems = _ridged(np.stack(skips), ridge)
-        step_grads = _solve_modes(grads, systems, ridge, range(len(grads)))
-    return [projected_direction(f, g) for f, g in zip(factors, step_grads)], grads
+    grads = [f @ g for f, g in zip(factors, skips)]
+    for g, m in zip(grads, mttkrp_stack(t, factors)):
+        g -= m
+    if not use_precondition:
+        return [projected_direction(f, g) for f, g in zip(factors, grads)], grads
+    solved = _solve_modes(grads, _ridged(skips, ridge, False), ridge, range(len(grads)))
+    return [projected_direction(f, g, g) for f, g in zip(factors, solved)], grads
 
 
-def _gram_skips(grams) -> list[Array]:
-    """For each mode ``n`` the Hadamard product of the ``grams`` but the
+def _gram_skips(grams) -> Array:
+    """Stacked over modes ``n``, the Hadamard product of the ``grams`` but the
     ``n``-th, in factor order and bitwise as :func:`hadamard_gram` forms it."""
-    if len(grams) == 1:
-        return [np.ones_like(grams[0])]
-    if len(grams) == 2:
-        return [grams[1].copy(), grams[0].copy()]
-    return [reduce(np.multiply, grams[:n] + grams[n + 1 :]) for n in range(len(grams))]
+    skips = np.empty((len(grams),) + grams[0].shape)
+    for n, skip in enumerate(skips):
+        rest = grams[:n] + grams[n + 1 :]
+        skip[...] = rest[0] if rest else 1.0
+        for g in rest[1:]:
+            skip *= g
+    return skips
 
 
 def projection_bundle(
@@ -214,24 +218,28 @@ def precondition(
     return _solve_one(grad, _ridged(gram, ridge), ridge, mode)
 
 
+@lru_cache(maxsize=None)
+def _border(rank: int) -> Array:
+    """The read-only block ``[[0, I], [I, c*I]]`` of :func:`_solve_modes`."""
+    eye = np.eye(rank)
+    block = np.block([[0 * eye, eye], [eye, BORDER * eye]])
+    block.flags.writeable = False
+    return block
+
+
 def _solve_modes(grads, systems: Array, ridge: float | None, modes) -> list[Array]:
     """``grads[n][p] @ inv(systems[n, p])`` for ``(P, I_n, R)`` stacks ``grads[n]``.
 
-    One Cholesky factorization of the bordered systems ``[[S, I], [I, c*I]]``
-    with ``c`` = :data:`BORDER`. For ``S = L L^T`` its lower-left block is
-    ``U = L^{-T}``, so ``inv(S) = U U^T`` and each mode takes the two batched
-    products ``(G @ U) @ U^T``. In exact arithmetic the factorization succeeds
-    iff every ``S`` is positive definite with ``lambda_min(S) > 1/c``; if not, each
-    system is solved by :func:`_solve_one`, whose errors name the system's
-    mode ``modes[n]``.
+    One Cholesky factorization of the bordered systems ``[[S, I], [I, c*I]]``,
+    copies of :func:`_border`: for ``S = L L^T`` its lower-left block is ``U
+    = L^{-T}``, and ``inv(S) = U U^T``. It succeeds iff every ``S`` is
+    positive definite with ``lambda_min(S) > 1/c`` (in exact arithmetic); if
+    not, :func:`_solve_one` solves each, its errors naming mode ``modes[n]``.
     """
     rank = systems.shape[-1]
-    eye = np.eye(rank)
     bordered = np.empty(systems.shape[:-2] + (2 * rank, 2 * rank))
+    bordered[...] = _border(rank)
     bordered[..., :rank, :rank] = systems
-    bordered[..., :rank, rank:] = eye
-    bordered[..., rank:, :rank] = eye
-    bordered[..., rank:, rank:] = BORDER * eye
     try:
         inverses = np.linalg.cholesky(bordered)[..., rank:, :rank]
     except np.linalg.LinAlgError:
@@ -290,39 +298,39 @@ def barrier_precondition(
     if grad.shape != entries.shape:
         raise ValueError("gradient and entry blocks must share a shape")
     base = _ridged(gram, ridge)[None]
-    return _barrier_solve([grad], base, [entries], gamma, [mode])[0]
+    return _barrier_solve(grad, base, entries, gamma, [len(entries)], [mode])
 
 
-def preconditioned_barrier_gradients(
-    t: Array, model: KruskalModel, gamma: float, ridge: float | None = None
-) -> list[Array]:
-    """:func:`barrier_precondition` of :func:`barrier_gradient` for every
-    factor, bitwise, from one snapshot of the point: one interior check, the
-    factor Grams, one MTTKRP call and one solve over the rows of all factors."""
+def _barrier_rhs(t: Array, model: KruskalModel, rows: Array, gamma, ridge) -> Array:
+    """The barrier flow's rhs, minus :func:`barrier_precondition` of
+    :func:`barrier_gradient` bitwise, of every factor as one ``(sum I_n, R)``
+    block; ``rows`` are the factors stacked. The MTTKRPs are those of
+    :func:`~neurocpd.tensor_ops.sweep_mttkrps`."""
     _check_shapes(t, model)
-    gamma = _check_interior(model, gamma)
-    skips = _gram_skips([f.T @ f for f in model.factors])
-    mtts = mttkrp_stack(t, [f[None] for f in model.factors])
-    grads = [f @ g - m[0] - gamma / f for f, g, m in zip(model.factors, skips, mtts)]
-    bases = _ridged(np.stack(skips), ridge)
-    return _barrier_solve(grads, bases, model.factors, gamma, range(model.order))
+    gamma = _real("gamma", gamma, "()")
+    if rows.size and rows.min() <= 0.0:
+        _check_interior(model, gamma)  # names the factor
+    bases = _gram_skips([f.T @ f for f in model.factors])
+    grads = np.concatenate([f @ g - m for f, g, m in zip(
+        model.factors, bases, sweep_mttkrps(t, model))])
+    # exactly -(G - gamma/Z); a solve is odd in its rhs
+    grads = np.subtract(gamma / rows, grads, out=grads)
+    return _barrier_solve(grads, _ridged(bases, ridge, False), rows, gamma,
+                          model.shape, range(model.order))
 
 
-def _barrier_solve(grads, bases: Array, entries, gamma: float, modes):
-    """Row ``i`` of each ``grads[k]`` solved with ``bases[k] + gamma *
-    diag(1 / entries[k][i]**2)``. The batched solve takes each system alone,
-    so one call over the rows of every block gives the per-block results."""
-    sizes = [len(e) for e in entries]
+def _barrier_solve(grads: Array, bases: Array, rows: Array, gamma: float, sizes, modes):
+    """Row ``i`` of ``grads`` solved with ``bases[k] + gamma * diag(1 /
+    rows[i]**2)``, ``bases[k]`` serving the next ``sizes[k]`` rows, of factor
+    ``modes[k]``; the batched solve takes each system alone."""
     systems = np.repeat(bases, sizes, axis=0)
-    rank = bases.shape[-1]
-    diagonals = systems.reshape(len(systems), rank * rank)[:, :: rank + 1]
-    diagonals += gamma / (np.concatenate(entries) ** 2)
-    rhs = np.concatenate(grads)
+    diagonals = _diagonals(systems)
+    diagonals += gamma / rows**2
     try:
-        out = np.linalg.solve(systems, rhs[:, :, None])[:, :, 0]
+        return np.linalg.solve(systems, grads[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
-        rows = [(mode, i) for mode, n in zip(modes, sizes) for i in range(n)]
-        for (mode, i), system, grad in zip(rows, systems, rhs):
+        names = [(mode, i) for mode, n in zip(modes, sizes) for i in range(n)]
+        for (mode, i), system, grad in zip(names, systems, grads):
             try:
                 np.linalg.solve(system, grad)
             except np.linalg.LinAlgError:
@@ -330,4 +338,3 @@ def _barrier_solve(grads, bases: Array, entries, gamma: float, modes):
                     f"singular barrier system at row {i} of factor {mode}"
                 ) from None
         raise
-    return [out[end - n : end] for n, end in zip(sizes, np.cumsum(sizes))]

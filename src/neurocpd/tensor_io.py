@@ -16,6 +16,7 @@ tensor as ``<path>.meta``.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -76,13 +77,15 @@ def load_tensor_bin(path) -> np.ndarray:
     if len(raw) < header:
         raise ValueError(f"{path}: truncated header, expected {order} dimensions")
     dims = _validate_dims(struct.unpack_from(f"<{order}Q", raw, 16))
+    if (len(raw) - header) % 8:
+        raise ValueError(f"{path}: truncated payload")
     return _payload(path, np.frombuffer(raw, dtype="<f8", offset=header), dims)
 
 
 def _payload(path, values: np.ndarray, dims) -> np.ndarray:
     """Checked float64 tensor from first-index-fastest values, copied into
     row-major order, the layout the kernels contract without a copy."""
-    expected = int(np.prod(dims))
+    expected = math.prod(dims)
     if values.size != expected:
         raise ValueError(f"{path}: expected {expected} values, found {values.size}")
     if not np.isfinite(values).all():

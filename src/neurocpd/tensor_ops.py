@@ -21,7 +21,6 @@ All kernels are pure functions of their inputs and operate in float64.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -144,9 +143,10 @@ def hadamard_gram(model: KruskalModel, skip: int, grams=None) -> Array:
     _check_mode(model.order, skip)
     rest = [f.T @ f if grams is None else grams[n]
             for n, f in enumerate(model.factors) if n != skip]
-    if len(rest) > 1:  # multiplied in factor order, bitwise as onto ones
-        return reduce(np.multiply, rest)
-    return rest[0].copy() if rest else np.ones((model.rank, model.rank))
+    out = rest[0].copy() if rest else np.ones((model.rank, model.rank))
+    for g in rest[1:]:  # in factor order, bitwise as onto ones
+        out *= g
+    return out
 
 
 def mttkrp(t: Array, model: KruskalModel, mode: int) -> Array:

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from neurocpd import flow
+from neurocpd import model as model_mod
 from neurocpd.datagen import gen_problem
-from neurocpd.errors import BarrierDomainError, DivergenceError
+from neurocpd.errors import BarrierDomainError, BoundaryStallError, DivergenceError
 from neurocpd.flow import (
     FlowState,
     barrier_flow_step,
-    barrier_rhs,
     flow_step,
     solve_barrier,
     solve_to_equilibrium,
@@ -220,6 +221,14 @@ def test_barrier_gamma_decay_improves_fit():
     assert relative_error(t, decayed.model) <= relative_error(t, fixed.model)
 
 
+def barrier_rhs(t, model, gamma, ridge=None):
+    """The barrier flow's rhs ``-Hbar^{-1} grad`` of each factor, from the
+    kernel's one row block."""
+    rows = np.concatenate(model.factors)
+    block = model_mod._barrier_rhs(t, model, rows, gamma, ridge)
+    return np.split(block, np.cumsum(model.shape)[:-1])
+
+
 def reference_barrier_rhs(t, model, gamma, ridge=None):
     """The barrier rhs as it was formed one mode at a time: the mode's barrier
     gradient, its Gram preconditioner ``P + ridge*I`` (the automatic ridge
@@ -240,11 +249,43 @@ def reference_barrier_rhs(t, model, gamma, ridge=None):
     return out
 
 
+def reference_barrier_step(t, s):
+    """One barrier-flow step made one factor at a time from
+    :func:`reference_barrier_rhs`, as the step was before it ran on one row
+    block: ``h / eps_n`` per factor, Euler or RK4 stages, and ``h`` halved
+    until every factor is strictly positive, at most 30 times. Returns the new
+    factors."""
+    settings, rhs = s.settings, reference_barrier_rhs
+    k1 = rhs(t, s.model, s.gamma, settings.ridge)
+    h = settings.step
+    for _ in range(31):
+        scale = h / settings.time_constants
+        factors = s.model.factors
+        try:
+            if settings.integrator == "euler":
+                new = [f + sc * d for f, sc, d in zip(factors, scale, k1)]
+            else:
+                def stage(ks, w):
+                    shifted = [f + w * sc * k for f, sc, k in zip(factors, scale, ks)]
+                    return rhs(t, KruskalModel(shifted), s.gamma, settings.ridge)
+
+                k2 = stage(k1, 0.5)
+                k3 = stage(k2, 0.5)
+                k4 = stage(k3, 1.0)
+                new = [f + sc / 6.0 * (a + 2 * b + 2 * c + d)
+                       for f, sc, a, b, c, d in zip(factors, scale, k1, k2, k3, k4)]
+        except BarrierDomainError:
+            h *= 0.5
+            continue
+        if all(f.min() > 0.0 for f in new):
+            return new
+        h *= 0.5
+    raise BoundaryStallError(s.iterations + 1, 30)
+
+
 @pytest.mark.parametrize("ridge", [None, 1e-3])
 @pytest.mark.parametrize("integrator", ["euler", "rk4"])
-def test_barrier_rhs_equals_the_per_mode_formula_bitwise(
-    monkeypatch, integrator, ridge
-):
+def test_barrier_rhs_equals_the_per_mode_formula_bitwise(integrator, ridge):
     rng = np.random.default_rng(11)
     t = rng.random((4, 6, 5))
     model = KruskalModel([0.1 + rng.random((dim, 7)) for dim in t.shape])
@@ -252,14 +293,37 @@ def test_barrier_rhs_equals_the_per_mode_formula_bitwise(
         barrier_rhs(t, model, 1e-3, ridge), reference_barrier_rhs(t, model, 1e-3, ridge)
     ):
         assert np.array_equal(got, ref)
+    s = FlowState(model, step=0.5, integrator=integrator, ridge=ridge)
+    for _ in range(5):  # each row-block step equals the per-factor one
+        want = reference_barrier_step(t, s)
+        s = barrier_flow_step(t, s)
+        assert all(np.array_equal(a, b) for a, b in zip(s.model.factors, want))
 
-    def five_steps():
-        s = FlowState(model, step=0.5, integrator=integrator, ridge=ridge)
-        for _ in range(5):
-            s = barrier_flow_step(t, s)
-        return s.model.factors
 
-    snapshot = five_steps()
-    monkeypatch.setattr(flow, "barrier_rhs", reference_barrier_rhs)
-    for got, ref in zip(snapshot, five_steps()):
-        assert np.array_equal(got, ref)
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.tuples(*[st.integers(1, 6)] * 3),
+    rank=st.integers(1, 6),
+    ridge=st.sampled_from([None, 1e-8]),
+    gamma=st.floats(1e-6, 1.0),
+    integrator=st.sampled_from(["euler", "rk4"]),
+    step=st.sampled_from([0.05, 0.5, 8.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_block_barrier_step_equals_the_per_factor_step_bitwise(
+    dims, rank, ridge, gamma, integrator, step, seed
+):
+    # unequal I_n, random time constants, and steps large enough to halve
+    rng = np.random.default_rng(seed)
+    t = rng.random(dims)
+    model = KruskalModel([0.05 + rng.random((dim, rank)) for dim in dims])
+    s = FlowState(model, time_constants=0.5 + rng.random(3), step=step,
+                  integrator=integrator, ridge=ridge, gamma=gamma)
+    try:
+        want = reference_barrier_step(t, s)
+    except BoundaryStallError:
+        with pytest.raises(BoundaryStallError):
+            barrier_flow_step(t, s)
+        return
+    got = barrier_flow_step(t, s).model.factors
+    assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, want))

@@ -20,7 +20,7 @@ from neurocpd.model import (
     projected_direction,
     projection_bundle,
 )
-from neurocpd.tensor_ops import KruskalModel, kruskal_full
+from neurocpd.tensor_ops import KruskalModel, hadamard_gram, kruskal_full
 
 
 def random_instance(seed, shape=(4, 4, 4), rank=3):
@@ -189,11 +189,18 @@ def test_every_barrier_function_rejects_a_gamma_not_finite_and_positive(gamma):
         lambda: barrier_precondition(
             np.ones((4, 3)), np.eye(3), model.factors[0], gamma
         ),
-        lambda: model_mod.preconditioned_barrier_gradients(t, model, gamma),
+        lambda: row_block_barrier_gradients(t, model, gamma),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=r"gamma must be a number in \(0, inf\)"):
             call()
+
+
+def row_block_barrier_gradients(t, model, gamma, ridge=None):
+    """Each factor's rows of the barrier kernel's one row block."""
+    rows = np.concatenate(model.factors)
+    block = -model_mod._barrier_rhs(t, model, rows, gamma, ridge)
+    return np.split(block, np.cumsum(model.shape)[:-1])
 
 
 def dense_barrier_solve(grad, gram, ridge, entries, gamma):
@@ -243,6 +250,21 @@ def test_singular_barrier_row_names_its_row_and_factor():
     entries = np.array([[0.5], [0.5], [1.0], [0.5]])
     with pytest.raises(np.linalg.LinAlgError, match="row 2 of factor 1"):
         barrier_precondition(np.ones((4, 1)), np.array([[-1.0]]), entries, 1.0, 0.0, 1)
+    # one solve over factors of 3, 5 and 2 rows: the row is counted within
+    # its own factor
+    sizes = (3, 5, 2)
+    for mode, row in [(0, 2), (1, 0), (1, 4), (2, 1)]:
+        bases = np.ones((3, 1, 1))
+        bases[mode] = -1.0
+        entries = [np.full((n, 1), 0.5) for n in sizes]
+        entries[mode][row] = 1.0
+        with pytest.raises(
+            np.linalg.LinAlgError, match=f"at row {row} of factor {mode}$"
+        ):
+            model_mod._barrier_solve(
+                np.ones((sum(sizes), 1)), bases, np.concatenate(entries), 1.0,
+                sizes, range(3),
+            )
 
 
 def identity_product_ridged(grams, ridge):
@@ -305,9 +327,36 @@ def test_barrier_solve_equals_the_row_by_row_solve_bitwise(rows, rank, gamma, se
     bases = np.stack([m.T @ m + 1e-3 * np.eye(rank) for m in spread])
     entries = [0.05 + rng.random((n, rank)) for n in rows]
     grads = [rng.normal(size=(n, rank)) for n in rows]
-    got = model_mod._barrier_solve(grads, bases, entries, gamma, range(len(rows)))
+    solved = model_mod._barrier_solve(
+        np.concatenate(grads), bases, np.concatenate(entries), gamma, rows,
+        range(len(rows)),
+    )
+    got = np.split(solved, np.cumsum(rows)[:-1])
     for base, z, grad, block in zip(bases, entries, grads, got):
         for i in range(len(z)):  # base + gamma * diag(1 / z_i^2), one row alone
             system = base.copy()
             system[np.diag_indices(rank)] += gamma / (z[i] ** 2)
             assert np.array_equal(block[i], np.linalg.solve(system, grad[i]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dims=st.tuples(*[st.integers(1, 7)] * 3),
+    rank=st.integers(1, 7),
+    ridge=st.sampled_from([None, 1e-8]),
+    gamma=st.floats(1e-8, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_block_barrier_gradients_equal_the_per_factor_solves_bitwise(
+    dims, rank, ridge, gamma, seed
+):
+    rng = np.random.default_rng(seed)
+    t = rng.random(dims)
+    model = KruskalModel([0.05 + rng.random((dim, rank)) for dim in dims])
+    got = row_block_barrier_gradients(t, model, gamma, ridge)
+    for mode, (block, factor) in enumerate(zip(got, model.factors)):
+        want = barrier_precondition(
+            barrier_gradient(t, model, mode, gamma), hadamard_gram(model, mode),
+            factor, gamma, ridge, mode,
+        )
+        assert block.shape == want.shape and np.array_equal(block, want)

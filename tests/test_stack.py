@@ -32,6 +32,7 @@ from neurocpd.swarm import SwarmConfig, cno_run, init_swarm
 from neurocpd.tensor_ops import (
     KruskalModel,
     khatri_rao_list,
+    kruskal_full,
     mttkrp_stack,
     tucker_compress,
     unfold,
@@ -132,8 +133,8 @@ def reference_solve_one(grad, system, ridge, mode):
     return np.linalg.solve(system, grad.T).T
 
 
-def reference_stack_directions(t, stacks, ridge):
-    """Preconditioned directions of the stacked kernel with one factorization
+def reference_stack(t, stacks, ridge, use_precondition=True):
+    """Directions and gradients of the stacked kernel with one factorization
     per mode; if any mode's fails, every system is solved alone."""
     grams = [np.matmul(f.transpose(0, 2, 1), f) for f in stacks]
     grads, all_systems = [], []
@@ -149,6 +150,8 @@ def reference_stack_directions(t, stacks, ridge):
         else:
             delta = np.full(len(skip), float(ridge))
         all_systems.append(skip + delta[:, None, None] * np.eye(rank))
+    if not use_precondition:
+        return [projected_direction(f, g) for f, g in zip(stacks, grads)], grads
     step_grads = [
         reference_solve_right(grad, systems, ridge, mode)
         for mode, (grad, systems) in enumerate(zip(grads, all_systems))
@@ -158,7 +161,7 @@ def reference_stack_directions(t, stacks, ridge):
             np.stack([reference_solve_one(g, s, ridge, mode) for g, s in zip(gs, ss)])
             for mode, (gs, ss) in enumerate(zip(grads, all_systems))
         ]
-    return [projected_direction(f, g) for f, g in zip(stacks, step_grads)]
+    return [projected_direction(f, g) for f, g in zip(stacks, step_grads)], grads
 
 
 @settings(max_examples=300, deadline=None)
@@ -178,8 +181,38 @@ def test_grouped_solve_equals_one_solve_per_mode_bitwise(
     t = rng.random(shape)
     stacks = [0.1 + rng.random((count, dim, rank)) for dim in shape]
     directions = projection_stack(t, stacks, True, ridge)[0]
-    for got, ref in zip(directions, reference_stack_directions(t, stacks, ridge)):
+    for got, ref in zip(directions, reference_stack(t, stacks, ridge)[0]):
         assert got.shape == ref.shape and np.array_equal(got, ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    count=st.sampled_from([1, 2, 5]),
+    shape=st.tuples(*[st.integers(3, 7)] * 3),
+    rank=st.integers(1, 6),
+    ridge=st.sampled_from([None, 1e-8]),
+    use_precondition=st.booleans(),
+    compressed=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_projection_stack_equals_the_reference_bitwise_on_dense_and_tucker_operands(
+    count, shape, rank, ridge, use_precondition, compressed, seed
+):
+    # unequal I_n; the Tucker form is that of a tensor of CP rank 2, whose
+    # unfoldings have rank 2 < I_n
+    rng = np.random.default_rng(seed)
+    if compressed:
+        truth = KruskalModel([rng.random((dim, 2)) for dim in shape])
+        t = tucker_compress(kruskal_full(truth))
+        assert t is not None
+    else:
+        t = rng.random(shape)
+    stacks = [0.1 + rng.random((count, dim, rank)) for dim in shape]
+    got = projection_stack(t, stacks, use_precondition, ridge)
+    want = reference_stack(t, stacks, ridge, use_precondition)
+    for got_blocks, want_blocks in zip(got, want):
+        for a, b in zip(got_blocks, want_blocks):
+            assert a.shape == b.shape and np.array_equal(a, b)
 
 
 #: Fixed before comparing. A batched LU solve has a normwise relative

@@ -1,7 +1,12 @@
+import math
+import re
+import struct
+
 import numpy as np
 import pytest
 
 from neurocpd.tensor_io import (
+    MAGIC,
     load_tensor,
     load_tensor_bin,
     load_tensor_txt,
@@ -70,6 +75,44 @@ def test_binary_rejects_truncated_payload(tmp_path):
         load_tensor_bin(path)
 
 
+@pytest.mark.parametrize("cut", [1, 3, 7])
+def test_binary_payload_not_a_multiple_of_8_bytes_names_the_file(tmp_path, cut):
+    path = tmp_path / "t.bin"
+    save_tensor_bin(path, np.ones((2, 2, 2)))
+    path.write_bytes(path.read_bytes()[:-cut])
+    message = f"{path}: truncated payload"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_tensor_bin(path)
+
+
+def huge_header(path, dims, values):
+    """A tensor file whose header names ``dims`` and whose payload is ``values``."""
+    if path.suffix == ".bin":
+        path.write_bytes(MAGIC + struct.pack(f"<{len(dims) + 1}Q", len(dims), *dims)
+                         + np.asarray(values, dtype="<f8").tobytes())
+    else:
+        words = [str(len(dims)), " ".join(map(str, dims))] + [repr(v) for v in values]
+        path.write_text("\n".join(words) + "\n")
+
+
+@pytest.mark.parametrize("suffix", [".bin", ".txt"])
+@pytest.mark.parametrize(
+    "dims, count",
+    [((2**32, 2**32, 1), 0), ((2**62, 2**62, 4), 8)],
+    ids=["no-values", "eight-values"],
+)
+def test_size_check_takes_the_exact_product_of_huge_dimensions(
+    tmp_path, suffix, dims, count
+):
+    # in int64 the product of these dimensions wraps to 0
+    assert int(np.prod(np.array(dims, dtype=np.int64))) == 0
+    path = tmp_path / f"t{suffix}"
+    huge_header(path, dims, [1.0] * count)
+    expected = f"{path}: expected {math.prod(dims)} values, found {count}"
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        load_tensor(path)
+
+
 def test_metadata_roundtrip(tmp_path):
     path = tmp_path / "t.txt.meta"
     write_metadata(path, {"kind": "caseI", "seed": 3, "rank": 10})
@@ -132,13 +175,15 @@ def binary_named_as_text(tmp_path):
         corrupted_bin(
             lambda raw: raw[:-8] + np.array([np.nan]).astype("<f8").tobytes()
         ),
+        corrupted_bin(lambda raw: raw[:-5]),
         lambda tmp_path: tmp_path / "missing.txt",
         directory,
         text_with_a_word,
         binary_named_as_text,
     ],
     ids=[
-        "header-12", "header-20", "nan", "missing", "directory", "word", "undecodable"
+        "header-12", "header-20", "nan", "payload-5", "missing", "directory", "word",
+        "undecodable",
     ],
 )
 def test_cli_run_on_malformed_file_exits_1(tmp_path, capsys, make):

@@ -1,0 +1,160 @@
+"""Bitwise digests of a fixed matrix of neurocpd runs.
+
+Usage, from the root of a checkout:
+
+    python tools/digest.py > a.json
+    python tools/digest.py --compare a.json b.json
+
+The first form runs every entry of the matrix below through
+``neurocpd.bench.run_single`` with deterministic timing and prints one JSON
+line per entry: its name, the sha256 of the final factors and of the trace
+CSV that ``neurocpd.bench.write_csv`` writes, the termination, the step count
+of the last trace row and the final ``rel_error``. The second form prints the
+entries whose digest or termination moved between two such files (and those
+present in only one) and exits 1 if there are any.
+
+The package is imported from ``src/`` next to this script, so running the
+script inside another checkout digests that checkout. Hashes depend on the
+BLAS build and the CPU; compare files made on one machine only.
+
+The matrix: on easy5, difficult9 and caseI, two seeds each,
+
+* ``flow`` at its defaults, with ``ridge: 1e-6`` and with
+  ``precondition: false``, and at ``tol`` 1e-2;
+* ``barrier-flow`` with Euler, with RK4, with a gamma decay and an
+  explicit ridge, at ``tol`` 1e-2, and failing by a boundary stall and by a
+  gamma schedule that underflows;
+* ``dtpnn-explicit``, ``dtpnn-semiimplicit`` and ``dtpnn-armijo``, the last
+  also at ``tol`` 1e-3;
+* ``cno`` with flow particles (at the default ``inner_tol`` and at 1e-2),
+  with barrier-flow particles, with barrier-flow particles that all fail,
+  and with one flow particle;
+
+plus the easy5 swarm whose particles diverge (``step: 1.5`` without
+preconditioning) at seeds 0 and 3.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # one BLAS thread, set before numpy is imported
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from neurocpd.bench import RunConfig, run_single, write_csv  # noqa: E402
+
+PROBLEMS = (("easy5", 3, 200), ("difficult9", 10, 200), ("caseI", 10, 60))
+SEEDS = (0, 1)
+SINGLE = (
+    ("flow", "flow", {}, 0.0),
+    ("flow-ridge", "flow", {"ridge": 1e-6}, 0.0),
+    ("flow-plain", "flow", {"precondition": False}, 0.0),
+    ("flow-tol", "flow", {}, 1e-2),
+    ("barrier-euler", "barrier-flow", {}, 0.0),
+    ("barrier-rk4", "barrier-flow", {"integrator": "rk4"}, 0.0),
+    ("barrier-decay", "barrier-flow",
+     {"gamma": 1e-2, "gamma_decay": 0.5, "decay_every": 20, "ridge": 1e-6}, 0.0),
+    ("barrier-tol", "barrier-flow", {}, 1e-2),
+    ("barrier-stall", "barrier-flow", {"step": 1e12}, 0.0),
+    ("barrier-gamma", "barrier-flow", {"gamma_decay": 1e-200, "decay_every": 1}, 0.0),
+    ("dtpnn-explicit", "dtpnn-explicit", {}, 0.0),
+    ("dtpnn-semiimplicit", "dtpnn-semiimplicit", {}, 0.0),
+    ("dtpnn-armijo", "dtpnn-armijo", {}, 0.0),
+    ("dtpnn-armijo-tol", "dtpnn-armijo", {}, 1e-3),
+)
+SWARMS = (
+    ("cno-flow", {"population": 4, "inner_max_steps": 30}),
+    ("cno-flow-tol", {"population": 4, "inner_max_steps": 30, "inner_tol": 1e-2}),
+    ("cno-barrier", {"population": 3, "inner_solver": "barrier-flow",
+                     "inner_max_steps": 20}),
+    ("cno-barrier-stall", {"population": 3, "inner_solver": "barrier-flow",
+                           "inner_max_steps": 20, "inner_params": {"step": 1e12}}),
+    ("cno-one", {"population": 1, "inner_max_steps": 30}),
+)
+DIVERGING = {"population": 4, "inner_max_steps": 30,
+             "inner_params": {"step": 1.5, "precondition": False}}
+
+
+def matrix():
+    """(name, problem, rank, raw run config, seed) of every entry, in order."""
+    for kind, rank, iterations in PROBLEMS:
+        for seed in SEEDS:
+            problem = {"kind": kind, "seed": seed}
+            for name, algorithm, params, tol in SINGLE:
+                raw = {"algorithm": algorithm, "params": params, "tol": tol,
+                       "budget": {"iterations": iterations}}
+                yield f"{kind}/{seed}/{name}", problem, rank, raw, seed
+            for name, params in SWARMS:
+                raw = {"algorithm": "cno", "params": params,
+                       "budget": {"iterations": 3}}
+                yield f"{kind}/{seed}/{name}", problem, rank, raw, seed
+    for seed in (0, 3):
+        raw = {"algorithm": "cno", "params": DIVERGING, "budget": {"iterations": 2}}
+        problem = {"kind": "easy5", "seed": 0}
+        yield f"easy5/0/cno-diverging-{seed}", problem, 3, raw, seed
+
+
+def digest(name, problem, rank, raw, seed, scratch: Path) -> dict:
+    cfg = RunConfig.from_dict({**raw, "problem": problem, "rank": rank,
+                               "seeds": [seed], "deterministic_timing": True})
+    record = run_single(cfg, seed)
+    path = scratch / "trace.csv"
+    write_csv(record, path)
+    sha = hashlib.sha256(path.read_bytes())
+    if record.final_model is not None:
+        for f in record.final_model.factors:
+            sha.update(f.tobytes(order="C"))
+    return {
+        "name": name,
+        "sha256": sha.hexdigest(),
+        "termination": record.termination,
+        "steps": record.rows[-1].iteration if record.rows else 0,
+        "rel_error": record.final_rel_error,
+    }
+
+
+def compare(a_path, b_path) -> int:
+    def load(path):
+        lines = Path(path).read_text().splitlines()
+        return {e["name"]: e for e in map(json.loads, filter(None, lines))}
+
+    a, b = load(a_path), load(b_path)
+    moved = 0
+    for name in list(a) + [n for n in b if n not in a]:
+        old, new = a.get(name), b.get(name)
+        if old is None or new is None:
+            print(f"{name}: only in {a_path if new is None else b_path}")
+        elif (old["sha256"], old["termination"]) != (new["sha256"], new["termination"]):
+            print(f"{name}: rel_error {old['rel_error']!r} -> {new['rel_error']!r}, "
+                  f"termination {old['termination']} -> {new['termination']}")
+        else:
+            continue
+        moved += 1
+    print(f"{moved} of {len(set(a) | set(b))} entries moved")
+    return 1 if moved else 0
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                   help="print the entries that moved from file A to file B")
+    args = p.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    with tempfile.TemporaryDirectory() as scratch:
+        for entry in matrix():
+            print(json.dumps(digest(*entry, Path(scratch))), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
