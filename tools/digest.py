@@ -26,9 +26,15 @@ The matrix: on easy5, difficult9 and caseI, two seeds each,
   gamma schedule that underflows;
 * ``dtpnn-explicit``, ``dtpnn-semiimplicit`` and ``dtpnn-armijo``, the last
   also at ``tol`` 1e-3;
+* ``dtpnn-explicit`` at step sizes 0.3, 0.5 and 0.9, each with and without
+  ``precondition``, and ``dtpnn-semiimplicit`` at 0.5 and 2.5;
+* ``dtpnn-explicit`` (step size 0.5) and ``dtpnn-semiimplicit`` at ``tol``
+  1e-4 and 1e-6, where they stop on the KKT residual, within 4000 steps;
 * ``cno`` with flow particles (at the default ``inner_tol`` and at 1e-2),
   with barrier-flow particles, with barrier-flow particles that all fail,
   and with one flow particle;
+* ``cno`` with ``dtpnn-explicit`` (step size 0.5), ``dtpnn-semiimplicit``
+  and ``dtpnn-armijo`` particles, one and four of each;
 
 plus the easy5 swarm whose particles diverge (``step: 1.5`` without
 preconditioning) at seeds 0 and 3.
@@ -70,6 +76,18 @@ SINGLE = (
     ("dtpnn-semiimplicit", "dtpnn-semiimplicit", {}, 0.0),
     ("dtpnn-armijo", "dtpnn-armijo", {}, 0.0),
     ("dtpnn-armijo-tol", "dtpnn-armijo", {}, 1e-3),
+    *((f"dtpnn-explicit-{lam}{plain}", "dtpnn-explicit",
+       {"lambdas": [lam] * 3, **({"precondition": False} if plain else {})}, 0.0)
+      for lam in (0.3, 0.5, 0.9) for plain in ("", "-plain")),
+    *((f"dtpnn-semiimplicit-{lam}", "dtpnn-semiimplicit", {"lambdas": [lam] * 3},
+       0.0) for lam in (0.5, 2.5)),
+)
+#: run for up to 4000 steps, so that most stop at their ``tol``
+KKT_STOPS = tuple(
+    (f"{name}-tol-{tol:g}", name, params, tol)
+    for name, params in (("dtpnn-explicit", {"lambdas": [0.5] * 3}),
+                         ("dtpnn-semiimplicit", {}))
+    for tol in (1e-4, 1e-6)
 )
 SWARMS = (
     ("cno-flow", {"population": 4, "inner_max_steps": 30}),
@@ -79,6 +97,11 @@ SWARMS = (
     ("cno-barrier-stall", {"population": 3, "inner_solver": "barrier-flow",
                            "inner_max_steps": 20, "inner_params": {"step": 1e12}}),
     ("cno-one", {"population": 1, "inner_max_steps": 30}),
+    *((f"cno-{kind}-{population}", {
+        "population": population, "inner_solver": kind, "inner_max_steps": 30,
+        "inner_params": {"lambdas": [0.5] * 3} if kind == "dtpnn-explicit" else {},
+    }) for kind in ("dtpnn-explicit", "dtpnn-semiimplicit", "dtpnn-armijo")
+      for population in (1, 4)),
 )
 DIVERGING = {"population": 4, "inner_max_steps": 30,
              "inner_params": {"step": 1.5, "precondition": False}}
@@ -89,10 +112,11 @@ def matrix():
     for kind, rank, iterations in PROBLEMS:
         for seed in SEEDS:
             problem = {"kind": kind, "seed": seed}
-            for name, algorithm, params, tol in SINGLE:
-                raw = {"algorithm": algorithm, "params": params, "tol": tol,
-                       "budget": {"iterations": iterations}}
-                yield f"{kind}/{seed}/{name}", problem, rank, raw, seed
+            for entries, steps in ((SINGLE, iterations), (KKT_STOPS, 4000)):
+                for name, algorithm, params, tol in entries:
+                    raw = {"algorithm": algorithm, "params": params, "tol": tol,
+                           "budget": {"iterations": steps}}
+                    yield f"{kind}/{seed}/{name}", problem, rank, raw, seed
             for name, params in SWARMS:
                 raw = {"algorithm": "cno", "params": params,
                        "budget": {"iterations": 3}}
