@@ -1,17 +1,18 @@
 """Discrete-time steppers side by side: fully explicit, semi-implicit, and
 Gauss-Seidel with Armijo backtracking, plus the stability step-size interval.
+
+The explicit and semi-implicit kinds are the flow's Euler step with weights
+``lambda`` and ``lambda / (1 + lambda)``; every kind is a stepper of the one
+driver loop.
 """
 
 import numpy as np
 
 from neurocpd import DtpnnState, relative_error, step_size_bound
 from neurocpd.datagen import gen_problem
-from neurocpd.dtpnn import (
-    step_explicit,
-    step_gauss_seidel_armijo,
-    step_semi_implicit,
-)
+from neurocpd.driver import drive
 from neurocpd.errors import DivergenceError
+from neurocpd.solvers import STEPPERS
 from neurocpd.swarm import initial_model
 
 x, _ = gen_problem("difficult9", 0)
@@ -21,16 +22,15 @@ print("At the unit step size the explicit update is a projected ALS step and "
       "can overshoot;\nthe semi-implicit form stays stable and the Armijo "
       "stepper adapts its step:\n")
 runs = {
-    "explicit": (step_explicit, {"lambdas": [1.0] * 3}),
-    "semi-implicit": (step_semi_implicit, {"lambdas": [1.0] * 3}),
-    "armijo": (step_gauss_seidel_armijo, {}),
+    "explicit": ("dtpnn-explicit", {"lambdas": [1.0] * 3}),
+    "semi-implicit": ("dtpnn-semiimplicit", {"lambdas": [1.0] * 3}),
+    "armijo": ("dtpnn-armijo", {}),
 }
-for name, (stepper, kw) in runs.items():
-    state = DtpnnState(init.copy(), **kw)
-    outcome = ""
+for name, (kind, params) in runs.items():
+    stepper = STEPPERS[kind]
+    state = stepper.make_state(init.copy(), params, 0)
     try:
-        for _ in range(800):
-            state = stepper(x, state)
+        state = drive(x, state, stepper.step, budget=800)[0]
         outcome = f"relative error {relative_error(x, state.model):.3e}"
     except DivergenceError as exc:
         outcome = f"diverged ({exc})"
@@ -40,11 +40,12 @@ print("\nThe Lyapunov step-size interval along a converging run (far from the"
       "\nsolution its premise fails and no interval applies; near it the"
       "\ninterval opens up):")
 x_small, _ = gen_problem("easy5", 8)
-state = DtpnnState(initial_model(x_small.shape, 3, 8), lambdas=[0.12] * 3,
-                   precondition=False)
+settings = {"lambdas": [0.12] * 3, "precondition": False}
+explicit = STEPPERS["dtpnn-explicit"]
+state = explicit.make_state(initial_model(x_small.shape, 3, 8), settings, 0)
 for step in range(1, 2001):
-    bound = step_size_bound(x_small, state)
-    state = step_explicit(x_small, state)
+    bound = step_size_bound(x_small, DtpnnState(state.model, **settings))
+    state = explicit.step(x_small, state, 0.0)
     if step in (1, 10, 500, 1000, 2000):
         if bound.at_equilibrium:
             print(f"  step {step:3d}: at equilibrium")

@@ -20,9 +20,7 @@ from .dtpnn import (
     StepBound,
     effective_step_map,
     lyapunov_trace,
-    step_explicit,
     step_gauss_seidel_armijo,
-    step_semi_implicit,
     step_size_bound,
 )
 from .flow import (

@@ -1,16 +1,21 @@
 """Discrete-time projection neural network solvers for nonnegative CPD.
 
-Three steppers over the same projection direction ``[Z - G]_+ - Z``:
+The steppers move along the projection direction ``[Z - G]_+ - Z``:
 
-* :func:`step_explicit`: all factors advanced from one snapshot with fixed
-  per-factor step sizes; identical to one Euler step of the continuous flow.
-* :func:`step_gauss_seidel_armijo`: factors updated in sequence, each block
-  backtracking its step size until the sufficient-decrease inequality
-  ``f(x+) - f(x) < alpha * lam * <grad, x+ - x>`` holds for that block.
-* :func:`step_semi_implicit`: the added-implicitness update; the default
-  form is ``(Z + lam*[Z - G]_+) / (1 + lam)``, with the alternative
-  ``(Z + [Z - G]_+) / (1 + lam)`` available behind a switch.
+* ``explicit``: every factor moves from one snapshot by ``lam * d``, the
+  Euler discretization of the continuous flow; it is the flow's step
+  (:func:`~neurocpd.flow.flow_step`) with weights ``lam``.
+* ``semi_implicit``: the added-implicitness update
+  ``(Z + lam*[Z - G]_+) / (1 + lam)``, which is ``Z + lam/(1 + lam) * d``,
+  the flow's step with weights ``lam/(1 + lam)``. It keeps the factors
+  nonnegative for any ``lam > 0``.
+* ``armijo`` (:func:`step_gauss_seidel_armijo`): factors updated in
+  sequence, each block backtracking its step size until the
+  sufficient-decrease inequality ``f(x+) - f(x) < alpha * lam * <grad, x+ -
+  x>`` holds for that block.
 
+The two Euler kinds stop on the KKT residual of the plain gradients
+(``FlowSettings.kkt``), so a swarm of them runs as one flow stack.
 :func:`effective_step_map` rewrites a projected step as a plain per-entry
 gradient step, and :func:`step_size_bound` evaluates the Lyapunov-stability
 step-size interval ``[max(0, 1-sqrt(c)), 1+sqrt(c)]`` built from it.
@@ -26,14 +31,12 @@ import numpy as np
 
 from .driver import State, Stepper, check_finite, drive
 from .errors import ArmijoStallError, StepMapInconsistencyError
-from .flow import _limits, euler_update
+from .flow import FLOW, FlowState, _limits, euler_update
 from .model import (
-    _choice,
     _parts,
     _positives,
     _real,
     _switch,
-    max_abs,
     objective,
     objective_from_parts,
     precondition,
@@ -60,18 +63,18 @@ class ArmijoParams:
             object.__setattr__(self, key, _real(key, getattr(self, key), "()", 0, 1))
 
 
-#: A discrete-time solver's settings, checked by :class:`DtpnnState`.
+#: An Armijo solver's settings, checked by :class:`DtpnnState`.
 DtpnnSettings = namedtuple("DtpnnSettings", "initial_lambdas armijo precondition "
-                           "ridge semi_implicit_form")
+                           "ridge")
 
 
 class DtpnnState(State):
-    """A discrete-time trajectory: ``settings``, checked here once, and the
-    iterate. An Armijo sweep starts its step sizes ``lambdas`` from
-    ``initial_lambdas``."""
+    """An Armijo trajectory: ``settings``, checked here once, and the iterate.
+    A sweep starts its step sizes ``lambdas`` from ``initial_lambdas``;
+    :func:`step_size_bound` reads the ``lambdas`` of an explicit step."""
 
     def __init__(self, model, lambdas=None, armijo=ArmijoParams(), precondition=True,
-                 ridge=None, semi_implicit_form="corrected"):
+                 ridge=None):
         self.lambdas = _positives("lambdas", lambdas, model.order)
         if isinstance(armijo, dict):  # as a YAML config gives it
             if unknown := set(armijo) - {"alpha", "beta"}:
@@ -84,57 +87,9 @@ class DtpnnState(State):
             armijo,
             _switch("precondition", precondition),
             None if ridge is None else _real("ridge", ridge),
-            _choice("semi_implicit_form", semi_implicit_form, ("corrected", "paper")),
         )
         self.model, self.iteration, self.residual = model, 0, np.inf
         self.objective_history = []
-
-
-def _measured(t: Array, s: DtpnnState):
-    """Projection directions and KKT residual at the state's point."""
-    directions, grads = projection_bundle(
-        t, s.model, s.settings.precondition, s.settings.ridge
-    )
-    kkt = max_abs(projected_direction(f, g) for f, g in zip(s.model.factors, grads))
-    return directions, kkt
-
-
-def _moved(s: DtpnnState, model: KruskalModel, kkt: float) -> DtpnnState:
-    return s.moved(model=model, iteration=s.iteration + 1, residual=kkt)
-
-
-def step_explicit(t: Array, s: DtpnnState, tol: float = 0.0) -> DtpnnState:
-    """Fully explicit step: every factor moves from the same snapshot; none
-    if the KKT ``residual`` at the point is below ``tol``.
-
-    With ``0 < lambda <= 1`` each update is a convex combination of the
-    current (nonnegative) factor and a projected point, so nonnegativity is
-    preserved. It is the flow's Euler update with weights ``lambda``.
-    """
-    directions, kkt = _measured(t, s)
-    if kkt < tol:
-        return s.moved(residual=kkt)
-    return _moved(
-        s, euler_update(s.model.factors, s.lambdas, directions, s.iteration + 1), kkt
-    )
-
-
-def step_semi_implicit(t: Array, s: DtpnnState, tol: float = 0.0) -> DtpnnState:
-    """Semi-implicit step ``(Z + lam*[Z - G]_+)/(1 + lam)`` (corrected form);
-    none if the KKT ``residual`` at the point is below ``tol``.
-
-    ``semi_implicit_form="paper"`` selects ``(Z + [Z - G]_+)/(1 + lam)``
-    instead. Both keep the factors entrywise nonnegative for any lam > 0.
-    """
-    directions, kkt = _measured(t, s)
-    if kkt < tol:
-        return s.moved(residual=kkt)
-    paper = s.settings.semi_implicit_form == "paper"
-    new_factors = [
-        (f + (1.0 if paper else lam) * (f + d)) / (1.0 + lam)  # f + d = [Z - G]_+
-        for f, lam, d in zip(s.model.factors, s.lambdas, directions)
-    ]
-    return _moved(s, KruskalModel(check_finite(new_factors, s.iteration + 1)), kkt)
 
 
 def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 0.0) -> DtpnnState:
@@ -230,44 +185,47 @@ def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 0.0) -> Dtpnn
     )
 
 
-def _stepper(step, *settings) -> Stepper:
-    return Stepper(
-        lambda model, params, seed: DtpnnState(model, **params),
-        step,
-        frozenset({"lambdas", "precondition", "ridge", *settings}),
-    )
+def _euler(weights) -> Stepper:
+    """An Euler kind: :data:`~neurocpd.flow.FLOW` with Euler weights
+    ``weights(lambdas)``, stopping on the KKT residual."""
+
+    def make_state(model, params, seed):
+        params = dict(params)
+        lambdas = _positives("lambdas", params.pop("lambdas", None), model.order)
+        state = FlowState(model, **params)
+        return state.moved(
+            settings=state.settings._replace(weights=weights(lambdas), kkt=True)
+        )
+
+    return Stepper(make_state, FLOW.step, frozenset({"lambdas", "precondition",
+                                                     "ridge"}))
 
 
 # Steps are looked up at call time, so rebinding one reaches the driver.
 STEPPERS = {
-    "explicit": _stepper(lambda t, s, tol: step_explicit(t, s, tol)),
-    "semi_implicit": _stepper(
-        lambda t, s, tol: step_semi_implicit(t, s, tol), "semi_implicit_form"
-    ),
-    "armijo": _stepper(
-        lambda t, s, tol: step_gauss_seidel_armijo(t, s, tol), "armijo"
+    "explicit": _euler(lambda lam: lam),
+    "semi_implicit": _euler(lambda lam: lam / (1.0 + lam)),
+    "armijo": Stepper(
+        lambda model, params, seed: DtpnnState(model, **params),
+        lambda t, s, tol: step_gauss_seidel_armijo(t, s, tol),
+        frozenset({"lambdas", "armijo", "precondition", "ridge"}),
     ),
 }
 
 
 def solve(
-    t: Array,
-    s: DtpnnState,
-    variant: str = "armijo",
-    tol: float = 1e-6,
-    max_steps: int = 10000,
+    t: Array, s: DtpnnState, tol: float = 1e-6, max_steps: int = 10000
 ) -> tuple[DtpnnState, str]:
-    """Iterate the chosen stepper until the KKT residual drops below ``tol``.
+    """Armijo sweeps until the KKT residual drops below ``tol``.
 
-    Each step measures the residual from the true (unpreconditioned)
-    gradients at its point before it moves, so a converged return is exactly
-    the point at which the residual was measured; for ``armijo`` that is a
-    sweep that left every block in place. ``tol`` and ``max_steps`` are
-    checked as :func:`~neurocpd.flow.solve_to_equilibrium` checks them.
-    Returns the final state and ``"converged"`` or ``"max_steps"``.
+    Each sweep measures the residual from the true (unpreconditioned)
+    gradients at its point before it moves, so a converged return is a sweep
+    that left every block in place. ``tol`` and ``max_steps`` are checked as
+    :func:`~neurocpd.flow.solve_to_equilibrium`, the solve of the Euler
+    kinds, checks them. Returns the final state and ``"converged"`` or
+    ``"max_steps"``.
     """
-    stepper = STEPPERS[_choice("variant", variant, tuple(STEPPERS))]
-    return drive(t, s, stepper.step, *_limits(tol, max_steps))[:2]
+    return drive(t, s, STEPPERS["armijo"].step, *_limits(tol, max_steps))[:2]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ variant drops the projection and follows the Newton-preconditioned flow
 ``eps * dZ/dt = -Hbar^{-1} grad_Z`` strictly inside the positive orthant,
 halving the step whenever it would cross the boundary, on one block of all
 factors' rows. :data:`FLOW` and :data:`BARRIER` are the two as driver
-steppers; :func:`stack_step` advances a :class:`FlowStack`.
+steppers; :func:`stack_step` advances a :class:`FlowStack`. The explicit and
+semi-implicit DTPNN steps are this Euler step too (:mod:`neurocpd.dtpnn`).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .model import (
     _real,
     _switch,
     max_abs,
+    projected_direction,
     projection_bundle,
     projection_stack,
 )
@@ -41,10 +43,11 @@ MAX_BOUNDARY_HALVINGS = 30
 
 #: A flow's settings, checked by :class:`FlowState`, with the Euler weights
 #: ``step / time_constants``, also per row of the barrier's block of factors,
-#: and each factor's slice of that block.
+#: and each factor's slice of that block. ``kkt``, set only by the DTPNN
+#: steppers, makes :func:`flow_step` stop on the KKT residual.
 FlowSettings = namedtuple("FlowSettings", "time_constants step weights row_weights "
                           "slices precondition ridge integrator gamma_decay "
-                          "decay_every")
+                          "decay_every kkt")
 
 
 class FlowState(State):
@@ -65,6 +68,7 @@ class FlowState(State):
             _choice("integrator", integrator, ("euler", "rk4")),
             _real("gamma_decay", gamma_decay, "()"),
             _integer("decay_every", decay_every, 1),
+            False,
         )
         self.gamma = _real("gamma", gamma, "()")
         self.model = model
@@ -72,9 +76,8 @@ class FlowState(State):
 
 
 def euler_update(factors, weights, directions, iteration: int) -> KruskalModel:
-    """``factors[n] + weights[n] * directions[n]``: the flow's Euler step for
-    weights ``h / eps_n``, the explicit DTPNN step for step sizes ``lambda_n``,
-    made in place in the ``directions``."""
+    """``factors[n] + weights[n] * directions[n]``, made in place in the
+    ``directions``."""
     for f, w, d in zip(factors, weights, directions):
         d *= w
         d += f
@@ -83,10 +86,14 @@ def euler_update(factors, weights, directions, iteration: int) -> KruskalModel:
 
 def flow_step(t: Array, s: FlowState, tol: float = 0.0) -> FlowState:
     """One explicit Euler step, all factors advanced from the same snapshot;
-    none if the rhs max-norm ``residual`` at the point is below ``tol``."""
+    none if the ``residual`` at the point is below ``tol``: the rhs max-norm,
+    or with ``settings.kkt`` that of the plain gradients, the KKT residual."""
     settings, steps = s.settings, s.iterations + 1
-    directions = projection_bundle(t, s.model, settings.precondition, settings.ridge)[0]
-    residual = max_abs(directions)
+    directions, grads = projection_bundle(
+        t, s.model, settings.precondition, settings.ridge
+    )
+    residual = max_abs(_kkt_directions(s.model.factors, grads) if settings.kkt
+                       else directions)
     if residual < tol:
         return s.moved(residual=residual)
     model = euler_update(s.model.factors, settings.weights, directions, steps)
@@ -107,6 +114,11 @@ def solve_to_equilibrium(
     return drive(t, s, FLOW.step, *_limits(tol, max_steps))[:2]
 
 
+def _kkt_directions(factors, grads):
+    """The directions ``[Z - G]_+ - Z`` of the plain gradients."""
+    return (projected_direction(f, g) for f, g in zip(factors, grads))
+
+
 def _limits(tol, max_steps):
     """A library solve's ``tol`` and ``max_steps``, checked."""
     return _real("tol", tol, "(]"), _integer("max_steps", max_steps, 0)
@@ -117,16 +129,17 @@ class FlowStack(State):
 
     ``factors[n]`` is the ``(P, I_n, R)`` stack of factor ``n`` and row ``p``
     of ``weights`` the Euler weights ``h / eps_n`` of trajectory ``p``; all
-    share ``precondition`` and ``ridge``. ``active`` marks the trajectories
-    still moving. ``residual`` is inf while any trajectory is active and -inf
-    once none is, so :func:`~neurocpd.driver.drive` stops the stack when the
-    last one stops.
+    share ``precondition``, ``ridge`` and ``kkt``, the stop of
+    :func:`flow_step`. ``active`` marks the trajectories still moving.
+    ``residual`` is inf while any trajectory is active and -inf once none
+    is, so :func:`~neurocpd.driver.drive` stops the stack when the last one
+    stops.
     """
 
-    def __init__(self, factors, weights, precondition=True, ridge=None):
+    def __init__(self, factors, weights, precondition=True, ridge=None, kkt=False):
         self.factors = [np.asarray(f, dtype=np.float64) for f in factors]
         self.weights = np.asarray(weights, dtype=np.float64)
-        self.precondition, self.ridge = precondition, ridge
+        self.precondition, self.ridge, self.kkt = precondition, ridge, kkt
         self.active = np.ones(len(self.weights), dtype=bool)
         self.residual = np.inf
 
@@ -144,8 +157,11 @@ def stack_step(t: Array, s: FlowStack, tol: float = 0.0) -> FlowStack:
     idx = np.flatnonzero(s.active)
     whole = idx.size == len(s.active)  # no gather or scatter while all move
     current = s.factors if whole else [f[idx] for f in s.factors]
-    directions = projection_stack(t, current, s.precondition, s.ridge)[0]
-    residual = np.max([np.abs(d).max(axis=(1, 2)) for d in directions], axis=0)
+    directions, grads = projection_stack(t, current, s.precondition, s.ridge)
+    residual = np.max([
+        np.abs(d).max(axis=(1, 2))
+        for d in (_kkt_directions(current, grads) if s.kkt else directions)
+    ], axis=0)
     moving = ~(residual < tol)
     stepped = check_finite([
         f + s.weights[idx, n][:, None, None] * d

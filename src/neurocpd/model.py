@@ -75,10 +75,12 @@ def _choice(key: str, value, names: tuple) -> str:
 
 def _positives(key: str, values, order: int) -> Array:
     """One real > 0 per factor as a float64 array, all 1 for ``None``: the
-    time constants of a flow or the step sizes of a DTPNN."""
+    time constants of a flow or the step sizes of a DTPNN. A list is checked
+    entry by entry, as ``asarray`` reads ``[1.0, True]`` as ``[1.0, 1.0]``."""
     array = np.ones(order) if values is None else np.asarray(values)
-    if array.dtype != np.float64 and array.ndim == 1:  # ints or strings, say
-        array = np.array([_real(key, v, "(]") for v in array.tolist()])
+    if isinstance(values, (list, tuple)) or array.ndim == 1 and array.dtype != float:
+        array = np.array([v if isinstance(v, float) else _real(key, v, "(]")
+                          for v in np.asarray(values, dtype=object).tolist()])
     if array.shape == (order,) and (array > 0).all():
         return array
     raise ValueError(f"{key} must be {order} reals > 0, one per factor, got {values!r}")

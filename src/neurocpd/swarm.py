@@ -236,12 +236,13 @@ def _solve_particles(
     rows and the mask of particles whose solver failed (their rows are not
     solved points). Past ``deadline`` every solve stops where it is.
 
-    Every solve goes through :func:`~neurocpd.driver.drive`. A flow population
-    advances as one :class:`~neurocpd.flow.FlowStack`; each particle keeps its
-    own step, time constants and stopping point. The stack contracts
-    ``operand``: ``t`` by default, or its
+    Every solve goes through :func:`~neurocpd.driver.drive`. A population
+    whose step is the flow's Euler step (flow and the explicit and
+    semi-implicit DTPNN) advances as one :class:`~neurocpd.flow.FlowStack`;
+    each particle keeps its own Euler weights and stopping point. The stack
+    contracts ``operand``: ``t`` by default, or its
     :func:`~neurocpd.tensor_ops.tucker_compress` form. Every other kind, and
-    a flow stack whose step fails, runs each particle alone on ``t`` from its
+    a stack whose step fails, runs each particle alone on ``t`` from its
     position, so only the particles that fail alone are marked.
     """
     shape = np.shape(t)
@@ -253,11 +254,12 @@ def _solve_particles(
             params.setdefault("time_constants", sw.time_constants[n])
         model = KruskalModel.unflatten(position, shape, rank)
         states.append(stepper.make_state(model, params, cfg.seed))
-    if cfg.inner_solver == "flow":
+    if stepper.step is flow_mod.FLOW.step:
+        first = states[0].settings
         stack = flow_mod.FlowStack(
             [np.stack(fs) for fs in zip(*(s.model.factors for s in states))],
             [s.settings.weights for s in states],
-            states[0].settings.precondition, states[0].settings.ridge,
+            first.precondition, first.ridge, first.kkt,
         )
         try:
             stack, _, _ = drive(
@@ -296,10 +298,10 @@ def cno_run(
     solves stop at their current points and their outer iteration is the last.
 
     A swarm of more than one particle compresses ``t`` once
-    (:func:`~neurocpd.tensor_ops.tucker_compress`), and its flow stack
-    contracts the core when there is one. All else reads the dense ``t``. One
-    particle would not gain from the core, so it never compresses and a
-    one-particle swarm stays plain flow.
+    (:func:`~neurocpd.tensor_ops.tucker_compress`), and its stack contracts
+    the core when there is one. All else reads the dense ``t``. One particle
+    would not gain from the core, so it never compresses and a one-particle
+    swarm stays a single run of its kind.
     """
     t = np.asarray(t)
     shape = t.shape

@@ -13,9 +13,7 @@ from neurocpd.dtpnn import (
     DtpnnState,
     lyapunov_trace,
     solve as dtpnn_solve,
-    step_explicit,
     step_gauss_seidel_armijo,
-    step_semi_implicit,
     step_size_bound,
 )
 from neurocpd.flow import FlowState, flow_step, solve_to_equilibrium
@@ -28,6 +26,7 @@ from neurocpd.model import (
     objective,
     projection_bundle,
 )
+from neurocpd.solvers import STEPPERS
 from neurocpd.swarm import (
     SwarmConfig,
     SwarmState,
@@ -153,14 +152,16 @@ def test_criterion_04_nonnegativity_invariance():
         init = initial_model(t.shape, 3, seed)
         fs = FlowState(init.copy(), step=0.4)
         states = [
-            DtpnnState(init.copy(), lambdas=[0.8] * 3),
-            DtpnnState(init.copy(), lambdas=[0.15] * 3, precondition=False),
+            STEPPERS["dtpnn-semiimplicit"].make_state(
+                init.copy(), {"lambdas": [0.8] * 3}, seed),
+            STEPPERS["dtpnn-explicit"].make_state(
+                init.copy(), {"lambdas": [0.15] * 3, "precondition": False}, seed),
             DtpnnState(init.copy()),
         ]
         for _ in range(150):
             fs = flow_step(t, fs)
-            states[0] = step_semi_implicit(t, states[0])
-            states[1] = step_explicit(t, states[1])
+            states[0] = flow_step(t, states[0])
+            states[1] = flow_step(t, states[1])
             states[2] = step_gauss_seidel_armijo(t, states[2])
             for model in [fs.model] + [s.model for s in states]:
                 for f in model.factors:
@@ -179,8 +180,8 @@ def test_criterion_05_equilibrium_equivalence():
     init = initial_model(t.shape, 3, 7)
     fs = FlowState(init.copy(), step=0.4)
     fs, reason_f = solve_to_equilibrium(t, fs, tol=1e-8, max_steps=60000)
-    ds = DtpnnState(init.copy(), lambdas=[0.5] * 3)
-    ds, reason_d = dtpnn_solve(t, ds, variant="explicit", tol=1e-8, max_steps=60000)
+    ds = STEPPERS["dtpnn-explicit"].make_state(init.copy(), {"lambdas": [0.5] * 3}, 7)
+    ds, reason_d = solve_to_equilibrium(t, ds, tol=1e-8, max_steps=60000)
     assert reason_f == "converged" and reason_d == "converged"
     kkts = []
     for model in (fs.model, ds.model):
@@ -204,7 +205,7 @@ def test_criterion_06_exact_recovery():
     for seed in range(10):
         t, _ = gen_problem("easy9", seed)
         s = DtpnnState(initial_model(t.shape, 5, seed))
-        s, _ = dtpnn_solve(t, s, variant="armijo", tol=1e-9, max_steps=5000)
+        s, _ = dtpnn_solve(t, s, tol=1e-9, max_steps=5000)
         armijo_ok += relative_error(t, s.model) <= 1e-3
         cfg = SwarmConfig(population=5, seed=seed, max_outer=10, inner_max_steps=500)
         _, trace = cno_run(t, 5, cfg)

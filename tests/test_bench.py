@@ -153,34 +153,40 @@ def test_cno_single_particle_matches_flow_trace(tmp_path):
         "output_dir": str(tmp_path),
         "deterministic_timing": True,
     }
-    flow_cfg = RunConfig.from_dict(
-        {**common, "algorithm": "flow", "budget": {"iterations": 120},
-         "record_every": 30}
-    )
-    cno_cfg = RunConfig.from_dict(
-        {
-            **common,
-            "algorithm": "cno",
-            "budget": {"iterations": 4},
-            "params": {
-                "population": 1,
-                "mutation": False,
-                "jitter_time_constants": False,
-                "inner_tol": 1e-300,
-                "inner_max_steps": 30,
-            },
-        }
-    )
-    flow_record = run_single(flow_cfg, 4)
-    cno_record = run_single(cno_cfg, 4)
-    flow_by_iter = {r.iteration: r for r in flow_record.rows}
-    for row in cno_record.rows:
-        mate = flow_by_iter[row.iteration * 30]
-        # both columns come from the dense residual of the same model
-        assert row.objective == mate.objective
-        assert row.rel_error == mate.rel_error
-    for a, b in zip(cno_record.final_model.factors, flow_record.final_model.factors):
-        assert np.array_equal(a, b)
+    # every kind whose swarm runs as a flow stack
+    for kind, params in (("flow", {}), ("dtpnn-explicit", {"lambdas": [0.5] * 3}),
+                         ("dtpnn-semiimplicit", {})):
+        single_cfg = RunConfig.from_dict(
+            {**common, "algorithm": kind, "params": params,
+             "budget": {"iterations": 120}, "record_every": 30}
+        )
+        cno_cfg = RunConfig.from_dict(
+            {
+                **common,
+                "algorithm": "cno",
+                "budget": {"iterations": 4},
+                "params": {
+                    "population": 1,
+                    "mutation": False,
+                    "jitter_time_constants": False,
+                    "inner_tol": 1e-300,
+                    "inner_max_steps": 30,
+                    "inner_solver": kind,
+                    "inner_params": params,
+                },
+            }
+        )
+        single_record = run_single(single_cfg, 4)
+        cno_record = run_single(cno_cfg, 4)
+        single_by_iter = {r.iteration: r for r in single_record.rows}
+        for row in cno_record.rows:
+            mate = single_by_iter[row.iteration * 30]
+            # both columns come from the dense residual of the same model
+            assert row.objective == mate.objective
+            assert row.rel_error == mate.rel_error
+        for a, b in zip(cno_record.final_model.factors,
+                        single_record.final_model.factors):
+            assert np.array_equal(a, b)
 
 
 def test_recorded_rel_error_is_relative_error_on_every_row():
@@ -448,7 +454,7 @@ SETTINGS = {
     "barrier-flow": {"time_constants", "step", "ridge", "integrator", "gamma",
                      "gamma_decay", "decay_every"},
     "dtpnn-explicit": {"lambdas", "precondition", "ridge"},
-    "dtpnn-semiimplicit": {"lambdas", "precondition", "ridge", "semi_implicit_form"},
+    "dtpnn-semiimplicit": {"lambdas", "precondition", "ridge"},
     "dtpnn-armijo": {"lambdas", "armijo", "precondition", "ridge"},
     "hals": set(),
     "mur": set(),
@@ -457,24 +463,29 @@ SETTINGS = {
 
 def test_each_solver_takes_exactly_the_settings_it_reads():
     assert {kind: set(stepper.params) for kind, stepper in STEPPERS.items()} == SETTINGS
-    assert sum(len(keys) for keys in SETTINGS.values()) == 22
+    assert sum(len(keys) for keys in SETTINGS.values()) == 21
 
 
-# iterate fields, which the states make fresh and a config may not set
-FORMER_ITERATE_KEYWORDS = {
-    "flow": {"residual", "iterations"},
-    "dtpnn": {"iteration", "objective_history", "kkt_residual", "initial_lambdas",
-              "residual"},
+# iterate fields, which the states make fresh and a config may not set, and
+# the removed switch between two semi-implicit forms
+FORMER_KEYWORDS = {
+    flow.FlowState: {"residual", "iterations"},
+    dtpnn.DtpnnState: {"iteration", "objective_history", "kkt_residual",
+                       "initial_lambdas", "residual", "semi_implicit_form"},
 }
 
 
 def _state_fields(kind):
     if kind in ("hals", "mur"):
         return set(SweepState._fields) - {"model"}
-    family = "flow" if kind in ("flow", "barrier-flow") else "dtpnn"
-    state = flow.FlowState if family == "flow" else dtpnn.DtpnnState
-    fields = set(inspect.signature(state).parameters) - {"model"}
-    return fields | FORMER_ITERATE_KEYWORDS[family]
+    # an Euler DTPNN state is a flow state
+    states = ([flow.FlowState] if kind in ("flow", "barrier-flow") else
+              [dtpnn.DtpnnState] if kind == "dtpnn-armijo" else
+              [flow.FlowState, dtpnn.DtpnnState])
+    return set().union(*(
+        set(inspect.signature(state).parameters) - {"model"} | FORMER_KEYWORDS[state]
+        for state in states
+    ))
 
 
 NOT_SETTINGS = [
@@ -627,6 +638,27 @@ def test_a_run_refused_when_its_state_is_made_creates_no_output_dir(
                      "--set", "params.time_constants=[1,2]"]) == 1
     assert capsys.readouterr().err.startswith("config error: time_constants")
     assert not (tmp_path / "fresh_out").exists()
+
+
+@pytest.mark.parametrize(
+    "algorithm,setting",
+    [
+        ("dtpnn-explicit", "params.lambdas=[true, 1, 1]"),
+        ("dtpnn-explicit", "params.lambdas=[1.0, true, 0.5]"),
+        ("flow", "params.time_constants=[1.0, true, 2]"),
+        ("cno", "params.inner_params={time_constants: [1.0, true, 2]}"),
+    ],
+)
+def test_a_bool_in_a_per_factor_list_is_a_config_error(
+    tmp_path, capsys, algorithm, setting
+):
+    cfg_path = tmp_path / "run.yaml"
+    yaml.safe_dump(base_config(algorithm=algorithm, output_dir=str(tmp_path / "out")),
+                   cfg_path.open("w"))
+    assert cli.main(["run", "--config", str(cfg_path), "--set", setting]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "got True" in err
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 @pytest.mark.parametrize("snr", ["nan", "-inf", "inf", "-1e5", "1e308"])
@@ -827,9 +859,10 @@ def _library_solve(algorithm, t, init, tol, budget):
     if algorithm == "barrier-flow":
         interior = KruskalModel([0.1 + 0.9 * f for f in init.factors])
         return flow.solve_barrier(t, flow.FlowState(interior), tol, budget)
-    variant = {"dtpnn-explicit": "explicit", "dtpnn-armijo": "armijo",
-               "dtpnn-semiimplicit": "semi_implicit"}[algorithm]
-    return dtpnn.solve(t, dtpnn.DtpnnState(init), variant, tol, budget)
+    if algorithm == "dtpnn-armijo":
+        return dtpnn.solve(t, dtpnn.DtpnnState(init), tol, budget)
+    state = STEPPERS[algorithm].make_state(init, {}, 0)  # an Euler DTPNN
+    return flow.solve_to_equilibrium(t, state, tol, budget)
 
 
 @pytest.mark.parametrize(

@@ -134,8 +134,8 @@ PUBLIC_STEPS = [
     ("barrier-flow", {"gamma_decay": 0.5, "decay_every": 7}, flow.barrier_flow_step),
     ("barrier-flow", {"integrator": "rk4", "gamma_decay": 0.5, "decay_every": 7},
      flow.barrier_flow_step),
-    ("dtpnn-explicit", {"lambdas": [0.5] * 3}, dtpnn.step_explicit),
-    ("dtpnn-semiimplicit", {}, dtpnn.step_semi_implicit),
+    ("dtpnn-explicit", {"lambdas": [0.5] * 3}, flow.flow_step),
+    ("dtpnn-semiimplicit", {}, flow.flow_step),
     ("dtpnn-armijo", {}, dtpnn.step_gauss_seidel_armijo),
 ]
 
@@ -167,7 +167,7 @@ LIBRARY_SOLVES = {
     "flow": lambda t, m, tol, n: flow.solve_to_equilibrium(
         t, flow.FlowState(m), tol, n),
     "barrier": lambda t, m, tol, n: flow.solve_barrier(t, flow.FlowState(m), tol, n),
-    "dtpnn": lambda t, m, tol, n: dtpnn.solve(t, dtpnn.DtpnnState(m), "armijo", tol, n),
+    "dtpnn": lambda t, m, tol, n: dtpnn.solve(t, dtpnn.DtpnnState(m), tol, n),
 }
 
 
@@ -258,8 +258,6 @@ REFUSALS = [
      "lambdas must be 3 reals > 0, one per factor, got [1.0]"),
     (dtpnn.DtpnnState, "lambdas", [0.0, 1.0, 1.0],
      "lambdas must be 3 reals > 0, one per factor, got [0.0, 1.0, 1.0]"),
-    (dtpnn.DtpnnState, "semi_implicit_form", "implicit",
-     "semi_implicit_form must be one of ('corrected', 'paper'), got 'implicit'"),
 ]
 
 

@@ -14,9 +14,7 @@ from neurocpd.dtpnn import (
     interval_from_c,
     lyapunov_trace,
     solve,
-    step_explicit,
     step_gauss_seidel_armijo,
-    step_semi_implicit,
     step_size_bound,
 )
 from neurocpd.errors import (
@@ -24,8 +22,9 @@ from neurocpd.errors import (
     DivergenceError,
     StepMapInconsistencyError,
 )
-from neurocpd.flow import FlowState, flow_step
-from neurocpd.model import gradients, precondition
+from neurocpd.flow import FlowStack, FlowState, flow_step, stack_step
+from neurocpd.model import gradients, precondition, projection_bundle
+from neurocpd.solvers import STEPPERS
 from neurocpd.swarm import initial_model
 from neurocpd.tensor_ops import KruskalModel, hadamard_gram, mttkrp, relative_error
 
@@ -40,18 +39,28 @@ def exact_scalar():
     return t, KruskalModel([[[1.0]], [[1.0]], [[1.0]]])
 
 
+def explicit(model, **params):
+    """A ``dtpnn-explicit`` state; :func:`flow_step` steps it."""
+    return STEPPERS["dtpnn-explicit"].make_state(model, params, 0)
+
+
+def semi_implicit(model, **params):
+    """A ``dtpnn-semiimplicit`` state; :func:`flow_step` steps it."""
+    return STEPPERS["dtpnn-semiimplicit"].make_state(model, params, 0)
+
+
 def test_explicit_fixed_point_at_equilibrium():
     t, model = exact_scalar()
-    s = DtpnnState(model)
-    stepped = step_explicit(t, s)
+    s = explicit(model)
+    stepped = flow_step(t, s)
     for a, b in zip(stepped.model.factors, model.factors):
         assert np.array_equal(a, b)
 
 
 def test_explicit_lambda_one_is_projected_gradient():
     t, model = random_instance(0)
-    s = DtpnnState(model, lambdas=[1.0, 1.0, 1.0], precondition=False)
-    stepped = step_explicit(t, s)
+    s = explicit(model, lambdas=[1.0, 1.0, 1.0], precondition=False)
+    stepped = flow_step(t, s)
     for f, g, new in zip(model.factors, gradients(t, model), stepped.model.factors):
         assert np.allclose(new, np.maximum(f - g, 0.0), rtol=1e-12, atol=1e-14)
 
@@ -61,10 +70,69 @@ def test_explicit_matches_flow_step_bitwise(lam):
     t, model = random_instance(1)
     fs = FlowState(model.copy(), step=lam, time_constants=np.ones(3),
                    precondition=False)
-    ds = DtpnnState(model.copy(), lambdas=[lam] * 3, precondition=False)
-    f1, d1 = flow_step(t, fs), step_explicit(t, ds)
+    ds = explicit(model.copy(), lambdas=[lam] * 3, precondition=False)
+    f1, d1 = flow_step(t, fs), flow_step(t, ds)
     for a, b in zip(f1.model.factors, d1.model.factors):
         assert np.array_equal(a, b)
+
+
+#: one semi-implicit step against the added-implicitness formula, per entry,
+#: in units of ``eps * (|Z| + |d|)``: the two round ``Z + lam/(1+lam) * d``
+#: and ``(Z + lam*(Z + d))/(1 + lam)`` in a few operations each
+SEMI_IMPLICIT_ULPS = 16.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shape=st.lists(st.integers(1, 7), min_size=3, max_size=3, unique=True),
+    rank=st.integers(1, 5),
+    lambdas=st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=3),
+    precondition=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_euler_kinds_step_as_their_formulas(shape, rank, lambdas, precondition, seed):
+    rng = np.random.default_rng(seed)
+    t = rng.random(shape)
+    model = KruskalModel.random(shape, rank, rng)
+    directions = projection_bundle(t, model, precondition, None)[0]
+    expl = flow_step(t, explicit(model, lambdas=lambdas, precondition=precondition))
+    semi = flow_step(t, semi_implicit(model, lambdas=lambdas,
+                                      precondition=precondition))
+    eps = np.finfo(float).eps
+    for f, d, lam, a, b in zip(model.factors, directions, lambdas,
+                               expl.model.factors, semi.model.factors):
+        assert np.array_equal(a, f + lam * d)
+        paper = (f + lam * (f + d)) / (1.0 + lam)  # f + d = [Z - G]_+
+        bound = SEMI_IMPLICIT_ULPS * eps * (np.abs(f) + np.abs(d))
+        assert (np.abs(b - paper) <= bound).all()
+
+
+def test_euler_kinds_stop_on_the_kkt_residual():
+    # Small factors make the Gram-skips small, so the preconditioned rhs is
+    # far above the KKT residual of the plain gradients; tol lies between.
+    rng = np.random.default_rng(11)
+    t = rng.random((4, 5, 3))
+    model = KruskalModel([0.01 * rng.random((d, 2)) for d in t.shape])
+    rhs = max(float(np.abs(d).max())
+              for d in projection_bundle(t, model, True, None)[0])
+    kkt = max(float(np.abs(d).max())
+              for d in projection_bundle(t, model, False, None)[0])
+    tol = 0.5 * (rhs + kkt)
+    assert kkt < tol <= rhs
+    states = {"flow": FlowState(model), "dtpnn-explicit": explicit(model),
+              "dtpnn-semiimplicit": semi_implicit(model)}
+    for kind, state in states.items():
+        stepped = flow_step(t, state, tol)
+        stopped = kind != "flow"
+        assert stepped.residual == (kkt if stopped else rhs)
+        assert (stepped.iterations == 0) == stopped
+        stack = FlowStack([np.stack([f, f]) for f in model.factors],
+                          np.stack([state.settings.weights] * 2), True, None,
+                          state.settings.kkt)
+        stack = stack_step(t, stack, tol)
+        assert stack.active.tolist() == [not stopped] * 2
+        for a, b in zip(stack.factors, model.factors):
+            assert np.array_equal(a[0], b) == np.array_equal(a[1], b) == stopped
 
 
 def test_state_validation():
@@ -73,8 +141,9 @@ def test_state_validation():
         DtpnnState(model, lambdas=[1.0])
     with pytest.raises(ValueError):
         DtpnnState(model, lambdas=[0.0, 1.0, 1.0])
-    with pytest.raises(ValueError):
-        DtpnnState(model, semi_implicit_form="implicit")
+    for make in (explicit, semi_implicit):
+        with pytest.raises(ValueError, match="^lambdas must be 3 reals > 0"):
+            make(model, lambdas=[0.0, 1.0, 1.0])
     with pytest.raises(ValueError):
         ArmijoParams(alpha=1.0)
 
@@ -149,7 +218,7 @@ def test_armijo_difficult9_error_drops_tenfold():
     t, _ = gen_problem("difficult9", 0)
     init = KruskalModel.random(t.shape, 10, np.random.default_rng(0))
     start = relative_error(t, init)
-    s, _ = solve(t, DtpnnState(init), variant="armijo", tol=1e-9, max_steps=2000)
+    s, _ = solve(t, DtpnnState(init), tol=1e-9, max_steps=2000)
     assert relative_error(t, s.model) <= start / 10.0
 
 
@@ -178,39 +247,21 @@ def test_armijo_moves_a_block_only_downhill(monkeypatch):
 
 def test_semi_implicit_zero_gradient_lambda_one_unchanged():
     t, model = exact_scalar()
-    for form in ("corrected", "paper"):
-        s = DtpnnState(model, lambdas=[1.0] * 3, semi_implicit_form=form)
-        stepped = step_semi_implicit(t, s)
-        for a, b in zip(stepped.model.factors, model.factors):
-            assert np.array_equal(a, b)
+    stepped = flow_step(t, semi_implicit(model, lambdas=[1.0] * 3))
+    for a, b in zip(stepped.model.factors, model.factors):
+        assert np.array_equal(a, b)
 
 
 def test_semi_implicit_residual_decays_along_run():
     t, _ = gen_problem("easy5", 4)
     init = KruskalModel.random(t.shape, 3, np.random.default_rng(4))
-    s = DtpnnState(init, lambdas=[0.8] * 3)
+    s = semi_implicit(init, lambdas=[0.8] * 3)
     residuals = []
     for _ in range(400):
-        s = step_semi_implicit(t, s)
+        s = flow_step(t, s)
         residuals.append(s.residual)
         assert all(f.min() >= 0.0 for f in s.model.factors)
     assert residuals[-1] < 1e-3 * residuals[0]
-
-
-def test_semi_implicit_forms_differ_but_both_nonnegative():
-    # the two forms coincide exactly at lambda = 1, so use a smaller step
-    t, model = random_instance(5)
-    a = step_semi_implicit(
-        t, DtpnnState(model.copy(), lambdas=[0.5] * 3, semi_implicit_form="corrected")
-    )
-    b = step_semi_implicit(
-        t, DtpnnState(model.copy(), lambdas=[0.5] * 3, semi_implicit_form="paper")
-    )
-    assert not all(
-        np.array_equal(x, y) for x, y in zip(a.model.factors, b.model.factors)
-    )
-    for state in (a, b):
-        assert all(f.min() >= 0.0 for f in state.model.factors)
 
 
 def test_semi_implicit_beats_explicit_at_unit_step():
@@ -218,17 +269,17 @@ def test_semi_implicit_beats_explicit_at_unit_step():
     for seed in range(10):
         t, _ = gen_problem("difficult9", seed)
         init = KruskalModel.random(t.shape, 10, np.random.default_rng(seed + 77))
-        semi = DtpnnState(init.copy(), lambdas=[1.0] * 3)
-        expl = DtpnnState(init.copy(), lambdas=[1.0] * 3)
+        semi = semi_implicit(init.copy(), lambdas=[1.0] * 3)
+        expl = explicit(init.copy(), lambdas=[1.0] * 3)
         try:
             for _ in range(800):
-                semi = step_semi_implicit(t, semi)
+                semi = flow_step(t, semi)
             r_semi = relative_error(t, semi.model)
         except DivergenceError:
             r_semi = np.inf
         try:
             for _ in range(800):
-                expl = step_explicit(t, expl)
+                expl = flow_step(t, expl)
             r_expl = relative_error(t, expl.model)
         except DivergenceError:
             r_expl = np.inf
@@ -335,11 +386,9 @@ def test_lyapunov_trace_of_converged_armijo_run():
 
 def test_solve_variants_and_divergence():
     t, model = random_instance(9)
-    s, reason = solve(t, DtpnnState(model.copy()), variant="armijo", tol=1e-3,
-                      max_steps=500)
+    s, reason = solve(t, DtpnnState(model.copy()), tol=1e-3, max_steps=500)
     assert reason in ("converged", "max_steps")
-    with pytest.raises(ValueError):
-        solve(t, DtpnnState(model.copy()), variant="midpoint")
     bad = KruskalModel([np.full((2, 2), np.inf)] * 3)
-    with np.errstate(invalid="ignore"), pytest.raises(DivergenceError):
-        step_explicit(np.ones((2, 2, 2)), DtpnnState(bad, precondition=False))
+    for make in (explicit, semi_implicit):
+        with np.errstate(invalid="ignore"), pytest.raises(DivergenceError):
+            flow_step(np.ones((2, 2, 2)), make(bad, precondition=False))

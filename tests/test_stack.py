@@ -28,6 +28,7 @@ from neurocpd.model import (
     projection_bundle,
     projection_stack,
 )
+from neurocpd.solvers import STEPPERS
 from neurocpd.swarm import SwarmConfig, cno_run, init_swarm
 from neurocpd.tensor_ops import (
     KruskalModel,
@@ -412,6 +413,41 @@ def test_one_outer_iteration_on_the_compressed_tensor_matches_the_dense_one(
         for a, b in zip(KruskalModel.unflatten(got, t.shape, rank).factors,
                         KruskalModel.unflatten(ref, t.shape, rank).factors):
             assert_close(a, b)
+
+
+#: a stack of Euler DTPNN particles against their solves one by one, after
+#: up to 300 steps: each step agrees to TOL, and the steps that follow may
+#: grow the difference by up to this factor
+EULER_STACK_GROWTH = 1e3
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("dtpnn-explicit", {"lambdas": [0.5] * 3}), ("dtpnn-semiimplicit", {}),
+])
+@pytest.mark.parametrize("problem,rank,compress", [
+    ("difficult9", 10, False), ("caseI", 10, True),
+])
+def test_a_stack_of_euler_dtpnn_particles_matches_their_solves_one_by_one(
+    kind, params, problem, rank, compress
+):
+    t, _ = gen_problem(problem, 0)
+    # on caseI three particles converge and one runs out of steps
+    cfg = SwarmConfig(population=4, seed=9, inner_max_steps=300, inner_tol=1e-3,
+                      inner_solver=kind, inner_params=params)
+    sw = init_swarm(t, rank, cfg)
+    assert sw.time_constants is None  # no flow time constants to jitter
+    operand = tucker_compress(t) if compress else None
+    assert (operand is not None) == compress
+    rows, failed = swarm._solve_particles(t, sw, cfg, rank, operand=operand)
+    assert not failed.any()
+    stepper = STEPPERS[kind]
+    for position, row in zip(sw.positions, rows):
+        start = stepper.make_state(KruskalModel.unflatten(position, t.shape, rank),
+                                   params, cfg.seed)
+        alone = drive(t, start, stepper.step, cfg.inner_tol, cfg.inner_max_steps)[0]
+        for a, b in zip(KruskalModel.unflatten(row, t.shape, rank).factors,
+                        alone.model.factors):
+            assert_close(a, b, EULER_STACK_GROWTH)
 
 
 @pytest.mark.parametrize("inner", ["flow", "dtpnn-explicit"])
