@@ -6,7 +6,6 @@ import numpy as np
 
 from neurocpd import (
     KruskalModel,
-    fold,
     hadamard_gram,
     khatri_rao,
     kruskal_full,
@@ -29,11 +28,6 @@ a, b, c = model.factors
 lhs = unfold(x, 0)
 rhs = a @ khatri_rao(c, b).T
 print(f"  max deviation {np.abs(lhs - rhs).max():.2e}")
-
-print("\nFolding inverts unfolding for every mode:")
-for mode in range(3):
-    back = fold(unfold(x, mode), mode, x.shape)
-    print(f"  mode {mode}: exact={np.array_equal(back, x)}")
 
 print("\nThe Gram of a Khatri-Rao product collapses to a Hadamard product "
       "of small Grams:")

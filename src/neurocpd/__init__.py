@@ -51,7 +51,6 @@ from .swarm import (
 )
 from .tensor_ops import (
     KruskalModel,
-    fold,
     frobenius_norm,
     hadamard_gram,
     khatri_rao,

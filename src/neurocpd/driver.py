@@ -1,6 +1,7 @@
 """One driver loop that advances every trajectory: each single-trajectory
 solver's :class:`Stepper` step (see :data:`neurocpd.solvers.STEPPERS` for them
-by name) and the swarm's flow stack (:func:`neurocpd.flow.stack_step`)."""
+by name), and the same flow step on the swarm's stack of several
+trajectories (:meth:`neurocpd.flow.FlowState.stack`)."""
 
 from __future__ import annotations
 

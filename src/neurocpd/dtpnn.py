@@ -14,8 +14,10 @@ The steppers move along the projection direction ``[Z - G]_+ - Z``:
   sufficient-decrease inequality ``f(x+) - f(x) < alpha * lam * <grad, x+ -
   x>`` holds for that block.
 
-The two Euler kinds stop on the KKT residual of the plain gradients
-(``FlowSettings.kkt``), so a swarm of them runs as one flow stack.
+The two Euler kinds are :class:`~neurocpd.flow.FlowState` trajectories whose
+row weights are their step sizes and which stop on the KKT residual of the
+plain gradients (``FlowSettings.kkt``), so a swarm of them runs as one flow
+stack.
 :func:`effective_step_map` rewrites a projected step as a plain per-entry
 gradient step, and :func:`step_size_bound` evaluates the Lyapunov-stability
 step-size interval ``[max(0, 1-sqrt(c)), 1+sqrt(c)]`` built from it.
@@ -31,7 +33,7 @@ import numpy as np
 
 from .driver import State, Stepper, check_finite, drive
 from .errors import ArmijoStallError, StepMapInconsistencyError
-from .flow import FLOW, FlowState, _limits, euler_update
+from .flow import FLOW, FlowState, _limits
 from .model import (
     _parts,
     _positives,
@@ -187,15 +189,14 @@ def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 0.0) -> Dtpnn
 
 def _euler(weights) -> Stepper:
     """An Euler kind: :data:`~neurocpd.flow.FLOW` with Euler weights
-    ``weights(lambdas)``, stopping on the KKT residual."""
+    ``weights(lambdas)`` on each factor's rows, stopping on the KKT residual."""
 
     def make_state(model, params, seed):
         params = dict(params)
         lambdas = _positives("lambdas", params.pop("lambdas", None), model.order)
         state = FlowState(model, **params)
-        return state.moved(
-            settings=state.settings._replace(weights=weights(lambdas), kkt=True)
-        )
+        rows = np.repeat(weights(lambdas), model.shape)[None, :, None]
+        return state.moved(settings=state.settings._replace(row_weights=rows, kkt=True))
 
     return Stepper(make_state, FLOW.step, frozenset({"lambdas", "precondition",
                                                      "ridge"}))
@@ -308,7 +309,8 @@ def step_size_bound(t: Array, s: DtpnnState) -> StepBound:
     denom = sum(float(np.sum(d * d)) for d in directions)  # ||Z - [Z - G]_+||^2
     if denom == 0.0:
         return StepBound(np.nan, np.nan, np.nan, at_equilibrium=True)
-    after = euler_update(s.model.factors, s.lambdas, directions, s.iteration + 1)
+    after = KruskalModel(check_finite([f + lam * d for f, lam, d in zip(
+        s.model.factors, s.lambdas, directions)], s.iteration + 1))
     gammas = effective_step_map(s.model, after, grads, s.lambdas)
     dots = [float(np.sum(gm * g)) for gm, g in zip(gammas, grads)]
     c = (1.0 - 2.0 * sum(d * d for d in dots)) / denom

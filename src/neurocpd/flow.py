@@ -8,9 +8,10 @@ integrated with explicit Euler at a fixed step ``h <= min(eps)`` so every
 iterate stays a convex combination of nonnegative points. The log-barrier
 variant drops the projection and follows the Newton-preconditioned flow
 ``eps * dZ/dt = -Hbar^{-1} grad_Z`` strictly inside the positive orthant,
-halving the step whenever it would cross the boundary, on one block of all
-factors' rows. :data:`FLOW` and :data:`BARRIER` are the two as driver
-steppers; :func:`stack_step` advances a :class:`FlowStack`. The explicit and
+halving the step whenever it would cross the boundary. :data:`FLOW` and
+:data:`BARRIER` are the two as driver steppers. A :class:`FlowState` holds P
+trajectories on one block of all factors' rows; a single run is a stack of
+one, and :meth:`FlowState.stack` makes the swarm's stack. The explicit and
 semi-implicit DTPNN steps are this Euler step too (:mod:`neurocpd.dtpnn`).
 """
 
@@ -24,36 +25,41 @@ from .driver import State, Stepper, check_finite, drive
 from .errors import BarrierDomainError, BoundaryStallError, GammaScheduleError
 from .model import (
     _barrier_rhs,
+    _check_shapes,
     _choice,
     _integer,
     _positives,
     _real,
     _switch,
-    max_abs,
     projected_direction,
-    projection_bundle,
     projection_stack,
 )
-from .tensor_ops import KruskalModel
+from .model import projection_bundle  # noqa: F401  (a binding the benchmark traces)
+from .tensor_ops import KruskalModel, TuckerForm
 
 Array = np.ndarray
 
 MAX_BOUNDARY_HALVINGS = 30
 
 
-#: A flow's settings, checked by :class:`FlowState`, with the Euler weights
-#: ``step / time_constants``, also per row of the barrier's block of factors,
-#: and each factor's slice of that block. ``kkt``, set only by the DTPNN
+#: A flow's settings, checked by :class:`FlowState`: the Euler weights ``step
+#: / time_constants`` of each trajectory's factor rows, ``(P, sum I_n, 1)``,
+#: and each factor's slice of the rows. ``kkt``, set only by the DTPNN
 #: steppers, makes :func:`flow_step` stop on the KKT residual.
-FlowSettings = namedtuple("FlowSettings", "time_constants step weights row_weights "
-                          "slices precondition ridge integrator gamma_decay "
-                          "decay_every kkt")
+FlowSettings = namedtuple("FlowSettings", "row_weights slices precondition ridge "
+                          "integrator gamma_decay decay_every kkt")
 
 
 class FlowState(State):
-    """A flow trajectory: ``settings``, checked here once, and the iterate.
-    ``step`` defaults to half the smallest time constant, which keeps every
-    Euler update convex."""
+    """P flow trajectories: ``settings``, checked here once, and the iterate.
+
+    The iterate is the ``(P, sum I_n, R)`` block ``rows`` of every
+    trajectory's factors stacked, the mask ``active`` of the trajectories
+    still moving, the ``residual`` the last step measured, the step count
+    ``iterations`` and the barrier's ``gamma``; ``shape`` is the shape of the
+    tensor they fit. The constructor makes one trajectory; ``step`` defaults
+    to half the smallest time constant, which keeps every Euler update convex.
+    """
 
     def __init__(self, model, time_constants=None, step=None, precondition=True,
                  ridge=None, integrator="euler", gamma=1e-3, gamma_decay=1.0,
@@ -61,7 +67,7 @@ class FlowState(State):
         eps = _positives("time_constants", time_constants, model.order)
         step = _real("step", 0.5 * float(eps.min()) if step is None else step, "()")
         self.settings = FlowSettings(
-            eps, step, step / eps, np.repeat(step / eps, model.shape)[:, None],
+            np.repeat(step / eps, model.shape)[None, :, None],
             [slice(e - n, e) for n, e in zip(model.shape, np.cumsum(model.shape))],
             _switch("precondition", precondition),
             None if ridge is None else _real("ridge", ridge),
@@ -71,33 +77,75 @@ class FlowState(State):
             False,
         )
         self.gamma = _real("gamma", gamma, "()")
-        self.model = model
+        self.shape, self.rows = model.shape, np.concatenate(model.factors)[None]
+        self.active = np.ones(1, dtype=bool)
         self.residual, self.iterations = np.inf, 0
 
+    @staticmethod
+    def stack(states) -> FlowState:
+        """The trajectories of ``states`` as one state, each with its own
+        Euler weights; the rest of the settings are the first state's."""
+        first = states[0]
+        weights = np.concatenate([s.settings.row_weights for s in states])
+        return first.moved(settings=first.settings._replace(row_weights=weights),
+                           rows=np.concatenate([s.rows for s in states]),
+                           active=np.concatenate([s.active for s in states]))
 
-def euler_update(factors, weights, directions, iteration: int) -> KruskalModel:
-    """``factors[n] + weights[n] * directions[n]``, made in place in the
-    ``directions``."""
-    for f, w, d in zip(factors, weights, directions):
-        d *= w
-        d += f
-    return KruskalModel(check_finite(directions, iteration))
+    @property
+    def factors(self) -> list[Array]:
+        """The ``(P, I_n, R)`` stack of each factor, views of ``rows``."""
+        return [self.rows[:, r] for r in self.settings.slices]
+
+    @property
+    def model(self) -> KruskalModel:
+        """The first trajectory, a single run's model; views of ``rows``."""
+        return KruskalModel([self.rows[0, r] for r in self.settings.slices])
 
 
 def flow_step(t: Array, s: FlowState, tol: float = 0.0) -> FlowState:
-    """One explicit Euler step, all factors advanced from the same snapshot;
-    none if the ``residual`` at the point is below ``tol``: the rhs max-norm,
-    or with ``settings.kkt`` that of the plain gradients, the KKT residual."""
-    settings, steps = s.settings, s.iterations + 1
-    directions, grads = projection_bundle(
-        t, s.model, settings.precondition, settings.ridge
+    """One explicit Euler step of every active trajectory, all its factors
+    advanced from the same snapshot.
+
+    A trajectory whose ``residual`` at its point is below ``tol`` stops there:
+    the rhs max-norm, or with ``settings.kkt`` that of the plain gradients,
+    the KKT residual. The state's ``residual`` is the largest one measured,
+    so :func:`~neurocpd.driver.drive` stops once every trajectory has
+    stopped; a state with none active measures all of them again. The step
+    is all or nothing: if a trajectory fails, it raises that solver failure,
+    :class:`DivergenceError` for a step that is not finite, and none moves.
+    ``t`` is the dense tensor or its
+    :class:`~neurocpd.tensor_ops.TuckerForm`, passed on to
+    :func:`~neurocpd.model.projection_stack`.
+    """
+    settings, steps, active = s.settings, s.iterations + 1, s.active
+    if not isinstance(t, TuckerForm):
+        _check_shapes(t, s)
+    count = np.count_nonzero(active)
+    if not count:  # every trajectory has stopped: measure them all again
+        active, count = ~active, len(active)
+    whole = count == len(active)  # no gather or scatter while all are active
+    rows = s.rows if whole else s.rows[active]
+    directions, grads = projection_stack(
+        t, [rows[:, r] for r in settings.slices], settings.precondition,
+        settings.ridge,
     )
-    residual = max_abs(_kkt_directions(s.model.factors, grads) if settings.kkt
-                       else directions)
-    if residual < tol:
-        return s.moved(residual=residual)
-    model = euler_update(s.model.factors, settings.weights, directions, steps)
-    return s.moved(model=model, residual=residual, iterations=steps)
+    block = np.concatenate(directions, axis=1)
+    measured = (projected_direction(rows, np.concatenate(grads, axis=1))
+                if settings.kkt else block)
+    residuals = np.abs(measured).max(axis=(1, 2))
+    residual, stops = residuals.max(), residuals < tol
+    stopping = np.count_nonzero(stops)
+    if stopping == count:
+        return s.moved(active=np.zeros_like(active), residual=residual)
+    block *= settings.row_weights if whole else settings.row_weights[active]
+    block += rows
+    check_finite((block,), steps)
+    if whole and not stopping:
+        return s.moved(rows=block, active=active, residual=residual, iterations=steps)
+    idx, new, active = np.flatnonzero(active), s.rows.copy(), active.copy()
+    new[idx[~stops]] = block[~stops]
+    active[idx[stops]] = False
+    return s.moved(rows=new, active=active, residual=residual, iterations=steps)
 
 
 def solve_to_equilibrium(
@@ -114,68 +162,9 @@ def solve_to_equilibrium(
     return drive(t, s, FLOW.step, *_limits(tol, max_steps))[:2]
 
 
-def _kkt_directions(factors, grads):
-    """The directions ``[Z - G]_+ - Z`` of the plain gradients."""
-    return (projected_direction(f, g) for f, g in zip(factors, grads))
-
-
 def _limits(tol, max_steps):
     """A library solve's ``tol`` and ``max_steps``, checked."""
     return _real("tol", tol, "(]"), _integer("max_steps", max_steps, 0)
-
-
-class FlowStack(State):
-    """P independent flows as one stack, each to its own stop.
-
-    ``factors[n]`` is the ``(P, I_n, R)`` stack of factor ``n`` and row ``p``
-    of ``weights`` the Euler weights ``h / eps_n`` of trajectory ``p``; all
-    share ``precondition``, ``ridge`` and ``kkt``, the stop of
-    :func:`flow_step`. ``active`` marks the trajectories still moving.
-    ``residual`` is inf while any trajectory is active and -inf once none
-    is, so :func:`~neurocpd.driver.drive` stops the stack when the last one
-    stops.
-    """
-
-    def __init__(self, factors, weights, precondition=True, ridge=None, kkt=False):
-        self.factors = [np.asarray(f, dtype=np.float64) for f in factors]
-        self.weights = np.asarray(weights, dtype=np.float64)
-        self.precondition, self.ridge, self.kkt = precondition, ridge, kkt
-        self.active = np.ones(len(self.weights), dtype=bool)
-        self.residual = np.inf
-
-
-def stack_step(t: Array, s: FlowStack, tol: float = 0.0) -> FlowStack:
-    """One Euler step of every active trajectory of the stack.
-
-    Each trajectory follows :func:`flow_step`: one whose rhs max-norm is
-    below ``tol`` stops there. The step is all or nothing: if any trajectory
-    fails, it raises that solver failure, :class:`DivergenceError` for a
-    step that is not finite, and no trajectory moves. ``t`` is the dense
-    tensor or its :class:`~neurocpd.tensor_ops.TuckerForm`, passed on to
-    :func:`~neurocpd.model.projection_stack`.
-    """
-    idx = np.flatnonzero(s.active)
-    whole = idx.size == len(s.active)  # no gather or scatter while all move
-    current = s.factors if whole else [f[idx] for f in s.factors]
-    directions, grads = projection_stack(t, current, s.precondition, s.ridge)
-    residual = np.max([
-        np.abs(d).max(axis=(1, 2))
-        for d in (_kkt_directions(current, grads) if s.kkt else directions)
-    ], axis=0)
-    moving = ~(residual < tol)
-    stepped = check_finite([
-        f + s.weights[idx, n][:, None, None] * d
-        for n, (f, d) in enumerate(zip(current, directions))
-    ], None)
-    if whole and moving.all():
-        return s.moved(factors=stepped)
-    factors = [f.copy() for f in s.factors]
-    for f, new in zip(factors, stepped):
-        f[idx[moving]] = new[moving]
-    active = s.active.copy()
-    active[idx[~moving]] = False
-    return s.moved(factors=factors, active=active,
-                   residual=np.inf if active.any() else -np.inf)
 
 
 def barrier_flow_step(t: Array, s: FlowState, tol: float = 0.0) -> FlowState:
@@ -184,16 +173,17 @@ def barrier_flow_step(t: Array, s: FlowState, tol: float = 0.0) -> FlowState:
     ``gamma_decay``. None if the rhs max-norm ``residual`` at the point is
     below ``tol``. Raises :class:`BoundaryStallError` after 30 failed
     halvings and :class:`GammaScheduleError` if the scaled ``gamma`` leaves
-    (0, inf).
+    (0, inf). A state of several trajectories is a ValueError.
     """
-    settings = s.settings
-    rows = np.concatenate(s.model.factors)
+    if len(s.rows) != 1:
+        raise ValueError(f"the barrier flow steps one trajectory, got {len(s.rows)}")
+    settings, rows = s.settings, s.rows[0]
     k1 = _barrier_rhs(t, s.model, rows, s.gamma, settings.ridge)
     residual = float(np.abs(k1).max())
     if residual < tol:
         return s.moved(residual=residual)
     iterations = s.iterations + 1
-    weights = settings.row_weights  # h / eps; halving is exact
+    weights = settings.row_weights[0]  # h / eps; halving is exact
     for _ in range(MAX_BOUNDARY_HALVINGS + 1):
         try:
             new = _barrier_advance(t, s, rows, weights, k1)
@@ -206,13 +196,13 @@ def barrier_flow_step(t: Array, s: FlowState, tol: float = 0.0) -> FlowState:
     else:
         raise BoundaryStallError(iterations, MAX_BOUNDARY_HALVINGS)
     check_finite((new,), iterations)
-    model = KruskalModel([new[r] for r in settings.slices])
     gamma = s.gamma
     if iterations % settings.decay_every == 0:
         gamma *= settings.gamma_decay
         if not 0.0 < gamma < np.inf:
             raise GammaScheduleError(f"gamma {gamma!r} at step {iterations}")
-    return s.moved(model=model, residual=residual, iterations=iterations, gamma=gamma)
+    return s.moved(rows=new[None], residual=residual, iterations=iterations,
+                   gamma=gamma)
 
 
 def _barrier_advance(t: Array, s: FlowState, rows: Array, weights: Array, k1):

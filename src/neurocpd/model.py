@@ -146,14 +146,10 @@ def projected_direction(factor: Array, grad: Array, out=None) -> Array:
     return direction
 
 
-def max_abs(blocks) -> float:
-    """Largest absolute entry over all blocks: the residual max-norm."""
-    return max(float(np.abs(b).max()) for b in blocks)
-
-
 def kkt_residual(t: Array, model: KruskalModel) -> float:
     """Max-norm of ``Z - [Z - grad]_+`` over all factors."""
-    return max_abs(projection_bundle(t, model, False, None)[0])
+    return max(float(np.abs(d).max())
+               for d in projection_bundle(t, model, False, None)[0])
 
 
 def projection_stack(

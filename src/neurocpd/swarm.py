@@ -238,9 +238,10 @@ def _solve_particles(
 
     Every solve goes through :func:`~neurocpd.driver.drive`. A population
     whose step is the flow's Euler step (flow and the explicit and
-    semi-implicit DTPNN) advances as one :class:`~neurocpd.flow.FlowStack`;
-    each particle keeps its own Euler weights and stopping point. The stack
-    contracts ``operand``: ``t`` by default, or its
+    semi-implicit DTPNN) advances as one stack of its particles' states
+    (:meth:`~neurocpd.flow.FlowState.stack`); each particle keeps its own
+    Euler weights and stopping point. The stack contracts ``operand``: ``t``
+    by default, or its
     :func:`~neurocpd.tensor_ops.tucker_compress` form. Every other kind, and
     a stack whose step fails, runs each particle alone on ``t`` from its
     position, so only the particles that fail alone are marked.
@@ -255,16 +256,10 @@ def _solve_particles(
         model = KruskalModel.unflatten(position, shape, rank)
         states.append(stepper.make_state(model, params, cfg.seed))
     if stepper.step is flow_mod.FLOW.step:
-        first = states[0].settings
-        stack = flow_mod.FlowStack(
-            [np.stack(fs) for fs in zip(*(s.model.factors for s in states))],
-            [s.settings.weights for s in states],
-            first.precondition, first.ridge, first.kkt,
-        )
         try:
             stack, _, _ = drive(
-                t if operand is None else operand, stack, flow_mod.stack_step,
-                cfg.inner_tol, cfg.inner_max_steps, deadline,
+                t if operand is None else operand, flow_mod.FlowState.stack(states),
+                stepper.step, cfg.inner_tol, cfg.inner_max_steps, deadline,
             )
         except SOLVER_FAILURES:
             pass  # re-solved below, one particle at a time

@@ -99,15 +99,6 @@ def unfold(t: Array, mode: int) -> Array:
     return np.moveaxis(t, mode, 0).reshape((t.shape[mode], -1), order="F")
 
 
-def fold(m: Array, mode: int, shape) -> Array:
-    """Inverse of :func:`unfold`: rebuild the tensor of the given shape."""
-    shape = tuple(shape)
-    _check_mode(len(shape), mode)
-    rest = tuple(s for i, s in enumerate(shape) if i != mode)
-    t = np.asarray(m).reshape((shape[mode],) + rest, order="F")
-    return np.moveaxis(t, 0, mode)
-
-
 def khatri_rao(a: Array, b: Array) -> Array:
     """Column-wise Kronecker product; column r is ``kron(a[:, r], b[:, r])``.
 

@@ -768,7 +768,7 @@ def test_ridge_out_of_range_is_a_config_error(
     for name in RIDGE_ALGORITHMS[:-1]:
         stepper = STEPPERS[name]
         monkeypatch.setitem(STEPPERS, name, stepper._replace(step=no_step))
-    monkeypatch.setattr(flow, "stack_step", no_step)
+    monkeypatch.setattr(flow, "flow_step", no_step)
     params = {"ridge": ridge}
     if algorithm == "cno":
         params = {"population": 2, "inner_params": params}

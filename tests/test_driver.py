@@ -7,7 +7,7 @@ import pytest
 from neurocpd import baselines, dtpnn, flow
 from neurocpd.datagen import gen_problem
 from neurocpd.driver import drive
-from neurocpd.model import kkt_residual, projection_bundle
+from neurocpd.model import kkt_residual, projection_stack
 from neurocpd.solvers import STEPPERS
 from neurocpd.swarm import initial_model
 from neurocpd.tensor_ops import KruskalModel
@@ -104,16 +104,26 @@ def test_measuring_the_residual_adds_no_projection_bundle(monkeypatch, name):
 
     def counted(*args):
         calls.append(1)
-        return projection_bundle(*args)
+        return projection_stack(*args)
 
-    monkeypatch.setattr(flow, "projection_bundle", counted)
-    monkeypatch.setattr(dtpnn, "projection_bundle", counted)
+    monkeypatch.setattr(flow, "projection_stack", counted)
     t, _ = gen_problem("easy5", 0)
     stepper = STEPPERS[name]
     params = {} if name == "flow" else {"lambdas": [0.5] * 3}
     state = stepper.make_state(initial_model(t.shape, 3, 0), params, 0)
     _, reason, steps = drive(t, state, stepper.step, tol=1e-300, budget=7)
     assert (reason, steps, len(calls)) == ("max_steps", 7, 7)
+
+
+@pytest.mark.parametrize(
+    "name", ["flow", "dtpnn-explicit", "dtpnn-semiimplicit", "barrier-flow"]
+)
+def test_a_tensor_of_another_shape_is_named(name):
+    stepper = STEPPERS[name]
+    state = stepper.make_state(KruskalModel([np.ones((3, 3))] * 3), {}, 0)
+    with pytest.raises(ValueError, match=r"^tensor shape \(4, 4, 4\) != "
+                                         r"model shape \(3, 3, 3\)$"):
+        stepper.step(np.ones((4, 4, 4)), state, 0.0)
 
 
 @pytest.mark.parametrize("name", ["hals", "mur"])

@@ -22,7 +22,7 @@ from neurocpd.errors import (
     DivergenceError,
     StepMapInconsistencyError,
 )
-from neurocpd.flow import FlowStack, FlowState, flow_step, stack_step
+from neurocpd.flow import FlowState, flow_step
 from neurocpd.model import gradients, precondition, projection_bundle
 from neurocpd.solvers import STEPPERS
 from neurocpd.swarm import initial_model
@@ -126,13 +126,24 @@ def test_euler_kinds_stop_on_the_kkt_residual():
         stopped = kind != "flow"
         assert stepped.residual == (kkt if stopped else rhs)
         assert (stepped.iterations == 0) == stopped
-        stack = FlowStack([np.stack([f, f]) for f in model.factors],
-                          np.stack([state.settings.weights] * 2), True, None,
-                          state.settings.kkt)
-        stack = stack_step(t, stack, tol)
+        stack = flow_step(t, FlowState.stack([state, state]), tol)
         assert stack.active.tolist() == [not stopped] * 2
         for a, b in zip(stack.factors, model.factors):
             assert np.array_equal(a[0], b) == np.array_equal(a[1], b) == stopped
+
+
+@pytest.mark.parametrize("make,weight", [
+    (explicit, lambda lam: lam), (semi_implicit, lambda lam: lam / (1.0 + lam)),
+])
+def test_euler_kinds_weigh_every_row_by_their_step_size(make, weight):
+    _, model = random_instance(3, shape=(4, 5, 6))
+    lambdas = [0.3, 1.0, 2.5]
+    settings = make(model, lambdas=lambdas).settings
+    assert settings.row_weights.shape == (1, 15, 1)
+    want = np.concatenate([np.full(dim, weight(lam))
+                           for dim, lam in zip(model.shape, lambdas)])
+    assert np.array_equal(settings.row_weights[0, :, 0], want)
+    assert settings.kkt
 
 
 def test_state_validation():

@@ -189,6 +189,12 @@ def test_barrier_step_checks_a_point_no_barrier_step_made():
         barrier_flow_step(t, s)
 
 
+def test_barrier_step_refuses_a_stack_of_several_trajectories():
+    t, s = interior_state(3)
+    with pytest.raises(ValueError, match="^the barrier flow steps one trajectory, got 2$"):
+        barrier_flow_step(t, FlowState.stack([s, s]))
+
+
 def test_barrier_halving_keeps_interior():
     t, s = interior_state(5, step=64.0)  # deliberately too large
     stepped = barrier_flow_step(t, s)
@@ -252,14 +258,13 @@ def reference_barrier_rhs(t, model, gamma, ridge=None):
 def reference_barrier_step(t, s):
     """One barrier-flow step made one factor at a time from
     :func:`reference_barrier_rhs`, as the step was before it ran on one row
-    block: ``h / eps_n`` per factor, Euler or RK4 stages, and ``h`` halved
-    until every factor is strictly positive, at most 30 times. Returns the new
-    factors."""
+    block: ``h / eps_n`` per factor, read off the first of its rows, Euler or
+    RK4 stages, and ``h`` halved until every factor is strictly positive, at
+    most 30 times. Returns the new factors."""
     settings, rhs = s.settings, reference_barrier_rhs
     k1 = rhs(t, s.model, s.gamma, settings.ridge)
-    h = settings.step
+    scale = np.array([settings.row_weights[0, r.start, 0] for r in settings.slices])
     for _ in range(31):
-        scale = h / settings.time_constants
         factors = s.model.factors
         try:
             if settings.integrator == "euler":
@@ -275,11 +280,11 @@ def reference_barrier_step(t, s):
                 new = [f + sc / 6.0 * (a + 2 * b + 2 * c + d)
                        for f, sc, a, b, c, d in zip(factors, scale, k1, k2, k3, k4)]
         except BarrierDomainError:
-            h *= 0.5
+            scale = scale * 0.5
             continue
         if all(f.min() > 0.0 for f in new):
             return new
-        h *= 0.5
+        scale = scale * 0.5
     raise BoundaryStallError(s.iterations + 1, 30)
 
 

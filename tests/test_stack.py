@@ -1,4 +1,5 @@
-"""The stacked projection kernel and the swarm's flow stack under the driver.
+"""The stacked projection kernel and flow states of several trajectories
+under the driver.
 
 The kernel advances P models at once; its reference is the per-factor loop
 that computed one model's directions before the kernel existed. The loop
@@ -19,7 +20,7 @@ from neurocpd import swarm
 from neurocpd.datagen import gen_problem
 from neurocpd.driver import drive
 from neurocpd.errors import DivergenceError, SingularPreconditionerError
-from neurocpd.flow import FlowStack, FlowState, solve_to_equilibrium, stack_step
+from neurocpd.flow import FlowState, flow_step, solve_to_equilibrium
 from neurocpd.model import (
     AUTO_RIDGE_SCALE,
     BORDER,
@@ -29,7 +30,7 @@ from neurocpd.model import (
     projection_stack,
 )
 from neurocpd.solvers import STEPPERS
-from neurocpd.swarm import SwarmConfig, cno_run, init_swarm
+from neurocpd.swarm import SwarmConfig, cno_run, init_swarm, initial_model
 from neurocpd.tensor_ops import (
     KruskalModel,
     khatri_rao_list,
@@ -314,10 +315,22 @@ def test_projection_bundle_is_one_slice_of_the_stack():
             assert np.array_equal(a, b[0])
 
 
+def flow_stack(factors, scales, use_precondition=True, ridge=None):
+    """A :class:`FlowState` of the P trajectories of the ``(P, I_n, R)``
+    stacks ``factors``, trajectory ``p`` stepping factor ``n`` with Euler
+    weight ``scales[p, n]``."""
+    states = [FlowState(KruskalModel(list(fs)), precondition=use_precondition,
+                        ridge=ridge) for fs in zip(*factors)]
+    stack = FlowState.stack(states)
+    weights = np.repeat(np.asarray(scales, dtype=np.float64),
+                        [f.shape[1] for f in factors], axis=1)[:, :, None]
+    return stack.moved(settings=stack.settings._replace(row_weights=weights))
+
+
 def drive_stack(t, factors, scales, use_precondition, ridge, tol, max_steps):
-    """The final stack of :func:`drive` on a :class:`FlowStack`."""
-    start = FlowStack(factors, scales, use_precondition, ridge)
-    return drive(t, start, stack_step, tol, max_steps)[0]
+    """The final state of :func:`drive` on a :func:`flow_stack`."""
+    start = flow_stack(factors, scales, use_precondition, ridge)
+    return drive(t, start, flow_step, tol, max_steps)[0]
 
 
 def solve_stack_gathering_every_step(
@@ -456,11 +469,8 @@ def test_solved_rows_are_the_flatten_of_the_solved_models(monkeypatch, inner):
 
     def drive_spy(*args):
         state, reason, steps = drive(*args)
-        if isinstance(state, FlowStack):
-            solved.extend(KruskalModel([f[p] for f in state.factors])
-                          for p in range(len(state.active)))
-        else:
-            solved.append(state.model)
+        solved.extend(KruskalModel([f[p] for f in state.factors])
+                      for p in range(len(state.active)))
         return state, reason, steps
 
     monkeypatch.setattr(swarm, "drive", drive_spy)
@@ -551,11 +561,11 @@ def test_a_non_finite_step_raises_and_leaves_the_stack_unchanged():
     stacks = [rng.random((3, dim, 2)) for dim in t.shape]
     weights = np.full((3, 3), 0.5)
     weights[1] = np.inf  # trajectory 1's step is not finite
-    start = FlowStack([f.copy() for f in stacks], weights)
+    start = flow_stack([f.copy() for f in stacks], weights)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(DivergenceError):
-            stack_step(t, start, 1e-12)
+            flow_step(t, start, 1e-12)
     assert all(np.array_equal(a, b) for a, b in zip(start.factors, stacks))
     assert start.active.all() and start.residual == np.inf
 
@@ -572,12 +582,11 @@ def test_healthy_rows_of_a_failed_compressed_stack_are_their_dense_solves():
     sw.time_constants = np.array([[1.0] * 3, [1e-6] * 3, [0.7, 1.3, 1.1]])
     states = [FlowState(KruskalModel.unflatten(row, t.shape, 3), eps, step=0.5)
               for row, eps in zip(sw.positions, sw.time_constants)]
-    stack = FlowStack([np.stack(fs) for fs in zip(*(s.model.factors for s in states))],
-                      [s.settings.weights for s in states])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(DivergenceError):
-            drive(form, stack, stack_step, cfg.inner_tol, cfg.inner_max_steps)
+            drive(form, FlowState.stack(states), flow_step, cfg.inner_tol,
+                  cfg.inner_max_steps)
         rows, failed = swarm._solve_particles(t, sw, cfg, 3, operand=form)
     assert failed.tolist() == [False, True, False]
     for p in (0, 2):
@@ -590,9 +599,9 @@ def test_a_stack_past_its_deadline_takes_no_step():
     rng = np.random.default_rng(3)
     t = rng.random((4, 5, 3))
     stacks = [rng.random((3, dim, 2)) for dim in t.shape]
-    start = FlowStack(stacks, np.full((3, 3), 0.5))
+    start = flow_stack(stacks, np.full((3, 3), 0.5))
     out, reason, steps = drive(
-        t, start, stack_step, 0.0, 10, time.perf_counter() - 1.0
+        t, start, flow_step, 0.0, 10, time.perf_counter() - 1.0
     )
     assert (reason, steps) == ("wall_clock", 0)
     assert all(np.array_equal(a, b) for a, b in zip(out.factors, stacks))
@@ -614,12 +623,49 @@ def test_the_stack_converges_once_every_trajectory_has_stopped(spare):
     assert reason == "converged" and longest > 0
     # ``spare`` 0: the budget ends before trajectory 2's last check
     budget = longest + spare
-    out, reason, steps = drive(t, FlowStack(stacks, np.full((2, 3), 0.5), True, 0.0),
-                               stack_step, 1e-3, budget)
+
+    def step_measuring_each_alone(t, state, tol):
+        # the stack's residual is the largest of its active trajectories'
+        solos = [flow_step(t, near.moved(rows=state.rows[p][None]), tol).residual
+                 for p in np.flatnonzero(state.active)]
+        state = flow_step(t, state, tol)
+        assert state.residual == max(solos)
+        return state
+
+    out, reason, steps = drive(t, flow_stack(stacks, np.full((2, 3), 0.5), True, 0.0),
+                               step_measuring_each_alone, 1e-3, budget)
     assert (reason, steps) == (("converged", longest) if spare else ("max_steps", budget))
     assert out.active.tolist() == [False, not spare]
     for got, start, ref in zip(out.factors, stacks, alone.model.factors):
         assert np.array_equal(got[0], start[0]) and np.array_equal(got[1], ref)
+
+
+#: a stack of flows against the solo drive of each, after up to 200 steps:
+#: each step agrees to TOL, and the steps that follow may grow the difference
+#: by up to this factor
+SOLO_GROWTH = 1e3
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+def test_a_stack_of_states_matches_the_solo_drive_of_each(count):
+    # time constants drawn per trajectory; on difficult9 at tol 1e-2 some
+    # trajectories converge and the others run out of steps
+    t, _ = gen_problem("difficult9", 1)
+    rng = np.random.default_rng(count)
+    states = [FlowState(initial_model(t.shape, 10, 7, p),
+                        time_constants=rng.uniform(0.5, 2.0, 3))
+              for p in range(count)]
+    stack, _, _ = drive(t, FlowState.stack(states), flow_step, 1e-2, 200)
+    assert stack.factors[0].shape == (count, 9, 10)
+    reasons = set()
+    for p, state in enumerate(states):
+        alone, reason, _ = drive(t, state, flow_step, 1e-2, 200)
+        reasons.add(reason)
+        assert stack.active[p] == (reason == "max_steps")
+        for a, b in zip(stack.factors, alone.model.factors):
+            assert_close(a[p], b, SOLO_GROWTH)
+    if count == 4:
+        assert reasons == {"converged", "max_steps"}
 
 
 def test_indefinite_slice_falls_back_to_least_squares_alone():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from neurocpd.datagen import gen_problem
 from neurocpd.tensor_ops import (
     KruskalModel,
-    fold,
     frobenius_norm,
     hadamard_gram,
     khatri_rao,
@@ -65,6 +64,13 @@ def test_unfold_matches_brute_force(shape):
     t = np.random.default_rng(hash(shape) % 2**32).random(shape)
     for mode in range(len(shape)):
         assert np.array_equal(unfold(t, mode), brute_force_unfold(t, mode))
+
+
+def fold(m, mode, shape):
+    """The inverse of :func:`unfold`: the tensor of ``shape`` whose mode-``mode``
+    unfolding is ``m``."""
+    rest = tuple(s for i, s in enumerate(shape) if i != mode)
+    return np.moveaxis(np.reshape(m, (shape[mode],) + rest, order="F"), 0, mode)
 
 
 @pytest.mark.parametrize("shape", [(2, 3, 4), (3, 2, 4, 2), (5, 1, 3)])
