@@ -37,7 +37,18 @@ The matrix: on easy5, difficult9 and caseI, two seeds each,
   and ``dtpnn-armijo`` particles, one and four of each;
 
 plus the easy5 swarm whose particles diverge (``step: 1.5`` without
-preconditioning) at seeds 0 and 3.
+preconditioning) at seeds 0 and 3, and the barrier swarms of
+``BARRIER_SWARMS``, two outer iterations each:
+
+* caseII (rank 10, seeds 0 and 1) on criterion 8's schedule (``gamma``
+  1e-3 halved every 120 inner steps, ``inner_tol`` 1e-9), cut to 300 inner
+  steps, with one and with five particles;
+* the same five-particle caseII swarm, seed 0, with RK4 for 100 inner steps;
+* easy5 seed 0 with three particles at ``step: 1.0`` for 20 inner steps,
+  whose particles halve their step on different inner steps: a spy on the
+  halvings of the one-particle-at-a-time solves found the three particles of
+  the first outer iteration halving on steps 0-4, 13 and 18, on 0-2, and on
+  1-2.
 """
 
 from __future__ import annotations
@@ -105,6 +116,20 @@ SWARMS = (
 )
 DIVERGING = {"population": 4, "inner_max_steps": 30,
              "inner_params": {"step": 1.5, "precondition": False}}
+CASE_II = {"inner_solver": "barrier-flow", "inner_tol": 1e-9, "inner_max_steps": 300,
+           "inner_params": {"gamma": 1e-3, "gamma_decay": 0.5, "decay_every": 120}}
+#: (name, problem, rank, seed, swarm params) of the barrier swarms
+BARRIER_SWARMS = (
+    *((f"caseII/{seed}/cno-barrier-{population}", "caseII", 10, seed,
+       {**CASE_II, "population": population})
+      for seed in SEEDS for population in (1, 5)),
+    ("caseII/0/cno-barrier-rk4-5", "caseII", 10, 0,
+     {**CASE_II, "population": 5, "inner_max_steps": 100,
+      "inner_params": {**CASE_II["inner_params"], "integrator": "rk4"}}),
+    ("easy5/0/cno-barrier-halving", "easy5", 3, 0,
+     {"population": 3, "inner_solver": "barrier-flow", "inner_max_steps": 20,
+      "inner_params": {"step": 1.0}}),
+)
 
 
 def matrix():
@@ -125,6 +150,9 @@ def matrix():
         raw = {"algorithm": "cno", "params": DIVERGING, "budget": {"iterations": 2}}
         problem = {"kind": "easy5", "seed": 0}
         yield f"easy5/0/cno-diverging-{seed}", problem, 3, raw, seed
+    for name, kind, rank, seed, params in BARRIER_SWARMS:
+        raw = {"algorithm": "cno", "params": params, "budget": {"iterations": 2}}
+        yield name, {"kind": kind, "seed": seed}, rank, raw, seed
 
 
 def digest(name, problem, rank, raw, seed, scratch: Path) -> dict:
