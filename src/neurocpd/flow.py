@@ -11,7 +11,8 @@ variant drops the projection and follows the Newton-preconditioned flow
 halving the step whenever it would cross the boundary. :data:`FLOW` and
 :data:`BARRIER` are the two as driver steppers. A :class:`FlowState` holds P
 trajectories on one block of all factors' rows; a single run is a stack of
-one, and :meth:`FlowState.stack` makes the swarm's stack. The explicit and
+one, and :meth:`FlowState.stack` makes the swarm's stack; both flows step
+it by :func:`_stack_step`. The explicit and
 semi-implicit DTPNN steps are this Euler step too (:mod:`neurocpd.dtpnn`).
 """
 
@@ -22,7 +23,7 @@ from collections import namedtuple
 import numpy as np
 
 from .driver import State, Stepper, check_finite, drive
-from .errors import BarrierDomainError, BoundaryStallError, GammaScheduleError
+from .errors import BoundaryStallError, GammaScheduleError
 from .model import (
     _barrier_rhs,
     _check_shapes,
@@ -98,8 +99,10 @@ class FlowState(State):
 
     @property
     def model(self) -> KruskalModel:
-        """The first trajectory, a single run's model; views of ``rows``."""
-        return KruskalModel([self.rows[0, r] for r in self.settings.slices])
+        """The first trajectory, a single run's model: unchecked views of ``rows``."""
+        model = object.__new__(KruskalModel)
+        model.factors = [self.rows[0, r] for r in self.settings.slices]
+        return model
 
 
 def flow_step(t: Array, s: FlowState, tol: float = 0.0) -> FlowState:
@@ -117,6 +120,12 @@ def flow_step(t: Array, s: FlowState, tol: float = 0.0) -> FlowState:
     :class:`~neurocpd.tensor_ops.TuckerForm`, passed on to
     :func:`~neurocpd.model.projection_stack`.
     """
+    return _stack_step(t, s, tol, _projection_rhs, _euler)
+
+
+def _stack_step(t: Array, s: FlowState, tol: float, rhs, advance) -> FlowState:
+    """:func:`flow_step` with ``rhs(s, t, rows)``, the rhs and measured
+    blocks, and ``advance(s, t, rows, weights, block)``, the next rows."""
     settings, steps, active = s.settings, s.iterations + 1, s.active
     if not isinstance(t, TuckerForm):
         _check_shapes(t, s)
@@ -125,27 +134,40 @@ def flow_step(t: Array, s: FlowState, tol: float = 0.0) -> FlowState:
         active, count = ~active, len(active)
     whole = count == len(active)  # no gather or scatter while all are active
     rows = s.rows if whole else s.rows[active]
-    directions, grads = projection_stack(
-        t, [rows[:, r] for r in settings.slices], settings.precondition,
-        settings.ridge,
-    )
-    block = np.concatenate(directions, axis=1)
-    measured = (projected_direction(rows, np.concatenate(grads, axis=1))
-                if settings.kkt else block)
+    weights = settings.row_weights if whole else settings.row_weights[active]
+    block, measured = rhs(s, t, rows)
     residuals = np.abs(measured).max(axis=(1, 2))
-    residual, stops = residuals.max(), residuals < tol
+    residual, stops = max(residuals.tolist()), residuals < tol
     stopping = np.count_nonzero(stops)
     if stopping == count:
         return s.moved(active=np.zeros_like(active), residual=residual)
-    block *= settings.row_weights if whole else settings.row_weights[active]
-    block += rows
+    if stopping:  # a trajectory that stops is not advanced
+        rows, weights, block = rows[~stops], weights[~stops], block[~stops]
+    block = advance(s, t, rows, weights, block)
     check_finite((block,), steps)
     if whole and not stopping:
         return s.moved(rows=block, active=active, residual=residual, iterations=steps)
     idx, new, active = np.flatnonzero(active), s.rows.copy(), active.copy()
-    new[idx[~stops]] = block[~stops]
+    new[idx[~stops]] = block
     active[idx[stops]] = False
     return s.moved(rows=new, active=active, residual=residual, iterations=steps)
+
+
+def _projection_rhs(s, t, rows):
+    """The directions and the block measured: with ``kkt``, the plain ones."""
+    settings = s.settings
+    directions, grads = projection_stack(t, [rows[:, r] for r in settings.slices],
+                                         settings.precondition, settings.ridge)
+    block = np.concatenate(directions, axis=1)
+    return block, (projected_direction(rows, np.concatenate(grads, axis=1))
+                   if settings.kkt else block)
+
+
+def _euler(s, t, rows, weights, block):
+    """``rows + weights * block``, made in ``block``."""
+    block *= weights
+    block += rows
+    return block
 
 
 def solve_to_equilibrium(
@@ -168,57 +190,50 @@ def _limits(tol, max_steps):
 
 
 def barrier_flow_step(t: Array, s: FlowState, tol: float = 0.0) -> FlowState:
-    """One step of the barrier flow at ``s.gamma``, halving ``h`` to stay
-    strictly interior; every ``decay_every``-th step scales ``gamma`` by
-    ``gamma_decay``. None if the rhs max-norm ``residual`` at the point is
-    below ``tol``. Raises :class:`BoundaryStallError` after 30 failed
-    halvings and :class:`GammaScheduleError` if the scaled ``gamma`` leaves
-    (0, inf). A state of several trajectories is a ValueError.
+    """One barrier-flow step at ``s.gamma`` of each active trajectory, which
+    halves ``h`` alone to stay strictly interior; every ``decay_every``-th
+    step scales ``gamma`` by ``gamma_decay``. Stops and failures are as in
+    :func:`flow_step`, plus :class:`BoundaryStallError` after 30 failed
+    halvings and :class:`GammaScheduleError` if ``gamma`` leaves (0, inf).
     """
-    if len(s.rows) != 1:
-        raise ValueError(f"the barrier flow steps one trajectory, got {len(s.rows)}")
-    settings, rows = s.settings, s.rows[0]
-    k1 = _barrier_rhs(t, s.model, rows, s.gamma, settings.ridge)
-    residual = float(np.abs(k1).max())
-    if residual < tol:
-        return s.moved(residual=residual)
-    iterations = s.iterations + 1
-    weights = settings.row_weights[0]  # h / eps; halving is exact
-    for _ in range(MAX_BOUNDARY_HALVINGS + 1):
-        try:
-            new = _barrier_advance(t, s, rows, weights, k1)
-        except BarrierDomainError:  # an RK4 stage left the domain
-            pass
-        else:
-            if new.min() > 0.0:
-                break
-        weights = weights * 0.5
-    else:
-        raise BoundaryStallError(iterations, MAX_BOUNDARY_HALVINGS)
-    check_finite((new,), iterations)
-    gamma = s.gamma
-    if iterations % settings.decay_every == 0:
-        gamma *= settings.gamma_decay
+    new = _stack_step(t, s, tol, _barrier_rhs_block, _barrier_advance)
+    if new.iterations > s.iterations and new.iterations % s.settings.decay_every == 0:
+        new.gamma = gamma = s.gamma * s.settings.gamma_decay
         if not 0.0 < gamma < np.inf:
-            raise GammaScheduleError(f"gamma {gamma!r} at step {iterations}")
-    return s.moved(rows=new[None], residual=residual, iterations=iterations,
-                   gamma=gamma)
+            raise GammaScheduleError(f"gamma {gamma!r} at step {new.iterations}")
+    return new
 
 
-def _barrier_advance(t: Array, s: FlowState, rows: Array, weights: Array, k1):
-    """Euler or RK4 update of the row block; ``k1`` is reused."""
-    if s.settings.integrator == "euler":
-        return rows + weights * k1
+def _barrier_rhs_block(s, t, rows):
+    k1 = _barrier_rhs(t, rows, s.settings.slices, s.gamma, s.settings.ridge)
+    return k1, k1
+
+
+def _barrier_advance(s: FlowState, t: Array, rows: Array, weights: Array, k1):
+    """Euler or RK4 update, ``k1`` reused; each trajectory halves ``h`` until
+    it is strictly interior; a stage outside the domain is NaN."""
 
     def stage(k, w):
         shifted = rows + w * weights * k
-        model = KruskalModel([shifted[r] for r in s.settings.slices])
-        return _barrier_rhs(t, model, shifted, s.gamma, s.settings.ridge)
+        outside = ~(shifted > 0.0).all(axis=(1, 2))
+        shifted[outside] = 1.0  # inside; this rhs is discarded
+        k = _barrier_rhs(t, shifted, s.settings.slices, s.gamma, s.settings.ridge)
+        k[outside] = np.nan
+        return k
 
-    k2 = stage(k1, 0.5)
-    k3 = stage(k2, 0.5)
-    k4 = stage(k3, 1.0)
-    return rows + weights / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    for _ in range(MAX_BOUNDARY_HALVINGS + 1):
+        if s.settings.integrator == "euler":
+            new = rows + weights * k1
+        else:
+            k2 = stage(k1, 0.5)
+            k3 = stage(k2, 0.5)
+            k4 = stage(k3, 1.0)
+            new = rows + weights / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if new.min() > 0.0:
+            return new
+        inside = (new > 0.0).all(axis=(1, 2), keepdims=True)
+        weights = np.where(inside, weights, 0.5 * weights)  # exact
+    raise BoundaryStallError(s.iterations + 1, MAX_BOUNDARY_HALVINGS)
 
 
 def solve_barrier(

@@ -8,8 +8,9 @@ Gram-structured preconditioning exploits the block Hessian ``P kron I``: the
 vec-level solve is one R x R solve from the right, made from the Cholesky
 factor of a bordered system (:func:`_solve_modes`). The log-barrier variant
 subtracts ``gamma * sum(log(entries))``; its Hessian adds a diagonal, so
-the solve decouples into one R x R system per row of the ``(sum I_n, R)``
-block of stacked factors (:func:`_barrier_rhs`).
+the solve decouples into one R x R system per row of the ``(P, sum I_n, R)``
+block of P models' stacked factors (:func:`_barrier_rhs`). Both flows read
+one snapshot of Grams and MTTKRPs (:func:`_gradient_stack`).
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BarrierDomainError, SingularPreconditionerError
-from .tensor_ops import (
-    KruskalModel, hadamard_gram, mttkrp, mttkrp_stack, sweep_mttkrps,
-)
+from .tensor_ops import KruskalModel, hadamard_gram, mttkrp, mttkrp_stack
 
 Array = np.ndarray
 
@@ -165,15 +164,20 @@ def projection_stack(
     read by :func:`~neurocpd.tensor_ops.mttkrp_stack`, so it may be a
     :class:`~neurocpd.tensor_ops.TuckerForm`.
     """
-    grams = [np.matmul(f.transpose(0, 2, 1), f) for f in factors]
-    skips = _gram_skips(grams)
-    grads = [f @ g for f, g in zip(factors, skips)]
-    for g, m in zip(grads, mttkrp_stack(t, factors)):
-        g -= m
+    grads, skips = _gradient_stack(t, factors)
     if not use_precondition:
         return [projected_direction(f, g) for f, g in zip(factors, grads)], grads
     solved = _solve_modes(grads, _ridged(skips, ridge, False), ridge, range(len(grads)))
     return [projected_direction(f, g, g) for f, g in zip(factors, solved)], grads
+
+
+def _gradient_stack(t: Array, factors) -> tuple[list[Array], Array]:
+    """Gradients ``Z_n @ G_n - M_n`` of P models and their Gram skips ``G_n``."""
+    skips = _gram_skips([f.mT @ f for f in factors])
+    grads = [f @ g for f, g in zip(factors, skips)]
+    for g, m in zip(grads, mttkrp_stack(t, factors)):
+        g -= m
+    return grads, skips
 
 
 def _gram_skips(grams) -> Array:
@@ -258,10 +262,10 @@ def _solve_one(grad: Array, system: Array, ridge: float | None, mode: int) -> Ar
     return np.linalg.solve(system, grad.T).T
 
 
-def _check_interior(model: KruskalModel, gamma) -> float:
+def _check_interior(factors, gamma) -> float:
     """The barrier's domain: ``gamma`` (returned) finite and > 0, entries > 0."""
     gamma = _real("gamma", gamma, "()")
-    for n, f in enumerate(model.factors):
+    for n, f in enumerate(factors):
         if f.size and f.min() <= 0.0:
             raise BarrierDomainError(
                 f"factor {n} has nonpositive entries; the log barrier requires "
@@ -272,13 +276,13 @@ def _check_interior(model: KruskalModel, gamma) -> float:
 
 def barrier_objective(t: Array, model: KruskalModel, gamma: float) -> float:
     """``objective - gamma * sum(log(entries))`` over all factor entries."""
-    gamma = _check_interior(model, gamma)
+    gamma = _check_interior(model.factors, gamma)
     logs = sum(float(np.log(f).sum()) for f in model.factors)
     return objective(t, model) - gamma * logs
 
 
 def barrier_gradient(t: Array, model: KruskalModel, mode: int, gamma: float) -> Array:
-    gamma = _check_interior(model, gamma)
+    gamma = _check_interior(model.factors, gamma)
     return gradient(t, model, mode) - gamma / model.factors[mode]
 
 
@@ -299,39 +303,38 @@ def barrier_precondition(
     return _barrier_solve(grad, base, entries, gamma, [len(entries)], [mode])
 
 
-def _barrier_rhs(t: Array, model: KruskalModel, rows: Array, gamma, ridge) -> Array:
+def _barrier_rhs(t: Array, rows: Array, slices, gamma, ridge) -> Array:
     """The barrier flow's rhs, minus :func:`barrier_precondition` of
-    :func:`barrier_gradient` bitwise, of every factor as one ``(sum I_n, R)``
-    block; ``rows`` are the factors stacked. The MTTKRPs are those of
-    :func:`~neurocpd.tensor_ops.sweep_mttkrps`."""
-    _check_shapes(t, model)
+    :func:`barrier_gradient` bitwise, of P models as one ``(P, sum I_n, R)``
+    block; factor ``n`` is ``rows[:, slices[n]]``."""
     gamma = _real("gamma", gamma, "()")
+    factors = [rows[:, r] for r in slices]
     if rows.size and rows.min() <= 0.0:
-        _check_interior(model, gamma)  # names the factor
-    bases = _gram_skips([f.T @ f for f in model.factors])
-    grads = np.concatenate([f @ g - m for f, g, m in zip(
-        model.factors, bases, sweep_mttkrps(t, model))])
+        _check_interior(factors, gamma)  # names the factor
+    grads, bases = _gradient_stack(t, factors)
+    grads = np.concatenate(grads, axis=1)
     # exactly -(G - gamma/Z); a solve is odd in its rhs
     grads = np.subtract(gamma / rows, grads, out=grads)
-    return _barrier_solve(grads, _ridged(bases, ridge, False), rows, gamma,
-                          model.shape, range(model.order))
+    return _barrier_solve(grads, _ridged(bases, ridge, False).swapaxes(0, 1), rows,
+                          gamma, [f.shape[1] for f in factors], range(len(slices)))
 
 
 def _barrier_solve(grads: Array, bases: Array, rows: Array, gamma: float, sizes, modes):
     """Row ``i`` of ``grads`` solved with ``bases[k] + gamma * diag(1 /
     rows[i]**2)``, ``bases[k]`` serving the next ``sizes[k]`` rows, of factor
     ``modes[k]``; the batched solve takes each system alone."""
-    systems = np.repeat(bases, sizes, axis=0)
+    systems = np.repeat(bases, sizes, axis=-3)
     diagonals = _diagonals(systems)
     diagonals += gamma / rows**2
     try:
-        return np.linalg.solve(systems, grads[:, :, None])[:, :, 0]
+        return np.linalg.solve(systems, grads[..., None])[..., 0]
     except np.linalg.LinAlgError:
         names = [(mode, i) for mode, n in zip(modes, sizes) for i in range(n)]
-        for (mode, i), system, grad in zip(names, systems, grads):
+        for index in np.ndindex(grads.shape[:-1]):
             try:
-                np.linalg.solve(system, grad)
+                np.linalg.solve(systems[index], grads[index])
             except np.linalg.LinAlgError:
+                mode, i = names[index[-1]]
                 raise np.linalg.LinAlgError(
                     f"singular barrier system at row {i} of factor {mode}"
                 ) from None

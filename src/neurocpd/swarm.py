@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import flow as flow_mod
 from .driver import drive
 from .errors import SOLVER_FAILURES
+from .flow import FlowState
 from .model import _choice, _integer, _real, _switch
 from .solvers import STEPPERS, _check_params
 from .tensor_ops import KruskalModel, frobenius_norm, residual_fit, tucker_compress
@@ -237,13 +237,13 @@ def _solve_particles(
     solved points). Past ``deadline`` every solve stops where it is.
 
     Every solve goes through :func:`~neurocpd.driver.drive`. A population
-    whose step is the flow's Euler step (flow and the explicit and
-    semi-implicit DTPNN) advances as one stack of its particles' states
+    of flow states (flow, barrier flow and the explicit and semi-implicit
+    DTPNN) advances as one stack of its particles' states
     (:meth:`~neurocpd.flow.FlowState.stack`); each particle keeps its own
-    Euler weights and stopping point. The stack contracts ``operand``: ``t``
-    by default, or its
-    :func:`~neurocpd.tensor_ops.tucker_compress` form. Every other kind, and
-    a stack whose step fails, runs each particle alone on ``t`` from its
+    Euler weights, halvings and stopping point. The stack contracts
+    ``operand``: ``t`` by default, or its
+    :func:`~neurocpd.tensor_ops.tucker_compress` form. Armijo, and a stack
+    whose step fails, runs each particle alone on ``t`` from its
     position, so only the particles that fail alone are marked.
     """
     shape = np.shape(t)
@@ -255,10 +255,10 @@ def _solve_particles(
             params.setdefault("time_constants", sw.time_constants[n])
         model = KruskalModel.unflatten(position, shape, rank)
         states.append(stepper.make_state(model, params, cfg.seed))
-    if stepper.step is flow_mod.FLOW.step:
+    if isinstance(states[0], FlowState):
         try:
             stack, _, _ = drive(
-                t if operand is None else operand, flow_mod.FlowState.stack(states),
+                t if operand is None else operand, FlowState.stack(states),
                 stepper.step, cfg.inner_tol, cfg.inner_max_steps, deadline,
             )
         except SOLVER_FAILURES:

@@ -239,23 +239,24 @@ def mttkrp_stack(t: Array | TuckerForm, factors, modes=None) -> list[Array]:
     """
     compressed = isinstance(t, TuckerForm)
     t = t if compressed else np.asarray(t)
-    modes = tuple(range(len(factors))) if modes is None else tuple(modes)
     count, _, rank = factors[0].shape
     if compressed or t.ndim == 3:
-        wanted = sorted(set(modes))
-        mats = [f.transpose(1, 0, 2).reshape(-1, count * rank) for f in factors]
+        wanted = range(len(factors)) if modes is None else sorted(set(modes))
+        mats = [f[0] if count == 1 else f.transpose(1, 0, 2).reshape(-1, count * rank)
+                for f in factors]
         if compressed:
             core, bases = t
             low = _mttkrps3(core, [b.T @ m for b, m in zip(bases, mats)], wanted)
             found = [bases[m] @ x for m, x in zip(wanted, low)]
         else:
             found = _mttkrps3(t, mats, wanted)
-        out = dict(zip(wanted, found))
-        return [out[m].reshape(-1, count, rank).transpose(1, 0, 2) for m in modes]
+        found = [x[None] if count == 1
+                 else x.reshape(-1, count, rank).transpose(1, 0, 2) for x in found]
+        return found if modes is None else [dict(zip(wanted, found))[m] for m in modes]
     # generic order-N fallback
     letters = "abcdefghijklmnoq"[: t.ndim]
     out = []
-    for mode in modes:
+    for mode in range(len(factors)) if modes is None else modes:
         operands, script = [t], letters
         for n, f in enumerate(factors):
             if n != mode:
@@ -271,8 +272,8 @@ def kruskal_full(model: KruskalModel) -> Array:
     """Dense reconstruction ``sum_r`` of the rank-1 terms of the model."""
     if model.order == 3:
         a, b, c = model.factors
-        ab = (a[:, None, :] * b[None, :, :]).reshape(-1, model.rank)
-        return (ab @ c.T).reshape(model.shape)
+        ab = (a[:, None, :] * b[None, :, :]).reshape(-1, c.shape[1])
+        return (ab @ c.T).reshape(len(a), len(b), len(c))
     letters = "abcdefghijklmnop"[: model.order]
     script = ",".join(f"{ch}z" for ch in letters) + "->" + letters
     return np.einsum(script, *model.factors, optimize=True)

@@ -1,10 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neurocpd import flow
 from neurocpd import model as model_mod
 from neurocpd.datagen import gen_problem
+from neurocpd.driver import drive
 from neurocpd.errors import BarrierDomainError, BoundaryStallError, DivergenceError
 from neurocpd.flow import (
     FlowState,
@@ -189,10 +193,74 @@ def test_barrier_step_checks_a_point_no_barrier_step_made():
         barrier_flow_step(t, s)
 
 
-def test_barrier_step_refuses_a_stack_of_several_trajectories():
-    t, s = interior_state(3)
-    with pytest.raises(ValueError, match="^the barrier flow steps one trajectory, got 2$"):
-        barrier_flow_step(t, FlowState.stack([s, s]))
+#: a barrier stack against the solo drive of each: a step agrees to this
+#: tolerance, relative to the larger of 1 and the max-norm of the solo rows
+#: (the two form the same sums, grouped alike or nearly), and the steps that
+#: follow may grow the difference by up to BARRIER_SOLO_GROWTH
+BARRIER_TOL = 1e-12
+BARRIER_SOLO_GROWTH = 1e3
+
+
+def halvings(t, s):
+    """How often the first barrier step of ``s`` halves ``h``: the fewest
+    halvings that it may make without a :class:`BoundaryStallError`. For a
+    stack, those of the trajectory that halves most."""
+    for allowed in range(31):
+        with mock.patch.object(flow, "MAX_BOUNDARY_HALVINGS", allowed):
+            try:
+                barrier_flow_step(t, s)
+            except BoundaryStallError:
+                continue
+            return allowed
+
+
+def assert_near_solo(got, solo, growth=1.0):
+    scale = max(1.0, float(np.abs(solo).max()))
+    assert float(np.abs(got - solo).max()) <= BARRIER_TOL * growth * scale
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+def test_a_barrier_stack_matches_the_solo_drive_of_each(integrator, count):
+    # trajectory 0 starts at the exact fit and stops at its first check at
+    # tol; on the first step, trajectory 1's step of 6 halves 4 times (5 with
+    # RK4), and the step of 0.5 of trajectories 2 and 3 twice and none (once)
+    rng = np.random.default_rng(8)
+    truth = KruskalModel([0.2 + rng.random((dim, 3)) for dim in (5, 4, 6)])
+    t = kruskal_full(truth)
+    starts = [truth] + [KruskalModel([0.1 + rng.random(f.shape) for f in truth.factors])
+                        for _ in range(3)]
+    states = [FlowState(m, step=6.0 if p == 1 else 0.5, integrator=integrator,
+                        gamma=1e-9)
+              for p, m in enumerate(starts[:count])]
+    tol = 1e-7
+    stack = FlowState.stack(states)
+    alone = [halvings(t, s) for s in states]
+    assert alone == {"euler": [0, 4, 2, 0], "rk4": [0, 5, 2, 1]}[integrator][:count]
+    assert halvings(t, stack) == max(alone)
+    # at tol 0 every trajectory steps, each halving as often as alone
+    first = barrier_flow_step(t, stack)
+    for p, state in enumerate(states):
+        assert_near_solo(first.rows[p], barrier_flow_step(t, state).rows[0])
+    stack, _, _ = drive(t, stack, barrier_flow_step, tol, 60)
+    assert stack.rows.shape == (count, 15, 3)
+    for p, state in enumerate(states):
+        alone, reason, steps = drive(t, state, barrier_flow_step, tol, 60)
+        assert stack.active[p] == (reason == "max_steps")
+        assert (reason, steps) == (("converged", 0) if p == 0 else ("max_steps", 60))
+        if count == 1:
+            assert np.array_equal(stack.rows, alone.rows)
+        assert_near_solo(stack.rows[p], alone.rows[0], BARRIER_SOLO_GROWTH)
+
+
+def test_the_model_of_a_state_is_a_view_made_without_the_model_checks():
+    _, s = interior_state(2)
+    with mock.patch.object(KruskalModel, "__post_init__") as post_init:
+        model = s.model
+    post_init.assert_not_called()
+    assert model.shape == s.shape and model.rank == 3
+    for f, r in zip(model.factors, s.settings.slices):
+        assert np.shares_memory(f, s.rows) and np.array_equal(f, s.rows[0, r])
 
 
 def test_barrier_halving_keeps_interior():
@@ -229,9 +297,10 @@ def test_barrier_gamma_decay_improves_fit():
 
 def barrier_rhs(t, model, gamma, ridge=None):
     """The barrier flow's rhs ``-Hbar^{-1} grad`` of each factor, from the
-    kernel's one row block."""
-    rows = np.concatenate(model.factors)
-    block = model_mod._barrier_rhs(t, model, rows, gamma, ridge)
+    kernel's one row block of a stack of one."""
+    rows = np.concatenate(model.factors)[None]
+    slices = FlowState(model).settings.slices
+    block = model_mod._barrier_rhs(t, rows, slices, gamma, ridge)[0]
     return np.split(block, np.cumsum(model.shape)[:-1])
 
 

@@ -198,8 +198,9 @@ def test_every_barrier_function_rejects_a_gamma_not_finite_and_positive(gamma):
 
 def row_block_barrier_gradients(t, model, gamma, ridge=None):
     """Each factor's rows of the barrier kernel's one row block."""
-    rows = np.concatenate(model.factors)
-    block = -model_mod._barrier_rhs(t, model, rows, gamma, ridge)
+    rows = np.concatenate(model.factors)[None]
+    slices = [slice(e - n, e) for n, e in zip(model.shape, np.cumsum(model.shape))]
+    block = -model_mod._barrier_rhs(t, rows, slices, gamma, ridge)[0]
     return np.split(block, np.cumsum(model.shape)[:-1])
 
 

@@ -19,7 +19,11 @@ from neurocpd import model as model_mod
 from neurocpd import swarm
 from neurocpd.datagen import gen_problem
 from neurocpd.driver import drive
-from neurocpd.errors import DivergenceError, SingularPreconditionerError
+from neurocpd.errors import (
+    BoundaryStallError,
+    DivergenceError,
+    SingularPreconditionerError,
+)
 from neurocpd.flow import FlowState, flow_step, solve_to_equilibrium
 from neurocpd.model import (
     AUTO_RIDGE_SCALE,
@@ -593,6 +597,32 @@ def test_healthy_rows_of_a_failed_compressed_stack_are_their_dense_solves():
         alone, _ = solve_to_equilibrium(t, states[p], tol=cfg.inner_tol,
                                         max_steps=cfg.inner_max_steps)
         assert np.array_equal(rows[p], alone.model.flatten())
+
+
+def test_a_barrier_particle_that_stalls_fails_alone_in_the_swarm():
+    # particle 1's time constants of 1e-12 give it an Euler weight of 5e11,
+    # which 30 halvings do not bring inside: the stack raises, and the swarm
+    # re-solves each particle alone on t and marks that one only
+    t, _ = gen_problem("easy5", 0)
+    params = {"step": 0.5}
+    cfg = SwarmConfig(population=3, seed=4, inner_max_steps=40,
+                      inner_solver="barrier-flow", inner_params=params,
+                      jitter_time_constants=False)
+    sw = init_swarm(t, 3, cfg)
+    sw.time_constants = np.array([[1.0] * 3, [1e-12] * 3, [0.7, 1.3, 1.1]])
+    stepper = STEPPERS["barrier-flow"]
+    states = [stepper.make_state(KruskalModel.unflatten(row, t.shape, 3),
+                                 {**params, "time_constants": eps}, cfg.seed)
+              for row, eps in zip(sw.positions, sw.time_constants)]
+    with pytest.raises(BoundaryStallError):
+        drive(t, FlowState.stack(states), stepper.step, cfg.inner_tol,
+              cfg.inner_max_steps)
+    rows, failed = swarm._solve_particles(t, sw, cfg, 3)
+    assert failed.tolist() == [False, True, False]
+    for p in (0, 2):
+        alone = drive(t, states[p], stepper.step, cfg.inner_tol, cfg.inner_max_steps)[0]
+        assert np.array_equal(rows[p], alone.model.flatten())
+    assert np.array_equal(rows[1], sw.positions[1])  # not a solved point
 
 
 def test_a_stack_past_its_deadline_takes_no_step():
