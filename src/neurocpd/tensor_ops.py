@@ -252,7 +252,7 @@ def mttkrp_stack(t: Array | TuckerForm, factors, modes=None) -> list[Array]:
             found = _mttkrps3(t, mats, wanted)
         found = [x[None] if count == 1
                  else x.reshape(-1, count, rank).transpose(1, 0, 2) for x in found]
-        return found if modes is None else [dict(zip(wanted, found))[m] for m in modes]
+        return found if modes is None else [found[wanted.index(m)] for m in modes]
     # generic order-N fallback
     letters = "abcdefghijklmnoq"[: t.ndim]
     out = []
