@@ -1,6 +1,9 @@
+import importlib.util
 import inspect
+import os
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -464,6 +467,18 @@ SETTINGS = {
 def test_each_solver_takes_exactly_the_settings_it_reads():
     assert {kind: set(stepper.params) for kind, stepper in STEPPERS.items()} == SETTINGS
     assert sum(len(keys) for keys in SETTINGS.values()) == 21
+
+
+def test_the_digest_runs_every_algorithm():
+    # tools/digest.py pins every solver bitwise; it sets the BLAS variables
+    # when it is imported, so the environment is put back after loading it
+    path = Path(__file__).resolve().parent.parent / "tools" / "digest.py"
+    spec = importlib.util.spec_from_file_location("digest", path)
+    digest = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ):
+        spec.loader.exec_module(digest)
+    algorithms = {raw["algorithm"] for _, _, _, raw, _ in digest.matrix()}
+    assert {"cno", *STEPPERS} <= algorithms
 
 
 # iterate fields, which the states make fresh and a config may not set, and

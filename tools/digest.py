@@ -26,6 +26,8 @@ The matrix: on easy5, difficult9 and caseI, two seeds each,
   gamma schedule that underflows;
 * ``dtpnn-explicit``, ``dtpnn-semiimplicit`` and ``dtpnn-armijo``, the last
   also at ``tol`` 1e-3;
+* ``hals`` and ``mur``, each also at ``tol`` 1e-2, where every sweep first
+  measures the KKT residual;
 * ``dtpnn-explicit`` at step sizes 0.3, 0.5 and 0.9, each with and without
   ``precondition``, and ``dtpnn-semiimplicit`` at 0.5 and 2.5;
 * ``dtpnn-explicit`` (step size 0.5) and ``dtpnn-semiimplicit`` at ``tol``
@@ -87,6 +89,10 @@ SINGLE = (
     ("dtpnn-semiimplicit", "dtpnn-semiimplicit", {}, 0.0),
     ("dtpnn-armijo", "dtpnn-armijo", {}, 0.0),
     ("dtpnn-armijo-tol", "dtpnn-armijo", {}, 1e-3),
+    ("hals", "hals", {}, 0.0),
+    ("hals-tol", "hals", {}, 1e-2),
+    ("mur", "mur", {}, 0.0),
+    ("mur-tol", "mur", {}, 1e-2),
     *((f"dtpnn-explicit-{lam}{plain}", "dtpnn-explicit",
        {"lambdas": [lam] * 3, **({"precondition": False} if plain else {})}, 0.0)
       for lam in (0.3, 0.5, 0.9) for plain in ("", "-plain")),
