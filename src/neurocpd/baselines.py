@@ -16,7 +16,7 @@ import numpy as np
 
 from .driver import Stepper
 from .model import kkt_residual
-from .tensor_ops import KruskalModel, hadamard_gram, sweep_mttkrps
+from .tensor_ops import KruskalModel, sweep_mttkrps
 from .tensor_ops import mttkrp  # noqa: F401  (a binding the benchmark traces)
 
 logger = logging.getLogger(__name__)
@@ -89,10 +89,9 @@ def mur_sweep(t: Array, model: KruskalModel, eps: float = 1e-16) -> KruskalModel
     if t.shape != model.shape:
         raise ValueError(f"tensor shape {t.shape} != model shape {model.shape}")
     model = model.copy()
-    for mode, numer in enumerate(sweep_mttkrps(t, model)):
+    for mode, (_, gram_skip, numer) in enumerate(sweep_mttkrps(t, model)):
         factor = model.factors[mode]
-        denom = factor @ hadamard_gram(model, mode) + eps
-        model.factors[mode] = factor * numer / denom
+        model.factors[mode] = factor * numer / (factor @ gram_skip + eps)
     return model
 
 

@@ -45,7 +45,7 @@ from .model import (
     projected_direction,
     projection_bundle,
 )
-from .tensor_ops import KruskalModel, hadamard_gram, sweep_mttkrps
+from .tensor_ops import KruskalModel, sweep_mttkrps
 from .tensor_ops import mttkrp  # noqa: F401  (a binding the benchmark traces)
 
 Array = np.ndarray
@@ -117,12 +117,8 @@ def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 0.0) -> Dtpnn
     kkt_parts = []
     f_current = None
     eps_mach = float(np.finfo(float).eps)
-    grams = [f.T @ f for f in model.factors]  # each rebuilt when its block moves
-    mttkrps = sweep_mttkrps(t, model)
-    for mode in range(model.order):
+    for mode, (gram, gram_skip, mtt) in enumerate(sweep_mttkrps(t, model)):
         factor = model.factors[mode]
-        gram_skip = hadamard_gram(model, mode, grams)
-        mtt = next(mttkrps)
         grad = factor @ gram_skip - mtt
         d_plain = projected_direction(factor, grad)
         residual = float(np.abs(d_plain).max())
@@ -135,7 +131,7 @@ def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 0.0) -> Dtpnn
         # block is converged to float precision, not stalled.
         gd_plain = float((grad * d_plain).sum())
         curvature = float((d_plain * (d_plain @ gram_skip)).sum())
-        fit = float((grams[mode] * gram_skip).sum())
+        fit = float((gram * gram_skip).sum())
         cross = float((factor * mtt).sum())
         parts_scale = 0.5 * norm_x_sq + 0.5 * abs(fit) + abs(cross)
         best_decrease = (
@@ -172,7 +168,6 @@ def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 0.0) -> Dtpnn
                 continue  # gray zone: decrease too close to noise to verify
             raise ArmijoStallError(mode, MAX_SHRINKAGES, residual)
         model.factors[mode], lambdas[mode], f_current = hit
-        grams[mode] = model.factors[mode].T @ model.factors[mode]
     if max(kkt_parts) < tol:
         return s.moved(residual=max(kkt_parts))
     if f_current is None:

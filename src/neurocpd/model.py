@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BarrierDomainError, SingularPreconditionerError
-from .tensor_ops import KruskalModel, hadamard_gram, mttkrp, mttkrp_stack
+from .tensor_ops import KruskalModel, hadamard_gram, hadamard_skip, mttkrp, mttkrp_stack
 
 Array = np.ndarray
 
@@ -172,24 +172,14 @@ def projection_stack(
 
 
 def _gradient_stack(t: Array, factors) -> tuple[list[Array], Array]:
-    """Gradients ``Z_n @ G_n - M_n`` of P models and their Gram skips ``G_n``."""
-    skips = _gram_skips([f.mT @ f for f in factors])
-    grads = [f @ g for f, g in zip(factors, skips)]
+    """Gradients ``Z_n @ G_n - M_n`` of P models and their Gram skips ``G_n``,
+    stacked over ``n``, by :func:`~.tensor_ops.hadamard_skip`."""
+    grams = [f.mT @ f for f in factors]
+    skips = np.empty((len(grams),) + grams[0].shape)
+    grads = [f @ hadamard_skip(grams, n, skips[n]) for n, f in enumerate(factors)]
     for g, m in zip(grads, mttkrp_stack(t, factors)):
         g -= m
     return grads, skips
-
-
-def _gram_skips(grams) -> Array:
-    """Stacked over modes ``n``, the Hadamard product of the ``grams`` but the
-    ``n``-th, in factor order and bitwise as :func:`hadamard_gram` forms it."""
-    skips = np.empty((len(grams),) + grams[0].shape)
-    for n, skip in enumerate(skips):
-        rest = grams[:n] + grams[n + 1 :]
-        skip[...] = rest[0] if rest else 1.0
-        for g in rest[1:]:
-            skip *= g
-    return skips
 
 
 def projection_bundle(

@@ -129,13 +129,23 @@ def hadamard_gram(model: KruskalModel, skip: int, grams=None) -> Array:
     """Hadamard product of the factor Grams, skipping factor ``skip``.
 
     Equals ``K.T @ K`` for ``K`` the Khatri-Rao product of the non-skipped
-    factors; it forms their ``F.T @ F``, or reads them from ``grams`` if given.
+    factors; :func:`hadamard_skip` of their ``F.T @ F``, or of ``grams`` if given.
     """
     _check_mode(model.order, skip)
-    rest = [f.T @ f if grams is None else grams[n]
-            for n, f in enumerate(model.factors) if n != skip]
-    out = rest[0].copy() if rest else np.ones((model.rank, model.rank))
-    for g in rest[1:]:  # in factor order, bitwise as onto ones
+    if grams is None:
+        grams = [None if n == skip else f.T @ f for n, f in enumerate(model.factors)]
+    return hadamard_skip(grams, skip, np.empty((model.rank, model.rank)))
+
+
+def hadamard_skip(grams, skip: int, out: Array) -> Array:
+    """Into ``out``, the Hadamard product of the ``grams`` (or of stacks of them)
+    but ``grams[skip]``, which it never reads: in factor order, bitwise as onto ones."""
+    rest = grams[:skip] + grams[skip + 1 :]
+    if len(rest) > 1:
+        np.multiply(rest[0], rest[1], out=out)
+    else:
+        out[...] = rest[0] if rest else 1.0
+    for g in rest[2:]:
         out *= g
     return out
 
@@ -155,15 +165,20 @@ def mttkrp(t: Array, model: KruskalModel, mode: int) -> Array:
 
 
 def sweep_mttkrps(t: Array, model: KruskalModel):
-    """The MTTKRPs of a Gauss-Seidel sweep, mode 0 first, each from the factors
-    as they stand when it is requested (the caller updates factor ``n`` before
-    asking for mode ``n + 1``) and equal to :func:`mttkrp` bitwise. For order
-    3 one contraction with ``C``, unchanged until mode 2, serves modes 0 and 1,
-    and mode 2 is contracted slice by slice with no copy of the tensor."""
-    if np.ndim(t) == 3:
-        yield from _mttkrps3(t, model.factors, (0, 1, 2))
-    else:
-        yield from (mttkrp(t, model, mode) for mode in range(model.order))
+    """The ``(gram, gram_skip, mttkrp)`` of each block of a Gauss-Seidel sweep,
+    mode 0 first: ``F.T @ F``, :func:`hadamard_gram` and :func:`mttkrp` bitwise,
+    at the factors as they stand when the block is requested (the caller
+    replaces factor ``n`` before asking for block ``n + 1``). All Grams are
+    formed at the start, factor ``n - 1``'s again for block ``n``; for order 3
+    the MTTKRPs are :func:`_mttkrps3`'s, one ``T x_3 C`` serving modes 0 and 1."""
+    factors = model.factors
+    grams = [f.T @ f for f in factors]
+    mttkrps = (_mttkrps3(t, factors, (0, 1, 2)) if np.ndim(t) == 3
+               else (mttkrp(t, model, mode) for mode in range(model.order)))
+    for n, mtt in enumerate(mttkrps):
+        if n:
+            grams[n - 1] = factors[n - 1].T @ factors[n - 1]
+        yield grams[n], hadamard_skip(grams, n, np.empty_like(grams[n])), mtt
 
 
 def _mttkrps3(t: Array, mats, modes):

@@ -298,7 +298,7 @@ def test_contractions_read_every_tensor_layout(shape, rank, count, seed):
             assert_mttkrp_close(got, np.einsum(_STACK_MTTKRP[mode], base, *others))
         # a Gauss-Seidel sweep: factor n changes before mode n + 1 is asked for
         model = start.copy()
-        for mode, got in enumerate(sweep_mttkrps(t, model)):
+        for mode, (_, _, got) in enumerate(sweep_mttkrps(t, model)):
             others = [f[None] for n, f in enumerate(model.factors) if n != mode]
             expected = np.einsum(_STACK_MTTKRP[mode], base, *others)[0]
             assert_mttkrp_close(got, expected)

@@ -180,20 +180,17 @@ def test_armijo_objective_monotone_per_block(seed, precondition):
     assert ((hist[1:] - hist[:-1]) <= 1e-12).all()
 
 
-def per_block_mttkrps(t, model):
-    """One full MTTKRP per block, at the factors as they stand."""
-    for mode in range(model.order):
-        yield mttkrp(t, model, mode)
+def per_block_products(t, model):
+    """A fresh Gram, Gram skip and full MTTKRP per block, at the factors as
+    they stand."""
+    for mode, f in enumerate(model.factors):
+        yield f.T @ f, hadamard_gram(model, mode), mttkrp(t, model, mode)
 
 
 def armijo_reference(t, s):
     """The Armijo sweep with its own MTTKRP and Gram products per block."""
-    def fresh_gram(model, mode, grams=None):
-        return hadamard_gram(model, mode)
-
-    with mock.patch.object(dtpnn, "sweep_mttkrps", per_block_mttkrps):
-        with mock.patch.object(dtpnn, "hadamard_gram", fresh_gram):
-            return step_gauss_seidel_armijo(t, s)
+    with mock.patch.object(dtpnn, "sweep_mttkrps", per_block_products):
+        return step_gauss_seidel_armijo(t, s)
 
 
 @settings(max_examples=60, deadline=None)

@@ -20,7 +20,7 @@ from neurocpd.model import (
     projected_direction,
     projection_bundle,
 )
-from neurocpd.tensor_ops import KruskalModel, hadamard_gram, kruskal_full
+from neurocpd.tensor_ops import KruskalModel, hadamard_gram, hadamard_skip, kruskal_full
 
 
 def random_instance(seed, shape=(4, 4, 4), rank=3):
@@ -299,7 +299,9 @@ def test_ridged_gram_skips_equal_the_ones_and_identity_products_bitwise(
     stacks = [rng.normal(size=(count, d, rank)) for d in dims]
     grams = [np.matmul(f.transpose(0, 2, 1), f) for f in stacks]
     kept = [g.copy() for g in grams]
-    skips = model_mod._gram_skips(grams)
+    # the skipped Gram is never read
+    skips = [hadamard_skip(grams[:n] + [None] + grams[n + 1 :], n,
+                           np.empty((count, rank, rank))) for n in range(len(dims))]
     ref = ones_seeded_gram_skips(grams)
     assert len(skips) == len(dims)
     for got, want in zip(skips, ref):

@@ -251,10 +251,8 @@ def test_bordered_solve_residual_is_within_a_multiple_of_lu(count, rank, dims, s
     rng = np.random.default_rng(seed)
     t = rng.random(dims)
     stacks = [0.1 + rng.random((count, dim, rank)) for dim in dims]
-    grams = [np.matmul(f.transpose(0, 2, 1), f) for f in stacks]
-    skips = model_mod._gram_skips(grams)
-    grads = [f @ g - m for f, g, m in zip(stacks, skips, mttkrp_stack(t, stacks))]
-    systems = model_mod._ridged(np.stack(skips), None)
+    grads, skips = model_mod._gradient_stack(t, stacks)
+    systems = model_mod._ridged(skips, None)
     solved = model_mod._solve_modes(grads, systems, None, range(3))
     eps = np.finfo(np.float64).eps
     for mode in range(3):

@@ -16,6 +16,7 @@ from neurocpd.tensor_ops import (
     mttkrp,
     mttkrp_stack,
     relative_error,
+    sweep_mttkrps,
     tucker_compress,
     unfold,
 )
@@ -177,6 +178,31 @@ def test_hadamard_gram_of_an_order1_model_is_the_empty_product(rank):
     for grams in (None, [model.factors[0].T @ model.factors[0]]):
         got = hadamard_gram(model, 0, grams)
         assert got.shape == (rank, rank) and (got == 1.0).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+    rank=st.integers(1, 6),
+    replaced=st.lists(st.booleans(), min_size=4, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sweep_reads_the_factors_as_they_stand_bitwise(dims, rank, replaced, seed):
+    # a Gauss-Seidel sweep that replaces some factors and keeps others, as
+    # MUR and Armijo do, against products formed afresh for each block
+    rng = np.random.default_rng(seed)
+    t = rng.random(dims)
+    model = KruskalModel.random(dims, rank, rng)
+    blocks = 0
+    for mode, (gram, skip, mtt) in enumerate(sweep_mttkrps(t, model)):
+        factor = model.factors[mode]
+        assert np.array_equal(gram, factor.T @ factor)
+        assert np.array_equal(skip, hadamard_gram(model, mode))
+        assert np.array_equal(mtt, mttkrp(t, model, mode))
+        if replaced[mode]:
+            model.factors[mode] = rng.random(factor.shape)
+        blocks += 1
+    assert blocks == len(dims)
 
 
 @pytest.mark.parametrize("seed", range(5))
