@@ -2,14 +2,14 @@
 
 The steppers move along the projection direction ``[Z - G]_+ - Z``:
 
-* ``explicit``: every factor moves from one snapshot by ``lam * d``, the
+* :data:`EXPLICIT`: every factor moves from one snapshot by ``lam * d``, the
   Euler discretization of the continuous flow; it is the flow's step
   (:func:`~neurocpd.flow.flow_step`) with weights ``lam``.
-* ``semi_implicit``: the added-implicitness update
+* :data:`SEMI_IMPLICIT`: the added-implicitness update
   ``(Z + lam*[Z - G]_+) / (1 + lam)``, which is ``Z + lam/(1 + lam) * d``,
   the flow's step with weights ``lam/(1 + lam)``. It keeps the factors
   nonnegative for any ``lam > 0``.
-* ``armijo`` (:func:`step_gauss_seidel_armijo`): factors updated in
+* :data:`ARMIJO` (:func:`step_gauss_seidel_armijo`): factors updated in
   sequence, each block backtracking its step size until the
   sufficient-decrease inequality ``f(x+) - f(x) < alpha * lam * <grad, x+ -
   x>`` holds for that block.
@@ -198,15 +198,13 @@ def _euler(weights) -> Stepper:
 
 
 # Steps are looked up at call time, so rebinding one reaches the driver.
-STEPPERS = {
-    "explicit": _euler(lambda lam: lam),
-    "semi_implicit": _euler(lambda lam: lam / (1.0 + lam)),
-    "armijo": Stepper(
-        lambda model, params, seed: DtpnnState(model, **params),
-        lambda t, s, tol: step_gauss_seidel_armijo(t, s, tol),
-        frozenset({"lambdas", "armijo", "precondition", "ridge"}),
-    ),
-}
+EXPLICIT = _euler(lambda lam: lam)
+SEMI_IMPLICIT = _euler(lambda lam: lam / (1.0 + lam))
+ARMIJO = Stepper(
+    lambda model, params, seed: DtpnnState(model, **params),
+    lambda t, s, tol: step_gauss_seidel_armijo(t, s, tol),
+    frozenset({"lambdas", "armijo", "precondition", "ridge"}),
+)
 
 
 def solve(
@@ -221,7 +219,7 @@ def solve(
     kinds, checks them. Returns the final state and ``"converged"`` or
     ``"max_steps"``.
     """
-    return drive(t, s, STEPPERS["armijo"].step, *_limits(tol, max_steps))[:2]
+    return drive(t, s, ARMIJO.step, *_limits(tol, max_steps))[:2]
 
 
 @dataclass(frozen=True)

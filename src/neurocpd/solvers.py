@@ -2,15 +2,15 @@
 :func:`neurocpd.driver.drive`."""
 
 from .baselines import HALS, MUR
-from .dtpnn import STEPPERS as DTPNN_STEPPERS
+from .dtpnn import ARMIJO, EXPLICIT, SEMI_IMPLICIT
 from .flow import BARRIER, FLOW
 from .tensor_ops import KruskalModel
 
 STEPPERS = {
     "flow": FLOW,
-    "dtpnn-explicit": DTPNN_STEPPERS["explicit"],
-    "dtpnn-armijo": DTPNN_STEPPERS["armijo"],
-    "dtpnn-semiimplicit": DTPNN_STEPPERS["semi_implicit"],
+    "dtpnn-explicit": EXPLICIT,
+    "dtpnn-armijo": ARMIJO,
+    "dtpnn-semiimplicit": SEMI_IMPLICIT,
     "barrier-flow": BARRIER,
     "hals": HALS,
     "mur": MUR,
