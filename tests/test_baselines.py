@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neurocpd.baselines import DEGENERATE_EPS, hals_sweep, mur_sweep
+from neurocpd.baselines import DEGENERATE_EPS, HALS, hals_sweep, mur_sweep
 from neurocpd.datagen import gen_problem
 from neurocpd.model import kkt_residual, objective
+from neurocpd.swarm import initial_model
 from neurocpd.tensor_ops import (
     KruskalModel,
     hadamard_gram,
@@ -187,6 +188,22 @@ def test_hals_zero_tensor_collapses_all_columns():
     assert all((f == 0.0).all() for f in out.factors)
     assert_hals_close(out, hals_reference(np.zeros((4, 4, 4)), model, None))
     assert_bitwise(out, hals_column_loop(np.zeros((4, 4, 4)), model))
+
+
+def test_hals_drops_eight_terms_of_casei_for_good_in_its_first_sweep():
+    # A known defect of the baseline, pinned as it stands: from the uniform
+    # start (22x the tensor's norm), the first sweep clips a_r to zero for 8
+    # of the 10 terms, b_r and c_r follow, and no term comes back.
+    t, _ = gen_problem("caseI", 0)
+    state = HALS.make_state(initial_model(t.shape, 10, 0), {}, 0)
+    dropped = []
+    for sweep in range(50):
+        state = HALS.step(t, state, 0.0)
+        if sweep in (0, 49):
+            zero = [not any(f[:, r].any() for f in state.model.factors)
+                    for r in range(10)]
+            dropped.append([r for r, z in enumerate(zero) if z])
+    assert dropped == [list(range(8))] * 2
 
 
 @pytest.mark.parametrize("rng_seed", [None, 11])
