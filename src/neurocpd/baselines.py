@@ -16,7 +16,7 @@ import numpy as np
 
 from .driver import Stepper
 from .model import kkt_residual
-from .tensor_ops import KruskalModel, sweep_mttkrps
+from .tensor_ops import KruskalModel, _check_shape, sweep_mttkrps
 from .tensor_ops import mttkrp  # noqa: F401  (a binding the benchmark traces)
 
 logger = logging.getLogger(__name__)
@@ -38,12 +38,14 @@ def hals_sweep(t: Array, model: KruskalModel, rng=None) -> KruskalModel:
     before and after b_r moves. A degenerate subproblem (vanished companion
     columns) collapses the column to zero when the residual routed to it is
     also null (always so in exact arithmetic), and otherwise re-seeds it
-    uniformly in [0, 1).
+    uniformly in [0, 1), from ``default_rng(0)`` if ``rng`` is ``None``.
     """
     t = np.ascontiguousarray(t)
-    if t.ndim != 3 or t.shape != model.shape:
-        raise ValueError(f"hals_sweep needs an order-3 tensor of shape {model.shape}")
+    _check_shape(t.shape, model.shape)
+    if t.ndim != 3:
+        raise ValueError(f"hals_sweep needs an order-3 tensor, got order {t.ndim}")
     i, j, k = t.shape
+    rng = np.random.default_rng(0) if rng is None else rng
     model = model.copy()
     fa, fb, fc = model.factors  # updated in place, column by column
     at, bt, ct = fa.T, fb.T, fc.T
@@ -54,29 +56,27 @@ def hals_sweep(t: Array, model: KruskalModel, rng=None) -> KruskalModel:
     for r, tc in enumerate(tcs):
         a, b, c = fa[:, r], fb[:, r], fc[:, r]  # views: see updates in place
         cc = ct.dot(c)
-        rng = _hals_column(fa, a, r, tc.dot(b), bt.dot(b) * cc, 0, rng)
+        _hals_column(fa, a, r, tc.dot(b), bt.dot(b) * cc, 0, rng)
         aa = at.dot(a)
-        rng = _hals_column(fb, b, r, a.dot(tc), cc * aa, 1, rng)
+        _hals_column(fb, b, r, a.dot(tc), cc * aa, 1, rng)
         m_col = b.dot(a.dot(t0).reshape(j, k))
-        rng = _hals_column(fc, c, r, m_col, aa * bt.dot(b), 2, rng)
+        _hals_column(fc, c, r, m_col, aa * bt.dot(b), 2, rng)
     return model
 
 
 def _hals_column(factor, column, r, m_col, g_col, mode, rng):
     """Update ``column``, column ``r`` of ``factor``, in place from its MTTKRP
-    and Gram columns; returns the generator, made if a re-seed needed one."""
+    and Gram columns; a re-seed draws from ``rng``."""
     denom = g_col[r]
     numer = m_col - factor.dot(g_col) + column * denom
     if denom <= DEGENERATE_EPS:
         if np.abs(numer).max(initial=0.0) <= DEGENERATE_EPS:
             column[:] = 0.0
-            return rng
-        rng = np.random.default_rng(0) if rng is None else rng
-        column[:] = rng.random(len(column))
-        logger.info("hals: re-seeded degenerate column %d of factor %d", r, mode)
-        return rng
-    np.maximum(numer / denom, 0.0, out=column)
-    return rng
+        else:
+            column[:] = rng.random(len(column))
+            logger.info("hals: re-seeded degenerate column %d of factor %d", r, mode)
+    else:
+        np.maximum(numer / denom, 0.0, out=column)
 
 
 def mur_sweep(t: Array, model: KruskalModel, eps: float = 1e-16) -> KruskalModel:
@@ -85,9 +85,6 @@ def mur_sweep(t: Array, model: KruskalModel, eps: float = 1e-16) -> KruskalModel
     Zeros are fixed points of the ratio update, so factors stay nonnegative
     and zero entries stay zero; start from a strictly positive model.
     """
-    t = np.asarray(t)
-    if t.shape != model.shape:
-        raise ValueError(f"tensor shape {t.shape} != model shape {model.shape}")
     model = model.copy()
     for mode, (_, gram_skip, numer) in enumerate(sweep_mttkrps(t, model)):
         factor = model.factors[mode]

@@ -57,7 +57,7 @@ class RunRow:
 class RunRecord:
     """Trace plus outcome of one (config, seed) run."""
 
-    config: dict
+    config: RunConfig
     seed: int
     rows: list[RunRow]
     final_model: KruskalModel | None
@@ -275,25 +275,12 @@ def run_single(cfg: RunConfig, seed: int) -> RunRecord:
     """One (config, seed) run; a solver failure keeps the partial trace."""
     t = cfg.load_problem()
     rec = _Recorder(t, cfg)
-    snapshot = config_snapshot(cfg)
     run_algorithm = _run_cno if cfg.algorithm == "cno" else _run_stepwise
     try:
         model, reason = run_algorithm(t, cfg, seed, rec)
     except SOLVER_FAILURES as exc:
-        return RunRecord(snapshot, seed, rec.rows, None, describe_failure(exc))
-    return RunRecord(snapshot, seed, rec.rows, model, reason)
-
-
-def config_snapshot(cfg: RunConfig) -> dict:
-    return {
-        "algorithm": cfg.algorithm,
-        "label": cfg.label,
-        "rank": cfg.rank,
-        "problem": cfg.problem_path
-        or f"{cfg.problem_kind}(seed={cfg.problem_seed})",
-        "iterations": cfg.iterations,
-        "params": dict(cfg.params),
-    }
+        return RunRecord(cfg, seed, rec.rows, None, describe_failure(exc))
+    return RunRecord(cfg, seed, rec.rows, model, reason)
 
 
 def _format(value) -> str:
@@ -325,8 +312,8 @@ def write_csv(record: RunRecord, path) -> None:
 
 def write_summary(record: RunRecord, path) -> None:
     entries = {
-        "label": record.config["label"],
-        "algorithm": record.config["algorithm"],
+        "label": record.config.label,
+        "algorithm": record.config.algorithm,
         "seed": record.seed,
         "rows": len(record.rows),
         "final_rel_error": record.final_rel_error,

@@ -242,37 +242,27 @@ class StepBound:
 
 
 def effective_step_map(
-    before: KruskalModel,
-    after: KruskalModel,
-    grads: list[Array],
-    lambdas,
-    lower: float = 0.0,
-    upper: float = np.inf,
+    before: KruskalModel, after: KruskalModel, grads: list[Array], lambdas
 ) -> list[Array]:
-    """Per-entry step sizes ``gamma`` with ``after = before - gamma * grad``.
+    """Per-entry step sizes ``gamma`` with ``after = before - gamma * grad``
+    for a step projected onto the nonnegative orthant.
 
-    Interior coordinates (``lower <= Z - G <= upper``) keep ``gamma = lam``;
-    clamped coordinates get the constructive value ``lam*(z - bound)/g``,
-    whose sign analysis guarantees ``g != 0`` there. Raises
-    :class:`StepMapInconsistencyError` if a clamped coordinate has zero
-    gradient or the reconstruction fails.
+    Interior coordinates (``Z - G >= 0``) keep ``gamma = lam``; clamped
+    coordinates get the constructive value ``lam*z/g``, whose sign analysis
+    guarantees ``g != 0`` there. Raises :class:`StepMapInconsistencyError`
+    if a clamped coordinate has zero gradient or the reconstruction fails.
     """
     lambdas = np.asarray(lambdas, dtype=np.float64)
     out = []
     for mode, (z, z_new, g) in enumerate(zip(before.factors, after.factors, grads)):
         lam = lambdas[mode]
-        q = z - g
         gamma = np.full_like(z, lam)
-        clamp_hi = q > upper
-        clamp_lo = q < lower
-        if (g[clamp_hi | clamp_lo] == 0.0).any():
+        clamped = z - g < 0.0
+        if (g[clamped] == 0.0).any():
             raise StepMapInconsistencyError(
                 f"factor {mode}: clamped coordinate with zero gradient"
             )
-        if clamp_hi.any():
-            gamma[clamp_hi] = lam * (z[clamp_hi] - upper) / g[clamp_hi]
-        if clamp_lo.any():
-            gamma[clamp_lo] = lam * (z[clamp_lo] - lower) / g[clamp_lo]
+        gamma[clamped] = lam * z[clamped] / g[clamped]
         recon = z - gamma * g
         err = np.abs(recon - z_new)
         if (err > 1e-12 * np.maximum(1.0, np.abs(z))).any():

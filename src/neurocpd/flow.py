@@ -26,7 +26,6 @@ from .driver import State, Stepper, check_finite, drive
 from .errors import BoundaryStallError, GammaScheduleError
 from .model import (
     _barrier_rhs,
-    _check_shapes,
     _choice,
     _integer,
     _positives,
@@ -36,7 +35,7 @@ from .model import (
     projection_stack,
 )
 from .model import projection_bundle  # noqa: F401  (a binding the benchmark traces)
-from .tensor_ops import KruskalModel, TuckerForm
+from .tensor_ops import KruskalModel
 
 Array = np.ndarray
 
@@ -127,8 +126,6 @@ def _stack_step(t: Array, s: FlowState, tol: float, rhs, advance) -> FlowState:
     """:func:`flow_step` with ``rhs(s, t, rows)``, the rhs and measured
     blocks, and ``advance(s, t, rows, weights, block)``, the next rows."""
     settings, steps, active = s.settings, s.iterations + 1, s.active
-    if not isinstance(t, TuckerForm):
-        _check_shapes(t, s)
     count = np.count_nonzero(active)
     if not count:  # every trajectory has stopped: measure them all again
         active, count = ~active, len(active)

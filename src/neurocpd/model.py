@@ -100,11 +100,6 @@ def _ridged(grams: Array, ridge: float | None, copy: bool = True) -> Array:
     return systems
 
 
-def _check_shapes(t: Array, model: KruskalModel) -> None:
-    if np.shape(t) != model.shape:
-        raise ValueError(f"tensor shape {np.shape(t)} != model shape {model.shape}")
-
-
 def objective_from_parts(norm_x_sq: float, fit: float, cross: float) -> float:
     """The objective ``0.5*||X||^2 + 0.5*fit - cross`` from the :func:`_parts`
     of any one mode, which backtracking solvers reuse."""
@@ -119,7 +114,6 @@ def _parts(factor: Array, gram_skip: Array, mtt: Array) -> tuple[float, float]:
 def objective(t: Array, model: KruskalModel) -> float:
     """``0.5 * ||t - full(model)||_F^2`` evaluated via Gram identities."""
     t = np.asarray(t)
-    _check_shapes(t, model)
     norm_x_sq = float(np.dot(t.ravel(), t.ravel()))
     parts = _parts(model.factors[0], hadamard_gram(model, 0), mttkrp(t, model, 0))
     return objective_from_parts(norm_x_sq, *parts)
@@ -127,7 +121,6 @@ def objective(t: Array, model: KruskalModel) -> float:
 
 def gradient(t: Array, model: KruskalModel, mode: int) -> Array:
     """Gradient of the objective with respect to factor ``mode``."""
-    _check_shapes(np.asarray(t), model)
     return model.factors[mode] @ hadamard_gram(model, mode) - mttkrp(t, model, mode)
 
 
@@ -189,8 +182,6 @@ def projection_bundle(
 
     The one-model case of :func:`projection_stack`.
     """
-    t = np.asarray(t)
-    _check_shapes(t, model)
     directions, grads = projection_stack(
         t, [f[None] for f in model.factors], use_precondition, ridge
     )

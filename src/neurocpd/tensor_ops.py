@@ -90,6 +90,12 @@ def _check_mode(ndim: int, mode: int) -> None:
         raise ValueError(f"mode {mode} out of range for order-{ndim} tensor")
 
 
+def _check_shape(shape: tuple, model_shape: tuple) -> None:
+    """Refuse a tensor whose shape (and so order) is not the model's."""
+    if shape != model_shape:
+        raise ValueError(f"tensor shape {shape} != model shape {model_shape}")
+
+
 def unfold(t: Array, mode: int) -> Array:
     """Mode-``mode`` unfolding of a dense tensor, of shape ``(I_mode, prod of
     the other I_m)``: rows are indexed by mode ``mode``, columns by the
@@ -125,15 +131,14 @@ def khatri_rao_list(mats) -> Array:
     return out
 
 
-def hadamard_gram(model: KruskalModel, skip: int, grams=None) -> Array:
+def hadamard_gram(model: KruskalModel, skip: int) -> Array:
     """Hadamard product of the factor Grams, skipping factor ``skip``.
 
     Equals ``K.T @ K`` for ``K`` the Khatri-Rao product of the non-skipped
-    factors; :func:`hadamard_skip` of their ``F.T @ F``, or of ``grams`` if given.
+    factors: :func:`hadamard_skip`, which takes formed Grams, of their ``F.T @ F``.
     """
     _check_mode(model.order, skip)
-    if grams is None:
-        grams = [None if n == skip else f.T @ f for n, f in enumerate(model.factors)]
+    grams = [None if n == skip else f.T @ f for n, f in enumerate(model.factors)]
     return hadamard_skip(grams, skip, np.empty((model.rank, model.rank)))
 
 
@@ -155,12 +160,11 @@ def mttkrp(t: Array, model: KruskalModel, mode: int) -> Array:
 
     Returns ``unfold(t, mode) @ khatri_rao(factors except mode, decreasing
     mode order)`` without materializing the Khatri-Rao matrix. This is the
-    one-model, one-mode case of :func:`mttkrp_stack`.
+    one-model, one-mode case of :func:`mttkrp_stack`, which refuses a tensor
+    of another shape than the model's.
     """
     t = np.asarray(t)
     _check_mode(t.ndim, mode)
-    if t.shape != model.shape:
-        raise ValueError(f"tensor shape {t.shape} != model shape {model.shape}")
     return mttkrp_stack(t, [f[None] for f in model.factors], (mode,))[0][0]
 
 
@@ -170,7 +174,9 @@ def sweep_mttkrps(t: Array, model: KruskalModel):
     at the factors as they stand when the block is requested (the caller
     replaces factor ``n`` before asking for block ``n + 1``). All Grams are
     formed at the start, factor ``n - 1``'s again for block ``n``; for order 3
-    the MTTKRPs are :func:`_mttkrps3`'s, one ``T x_3 C`` serving modes 0 and 1."""
+    the MTTKRPs are :func:`_mttkrps3`'s, one ``T x_3 C`` serving modes 0 and 1.
+    A tensor of another shape than the model's is refused at the first block."""
+    _check_shape(np.shape(t), model.shape)
     factors = model.factors
     grams = [f.T @ f for f in factors]
     mttkrps = (_mttkrps3(t, factors, (0, 1, 2)) if np.ndim(t) == 3
@@ -251,9 +257,13 @@ def mttkrp_stack(t: Array | TuckerForm, factors, modes=None) -> list[Array]:
     onto its mode's basis with one GEMM, the MTTKRPs are taken on the core,
     and each is lifted back with one GEMM. This equals the dense contraction
     up to rounding and the singular values :func:`tucker_compress` dropped.
+    A tensor (a TuckerForm by its bases' row counts) of another shape than
+    the models' ``(I_0, I_1, ...)`` is refused.
     """
     compressed = isinstance(t, TuckerForm)
     t = t if compressed else np.asarray(t)
+    _check_shape(tuple(len(b) for b in t.bases) if compressed else t.shape,
+                 tuple(f.shape[1] for f in factors))
     count, _, rank = factors[0].shape
     if compressed or t.ndim == 3:
         wanted = range(len(factors)) if modes is None else sorted(set(modes))
@@ -302,11 +312,14 @@ def frobenius_norm(t: Array) -> float:
 def residual_fit(t: Array, model: KruskalModel, norm: float | None = None):
     """``(0.5 * ||t - full(model)||_F^2, ||t - full(model)||_F / ||t||_F)`` from
     one dense residual, the root taken of the same dot as :func:`numpy.linalg.norm`
-    takes. ``norm`` is ``||t||_F`` if known; it must be positive."""
+    takes. ``norm`` is ``||t||_F`` if known; it must be positive. A tensor of
+    another shape than the model's is refused, not broadcast."""
     norm = frobenius_norm(t) if norm is None else norm
     if norm == 0.0:
         raise ValueError("relative_error is undefined for a zero-norm tensor")
-    r = (t - kruskal_full(model)).ravel(order="K")
+    full = kruskal_full(model)
+    _check_shape(np.shape(t), full.shape)
+    r = (t - full).ravel(order="K")
     sq = float(r.dot(r))
     return 0.5 * sq, float(np.sqrt(sq)) / norm
 

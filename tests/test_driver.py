@@ -115,9 +115,7 @@ def test_measuring_the_residual_adds_no_projection_bundle(monkeypatch, name):
     assert (reason, steps, len(calls)) == ("max_steps", 7, 7)
 
 
-@pytest.mark.parametrize(
-    "name", ["flow", "dtpnn-explicit", "dtpnn-semiimplicit", "barrier-flow"]
-)
+@pytest.mark.parametrize("name", sorted(STEPPERS))
 def test_a_tensor_of_another_shape_is_named(name):
     stepper = STEPPERS[name]
     state = stepper.make_state(KruskalModel([np.ones((3, 3))] * 3), {}, 0)

@@ -323,12 +323,12 @@ def test_effective_step_map_reconstructs_clamped_steps(seed):
 
 
 def test_effective_step_map_zero_gradient_clamp_is_inconsistent():
-    model = KruskalModel([np.full((1, 1), 2.0)] * 3)
+    model = KruskalModel([np.full((1, 1), -2.0)] + [np.full((1, 1), 2.0)] * 2)
     after = model.copy()
     grads = [np.zeros((1, 1))] * 3
-    with pytest.raises(StepMapInconsistencyError):
-        # upper bound 0.5 puts q = 2.0 above it with zero gradient
-        effective_step_map(model, after, grads, [1.0] * 3, upper=0.5)
+    with pytest.raises(StepMapInconsistencyError, match="^factor 0: clamped"):
+        # the negative entry puts q = -2.0 below the orthant with zero gradient
+        effective_step_map(model, after, grads, [1.0] * 3)
 
 
 def test_interval_from_c_hand_values():

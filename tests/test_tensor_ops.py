@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,12 +11,14 @@ from neurocpd.tensor_ops import (
     KruskalModel,
     frobenius_norm,
     hadamard_gram,
+    hadamard_skip,
     khatri_rao,
     khatri_rao_list,
     kruskal_full,
     mttkrp,
     mttkrp_stack,
     relative_error,
+    residual_fit,
     sweep_mttkrps,
     tucker_compress,
     unfold,
@@ -165,8 +168,8 @@ def test_hadamard_gram_equals_the_ones_seeded_product_bitwise(dims, rank, seed):
     grams = [f.T @ f for f in model.factors]
     kept = [g.copy() for g in grams]
     for skip in range(model.order):
-        for given_grams in (None, grams):
-            got = hadamard_gram(model, skip, given_grams)
+        for got in (hadamard_gram(model, skip),
+                    hadamard_skip(grams, skip, np.empty((rank, rank)))):
             assert np.array_equal(got, ones_seeded_hadamard_gram(model, skip, grams))
             got += 1.0  # a new array: the caller's Grams are not shared
             assert all(np.array_equal(g, k) for g, k in zip(grams, kept))
@@ -175,8 +178,8 @@ def test_hadamard_gram_equals_the_ones_seeded_product_bitwise(dims, rank, seed):
 @pytest.mark.parametrize("rank", [1, 4])
 def test_hadamard_gram_of_an_order1_model_is_the_empty_product(rank):
     model = KruskalModel([np.random.default_rng(rank).random((3, rank))])
-    for grams in (None, [model.factors[0].T @ model.factors[0]]):
-        got = hadamard_gram(model, 0, grams)
+    grams = [model.factors[0].T @ model.factors[0]]
+    for got in (hadamard_gram(model, 0), hadamard_skip(grams, 0, np.empty((rank, rank)))):
         assert got.shape == (rank, rank) and (got == 1.0).all()
 
 
@@ -240,6 +243,16 @@ def test_mttkrp_shape_mismatch():
         mttkrp(np.zeros((2, 2, 3)), model, 0)
 
 
+def test_mttkrp_stack_refuses_a_tensor_of_another_shape_dense_or_compressed():
+    rng = np.random.default_rng(9)
+    t = kruskal_full(KruskalModel.random((4, 4, 4), 2, rng))
+    stack = [f[None] for f in KruskalModel.random((4, 4, 3), 2, rng).factors]
+    for tensor in (t, tucker_compress(t)):
+        with pytest.raises(ValueError, match=r"^tensor shape \(4, 4, 4\) != "
+                                             r"model shape \(4, 4, 3\)$"):
+            mttkrp_stack(tensor, stack)
+
+
 def test_kruskal_full_rank1_ones():
     ones = np.ones((2, 1))
     assert np.array_equal(kruskal_full(KruskalModel([ones] * 3)), np.ones((2, 2, 2)))
@@ -286,6 +299,17 @@ def test_relative_error_exact_and_zero_model():
     assert relative_error(np.ones((2, 2, 2)), zero) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         relative_error(np.zeros((2, 2, 2)), zero)
+
+
+@pytest.mark.parametrize("dims", [(5, 5, 1), (1, 5, 5), (5, 1), (1, 1, 1)])
+def test_a_model_of_another_shape_is_refused_not_broadcast(dims):
+    # each of these models' tensors broadcasts against a 5 x 5 x 5 tensor
+    t = np.random.default_rng(8).random((5, 5, 5))
+    model = KruskalModel([np.ones((d, 2)) for d in dims])
+    message = re.escape(f"tensor shape (5, 5, 5) != model shape {dims}")
+    for fit in (relative_error, residual_fit):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fit(t, model)
 
 
 def test_kruskal_model_validation():
