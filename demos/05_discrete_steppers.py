@@ -52,6 +52,6 @@ for step in range(1, 2001):
         elif np.isnan(bound.lower):
             print(f"  step {step:3d}: c = {bound.c:.3f} < 0, bound not applicable")
         else:
-            inside = bound.contains(0.12)
+            inside = bound.lower <= 0.12 <= bound.upper
             print(f"  step {step:3d}: lambda in [{bound.lower:.3f}, "
                   f"{bound.upper:.3f}], current 0.12 inside = {inside}")

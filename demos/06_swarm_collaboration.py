@@ -14,7 +14,7 @@ print(f"Tensor {x.shape}, third factor pairwise collinearity in "
 
 for q in (1, 5):
     cfg = SwarmConfig(population=q, seed=0, max_outer=6, inner_max_steps=200,
-                      mutation=q > 1)
+                      diversity_threshold=1e-2 if q > 1 else 0.0)
     model, trace = cno_run(x, 10, cfg)
     print(f"population {q}:")
     for row in trace:

@@ -35,8 +35,8 @@ from .swarm import SwarmConfig, _stalled, cno_run, initial_model
 from .tensor_io import load_tensor
 from .tensor_ops import KruskalModel, frobenius_norm, residual_fit
 
-#: the ``params`` keys of ``cno``; the runner sets the swarm's seed and budget
-SWARM_PARAMS = frozenset(f.name for f in fields(SwarmConfig)) - {"seed", "max_outer"}
+#: the ``params`` keys of ``cno``; the runner sets seed, max_outer and stop_tol
+SWARM_PARAMS = {f.name for f in fields(SwarmConfig)} - {"seed", "max_outer", "stop_tol"}
 ALGORITHMS = ("cno", *STEPPERS)
 
 OUTPUT_ROOT_ENV = "NEUROCPD_OUTPUT_ROOT"
@@ -87,7 +87,7 @@ class RunConfig:
     params: dict = field(default_factory=dict)
     iterations: int = 1000
     wall_clock_s: float | None = None
-    tol: float = 0.0  # early-stop residual; 0 runs the full budget
+    tol: float = 0.0  # early-stop test; 0 runs the full budget
     seeds: list[int] = field(default_factory=lambda: [0])
     output_dir: str = "out"
     record_every: int = 1
@@ -141,6 +141,9 @@ class RunConfig:
         if not isinstance(seeds := raw.get("seeds", []), (list, tuple)):
             raise ConfigError(f"seeds must be a list, got {seeds!r}")
         problem, budget = dict(problem), dict(budget)
+        clash = {"kind", "seed"} & problem.keys() | {"noise_snr_db"} & raw.keys()
+        if problem.get("path") is not None and clash:
+            raise ConfigError(f"a problem file takes no {sorted(clash)}")
         # only the keys given; a missing algorithm or rank fails its own check
         known = dict(algorithm=None, rank=None)
         known.update({key: raw.pop(key) for key in (
@@ -255,7 +258,8 @@ def _run_stepwise(t, cfg: RunConfig, seed: int, rec: _Recorder):
 
 
 def _run_cno(t, cfg: RunConfig, seed: int, rec: _Recorder):
-    sw_cfg = SwarmConfig(seed=seed, max_outer=cfg.iterations, **cfg.params)
+    sw_cfg = SwarmConfig(seed=seed, max_outer=cfg.iterations, stop_tol=cfg.tol,
+                         **cfg.params)
     model, trace = cno_run(t, cfg.rank, sw_cfg, deadline_s=cfg.wall_clock_s)
     if not trace:  # the deadline passed before the first outer iteration
         rec.record_model(0, model)
@@ -267,8 +271,8 @@ def _run_cno(t, cfg: RunConfig, seed: int, rec: _Recorder):
             )
     if len(trace) == cfg.iterations:
         return model, "budget"
-    # short of the budget, cno_run stopped on its stop_tol test or on the deadline
-    return model, "early_stop" if _stalled(trace, sw_cfg.stop_tol) else "wall_clock"
+    # short of the budget, cno_run stopped on its tol test or on the deadline
+    return model, "converged" if _stalled(trace, cfg.tol) else "wall_clock"
 
 
 def run_single(cfg: RunConfig, seed: int) -> RunRecord:

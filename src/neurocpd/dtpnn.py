@@ -233,13 +233,6 @@ class StepBound:
     upper: float
     at_equilibrium: bool = False
 
-    def contains(self, lam: float) -> bool:
-        return (
-            not self.at_equilibrium
-            and math.isfinite(self.lower)
-            and self.lower <= lam <= self.upper
-        )
-
 
 def effective_step_map(
     before: KruskalModel, after: KruskalModel, grads: list[Array], lambdas

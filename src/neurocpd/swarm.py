@@ -59,7 +59,6 @@ class SwarmConfig:
     inner_params: dict = field(default_factory=dict)
     inner_tol: float = 1e-6
     inner_max_steps: int = 500
-    mutation: bool = True
     jitter_time_constants: bool = True  # per-particle eps ~ U[0.5, 2], both flows
 
     def __post_init__(self):
@@ -71,8 +70,8 @@ class SwarmConfig:
         self.diversity_threshold = _real(
             "diversity_threshold", self.diversity_threshold, "[]"
         )
-        for key in ("mutation", "jitter_time_constants"):
-            setattr(self, key, _switch(key, getattr(self, key)))
+        self.jitter_time_constants = _switch("jitter_time_constants",
+                                             self.jitter_time_constants)
         self.inner_solver = _choice("inner_solver", self.inner_solver, INNER_SOLVERS)
         if not isinstance(params := self.inner_params, dict):
             raise ValueError(f"inner_params must be one mapping, got {params!r}")
@@ -289,8 +288,9 @@ def cno_run(
     :data:`~neurocpd.errors.SOLVER_FAILURES`) is re-seeded uniformly inside
     the mutation box and the run continues. Stops when the global best
     changes by less than ``stop_tol`` between outer iterations, at
-    ``max_outer``, or once ``deadline_s`` of wall clock has elapsed: the inner
-    solves stop at their current points and their outer iteration is the last.
+    ``max_outer``, or once ``deadline_s`` of wall clock has elapsed since the
+    call: the inner solves stop at their current points and their outer
+    iteration is the last.
 
     A swarm of more than one particle compresses ``t`` once
     (:func:`~neurocpd.tensor_ops.tucker_compress`), and its stack contracts
@@ -298,13 +298,13 @@ def cno_run(
     would not gain from the core, so it never compresses and a one-particle
     swarm stays a single run of its kind.
     """
+    started = time.perf_counter()
+    deadline = None if deadline_s is None else started + deadline_s
     t = np.asarray(t)
     shape = t.shape
     sw = init_swarm(t, rank, cfg)
     operand = tucker_compress(t) if cfg.population > 1 else None
     trace: list[OuterRecord] = []
-    started = time.perf_counter()
-    deadline = None if deadline_s is None else started + deadline_s
     for k in range(cfg.max_outer):
         if deadline is not None and time.perf_counter() > deadline:
             break
@@ -317,13 +317,12 @@ def cno_run(
         sw = update_bests(sw, _dense_objectives(t, sw.positions, rank))
         sw = pso_update(sw, cfg)
         sw.diversity = diversity(sw)
-        mutated = bool(cfg.mutation and sw.diversity < cfg.diversity_threshold)
+        mutated = sw.diversity < cfg.diversity_threshold
         if mutated:
             sw = wavelet_mutation(sw, cfg, k, cfg.max_outer, shape, rank)
         sw.outer_iteration = k + 1
         best_model = KruskalModel.unflatten(sw.global_best, shape, rank)
-        objective_value, rel_error = residual_fit(t, best_model)
-        trace.append(OuterRecord(k + 1, objective_value, rel_error, sw.diversity,
+        trace.append(OuterRecord(k + 1, *residual_fit(t, best_model), sw.diversity,
                                  mutated, time.perf_counter() - started))
         if _stalled(trace, cfg.stop_tol):
             break

@@ -1,15 +1,21 @@
 import importlib.util
+import contextlib
 import inspect
+import io
 import os
 import re
+import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from neurocpd import bench, cli, dtpnn, flow
+from neurocpd import bench, cli, dtpnn, flow, swarm
 from neurocpd.baselines import SweepState
 from neurocpd.bench import (
     CSV_HEADER,
@@ -25,6 +31,7 @@ from neurocpd.bench import (
 )
 from neurocpd.datagen import gen_problem
 from neurocpd.errors import (
+    FAILURE_LABELS,
     ArmijoStallError,
     BoundaryStallError,
     ConfigError,
@@ -156,9 +163,10 @@ def test_cno_single_particle_matches_flow_trace(tmp_path):
         "output_dir": str(tmp_path),
         "deterministic_timing": True,
     }
-    # every kind whose swarm runs as a flow stack
+    # every kind whose swarm runs as a flow stack, and Armijo, whose particle
+    # runs alone; barrier-flow starts elsewhere (see the README)
     for kind, params in (("flow", {}), ("dtpnn-explicit", {"lambdas": [0.5] * 3}),
-                         ("dtpnn-semiimplicit", {})):
+                         ("dtpnn-semiimplicit", {}), ("dtpnn-armijo", {})):
         single_cfg = RunConfig.from_dict(
             {**common, "algorithm": kind, "params": params,
              "budget": {"iterations": 120}, "record_every": 30}
@@ -170,7 +178,7 @@ def test_cno_single_particle_matches_flow_trace(tmp_path):
                 "budget": {"iterations": 4},
                 "params": {
                     "population": 1,
-                    "mutation": False,
+                    "diversity_threshold": 0.0,
                     "jitter_time_constants": False,
                     "inner_tol": 1e-300,
                     "inner_max_steps": 30,
@@ -276,25 +284,57 @@ def test_wall_clock_cap_terminates_early(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "budget, stop_tol, reason",
+    "budget, tol, reason",
     [({"iterations": 100000, "wall_clock_s": 0.05}, 0.0, "wall_clock"),
-     ({"iterations": 50}, 1e300, "early_stop"),
+     ({"iterations": 50}, 1e300, "converged"),
      ({"iterations": 2}, 0.0, "budget")],
 )
-def test_cno_termination_names_what_ended_the_run(tmp_path, budget, stop_tol, reason):
+def test_cno_termination_names_what_ended_the_run(tmp_path, budget, tol, reason):
     raw = base_config(
         problem={"kind": "caseI", "seed": 0},
         algorithm="cno",
         rank=10,
         budget=budget,
-        params={"population": 10, "stop_tol": stop_tol, "inner_max_steps": 20},
+        tol=tol,
+        params={"population": 10, "inner_max_steps": 20},
         output_dir=str(tmp_path),
         deterministic_timing=False,
     )
     record = run_single(RunConfig.from_dict(raw), 0)
     assert record.termination == reason
-    if reason == "early_stop":
-        assert len(record.rows) == 2  # stop_tol is first tested after iteration 2
+    if reason == "converged":
+        assert len(record.rows) == 2  # tol is first tested after iteration 2
+
+
+def test_cno_wall_clock_cap_counts_the_swarm_set_up(tmp_path, monkeypatch):
+    compress = swarm.tucker_compress
+
+    def slow_compress(t):
+        time.sleep(0.3)
+        return compress(t)
+
+    monkeypatch.setattr(swarm, "tucker_compress", slow_compress)
+    raw = base_config(
+        problem={"kind": "caseI", "seed": 0}, algorithm="cno", rank=10,
+        budget={"iterations": 5, "wall_clock_s": 0.2},
+        params={"population": 4, "inner_max_steps": 30},
+        output_dir=str(tmp_path),
+    )
+    record = run_single(RunConfig.from_dict(raw), 0)
+    assert record.termination == "wall_clock"
+    assert [row.iteration for row in record.rows] == [0]
+
+
+@pytest.mark.parametrize("key,value", [("stop_tol", 1e-3), ("mutation", False)])
+def test_removed_swarm_keys_are_unknown_params(
+    tmp_path, monkeypatch, capsys, key, value
+):
+    # tol stops a swarm and diversity_threshold: 0 turns its mutation off
+    raw = base_config(
+        algorithm="cno", params={key: value}, output_dir=str(tmp_path / "out")
+    )
+    err = _refused_before_any_solve(tmp_path, monkeypatch, capsys, raw)
+    assert err.startswith(f"config error: unknown params for cno: ['{key}']")
 
 
 def test_compare_single_run_and_permutation_invariance(tmp_path):
@@ -642,6 +682,20 @@ def test_config_entry_of_the_wrong_kind_is_a_config_error(
     assert not list(tmp_path.rglob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "key,value", [("kind", "caseI"), ("seed", 7), ("noise_snr_db", 10)]
+)
+def test_a_problem_file_with_generator_keys_is_a_config_error(
+    tmp_path, monkeypatch, capsys, key, value
+):
+    path = tmp_path / "t.bin"
+    save_tensor_bin(path, gen_problem("easy5", 0)[0])
+    raw = base_config(output_dir=str(tmp_path / "out"), problem={"path": str(path)})
+    (raw if key == "noise_snr_db" else raw["problem"])[key] = value
+    err = _refused_before_any_solve(tmp_path, monkeypatch, capsys, raw)
+    assert err.startswith("config error: a problem file takes no") and key in err
+
+
 def test_a_run_refused_when_its_state_is_made_creates_no_output_dir(
     tmp_path, capsys
 ):
@@ -930,3 +984,76 @@ def test_each_solver_failure_is_labelled_by_kind(
     record = run_single(RunConfig.from_dict(raw), 0)
     assert record.termination == f"{label}: {error}"
     assert record.failed and record.final_model is None
+
+
+# Boundary values of every kind a config can hold. Integer settings draw only
+# small integers: the config check takes any size (``population: 2**70``
+# passes it), and the run then allocates without bound.
+_EDGES = st.sampled_from([0, 0.0, 1e-300, 1e300, float("inf"), float("-inf"),
+                          float("nan"), True, False, "abc", "1e-3", -1, 0.5, 2])
+_SMALL = st.one_of(st.integers(-1, 4), st.sampled_from([1.5, True, "2", float("nan")]))
+_PER_FACTOR = st.one_of(_EDGES, st.lists(_EDGES, max_size=4))
+
+
+def _setting(key):
+    if key in ("population", "inner_max_steps", "decay_every"):
+        return _SMALL
+    if key in ("time_constants", "lambdas"):
+        return _PER_FACTOR
+    if key in ("armijo", "inner_params"):
+        inner = ("alpha", "beta") if key == "armijo" else (
+            STEPPERS["flow"].params | STEPPERS["dtpnn-armijo"].params)
+        return st.one_of(_EDGES, st.fixed_dictionaries(
+            {}, optional={k: _setting(k) for k in sorted(inner)}))
+    if key in ("inner_solver", "integrator"):
+        return st.one_of(_EDGES, st.sampled_from([*bench.ALGORITHMS, "euler", "rk4"]))
+    return _EDGES
+
+
+@st.composite
+def _run_configs(draw):
+    algorithm = draw(st.sampled_from(bench.ALGORITHMS))
+    keys = STEPPERS[algorithm].params if algorithm != "cno" else (
+        bench.SWARM_PARAMS | {"stop_tol", "mutation"})
+    # a few keys at a time, so that some configs pass the check and run
+    chosen = draw(st.lists(st.sampled_from(sorted(keys)), max_size=3, unique=True)
+                  if keys else st.just([]))
+    params = {key: draw(_setting(key)) for key in chosen}
+    if algorithm == "cno" and draw(st.booleans()):
+        params["diversity_threshold"] = 0
+    budget = {"iterations": draw(st.integers(0, 3))}
+    if draw(st.booleans()):
+        budget["wall_clock_s"] = draw(_EDGES)
+    raw = base_config(algorithm=algorithm, params=params, budget=budget)
+    if draw(st.booleans()):
+        raw["tol"] = draw(_EDGES)
+    if algorithm == "cno":
+        params.setdefault("population", draw(st.integers(1, 4)))
+        params.setdefault("inner_max_steps", draw(st.integers(1, 5)))
+    return raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=_run_configs())
+def test_every_cli_run_ends_in_a_trace_a_config_error_or_a_failure_label(raw):
+    algorithm, params = raw["algorithm"], raw["params"]
+    with tempfile.TemporaryDirectory() as out:
+        raw["output_dir"] = out
+        path = Path(out) / "run.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+            code = cli.main(["run", "--config", str(path)])
+        removed = algorithm == "cno" and {"stop_tol", "mutation"} & params.keys()
+        if code == 1 or removed:
+            assert code == 1 and err.getvalue().startswith("config error:")
+            return
+        summary = (Path(out) / f"{algorithm}_seed0.summary.txt").read_text()
+        termination = re.search(r"^termination = ([a-z_]+)", summary, re.M)[1]
+        if code == 0:
+            assert termination in ("budget", "converged", "wall_clock")
+            rows = (Path(out) / f"{algorithm}_seed0.csv").read_text().splitlines()
+            assert rows[0] == CSV_HEADER and len(rows) > 1
+        else:
+            assert code == 2 and termination in FAILURE_LABELS.values()
