@@ -31,11 +31,11 @@ from .driver import drive
 from .errors import FAILURE_LABELS, SOLVER_FAILURES, ConfigError, describe_failure
 from .model import _choice, _integer, _real, _switch
 from .solvers import STEPPERS, _check_params
-from .swarm import SwarmConfig, _stalled, cno_run, initial_model
+from .swarm import SwarmConfig, SwarmRun, initial_model, outer_step
 from .tensor_io import load_tensor
 from .tensor_ops import KruskalModel, frobenius_norm, residual_fit
 
-#: the ``params`` keys of ``cno``; the runner sets seed, max_outer and stop_tol
+#: the ``params`` keys of ``cno``; the run's seed, budget and tol set the rest
 SWARM_PARAMS = {f.name for f in fields(SwarmConfig)} - {"seed", "max_outer", "stop_tol"}
 ALGORITHMS = ("cno", *STEPPERS)
 
@@ -231,60 +231,40 @@ class _Recorder:
             return 0.0
         return (time.perf_counter() - self.started) * 1e3
 
-    def record_model(self, iteration: int, model: KruskalModel):
-        fit = residual_fit(self.t, model, self.norm)
-        self.rows.append(RunRow(iteration, *fit, self.wall_ms()))
+    def record(self, iteration: int, state):
+        fit = residual_fit(self.t, state.model, self.norm)
+        diversity = getattr(state, "diversity", None)  # a swarm's
+        self.rows.append(RunRow(iteration, *fit, self.wall_ms(), diversity))
 
     def observe(self, iteration: int, state):
         if iteration % self.cfg.record_every == 0:
-            self.record_model(iteration, state.model)
-
-
-def _run_stepwise(t, cfg: RunConfig, seed: int, rec: _Recorder):
-    """One single-trajectory run through the driver; returns (model, reason)."""
-    init = initial_model(t.shape, cfg.rank, seed)
-    if cfg.algorithm == "barrier-flow":
-        # the barrier needs a strictly interior start
-        init = KruskalModel([0.1 + 0.9 * f for f in init.factors])
-    stepper = STEPPERS[cfg.algorithm]
-    deadline = None if cfg.wall_clock_s is None else rec.started + cfg.wall_clock_s
-    state = stepper.make_state(init, dict(cfg.params), seed)
-    state, reason, steps = drive(
-        t, state, stepper.step, cfg.tol, cfg.iterations, deadline, rec.observe
-    )
-    if not rec.rows or rec.rows[-1].iteration != steps:
-        rec.record_model(steps, state.model)
-    return state.model, "budget" if reason == "max_steps" else reason
-
-
-def _run_cno(t, cfg: RunConfig, seed: int, rec: _Recorder):
-    sw_cfg = SwarmConfig(seed=seed, max_outer=cfg.iterations, stop_tol=cfg.tol,
-                         **cfg.params)
-    model, trace = cno_run(t, cfg.rank, sw_cfg, deadline_s=cfg.wall_clock_s)
-    if not trace:  # the deadline passed before the first outer iteration
-        rec.record_model(0, model)
-    for r in trace:
-        if r.iteration % cfg.record_every == 0 or r.iteration == len(trace):
-            wall_ms = 0.0 if cfg.deterministic_timing else r.wall_s * 1e3
-            rec.rows.append(
-                RunRow(r.iteration, r.objective, r.rel_error, wall_ms, r.diversity)
-            )
-    if len(trace) == cfg.iterations:
-        return model, "budget"
-    # short of the budget, cno_run stopped on its tol test or on the deadline
-    return model, "converged" if _stalled(trace, cfg.tol) else "wall_clock"
+            self.record(iteration, state)
 
 
 def run_single(cfg: RunConfig, seed: int) -> RunRecord:
     """One (config, seed) run; a solver failure keeps the partial trace."""
     t = cfg.load_problem()
     rec = _Recorder(t, cfg)
-    run_algorithm = _run_cno if cfg.algorithm == "cno" else _run_stepwise
+    deadline = None if cfg.wall_clock_s is None else rec.started + cfg.wall_clock_s
     try:
-        model, reason = run_algorithm(t, cfg, seed, rec)
+        if cfg.algorithm == "cno":
+            sw_cfg = SwarmConfig(seed=seed, max_outer=cfg.iterations, **cfg.params)
+            state, step = SwarmRun(t, cfg.rank, sw_cfg, deadline), outer_step
+        else:
+            init = initial_model(t.shape, cfg.rank, seed)
+            if cfg.algorithm == "barrier-flow":
+                # the barrier needs a strictly interior start
+                init = KruskalModel([0.1 + 0.9 * f for f in init.factors])
+            stepper = STEPPERS[cfg.algorithm]
+            state, step = stepper.make_state(init, dict(cfg.params), seed), stepper.step
+        state, reason, steps = drive(t, state, step, cfg.tol, cfg.iterations,
+                                     deadline, rec.observe)
+        if not rec.rows or rec.rows[-1].iteration != steps:
+            rec.record(steps, state)
     except SOLVER_FAILURES as exc:
         return RunRecord(cfg, seed, rec.rows, None, describe_failure(exc))
-    return RunRecord(cfg, seed, rec.rows, model, reason)
+    return RunRecord(cfg, seed, rec.rows, state.model,
+                     "budget" if reason == "max_steps" else reason)
 
 
 def _format(value) -> str:

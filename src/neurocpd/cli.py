@@ -91,13 +91,11 @@ def _cmd_run(args) -> int:
 
 def _compare_configs(raw: dict) -> list[bench.RunConfig]:
     variants = raw.pop("algorithms", None)
-    if not variants:
-        raise ConfigError("compare config needs an 'algorithms' list")
-    cfgs = []
-    for variant in variants:
-        merged = {**raw, **variant}
-        cfgs.append(bench.RunConfig.from_dict(merged))
-    return cfgs
+    if not isinstance(variants, list) or not variants:
+        raise ConfigError(f"'algorithms' must be a non-empty list, got {variants!r}")
+    if bad := [v for v in variants if not isinstance(v, dict)]:
+        raise ConfigError(f"each 'algorithms' entry must be a mapping, got {bad[0]!r}")
+    return [bench.RunConfig.from_dict({**raw, **variant}) for variant in variants]
 
 
 def _cmd_compare(args) -> int:

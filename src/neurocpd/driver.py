@@ -1,7 +1,8 @@
 """One driver loop that advances every trajectory: each single-trajectory
 solver's :class:`Stepper` step (see :data:`neurocpd.solvers.STEPPERS` for them
-by name), and the same flow step on the swarm's stack of several
-trajectories (:meth:`neurocpd.flow.FlowState.stack`)."""
+by name), the same flow step on the swarm's stack of several trajectories
+(:meth:`neurocpd.flow.FlowState.stack`), and the swarm's outer iterations
+(:func:`neurocpd.swarm.outer_step`)."""
 
 from __future__ import annotations
 

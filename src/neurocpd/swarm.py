@@ -10,7 +10,9 @@ re-seeds the solver initial conditions by the velocity/position update
     v' = inertia*v + b1*g1*(p_n - x) + b2*g2*(p_best - x),   x' = [x + v']_+
 
 and, when the swarm diversity ``mean ||p_n - p_best||`` falls below the
-threshold, kicks the positions with a decaying Gabor-wavelet mutation.
+threshold, kicks the positions with a decaying Gabor-wavelet mutation. Each
+outer iteration is one :func:`outer_step` of a :class:`SwarmRun`, which
+:func:`~neurocpd.driver.drive` advances as it advances every solver.
 
 Randomness is drawn from per-(seed, particle, iteration) generator streams,
 so results do not depend on scheduling order.
@@ -24,10 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .driver import drive
+from .driver import State, drive
 from .errors import SOLVER_FAILURES
 from .flow import FlowState
-from .model import _choice, _integer, _real, _switch
+from .model import _choice, _integer, _real
 from .solvers import STEPPERS, _check_params
 from .tensor_ops import KruskalModel, frobenius_norm, residual_fit, tucker_compress
 
@@ -59,7 +61,6 @@ class SwarmConfig:
     inner_params: dict = field(default_factory=dict)
     inner_tol: float = 1e-6
     inner_max_steps: int = 500
-    jitter_time_constants: bool = True  # per-particle eps ~ U[0.5, 2], both flows
 
     def __post_init__(self):
         for key in ("population", "max_outer", "inner_max_steps"):
@@ -70,8 +71,6 @@ class SwarmConfig:
         self.diversity_threshold = _real(
             "diversity_threshold", self.diversity_threshold, "[]"
         )
-        self.jitter_time_constants = _switch("jitter_time_constants",
-                                             self.jitter_time_constants)
         self.inner_solver = _choice("inner_solver", self.inner_solver, INNER_SOLVERS)
         if not isinstance(params := self.inner_params, dict):
             raise ValueError(f"inner_params must be one mapping, got {params!r}")
@@ -93,7 +92,6 @@ class SwarmState:
     global_best_value: float
     time_constants: Array | None = None
     outer_iteration: int = 0
-    diversity: float = np.inf
 
 
 @dataclass
@@ -124,13 +122,14 @@ def initial_model(shape, rank: int, seed: int, particle: int = 0) -> KruskalMode
 
 
 def init_swarm(t: Array, rank: int, cfg: SwarmConfig) -> SwarmState:
-    """Uniform-random particle positions; bests initialized in place."""
+    """Uniform-random particle positions; bests initialized in place. Either
+    flow's particles draw time constants from U[0.5, 2] unless set."""
     shape = np.shape(t)
     positions = np.stack([initial_model(shape, rank, cfg.seed, n).flatten()
                           for n in range(cfg.population)])
     eps = None
-    if (cfg.jitter_time_constants
-            and "time_constants" in STEPPERS[cfg.inner_solver].params):
+    if ("time_constants" in STEPPERS[cfg.inner_solver].params
+            and "time_constants" not in cfg.inner_params):
         eps = np.stack([_rng(cfg, _JITTER, n, 0).uniform(0.5, 2.0, size=len(shape))
                         for n in range(cfg.population)])
     sw = SwarmState(positions, np.zeros_like(positions), positions.copy(),
@@ -279,18 +278,9 @@ def _solve_particles(
     return rows, failed
 
 
-def cno_run(
-    t: Array, rank: int, cfg: SwarmConfig, deadline_s: float | None = None
-) -> tuple[KruskalModel, list[OuterRecord]]:
-    """Full collaborative run; returns the best model and per-iteration trace.
-
-    A particle whose inner solver fails (any of
-    :data:`~neurocpd.errors.SOLVER_FAILURES`) is re-seeded uniformly inside
-    the mutation box and the run continues. Stops when the global best
-    changes by less than ``stop_tol`` between outer iterations, at
-    ``max_outer``, or once ``deadline_s`` of wall clock has elapsed since the
-    call: the inner solves stop at their current points and their outer
-    iteration is the last.
+class SwarmRun(State):
+    """A :func:`cno_run` as a driver state: the swarm, its settings and
+    operand, and the absolute ``deadline`` of its inner solves.
 
     A swarm of more than one particle compresses ``t`` once
     (:func:`~neurocpd.tensor_ops.tucker_compress`), and its stack contracts
@@ -298,38 +288,69 @@ def cno_run(
     would not gain from the core, so it never compresses and a one-particle
     swarm stays a single run of its kind.
     """
+
+    def __init__(self, t: Array, rank: int, cfg: SwarmConfig, deadline=None):
+        self.swarm = init_swarm(t, rank, cfg)
+        self.operand = tucker_compress(t) if cfg.population > 1 else None
+        self.cfg, self.shape, self.rank = cfg, np.shape(t), rank
+        self.deadline = deadline
+        self.diversity = self.mutated = None  # until the first outer iteration
+        self.residual = self.change = np.inf
+
+    @property
+    def model(self) -> KruskalModel:
+        """The global best."""
+        return KruskalModel.unflatten(self.swarm.global_best, self.shape, self.rank)
+
+
+def outer_step(t: Array, run: SwarmRun, tol: float) -> SwarmRun:
+    """One outer iteration as a stepper step. Its residual is how far the
+    global best's dense objective moved in the last outer iteration (``inf``
+    until two have run); below ``tol`` the run stays put. A particle whose
+    inner solver fails (any of :data:`~neurocpd.errors.SOLVER_FAILURES`) is
+    re-seeded uniformly inside the mutation box and the run continues."""
+    run = run.moved(residual=run.change)
+    if run.residual < tol:
+        return run
+    sw, cfg, rank = run.swarm, run.cfg, run.rank
+    k, before = sw.outer_iteration, sw.global_best_value
+    sw.positions, failed = _solve_particles(t, sw, cfg, rank, run.deadline, run.operand)
+    if failed.any():
+        lower, upper = mutation_bounds(sw, run.shape, rank)
+        sw.positions[failed] = [_rng(cfg, _RESEED, n, k).uniform(lower, upper)
+                                for n in np.flatnonzero(failed)]
+        sw.velocities[failed] = 0.0
+    sw = update_bests(sw, _dense_objectives(t, sw.positions, rank))
+    sw = pso_update(sw, cfg)
+    spread = diversity(sw)
+    mutated = spread < cfg.diversity_threshold
+    if mutated:
+        sw = wavelet_mutation(sw, cfg, k, cfg.max_outer, run.shape, rank)
+    sw.outer_iteration = k + 1
+    # measured by the next step, so that drive observes this one
+    change = abs(sw.global_best_value - before) if k else np.inf
+    return run.moved(swarm=sw, diversity=spread, mutated=mutated, change=change)
+
+
+def cno_run(
+    t: Array, rank: int, cfg: SwarmConfig, deadline_s: float | None = None
+) -> tuple[KruskalModel, list[OuterRecord]]:
+    """Full collaborative run; returns the best model and per-iteration trace.
+
+    Stops when the global best changes by less than ``stop_tol`` between
+    outer iterations, at ``max_outer``, or once ``deadline_s`` of wall clock
+    has elapsed since the call: the inner solves stop at their current points
+    and their outer iteration is the last.
+    """
     started = time.perf_counter()
     deadline = None if deadline_s is None else started + deadline_s
     t = np.asarray(t)
-    shape = t.shape
-    sw = init_swarm(t, rank, cfg)
-    operand = tucker_compress(t) if cfg.population > 1 else None
-    trace: list[OuterRecord] = []
-    for k in range(cfg.max_outer):
-        if deadline is not None and time.perf_counter() > deadline:
-            break
-        sw.positions, failed = _solve_particles(t, sw, cfg, rank, deadline, operand)
-        if failed.any():
-            lower, upper = mutation_bounds(sw, shape, rank)
-            sw.positions[failed] = [_rng(cfg, _RESEED, n, k).uniform(lower, upper)
-                                    for n in np.flatnonzero(failed)]
-            sw.velocities[failed] = 0.0
-        sw = update_bests(sw, _dense_objectives(t, sw.positions, rank))
-        sw = pso_update(sw, cfg)
-        sw.diversity = diversity(sw)
-        mutated = sw.diversity < cfg.diversity_threshold
-        if mutated:
-            sw = wavelet_mutation(sw, cfg, k, cfg.max_outer, shape, rank)
-        sw.outer_iteration = k + 1
-        best_model = KruskalModel.unflatten(sw.global_best, shape, rank)
-        trace.append(OuterRecord(k + 1, *residual_fit(t, best_model), sw.diversity,
-                                 mutated, time.perf_counter() - started))
-        if _stalled(trace, cfg.stop_tol):
-            break
-    return KruskalModel.unflatten(sw.global_best, shape, rank), trace
+    trace = []
 
+    def record(k, run):
+        trace.append(OuterRecord(k, *residual_fit(t, run.model), run.diversity,
+                                 run.mutated, time.perf_counter() - started))
 
-def _stalled(trace: list[OuterRecord], tol: float) -> bool:
-    """:func:`cno_run`'s ``stop_tol`` test: the global best moved by less than
-    ``tol`` in the last of at least two outer iterations."""
-    return len(trace) > 1 and abs(trace[-1].objective - trace[-2].objective) < tol
+    run, _, _ = drive(t, SwarmRun(t, rank, cfg, deadline), outer_step,
+                      cfg.stop_tol, cfg.max_outer, deadline, record)
+    return run.model, trace

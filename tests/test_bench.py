@@ -2,10 +2,12 @@ import importlib.util
 import contextlib
 import inspect
 import io
+import itertools
 import os
 import re
 import tempfile
 import time
+import types
 from pathlib import Path
 from unittest import mock
 
@@ -42,7 +44,7 @@ from neurocpd.errors import (
 from neurocpd.driver import drive
 from neurocpd.model import objective
 from neurocpd.solvers import STEPPERS
-from neurocpd.swarm import INNER_SOLVERS, SwarmConfig, init_swarm, initial_model
+from neurocpd.swarm import INNER_SOLVERS, SwarmConfig, cno_run, init_swarm, initial_model
 from neurocpd.tensor_io import load_tensor, save_tensor_bin
 from neurocpd.tensor_ops import KruskalModel, relative_error
 
@@ -165,7 +167,8 @@ def test_cno_single_particle_matches_flow_trace(tmp_path):
     }
     # every kind whose swarm runs as a flow stack, and Armijo, whose particle
     # runs alone; barrier-flow starts elsewhere (see the README)
-    for kind, params in (("flow", {}), ("dtpnn-explicit", {"lambdas": [0.5] * 3}),
+    for kind, params in (("flow", {"time_constants": [1.0] * 3}),
+                         ("dtpnn-explicit", {"lambdas": [0.5] * 3}),
                          ("dtpnn-semiimplicit", {}), ("dtpnn-armijo", {})):
         single_cfg = RunConfig.from_dict(
             {**common, "algorithm": kind, "params": params,
@@ -179,7 +182,6 @@ def test_cno_single_particle_matches_flow_trace(tmp_path):
                 "params": {
                     "population": 1,
                     "diversity_threshold": 0.0,
-                    "jitter_time_constants": False,
                     "inner_tol": 1e-300,
                     "inner_max_steps": 30,
                     "inner_solver": kind,
@@ -225,7 +227,7 @@ def test_recorded_objective_is_accurate_at_an_exact_fit():
     t = np.einsum("ir,jr,kr->ijk", *truth.factors)  # noiseless rank 4
     half = 0.5 * float(np.sum(t * t))
     rec = bench._Recorder(t, RunConfig.from_dict(base_config()))
-    rec.record_model(0, truth)
+    rec.record(0, types.SimpleNamespace(model=truth))
     assert 0.0 <= rec.rows[0].objective <= 1e-28 * half
     # the expanded Gram form cancels down to rounding noise of 0.5 ||X||^2
     assert abs(objective(t, truth)) > 1e-20 * half
@@ -325,11 +327,65 @@ def test_cno_wall_clock_cap_counts_the_swarm_set_up(tmp_path, monkeypatch):
     assert [row.iteration for row in record.rows] == [0]
 
 
-@pytest.mark.parametrize("key,value", [("stop_tol", 1e-3), ("mutation", False)])
+@pytest.mark.parametrize("inner", ["flow", "dtpnn-armijo"])
+@pytest.mark.parametrize("population", [1, 4])
+def test_a_cli_swarm_run_is_the_library_swarm(tmp_path, inner, population):
+    # neurocpd run and cno_run advance one swarm through the one driver: the
+    # same rows at the recorded iterations, the same global best, and
+    # converged exactly when the tol test ended the run short of its budget
+    t, _ = gen_problem("easy5", 0)
+    params = {"population": population, "inner_solver": inner,
+              "inner_max_steps": 10}
+    for record_every, tol in itertools.product((1, 2), (0.0, 1e300)):
+        raw = base_config(algorithm="cno", params=params, tol=tol,
+                          record_every=record_every, budget={"iterations": 4},
+                          output_dir=str(tmp_path))
+        record = run_single(RunConfig.from_dict(raw), 3)
+        model, trace = cno_run(t, 3, SwarmConfig(seed=3, max_outer=4, stop_tol=tol,
+                                                 **params))
+        recorded = [r for r in trace
+                    if r.iteration % record_every == 0 or r.iteration == len(trace)]
+        assert [(row.iteration, row.objective, row.rel_error, row.diversity)
+                for row in record.rows] == [
+            (r.iteration, r.objective, r.rel_error, r.diversity) for r in recorded]
+        for a, b in zip(record.final_model.factors, model.factors):
+            assert np.array_equal(a, b)
+        assert len(trace) == (2 if tol else 4)
+        assert record.termination == ("converged" if len(trace) < 4 else "budget")
+
+
+def test_a_swarm_past_its_cap_ends_wall_clock_though_its_best_stalled(
+    tmp_path, monkeypatch
+):
+    # the deadline is tested before the stop test, as for every algorithm:
+    # outer iteration 2 runs past the cap and leaves the global best within
+    # tol of iteration 1's, and the run ends wall_clock after its two rows
+    solve, deadlines = swarm._solve_particles, []
+
+    def slow(t, sw, cfg, rank, deadline=None, operand=None):
+        deadlines.append(deadline)
+        if len(deadlines) == 2:
+            time.sleep(max(0.0, deadline - time.perf_counter()) + 0.01)
+        return solve(t, sw, cfg, rank, deadline, operand)
+
+    monkeypatch.setattr(swarm, "_solve_particles", slow)
+    raw = base_config(algorithm="cno", tol=1e300,
+                      budget={"iterations": 5, "wall_clock_s": 1.0},
+                      params={"population": 2, "inner_max_steps": 10},
+                      output_dir=str(tmp_path))
+    record = run_single(RunConfig.from_dict(raw), 0)
+    assert len(deadlines) == 2
+    assert record.termination == "wall_clock"
+    assert [row.iteration for row in record.rows] == [1, 2]
+
+
+@pytest.mark.parametrize("key,value", [("stop_tol", 1e-3), ("mutation", False),
+                                       ("jitter_time_constants", False)])
 def test_removed_swarm_keys_are_unknown_params(
     tmp_path, monkeypatch, capsys, key, value
 ):
-    # tol stops a swarm and diversity_threshold: 0 turns its mutation off
+    # tol stops a swarm, diversity_threshold: 0 turns its mutation off and
+    # unit inner_params.time_constants its jitter
     raw = base_config(
         algorithm="cno", params={key: value}, output_dir=str(tmp_path / "out")
     )
@@ -446,6 +502,25 @@ def test_cli_compare_with_an_unknown_kind_in_a_later_variant_runs_nothing(
     assert not (tmp_path / "out").exists()  # no compare.csv was written
     err = capsys.readouterr().err
     assert err.startswith("config error: unknown problem kind 'easy55'")
+
+
+@pytest.mark.parametrize(
+    "algorithms,named", [(["flow"], "'flow'"), ({"flow": {}}, "{'flow': {}}"), (5, "5")]
+)
+def test_cli_compare_refuses_algorithms_that_are_not_a_list_of_mappings(
+    tmp_path, monkeypatch, capsys, algorithms, named
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(bench, "run_single", no_solve)
+    cmp_path = tmp_path / "cmp.yaml"
+    raw = base_config(output_dir=str(tmp_path / "out"), algorithms=algorithms)
+    yaml.safe_dump(raw, cmp_path.open("w"))
+    assert cli.main(["compare", "--config", str(cmp_path)]) == 1
+    assert not (tmp_path / "out").exists()  # no compare.csv was written
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err
 
 
 @pytest.mark.parametrize("params", [[], 0, False, ""])
@@ -977,7 +1052,7 @@ def test_each_solver_failure_is_labelled_by_kind(
         raise error
 
     if algorithm == "cno":
-        monkeypatch.setattr(bench, "cno_run", broken)
+        monkeypatch.setattr(bench, "outer_step", broken)
     else:
         monkeypatch.setattr(flow, "flow_step", broken)
     raw = base_config(algorithm=algorithm, output_dir=str(tmp_path))
@@ -985,6 +1060,9 @@ def test_each_solver_failure_is_labelled_by_kind(
     assert record.termination == f"{label}: {error}"
     assert record.failed and record.final_model is None
 
+
+#: ``cno`` keys that each behaviour's one setting replaced
+REMOVED_SWARM_KEYS = {"stop_tol", "mutation", "jitter_time_constants"}
 
 # Boundary values of every kind a config can hold. Integer settings draw only
 # small integers: the config check takes any size (``population: 2**70``
@@ -1014,7 +1092,7 @@ def _setting(key):
 def _run_configs(draw):
     algorithm = draw(st.sampled_from(bench.ALGORITHMS))
     keys = STEPPERS[algorithm].params if algorithm != "cno" else (
-        bench.SWARM_PARAMS | {"stop_tol", "mutation"})
+        bench.SWARM_PARAMS | REMOVED_SWARM_KEYS)
     # a few keys at a time, so that some configs pass the check and run
     chosen = draw(st.lists(st.sampled_from(sorted(keys)), max_size=3, unique=True)
                   if keys else st.just([]))
@@ -1045,7 +1123,7 @@ def test_every_cli_run_ends_in_a_trace_a_config_error_or_a_failure_label(raw):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err), np.errstate(all="ignore"):
             code = cli.main(["run", "--config", str(path)])
-        removed = algorithm == "cno" and {"stop_tol", "mutation"} & params.keys()
+        removed = algorithm == "cno" and REMOVED_SWARM_KEYS & params.keys()
         if code == 1 or removed:
             assert code == 1 and err.getvalue().startswith("config error:")
             return
@@ -1057,3 +1135,60 @@ def test_every_cli_run_ends_in_a_trace_a_config_error_or_a_failure_label(raw):
             assert rows[0] == CSV_HEADER and len(rows) > 1
         else:
             assert code == 2 and termination in FAILURE_LABELS.values()
+
+
+_SEED_TEXTS = st.one_of(
+    st.none(),
+    st.builds("{}..{}".format, st.integers(-1, 2), st.integers(-1, 2)),
+    st.lists(st.integers(-1, 3), max_size=3).map(lambda s: ",".join(map(str, s))),
+    st.sampled_from(["", ",", "..", "a", "1.5", "0..1..2", " 1", "0x1"]),
+)
+
+
+# a variant that passes the config check and runs in a few milliseconds
+_VARIANTS = st.builds(
+    lambda algorithm, n: {"algorithm": algorithm, "budget": {"iterations": n},
+                          "params": {"population": 2, "inner_max_steps": 5}
+                          if algorithm == "cno" else {}},
+    st.sampled_from(bench.ALGORITHMS), st.integers(1, 3),
+)
+
+
+@st.composite
+def _compare_configs(draw):
+    entry = st.one_of(
+        _VARIANTS,
+        _run_configs(),
+        st.sampled_from([*bench.ALGORITHMS, "", "flow: {}"]),
+        _EDGES,
+        st.lists(st.one_of(st.sampled_from(bench.ALGORITHMS), _EDGES), max_size=2),
+    )
+    raw = base_config()
+    raw["algorithms"] = draw(st.one_of(st.lists(_VARIANTS, min_size=1, max_size=3),
+                                       st.lists(entry, max_size=3), entry))
+    return raw, draw(_SEED_TEXTS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=_compare_configs())
+def test_every_cli_compare_ends_in_a_table_a_config_error_or_a_failure(drawn):
+    raw, seeds = drawn
+    for variant in raw["algorithms"] if isinstance(raw["algorithms"], list) else []:
+        if isinstance(variant, dict):
+            variant.pop("output_dir", None)  # the table goes to the temporary one
+    with tempfile.TemporaryDirectory() as out:
+        raw["output_dir"] = out
+        path = Path(out) / "compare.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        argv = ["compare", "--config", str(path)]
+        if seeds is not None:
+            argv.append(f"--seeds={seeds}")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+            code = cli.main(argv)
+        table = Path(out) / "compare.csv"
+        if code == 1:
+            assert err.getvalue().startswith("config error:") and not table.exists()
+        else:
+            assert code in (0, 2) and table.exists()

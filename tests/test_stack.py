@@ -516,15 +516,17 @@ def test_diverging_flow_particle_is_reseeded_alone(monkeypatch, bad):
     t, _ = gen_problem("easy5", 0)
     cfg = SwarmConfig(
         population=2, seed=3, max_outer=2, inner_max_steps=40,
-        inner_params=bad, jitter_time_constants=False,
+        inner_params=bad,
     )
-    states = _flow_particles(t, cfg, 3)[1]
+    sw = stiff(t, 3, cfg)
+    start = FlowState(KruskalModel.unflatten(sw.positions[0], t.shape, 3),
+                      time_constants=sw.time_constants[0], **bad)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        rows, failed = swarm._solve_particles(t, stiff(t, 3, cfg), cfg, 3)
+        rows, failed = swarm._solve_particles(t, sw, cfg, 3)
         model, trace = cno_run(t, 3, cfg)
     assert failed.tolist() == [False, True]
-    alone, _ = solve_to_equilibrium(t, states[0], tol=cfg.inner_tol,
+    alone, _ = solve_to_equilibrium(t, start, tol=cfg.inner_tol,
                                     max_steps=cfg.inner_max_steps)
     for a, b in zip(KruskalModel.unflatten(rows[0], t.shape, 3).factors,
                     alone.model.factors):
@@ -544,7 +546,7 @@ def test_singular_slice_fails_alone_in_the_swarm():
     with pytest.raises(SingularPreconditionerError):
         drive_stack(t, stacks, np.full((2, 3), 0.5), True, 0.0, 1e-12, 5)
     cfg = SwarmConfig(population=2, inner_tol=1e-12, inner_max_steps=5,
-                      inner_params={"ridge": 0.0}, jitter_time_constants=False)
+                      inner_params={"ridge": 0.0})
     positions = np.stack([KruskalModel([f[p] for f in stacks]).flatten()
                           for p in range(2)])
     sw = swarm.SwarmState(positions, np.zeros_like(positions), positions.copy(),
@@ -579,7 +581,7 @@ def test_healthy_rows_of_a_failed_compressed_stack_are_their_dense_solves():
     form = tucker_compress(t)
     assert form is not None
     cfg = SwarmConfig(population=3, seed=4, inner_max_steps=40,
-                      inner_params={"step": 0.5}, jitter_time_constants=False)
+                      inner_params={"step": 0.5})
     sw = init_swarm(t, 3, cfg)
     sw.time_constants = np.array([[1.0] * 3, [1e-6] * 3, [0.7, 1.3, 1.1]])
     states = [FlowState(KruskalModel.unflatten(row, t.shape, 3), eps, step=0.5)
@@ -604,8 +606,7 @@ def test_a_barrier_particle_that_stalls_fails_alone_in_the_swarm():
     t, _ = gen_problem("easy5", 0)
     params = {"step": 0.5}
     cfg = SwarmConfig(population=3, seed=4, inner_max_steps=40,
-                      inner_solver="barrier-flow", inner_params=params,
-                      jitter_time_constants=False)
+                      inner_solver="barrier-flow", inner_params=params)
     sw = init_swarm(t, 3, cfg)
     sw.time_constants = np.array([[1.0] * 3, [1e-12] * 3, [0.7, 1.3, 1.1]])
     stepper = STEPPERS["barrier-flow"]

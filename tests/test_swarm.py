@@ -266,7 +266,8 @@ def test_cno_single_particle_equals_plain_flow():
     t, _ = gen_problem("easy5", 0)
     cfg = SwarmConfig(
         population=1, seed=11, max_outer=4, inner_max_steps=50,
-        inner_tol=1e-300, diversity_threshold=0.0, jitter_time_constants=False,
+        inner_tol=1e-300, diversity_threshold=0.0,
+        inner_params={"time_constants": [1.0] * 3},
     )
     model, trace = cno_run(t, 3, cfg)
     state = FlowState(initial_model(t.shape, 3, 11))
