@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import os
 import statistics
-import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -27,13 +26,13 @@ import numpy as np
 import yaml
 
 from .datagen import _spec, gen_problem
-from .driver import drive
+from .driver import Recorder, TraceRow, drive
 from .errors import FAILURE_LABELS, SOLVER_FAILURES, ConfigError, describe_failure
 from .model import _choice, _integer, _real, _switch
 from .solvers import STEPPERS, _check_params
 from .swarm import SwarmConfig, SwarmRun, initial_model, outer_step
 from .tensor_io import load_tensor
-from .tensor_ops import KruskalModel, frobenius_norm, residual_fit
+from .tensor_ops import KruskalModel
 
 #: the ``params`` keys of ``cno``; the run's seed, budget and tol set the rest
 SWARM_PARAMS = {f.name for f in fields(SwarmConfig)} - {"seed", "max_outer", "stop_tol"}
@@ -45,21 +44,12 @@ CSV_HEADER = "iter,objective,rel_error,wall_ms,diversity"
 
 
 @dataclass
-class RunRow:
-    iteration: int
-    objective: float
-    rel_error: float
-    wall_ms: float
-    diversity: float | None = None
-
-
-@dataclass
 class RunRecord:
     """Trace plus outcome of one (config, seed) run."""
 
     config: RunConfig
     seed: int
-    rows: list[RunRow]
+    rows: list[TraceRow]
     final_model: KruskalModel | None
     termination: str
 
@@ -120,6 +110,8 @@ class RunConfig:
         for key in ("output_dir", "label"):
             if not isinstance(value := getattr(self, key), str):
                 raise ConfigError(f"{key} must be a string, got {value!r}")
+        if not isinstance(path := self.problem_path, str | None) or path == "":
+            raise ConfigError(f"problem.path must be a non-empty string, got {path!r}")
         # every value is checked before any solve runs
         if self.algorithm != "cno":
             _check_params(self.algorithm, self.params)
@@ -216,35 +208,10 @@ def apply_overrides(raw: dict, sets: list[str]) -> dict:
     return raw
 
 
-class _Recorder:
-    """Collects trace rows; wall clock is zeroed under deterministic timing."""
-
-    def __init__(self, t, cfg: RunConfig):
-        self.t = t
-        self.norm = frobenius_norm(t)
-        self.cfg = cfg
-        self.rows: list[RunRow] = []
-        self.started = time.perf_counter()
-
-    def wall_ms(self) -> float:
-        if self.cfg.deterministic_timing:
-            return 0.0
-        return (time.perf_counter() - self.started) * 1e3
-
-    def record(self, iteration: int, state):
-        fit = residual_fit(self.t, state.model, self.norm)
-        diversity = getattr(state, "diversity", None)  # a swarm's
-        self.rows.append(RunRow(iteration, *fit, self.wall_ms(), diversity))
-
-    def observe(self, iteration: int, state):
-        if iteration % self.cfg.record_every == 0:
-            self.record(iteration, state)
-
-
 def run_single(cfg: RunConfig, seed: int) -> RunRecord:
     """One (config, seed) run; a solver failure keeps the partial trace."""
     t = cfg.load_problem()
-    rec = _Recorder(t, cfg)
+    rec = Recorder(t, cfg.record_every, cfg.deterministic_timing)
     deadline = None if cfg.wall_clock_s is None else rec.started + cfg.wall_clock_s
     try:
         if cfg.algorithm == "cno":

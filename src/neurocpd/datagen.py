@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,20 +45,23 @@ class CollinearitySpec:
 def collinearity(m: Array) -> Array:
     """Matrix of pairwise column collinearities, unit diagonal."""
     m = np.asarray(m, dtype=np.float64)
-    norms = np.linalg.norm(m, axis=0)
+    norms = np.sqrt(np.add.reduce(m * m, axis=0))  # norm(m, axis=0), unwrapped
     if (norms == 0.0).any():
         raise ValueError("collinearity is undefined for zero columns")
     scaled = m / norms
     return scaled.T @ scaled
 
 
-def _offdiag(mu: Array) -> Array:
-    r = mu.shape[0]
-    return mu[~np.eye(r, dtype=bool)]
+@lru_cache(maxsize=None)
+def _offdiag_mask(rank: int) -> Array:
+    """The read-only mask of the off-diagonal entries of a ``rank x rank`` matrix."""
+    mask = ~np.eye(rank, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def _mu_window(factor: Array) -> tuple[float, float]:
-    off = _offdiag(collinearity(factor))
+    off = collinearity(factor)[_offdiag_mask(factor.shape[1])]
     return float(off.min()), float(off.max())
 
 

@@ -1,17 +1,19 @@
 """One driver loop that advances every trajectory: each single-trajectory
 solver's :class:`Stepper` step (see :data:`neurocpd.solvers.STEPPERS` for them
 by name), the same flow step on the swarm's stack of several trajectories
-(:meth:`neurocpd.flow.FlowState.stack`), and the swarm's outer iterations
-(:func:`neurocpd.swarm.outer_step`)."""
+(:meth:`neurocpd.flow.FlowState.stack`) and the swarm's outer iterations
+(:func:`neurocpd.swarm.outer_step`), and the one :class:`Recorder` of a trace."""
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DivergenceError
+from .tensor_ops import frobenius_norm, residual_fit
 
 
 class Stepper(NamedTuple):
@@ -57,6 +59,43 @@ def drive(
         if observer is not None:
             observer(steps + 1, state)
     return state, "max_steps", budget
+
+
+@dataclass
+class TraceRow:
+    """One recorded state: its model's dense objective and relative error, the
+    milliseconds since its recorder started, and a swarm's diversity and mutation."""
+
+    iteration: int
+    objective: float
+    rel_error: float
+    wall_ms: float
+    diversity: float | None = None
+    mutated: bool | None = None
+
+
+class Recorder:
+    """The observer of :func:`drive` for ``neurocpd run`` and
+    :func:`neurocpd.swarm.cno_run`: :meth:`observe` records every
+    ``record_every``-th step, :meth:`record` any state. Its clock starts at
+    construction and reads 0 under ``deterministic``."""
+
+    def __init__(self, t, record_every: int = 1, deterministic: bool = False):
+        self.t, self.norm, self.rows = t, frobenius_norm(t), []
+        self.record_every, self.deterministic = record_every, deterministic
+        self.started = time.perf_counter()
+
+    def record(self, iteration: int, state):
+        fit = residual_fit(self.t, state.model, self.norm)
+        wall = 0.0 if self.deterministic else time.perf_counter() - self.started
+        # a swarm's; no other state has them
+        self.rows.append(TraceRow(iteration, *fit, wall * 1e3,
+                                  getattr(state, "diversity", None),
+                                  getattr(state, "mutated", None)))
+
+    def observe(self, iteration: int, state):
+        if iteration % self.record_every == 0:
+            self.record(iteration, state)
 
 
 def check_finite(factors, iteration: int):

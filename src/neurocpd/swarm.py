@@ -21,13 +21,13 @@ so results do not depend on scheduling order.
 from __future__ import annotations
 
 import math
-import time
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .driver import State, drive
-from .errors import SOLVER_FAILURES
+from .driver import Recorder, State, TraceRow, drive
+from .errors import SOLVER_FAILURES, ConfigError
 from .flow import FlowState
 from .model import _choice, _integer, _real
 from .solvers import STEPPERS, _check_params
@@ -82,7 +82,7 @@ class SwarmState:
     """The population as arrays: row ``p`` of each ``(P, D)`` matrix is
     particle ``p``'s flattened model, and row ``p`` of the ``(P, N)``
     ``time_constants`` its per-mode time constants (``None``: solver defaults).
-    Best values are the dense objectives :class:`OuterRecord` reports."""
+    Best values are the dense objectives a :class:`~neurocpd.driver.TraceRow` reports."""
 
     positions: Array
     velocities: Array
@@ -92,18 +92,6 @@ class SwarmState:
     global_best_value: float
     time_constants: Array | None = None
     outer_iteration: int = 0
-
-
-@dataclass
-class OuterRecord:
-    """One outer iteration of :func:`cno_run`, for traces and invariants."""
-
-    iteration: int
-    objective: float  # the global best value, from the residual of ``rel_error``
-    rel_error: float
-    diversity: float
-    mutated: bool
-    wall_s: float
 
 
 def _rng(cfg: SwarmConfig, tag: int, particle: int, iteration: int):
@@ -123,8 +111,14 @@ def initial_model(shape, rank: int, seed: int, particle: int = 0) -> KruskalMode
 
 def init_swarm(t: Array, rank: int, cfg: SwarmConfig) -> SwarmState:
     """Uniform-random particle positions; bests initialized in place. Either
-    flow's particles draw time constants from U[0.5, 2] unless set."""
+    flow's particles draw time constants from U[0.5, 2] unless set. Before any
+    draw, three ``(P, sum(I_n) * R)`` float64 arrays past physical memory are a
+    :class:`~neurocpd.errors.ConfigError`."""
     shape = np.shape(t)
+    needed = 3 * cfg.population * sum(shape) * rank * 8
+    if needed > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ConfigError(f"a swarm of population {cfg.population} needs {needed} "
+                          "bytes, more than this machine's physical memory")
     positions = np.stack([initial_model(shape, rank, cfg.seed, n).flatten()
                           for n in range(cfg.population)])
     eps = None
@@ -334,23 +328,18 @@ def outer_step(t: Array, run: SwarmRun, tol: float) -> SwarmRun:
 
 def cno_run(
     t: Array, rank: int, cfg: SwarmConfig, deadline_s: float | None = None
-) -> tuple[KruskalModel, list[OuterRecord]]:
-    """Full collaborative run; returns the best model and per-iteration trace.
+) -> tuple[KruskalModel, list[TraceRow]]:
+    """Full collaborative run; returns the best model and one trace row per
+    outer iteration, its ``wall_ms`` counted from the call.
 
     Stops when the global best changes by less than ``stop_tol`` between
     outer iterations, at ``max_outer``, or once ``deadline_s`` of wall clock
     has elapsed since the call: the inner solves stop at their current points
     and their outer iteration is the last.
     """
-    started = time.perf_counter()
-    deadline = None if deadline_s is None else started + deadline_s
     t = np.asarray(t)
-    trace = []
-
-    def record(k, run):
-        trace.append(OuterRecord(k, *residual_fit(t, run.model), run.diversity,
-                                 run.mutated, time.perf_counter() - started))
-
+    rec = Recorder(t)
+    deadline = None if deadline_s is None else rec.started + deadline_s
     run, _, _ = drive(t, SwarmRun(t, rank, cfg, deadline), outer_step,
-                      cfg.stop_tol, cfg.max_outer, deadline, record)
-    return run.model, trace
+                      cfg.stop_tol, cfg.max_outer, deadline, rec.observe)
+    return run.model, rec.rows

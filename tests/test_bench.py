@@ -1,5 +1,6 @@
 import importlib.util
 import contextlib
+import dataclasses
 import inspect
 import io
 import itertools
@@ -41,7 +42,7 @@ from neurocpd.errors import (
     GammaScheduleError,
     SingularPreconditionerError,
 )
-from neurocpd.driver import drive
+from neurocpd.driver import Recorder, drive
 from neurocpd.model import objective
 from neurocpd.solvers import STEPPERS
 from neurocpd.swarm import INNER_SOLVERS, SwarmConfig, cno_run, init_swarm, initial_model
@@ -205,7 +206,7 @@ def test_cno_single_particle_matches_flow_trace(tmp_path):
 def test_recorded_rel_error_is_relative_error_on_every_row():
     cfg = RunConfig.from_dict(base_config(algorithm="flow"))
     t = cfg.load_problem()
-    rec = bench._Recorder(t, cfg)
+    rec = Recorder(t, cfg.record_every, cfg.deterministic_timing)
     models = []
 
     def observe(steps, state):
@@ -226,7 +227,7 @@ def test_recorded_objective_is_accurate_at_an_exact_fit():
     truth = KruskalModel([rng.random((dim, 4)) for dim in (6, 7, 8)])
     t = np.einsum("ir,jr,kr->ijk", *truth.factors)  # noiseless rank 4
     half = 0.5 * float(np.sum(t * t))
-    rec = bench._Recorder(t, RunConfig.from_dict(base_config()))
+    rec = Recorder(t)
     rec.record(0, types.SimpleNamespace(model=truth))
     assert 0.0 <= rec.rows[0].objective <= 1e-28 * half
     # the expanded Gram form cancels down to rounding noise of 0.5 ||X||^2
@@ -345,9 +346,9 @@ def test_a_cli_swarm_run_is_the_library_swarm(tmp_path, inner, population):
                                                  **params))
         recorded = [r for r in trace
                     if r.iteration % record_every == 0 or r.iteration == len(trace)]
-        assert [(row.iteration, row.objective, row.rel_error, row.diversity)
-                for row in record.rows] == [
-            (r.iteration, r.objective, r.rel_error, r.diversity) for r in recorded]
+        # every field but the clock, which the run's deterministic timing zeroes
+        assert [dataclasses.replace(r, wall_ms=0.0) for r in recorded] == record.rows
+        assert {r.mutated for r in trace} == {population == 1}
         for a, b in zip(record.final_model.factors, model.factors):
             assert np.array_equal(a, b)
         assert len(trace) == (2 if tol else 4)
@@ -740,6 +741,12 @@ def test_barrier_schedule_out_of_range_is_a_config_error(
         ("problem", {"kind": "easy5", "kidn": "caseI"}, "kidn"),
         ("problem", {"kind": "easy55"}, "easy55"),
         ("problem", {"kind": ["easy5"]}, "problem kind"),
+        ("problem", {"path": 0}, "problem.path"),
+        ("problem", {"path": 5}, "problem.path"),
+        ("problem", {"path": ["a"]}, "problem.path"),
+        ("problem", {"path": {}}, "problem.path"),
+        ("problem", {"path": True}, "problem.path"),
+        ("problem", {"path": ""}, "problem.path"),
     ],
 )
 def test_config_entry_of_the_wrong_kind_is_a_config_error(
@@ -1065,8 +1072,8 @@ def test_each_solver_failure_is_labelled_by_kind(
 REMOVED_SWARM_KEYS = {"stop_tol", "mutation", "jitter_time_constants"}
 
 # Boundary values of every kind a config can hold. Integer settings draw only
-# small integers: the config check takes any size (``population: 2**70``
-# passes it), and the run then allocates without bound.
+# small integers: the config check takes any size, and a run then takes time
+# and memory in proportion (only a swarm too large for memory is refused).
 _EDGES = st.sampled_from([0, 0.0, 1e-300, 1e300, float("inf"), float("-inf"),
                           float("nan"), True, False, "abc", "1e-3", -1, 0.5, 2])
 _SMALL = st.one_of(st.integers(-1, 4), st.sampled_from([1.5, True, "2", float("nan")]))
@@ -1086,6 +1093,42 @@ def _setting(key):
     if key in ("inner_solver", "integrator"):
         return st.one_of(_EDGES, st.sampled_from([*bench.ALGORITHMS, "euler", "rk4"]))
     return _EDGES
+
+
+# Placeholders for tensor files that the run test writes into its output
+# directory: a small tensor, a missing file, malformed text and binary files,
+# and a directory.
+_PROBLEM_FILES = ("<tensor>", "<missing>", "<malformed>", "<malformed-bin>", "<dir>")
+_GENERATOR_KEYS = {
+    "kind": st.one_of(st.sampled_from(["easy5", "difficult9", "caseI", "nope", ""]),
+                      _EDGES),
+    "seed": st.one_of(st.integers(-2, 3), _EDGES),
+}
+_PATHS = st.one_of(st.sampled_from(_PROBLEM_FILES), _EDGES,
+                   st.sampled_from([None, "", ["a"], {}]))
+# a generated problem, a file alone, and a file mixed with generator keys
+_PROBLEMS = st.one_of(
+    st.fixed_dictionaries({}, optional=_GENERATOR_KEYS),
+    st.fixed_dictionaries({"path": _PATHS}),
+    st.fixed_dictionaries({"path": _PATHS}, optional=_GENERATOR_KEYS),
+)
+_SNRS = st.sampled_from([30.0, 0.0, -20.0, 1e300, -1e300, float("inf"),
+                         float("-inf"), float("nan"), "abc", "30"])
+
+
+def _problem_file(root: Path, placeholder: str) -> str:
+    files = root / "files"
+    files.mkdir()
+    if placeholder == "<dir>":
+        return str(files)
+    path = files / ("t.txt" if placeholder == "<malformed>" else "t.bin")
+    if placeholder == "<tensor>":
+        save_tensor_bin(path, gen_problem("easy5", 0)[0])
+    elif placeholder == "<malformed>":
+        path.write_text("3\n5 5\nabc\n")
+    elif placeholder == "<malformed-bin>":
+        path.write_bytes(b"NCPDTNSR\x01")
+    return str(path)
 
 
 @st.composite
@@ -1108,6 +1151,10 @@ def _run_configs(draw):
     if algorithm == "cno":
         params.setdefault("population", draw(st.integers(1, 4)))
         params.setdefault("inner_max_steps", draw(st.integers(1, 5)))
+    if draw(st.booleans()):
+        raw["problem"] = draw(_PROBLEMS)
+    if draw(st.booleans()):
+        raw["noise_snr_db"] = draw(_SNRS)
     return raw
 
 
@@ -1117,6 +1164,8 @@ def test_every_cli_run_ends_in_a_trace_a_config_error_or_a_failure_label(raw):
     algorithm, params = raw["algorithm"], raw["params"]
     with tempfile.TemporaryDirectory() as out:
         raw["output_dir"] = out
+        if raw["problem"].get("path") in _PROBLEM_FILES:
+            raw["problem"]["path"] = _problem_file(Path(out), raw["problem"]["path"])
         path = Path(out) / "run.yaml"
         path.write_text(yaml.safe_dump(raw))
         err = io.StringIO()
@@ -1126,6 +1175,7 @@ def test_every_cli_run_ends_in_a_trace_a_config_error_or_a_failure_label(raw):
         removed = algorithm == "cno" and REMOVED_SWARM_KEYS & params.keys()
         if code == 1 or removed:
             assert code == 1 and err.getvalue().startswith("config error:")
+            assert not [*Path(out).glob("*.csv"), *Path(out).glob("*.summary.txt")]
             return
         summary = (Path(out) / f"{algorithm}_seed0.summary.txt").read_text()
         termination = re.search(r"^termination = ([a-z_]+)", summary, re.M)[1]

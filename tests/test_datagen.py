@@ -33,6 +33,17 @@ def test_collinearity_hand_value():
     assert collinearity(m)[0, 1] == pytest.approx(1.0 / np.sqrt(2.0))
 
 
+@pytest.mark.parametrize("sparsity", [0.0, 0.5, 0.9])
+def test_collinearity_is_bitwise_that_of_linalg_norm(sparsity):
+    # the norms skip np.linalg.norm's wrapper, not its arithmetic
+    rng = np.random.default_rng(7)
+    for shape in [(20, 10), (9, 16), (70, 3)]:
+        m = np.maximum(rng.random(shape) - sparsity, 0.0)
+        m[0] += 1e-3  # no zero column
+        scaled = m / np.linalg.norm(m, axis=0)
+        assert np.array_equal(collinearity(m), scaled.T @ scaled)
+
+
 def test_collinearity_zero_column_raises():
     with pytest.raises(ValueError):
         collinearity(np.array([[0.0, 1.0], [0.0, 2.0]]))

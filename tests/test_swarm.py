@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from neurocpd import swarm
 from neurocpd.datagen import gen_problem
+from neurocpd.errors import ConfigError
 from neurocpd.flow import FlowState, solve_to_equilibrium
 from neurocpd.model import objective
 from neurocpd.swarm import (
@@ -327,6 +328,35 @@ def test_cno_barrier_inner_solver_reaches_interior_fit():
     model, trace = cno_run(t, 3, cfg)
     assert all(f.min() > 0.0 for f in model.factors)
     assert trace[-1].rel_error < 1e-2
+
+
+def test_a_cno_run_trace_counts_wall_ms_from_the_call(monkeypatch):
+    # set-up is on the clock: a 50 ms pause before the swarm's first draw
+    # shows in the first row
+    init = swarm.init_swarm
+
+    def slow_init(*args):
+        time.sleep(0.05)
+        return init(*args)
+
+    monkeypatch.setattr(swarm, "init_swarm", slow_init)
+    t, _ = gen_problem("easy5", 0)
+    started = time.perf_counter()
+    _, trace = cno_run(t, 3, SwarmConfig(population=3, max_outer=4, inner_max_steps=10))
+    elapsed_ms = (time.perf_counter() - started) * 1e3
+    walls = [row.wall_ms for row in trace]
+    assert len(walls) == 4 and walls == sorted(walls)
+    assert 50.0 <= walls[0] and walls[-1] <= elapsed_ms
+
+
+def test_a_swarm_too_large_for_memory_is_refused_before_its_first_draw(monkeypatch):
+    def spy(*args, **kwargs):
+        raise AssertionError("init_swarm drew a start model")
+
+    monkeypatch.setattr(swarm, "initial_model", spy)
+    t, _ = gen_problem("easy5", 0)
+    with pytest.raises(ConfigError, match=f"population {2**40} needs "):
+        init_swarm(t, 3, SwarmConfig(population=2**40))
 
 
 def test_init_swarm_bests_are_consistent():
