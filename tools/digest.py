@@ -11,7 +11,8 @@ line per entry: its name, the sha256 of the final factors and of the trace
 CSV that ``neurocpd.bench.write_csv`` writes, the termination, the step count
 of the last trace row and the final ``rel_error``. The second form prints the
 entries whose digest or termination moved between two such files (and those
-present in only one) and exits 1 if there are any.
+present in only one), each with its final ``rel_error`` on both sides and their
+relative difference, and exits 1 if there are any.
 
 The package is imported from ``src/`` next to this script, so running the
 script inside another checkout digests that checkout. Hashes depend on the
@@ -51,6 +52,12 @@ preconditioning) at seeds 0 and 3, and the barrier swarms of
   halvings of the one-particle-at-a-time solves found the three particles of
   the first outer iteration halving on steps 0-4, 13 and 18, on 0-2, and on
   1-2.
+
+and medium70 (70^3, rank 75, seed 0), the size at which a BLAS kernel that
+rounds differently at large shapes shows: ``flow`` for 20 steps, ``mur`` for
+20 sweeps, ``hals`` for 5 sweeps, and a two-particle flow swarm for one outer
+iteration of 10 inner steps. medium70 has full multilinear rank, so that
+swarm steps the dense stack, both particles' factors side by side.
 """
 
 from __future__ import annotations
@@ -136,6 +143,13 @@ BARRIER_SWARMS = (
      {"population": 3, "inner_solver": "barrier-flow", "inner_max_steps": 20,
       "inner_params": {"step": 1.0}}),
 )
+#: (name, algorithm, params, iterations) of the medium70 seed-0 entries
+MEDIUM70 = (
+    ("flow", "flow", {}, 20),
+    ("mur", "mur", {}, 20),
+    ("hals", "hals", {}, 5),
+    ("cno-flow-2", "cno", {"population": 2, "inner_max_steps": 10}, 1),
+)
 
 
 def matrix():
@@ -159,6 +173,17 @@ def matrix():
     for name, kind, rank, seed, params in BARRIER_SWARMS:
         raw = {"algorithm": "cno", "params": params, "budget": {"iterations": 2}}
         yield name, {"kind": kind, "seed": seed}, rank, raw, seed
+    for name, algorithm, params, iterations in MEDIUM70:
+        raw = {"algorithm": algorithm, "params": params,
+               "budget": {"iterations": iterations}}
+        yield f"medium70/0/{name}", {"kind": "medium70", "seed": 0}, 75, raw, 0
+
+
+def _relative_change(old, new) -> float:
+    """``|new - old| / |old|`` of two final errors (0 when both are 0)."""
+    if old == new:
+        return 0.0
+    return abs(new - old) / abs(old) if old else float("inf")
 
 
 def digest(name, problem, rank, raw, seed, scratch: Path) -> dict:
@@ -192,7 +217,8 @@ def compare(a_path, b_path) -> int:
         if old is None or new is None:
             print(f"{name}: only in {a_path if new is None else b_path}")
         elif (old["sha256"], old["termination"]) != (new["sha256"], new["termination"]):
-            print(f"{name}: rel_error {old['rel_error']!r} -> {new['rel_error']!r}, "
+            print(f"{name}: rel_error {old['rel_error']!r} -> {new['rel_error']!r} "
+                  f"(relative change {_relative_change(old['rel_error'], new['rel_error']):.3g}), "
                   f"termination {old['termination']} -> {new['termination']}")
         else:
             continue
