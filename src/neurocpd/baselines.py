@@ -4,7 +4,8 @@ Both work on the Gram/MTTKRP identities only; the rank-1 residual tensors of
 the HALS subproblems are never formed densely, so a sweep costs O(nnz * R).
 A HALS sweep makes one ``T x_3 C`` GEMM for modes 0 and 1 of every column,
 plus one tensor pass per column for mode 2; a MUR sweep shares ``T x_3 C``
-between modes 0 and 1 and contracts mode 2 slice by slice, with no tensor copy.
+between modes 0 and 1 and contracts ``T x_3 C`` and mode 2 alike with one GEMM
+per mode-0 slice, with no tensor copy.
 """
 
 from __future__ import annotations

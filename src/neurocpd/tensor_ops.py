@@ -174,7 +174,8 @@ def sweep_mttkrps(t: Array, model: KruskalModel):
     at the factors as they stand when the block is requested (the caller
     replaces factor ``n`` before asking for block ``n + 1``). All Grams are
     formed at the start, factor ``n - 1``'s again for block ``n``; for order 3
-    the MTTKRPs are :func:`_mttkrps3`'s, one ``T x_3 C`` serving modes 0 and 1.
+    the MTTKRPs are :func:`_mttkrps3`'s, one ``T x_3 C``, a GEMM per mode-0
+    slice, serving modes 0 and 1.
     A tensor of another shape than the model's is refused at the first block."""
     _check_shape(np.shape(t), model.shape)
     factors = model.factors
@@ -190,12 +191,13 @@ def sweep_mttkrps(t: Array, model: KruskalModel):
 def _mttkrps3(t: Array, mats, modes):
     """MTTKRPs of an order-3 ``t`` for ``modes``, in increasing order, against
     the ``(I_n, Q)`` matrices ``mats``, each read when its mode is requested.
-    One GEMM with ``mats[2]`` serves modes 0 and 1; mode 2 takes one GEMM with
-    ``mats[1]`` per mode-0 slice, read in place with no copy of the tensor."""
+    Each tensor contraction takes one GEMM per mode-0 slice, read in place with
+    no copy of the tensor: with ``mats[2]`` for modes 0 and 1, which share it,
+    and with ``mats[1]`` for mode 2. At 70^3 the slice GEMMs run faster than
+    one ``(I*J, K)`` GEMM of the same flops."""
     t = np.ascontiguousarray(t)
-    i, j, k = t.shape
     if 0 in modes or 1 in modes:
-        tc = (t.reshape(i * j, k) @ mats[2]).reshape(i, j, -1)
+        tc = np.matmul(t, mats[2])  # (I, J, Q)
         if 0 in modes:
             yield np.einsum("ijq,jq->iq", tc, mats[1])
         if 1 in modes:
@@ -250,8 +252,9 @@ def mttkrp_stack(t: Array | TuckerForm, factors, modes=None) -> list[Array]:
     the ``(P, I_m, R)`` stack of MTTKRPs of mode ``m = modes[i]`` (all modes
     by default), slice ``p`` belonging to model ``p``. For order 3 each factor
     stack is laid out as ``(I_n, P*R)`` and contracted as in
-    :func:`sweep_mttkrps`: one GEMM for modes 0 and 1, and one per mode-0
-    slice of the tensor, with no copy of it, for mode 2.
+    :func:`sweep_mttkrps`: one GEMM per mode-0 slice of the tensor, with no
+    copy of it, against the mode-2 layout for modes 0 and 1 and against the
+    mode-1 layout for mode 2.
 
     ``t`` may also be a :class:`TuckerForm`. Each layout is then projected
     onto its mode's basis with one GEMM, the MTTKRPs are taken on the core,

@@ -217,6 +217,56 @@ def test_mttkrp_vs_naive(seed):
         assert np.abs(mttkrp(t, model, mode) - naive_mttkrp(t, model, mode)).max() <= 1e-12
 
 
+#: Tolerance of the order-3 kernel against the unfold-and-Khatri-Rao oracle at
+#: 30x40x50 rank 35, relative to the oracle's max-norm: fixed before comparing,
+#: far above the few units of rounding two summation orders of 2000 positive
+#: terms differ by.
+LARGE_SHAPE_TOL = 1e-13
+
+
+def _assert_near_oracle(got, t, factors, mode):
+    ref = naive_mttkrp(t, KruskalModel(factors), mode)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= LARGE_SHAPE_TOL * np.abs(ref).max()
+
+
+def _large_problem(count):
+    # the slice GEMMs of T x_3 C round differently from one (I*J, K) GEMM at
+    # this shape, while at 5x6x7 the two give the same bits
+    rng = np.random.default_rng(30)
+    t = rng.random((30, 40, 50))
+    return t, [rng.random((count, d, 35)) for d in t.shape]
+
+
+@pytest.mark.parametrize("count", [1, 2], ids=["one-model", "two-models"])
+def test_mttkrp_stack_vs_naive_at_a_large_shape(count):
+    t, stacks = _large_problem(count)
+    got = mttkrp_stack(t, stacks)
+    for mode, stack in enumerate(got):
+        for p in range(count):
+            _assert_near_oracle(stack[p], t, [s[p] for s in stacks], mode)
+
+
+def test_compressed_mttkrp_stack_vs_naive_at_a_large_shape():
+    rng = np.random.default_rng(31)
+    # nonnegative, of multilinear rank (20, 25, 30) below every dimension
+    core = rng.random((20, 25, 30))
+    mats = [rng.random((d, r)) for d, r in zip((30, 40, 50), core.shape)]
+    t = np.einsum("abc,ia,jb,kc->ijk", core, *mats)
+    form = tucker_compress(t)
+    assert form is not None and form.core.shape == core.shape
+    stacks = [rng.random((1, d, 35)) for d in t.shape]
+    for mode, stack in enumerate(mttkrp_stack(form, stacks)):
+        _assert_near_oracle(stack[0], t, [s[0] for s in stacks], mode)
+
+
+def test_sweep_mttkrps_vs_naive_at_a_large_shape():
+    t, stacks = _large_problem(1)
+    factors = [s[0] for s in stacks]
+    for mode, (_, _, mtt) in enumerate(sweep_mttkrps(t, KruskalModel(factors))):
+        _assert_near_oracle(mtt, t, factors, mode)
+
+
 def test_mttkrp_order4_vs_naive():
     rng = np.random.default_rng(11)
     t = rng.random((3, 4, 2, 5))
