@@ -8,11 +8,17 @@ Subcommands::
 
 Exit codes: 0 success, 1 configuration error, 2 solver failure in all
 seeds of a run.
+
+Where the C library has glibc's ``mallopt``, :func:`main` first raises its
+trim threshold to 64 MiB and its mmap threshold to 32 MiB, so that the
+tensor-sized buffers a solve frees and takes again on every step stay mapped
+instead of being returned to the system and faulted back in.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from pathlib import Path
 
@@ -20,6 +26,27 @@ from . import bench
 from .datagen import gen_problem, problem_metadata
 from .errors import ConfigError, NeurocpdError
 from .tensor_io import save_tensor, write_metadata
+
+
+#: glibc ``mallopt`` parameters (malloc.h) and the values :func:`main` sets
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_ALLOCATOR_SETTINGS = ((_M_TRIM_THRESHOLD, 64 << 20), (_M_MMAP_THRESHOLD, 32 << 20))
+
+
+def _libc():
+    """The C library the process runs on, as ``ctypes`` loads it."""
+    return ctypes.CDLL(None)
+
+
+def _tune_allocator() -> None:
+    """Set :data:`_ALLOCATOR_SETTINGS` through ``mallopt``; nothing where the
+    C library has none (not glibc) or cannot be loaded."""
+    try:
+        mallopt = _libc().mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    for param, value in _ALLOCATOR_SETTINGS:
+        mallopt(param, value)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,6 +140,7 @@ def _cmd_compare(args) -> int:
 
 
 def main(argv=None) -> int:
+    _tune_allocator()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

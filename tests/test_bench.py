@@ -416,6 +416,35 @@ def test_compare_single_run_and_permutation_invariance(tmp_path):
         compare([])
 
 
+def _no_libc():
+    raise OSError("no C library")
+
+
+def test_the_cli_sets_both_allocator_thresholds_once(tmp_path, monkeypatch):
+    calls = []
+    libc = types.SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)))
+    monkeypatch.setattr(cli, "_libc", lambda: libc)
+    cfg_path = tmp_path / "run.yaml"
+    yaml.safe_dump(base_config(output_dir=str(tmp_path / "out")), cfg_path.open("w"))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 0
+    # glibc's M_TRIM_THRESHOLD (-1) at 64 MiB and M_MMAP_THRESHOLD (-3) at 32 MiB
+    assert sorted(calls) == [(-3, 32 << 20), (-1, 64 << 20)]
+
+
+@pytest.mark.parametrize("libc", [types.SimpleNamespace, _no_libc],
+                         ids=["no-mallopt", "no-libc"])
+def test_neurocpd_run_works_without_mallopt(tmp_path, monkeypatch, libc):
+    # the same trace as with the allocator tuned, byte for byte
+    csvs = []
+    for name, loader in (("tuned", cli._libc), ("plain", libc)):
+        monkeypatch.setattr(cli, "_libc", loader)
+        cfg_path = tmp_path / f"{name}.yaml"
+        yaml.safe_dump(base_config(output_dir=str(tmp_path / name)), cfg_path.open("w"))
+        assert cli.main(["run", "--config", str(cfg_path)]) == 0
+        csvs.append((tmp_path / name / "hals_seed0.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 def test_cli_gen_run_compare_and_exit_codes(tmp_path, capsys):
     out = tmp_path / "t.txt"
     assert cli.main(["gen", "--kind", "easy5", "--seed", "3", "--out", str(out)]) == 0
