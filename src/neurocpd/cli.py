@@ -28,9 +28,9 @@ from .errors import ConfigError, NeurocpdError
 from .tensor_io import save_tensor, write_metadata
 
 
-#: glibc ``mallopt`` parameters (malloc.h) and the values :func:`main` sets
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_ALLOCATOR_SETTINGS = ((_M_TRIM_THRESHOLD, 64 << 20), (_M_MMAP_THRESHOLD, 32 << 20))
+#: the glibc ``mallopt`` settings :func:`main` makes: M_TRIM_THRESHOLD (-1 in
+#: malloc.h) at 64 MiB and M_MMAP_THRESHOLD (-3) at 32 MiB
+_ALLOCATOR_SETTINGS = ((-1, 64 << 20), (-3, 32 << 20))
 
 
 def _libc():
@@ -45,6 +45,7 @@ def _tune_allocator() -> None:
         mallopt = _libc().mallopt
     except (OSError, AttributeError, TypeError):
         return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     for param, value in _ALLOCATOR_SETTINGS:
         mallopt(param, value)
 
