@@ -11,11 +11,10 @@ per mode-0 slice, with no tensor copy.
 from __future__ import annotations
 
 import logging
-from typing import NamedTuple
 
 import numpy as np
 
-from .driver import Stepper
+from .driver import State, Stepper
 from .model import kkt_residual
 from .tensor_ops import KruskalModel, _check_shape, sweep_mttkrps
 from .tensor_ops import mttkrp  # noqa: F401  (a binding the benchmark traces)
@@ -93,13 +92,12 @@ def mur_sweep(t: Array, model: KruskalModel, eps: float = 1e-16) -> KruskalModel
     return model
 
 
-class SweepState(NamedTuple):
-    """A baseline's model, the generator HALS re-seeds columns from, and the
-    KKT residual its last step measured."""
+class SweepState(State):
+    """A baseline's model, the generator HALS re-seeds columns from (one per
+    run, shared by its states), and the KKT residual its last step measured."""
 
-    model: KruskalModel
-    rng: np.random.Generator | None = None
-    residual: float = np.inf
+    def __init__(self, model: KruskalModel, rng: np.random.Generator | None = None):
+        self.model, self.rng, self.residual = model, rng, np.inf
 
 
 def _sweep_step(t, s: SweepState, tol: float, sweep, *args) -> SweepState:
@@ -107,8 +105,8 @@ def _sweep_step(t, s: SweepState, tol: float, sweep, *args) -> SweepState:
     for ``tol > 0``, is below ``tol``."""
     residual = kkt_residual(t, s.model) if tol > 0 else np.inf
     if residual < tol:
-        return s._replace(residual=residual)
-    return SweepState(sweep(t, s.model, *args), s.rng, residual)
+        return s.moved(residual=residual)
+    return s.moved(model=sweep(t, s.model, *args), residual=residual)
 
 
 # One sweep per driver step, looked up at call time; HALS re-seeds columns

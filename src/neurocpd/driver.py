@@ -28,7 +28,7 @@ class Stepper(NamedTuple):
 
 
 class State:
-    """A solver state; :meth:`moved` makes the next with its settings unchecked."""
+    """A solver state; a step never writes it and makes the next by :meth:`moved`."""
 
     def moved(self, **changes):
         new = object.__new__(type(self))

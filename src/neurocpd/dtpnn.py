@@ -71,8 +71,10 @@ DtpnnSettings = namedtuple("DtpnnSettings", "initial_lambdas armijo precondition
 
 
 class DtpnnState(State):
-    """An Armijo trajectory: ``settings``, checked here once, and the iterate.
-    A sweep starts its step sizes ``lambdas`` from ``initial_lambdas``;
+    """An Armijo trajectory: ``settings``, checked here once, and the iterate:
+    ``model``, the step sizes ``lambdas`` and the ``objective`` the last sweep
+    accepted (``None`` before one), its count ``iteration`` and ``residual``.
+    A sweep starts its step sizes from ``initial_lambdas``;
     :func:`step_size_bound` reads the ``lambdas`` of an explicit step."""
 
     def __init__(self, model, lambdas=None, armijo=ArmijoParams(), precondition=True,
@@ -91,7 +93,7 @@ class DtpnnState(State):
             None if ridge is None else _real("ridge", ridge),
         )
         self.model, self.iteration, self.residual = model, 0, np.inf
-        self.objective_history = []
+        self.objective = None
 
 
 def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 0.0) -> DtpnnState:
@@ -171,14 +173,11 @@ def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 0.0) -> Dtpnn
     if max(kkt_parts) < tol:
         return s.moved(residual=max(kkt_parts))
     if f_current is None:
-        f_current = (
-            s.objective_history[-1] if s.objective_history else objective(t, model)
-        )
+        f_current = s.objective if s.objective is not None else objective(t, model)
     check_finite(model.factors, s.iteration + 1)
-    history = s.objective_history + [f_current]
     return s.moved(
         model=model, lambdas=lambdas, iteration=s.iteration + 1,
-        residual=max(kkt_parts), objective_history=history,
+        residual=max(kkt_parts), objective=f_current,
     )
 
 

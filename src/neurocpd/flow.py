@@ -56,9 +56,9 @@ class FlowState(State):
     The iterate is the ``(P, sum I_n, R)`` block ``rows`` of every
     trajectory's factors stacked, the mask ``active`` of the trajectories
     still moving, the ``residual`` the last step measured, the step count
-    ``iterations`` and the barrier's ``gamma``; ``shape`` is the shape of the
-    tensor they fit. The constructor makes one trajectory; ``step`` defaults
-    to half the smallest time constant, which keeps every Euler update convex.
+    ``iterations`` and the barrier's ``gamma``. The constructor makes one
+    trajectory; ``step`` defaults to half the smallest time constant, which
+    keeps every Euler update convex.
     """
 
     def __init__(self, model, time_constants=None, step=None, precondition=True,
@@ -77,7 +77,7 @@ class FlowState(State):
             False,
         )
         self.gamma = _real("gamma", gamma, "()")
-        self.shape, self.rows = model.shape, np.concatenate(model.factors)[None]
+        self.rows = np.concatenate(model.factors)[None]
         self.active = np.ones(1, dtype=bool)
         self.residual, self.iterations = np.inf, 0
 

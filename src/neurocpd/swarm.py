@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -306,7 +306,9 @@ def outer_step(t: Array, run: SwarmRun, tol: float) -> SwarmRun:
     run = run.moved(residual=run.change)
     if run.residual < tol:
         return run
-    sw, cfg, rank = run.swarm, run.cfg, run.rank
+    sw, cfg, rank = replace(run.swarm), run.cfg, run.rank
+    for key in ("velocities", "personal_bests", "personal_best_values"):
+        setattr(sw, key, getattr(sw, key).copy())  # written in place below
     k, before = sw.outer_iteration, sw.global_best_value
     sw.positions, failed = _solve_particles(t, sw, cfg, rank, run.deadline, run.operand)
     if failed.any():

@@ -254,7 +254,8 @@ def mttkrp_stack(t: Array | TuckerForm, factors, modes=None) -> list[Array]:
     stack is laid out as ``(I_n, P*R)`` and contracted as in
     :func:`sweep_mttkrps`: one GEMM per mode-0 slice of the tensor, with no
     copy of it, against the mode-2 layout for modes 0 and 1 and against the
-    mode-1 layout for mode 2.
+    mode-1 layout for mode 2. At 30x40x50 rank 35 or 70^3 rank 75, slice ``p``
+    of a dense stack is model ``p``'s MTTKRP alone only to rounding.
 
     ``t`` may also be a :class:`TuckerForm`. Each layout is then projected
     onto its mode's basis with one GEMM, the MTTKRPs are taken on the core,

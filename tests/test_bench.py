@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import io
 import itertools
+import json
 import os
 import re
 import tempfile
@@ -614,32 +615,66 @@ def test_each_solver_takes_exactly_the_settings_it_reads():
     assert sum(len(keys) for keys in SETTINGS.values()) == 21
 
 
-def test_the_digest_runs_every_algorithm():
-    # tools/digest.py pins every solver bitwise; it sets the BLAS variables
-    # when it is imported, so the environment is put back after loading it
-    path = Path(__file__).resolve().parent.parent / "tools" / "digest.py"
-    spec = importlib.util.spec_from_file_location("digest", path)
-    digest = importlib.util.module_from_spec(spec)
+def _load_tool(name):
+    # a tool sets the BLAS variables when it is imported, so the environment
+    # is put back after loading it
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
     with mock.patch.dict(os.environ):
-        spec.loader.exec_module(digest)
+        spec.loader.exec_module(module)
+    return module
+
+
+def test_the_digest_runs_every_algorithm():
+    # tools/digest.py pins every solver bitwise
+    digest = _load_tool("digest")
     algorithms = {raw["algorithm"] for _, _, _, raw, _ in digest.matrix()}
     assert {"cno", *STEPPERS} <= algorithms
 
 
-# iterate fields, which the states make fresh and a config may not set, and
-# the removed switch between two semi-implicit forms
+def test_the_work_counts_make_each_benchmark_solve_and_repeat(tmp_path, capsys):
+    work = _load_tool("work")
+    workloads = work.load_workloads()
+    for workload in workloads.WORKLOADS.values():
+        made = list(work.round_configs(workloads, workload, 1, tmp_path))
+        assert [(a, c.algorithm, c.iterations, c.rank) for a, c in made] == [
+            (s.algorithm, s.algorithm, s.iterations, workload.rank)
+            for s in workload.solves]
+    cfg = RunConfig.from_dict(base_config(algorithm="mur", output_dir=str(tmp_path)))
+    counts = work.count_calls(cfg)
+    assert counts == work.count_calls(cfg) and min(counts.values()) > 0
+    files = []
+    for calls, peak in ((10, 100), (10, 101), (11, 99)):
+        files.append(tmp_path / f"{calls}-{peak}.json")
+        files[-1].write_text(json.dumps({"counts": {
+            "w/mur/c_calls": calls, "w/mur/tracemalloc_peak_bytes": peak}}))
+    capsys.readouterr()
+    assert work.compare(files[0], files[1]) == 0  # bytes rose: listed only
+    assert work.compare(files[0], files[2]) == 1  # a call count rose
+    assert work.compare(files[2], files[0]) == 0  # what fell is not listed
+    assert capsys.readouterr().out.splitlines() == [
+        "w/mur/tracemalloc_peak_bytes: 100 -> 101 (+1, +1.00%)",
+        "w/mur/c_calls: 10 -> 11 (+1, +10.00%)",
+        "w/mur/tracemalloc_peak_bytes: 99 -> 100 (+1, +1.01%)",
+    ]
+
+
+# iterate fields, which the states make fresh and a config may not set, the
+# removed switch between two semi-implicit forms and the removed history
 FORMER_KEYWORDS = {
     flow.FlowState: {"residual", "iterations"},
-    dtpnn.DtpnnState: {"iteration", "objective_history", "kkt_residual",
-                       "initial_lambdas", "residual", "semi_implicit_form"},
+    dtpnn.DtpnnState: {"iteration", "objective", "objective_history",
+                       "kkt_residual", "initial_lambdas", "residual",
+                       "semi_implicit_form"},
+    SweepState: {"residual"},
 }
 
 
 def _state_fields(kind):
-    if kind in ("hals", "mur"):
-        return set(SweepState._fields) - {"model"}
     # an Euler DTPNN state is a flow state
-    states = ([flow.FlowState] if kind in ("flow", "barrier-flow") else
+    states = ([SweepState] if kind in ("hals", "mur") else
+              [flow.FlowState] if kind in ("flow", "barrier-flow") else
               [dtpnn.DtpnnState] if kind == "dtpnn-armijo" else
               [flow.FlowState, dtpnn.DtpnnState])
     return set().union(*(

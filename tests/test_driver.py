@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from neurocpd import baselines, dtpnn, flow
+from neurocpd.bench import RunConfig, run_single
 from neurocpd.datagen import gen_problem
-from neurocpd.driver import drive
+from neurocpd.driver import State, drive
 from neurocpd.model import kkt_residual, projection_stack
 from neurocpd.solvers import STEPPERS
-from neurocpd.swarm import initial_model
+from neurocpd.swarm import SwarmConfig, SwarmRun, initial_model, outer_step
 from neurocpd.tensor_ops import KruskalModel
 
 
@@ -44,7 +45,7 @@ def test_observer_sees_every_step_and_budget_bounds_them(name):
 def _iterate(state):
     """What a step may change besides the model: its count, schedule and
     Armijo working state."""
-    keys = ("iterations", "iteration", "gamma", "lambdas", "objective_history")
+    keys = ("iterations", "iteration", "gamma", "lambdas", "objective")
     return [np.asarray(getattr(state, key)).tolist() for key in keys
             if hasattr(state, key)]
 
@@ -74,6 +75,52 @@ def test_a_step_below_tol_stays_at_the_point_it_measured(name):
         assert point == pytest.approx(kkt_residual(t, state.model), rel=1e-9)
     else:
         assert zero.residual == point
+
+
+def _start(kind, t):
+    """A state and step of ``kind`` on easy5 at rank 3 and seed 1; ``cno``
+    is a swarm of three flow particles, 20 inner steps each."""
+    if kind == "cno":
+        cfg = SwarmConfig(population=3, seed=1, inner_max_steps=20)
+        return SwarmRun(t, 3, cfg), outer_step
+    stepper = STEPPERS[kind]
+    return stepper.make_state(initial_model(t.shape, 3, 1), {}, 1), stepper.step
+
+
+def _snapshot(state):
+    """Copies of what a state holds: its model's factors, its residual, its
+    step count and a swarm's population arrays."""
+    swarm = getattr(state, "swarm", None)
+    count = (swarm.outer_iteration if swarm is not None else
+             getattr(state, "iterations", getattr(state, "iteration", None)))
+    arrays = [f.copy() for f in state.model.factors]
+    if swarm is not None:
+        arrays += [np.copy(getattr(swarm, key)) for key in (
+            "positions", "velocities", "personal_bests", "personal_best_values",
+            "global_best")]
+        count = (count, swarm.global_best_value)
+    return arrays, state.residual, count
+
+
+@pytest.mark.parametrize("kind", [*sorted(STEPPERS), "cno"])
+def test_a_step_never_writes_into_the_state_it_was_given(kind):
+    t, _ = gen_problem("easy5", 1)
+    state, step = _start(kind, t)
+    iterate = step(t, step(t, state, 0.0), 0.0)
+    arrays, residual, count = _snapshot(iterate)
+    step(t, iterate, 0.0)
+    after, after_residual, after_count = _snapshot(iterate)
+    assert (after_residual, after_count) == (residual, count)
+    assert all(np.array_equal(a, b) for a, b in zip(after, arrays))
+
+
+@pytest.mark.parametrize("kind", [*sorted(STEPPERS), "cno"])
+def test_every_state_is_a_driver_state_and_a_step_makes_a_new_one(kind):
+    t, _ = gen_problem("easy5", 1)
+    state, step = _start(kind, t)
+    stepped = step(t, state, 0.0)
+    assert isinstance(state, State) and type(stepped) is type(state)
+    assert stepped is not state
 
 
 def test_past_deadline_takes_no_step():
@@ -190,6 +237,43 @@ def test_library_solves_refuse_a_bad_tol_or_max_steps(solve, tol, max_steps, key
     t, model = exact_scalar()
     with pytest.raises(ValueError, match=f"^{key} must be"):
         LIBRARY_SOLVES[solve](t, model, tol, max_steps)
+
+
+# each kind's library solve and the state it starts from
+AGREEING_PATHS = {
+    "flow": (flow.solve_to_equilibrium, flow.FlowState),
+    "barrier-flow": (flow.solve_barrier, flow.FlowState),
+    "dtpnn-explicit": (flow.solve_to_equilibrium,
+                       lambda m, **params: dtpnn.EXPLICIT.make_state(m, params, 0)),
+    "dtpnn-semiimplicit": (flow.solve_to_equilibrium,
+                           lambda m: dtpnn.SEMI_IMPLICIT.make_state(m, {}, 0)),
+    "dtpnn-armijo": (dtpnn.solve, dtpnn.DtpnnState),
+}
+
+
+@pytest.mark.parametrize("problem,rank,tol", [("easy5", 3, 1e-4),
+                                              ("difficult9", 10, 1e-3)])
+@pytest.mark.parametrize("kind", sorted(AGREEING_PATHS))
+def test_a_library_solve_is_the_benchmark_run_bitwise(kind, problem, rank, tol):
+    solve, make_state = AGREEING_PATHS[kind]
+    # the explicit step at step size 0.5, which converges where the default 1 does not
+    params = {"lambdas": [0.5] * 3} if kind == "dtpnn-explicit" else {}
+    cfg = RunConfig.from_dict({
+        "problem": {"kind": problem, "seed": 2}, "algorithm": kind, "rank": rank,
+        "params": params, "tol": tol, "budget": {"iterations": 300},
+        "deterministic_timing": True,
+    })
+    record = run_single(cfg, 2)
+    t = cfg.load_problem()
+    start = initial_model(t.shape, rank, 2)
+    if kind == "barrier-flow":  # the interior start of run_single
+        start = KruskalModel([0.1 + 0.9 * f for f in start.factors])
+    state, reason = solve(t, make_state(start, **params), tol, 300)
+    steps = getattr(state, "iterations", getattr(state, "iteration", None))
+    assert (record.rows[-1].iteration, record.termination) == (
+        steps, "budget" if reason == "max_steps" else reason)
+    for a, b in zip(record.final_model.factors, state.model.factors):
+        assert np.array_equal(a, b)
 
 
 def test_steps_run_no_setting_check(monkeypatch):

@@ -254,11 +254,11 @@ def test_a_barrier_stack_matches_the_solo_drive_of_each(integrator, count):
 
 
 def test_the_model_of_a_state_is_a_view_made_without_the_model_checks():
-    _, s = interior_state(2)
+    t, s = interior_state(2)
     with mock.patch.object(KruskalModel, "__post_init__") as post_init:
         model = s.model
     post_init.assert_not_called()
-    assert model.shape == s.shape and model.rank == 3
+    assert model.shape == t.shape and model.rank == 3
     for f, r in zip(model.factors, s.settings.slices):
         assert np.shares_memory(f, s.rows) and np.array_equal(f, s.rows[0, r])
 

@@ -218,9 +218,10 @@ def test_mttkrp_vs_naive(seed):
 
 
 #: Tolerance of the order-3 kernel against the unfold-and-Khatri-Rao oracle at
-#: 30x40x50 rank 35, relative to the oracle's max-norm: fixed before comparing,
-#: far above the few units of rounding two summation orders of 2000 positive
-#: terms differ by.
+#: 30x40x50 rank 35, and of a dense stack against its models alone there and at
+#: 70^3 rank 75, relative to the reference's max-norm: fixed before comparing,
+#: far above the few units of rounding two summation orders of 2000 (4900)
+#: positive terms differ by.
 LARGE_SHAPE_TOL = 1e-13
 
 
@@ -258,6 +259,29 @@ def test_compressed_mttkrp_stack_vs_naive_at_a_large_shape():
     stacks = [rng.random((1, d, 35)) for d in t.shape]
     for mode, stack in enumerate(mttkrp_stack(form, stacks)):
         _assert_near_oracle(stack[0], t, [s[0] for s in stacks], mode)
+
+
+@pytest.mark.parametrize("shape,rank", [((30, 40, 50), 35), ((70, 70, 70), 75)],
+                         ids=["30x40x50", "70^3"])
+def test_a_stack_equals_its_models_alone_to_rounding_dense_and_bitwise_on_a_core(
+    shape, rank
+):
+    # a dense P-model stack contracts a P*R-wide operand, which the GEMMs
+    # block otherwise than one model's; the caseI core keeps the same bits
+    rng = np.random.default_rng(32)
+    caseI, _ = gen_problem("caseI", 0)
+    for t, dims, rank, exact in ((rng.random(shape), shape, rank, False),
+                                 (tucker_compress(caseI), caseI.shape, 10, True)):
+        stacks = [rng.random((2, d, rank)) for d in dims]
+        together = mttkrp_stack(t, stacks)
+        for p in range(2):
+            alone = mttkrp_stack(t, [s[p : p + 1] for s in stacks])
+            for got, ref in zip(together, alone):
+                if exact:
+                    assert np.array_equal(got[p], ref[0])
+                else:
+                    scale = np.abs(ref[0]).max()
+                    assert np.abs(got[p] - ref[0]).max() <= LARGE_SHAPE_TOL * scale
 
 
 def test_sweep_mttkrps_vs_naive_at_a_large_shape():
