@@ -13,7 +13,7 @@ x, truth = gen_problem("easy9", 0)
 print(f"Exact rank-5 tensor of shape {x.shape}")
 state = FlowState(KruskalModel.random(x.shape, 5, np.random.default_rng(0)))
 state, reason = solve_to_equilibrium(x, state, tol=1e-6, max_steps=20000)
-print(f"  {reason} after {state.iterations} steps, rhs max-norm "
+print(f"  {reason} after {state.steps} steps, rhs max-norm "
       f"{state.residual:.2e}, relative error {relative_error(x, state.model):.2e}")
 
 x, _ = gen_problem("difficult9", 0)

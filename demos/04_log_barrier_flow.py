@@ -20,12 +20,12 @@ for decay, text in [(1.0, "fixed gamma = 1e-3"),
     )
     state, reason = solve_barrier(x, state, tol=1e-8, max_steps=4000)
     smallest = min(f.min() for f in state.model.factors)
-    print(f"{text}: {reason} after {state.iterations} steps, "
+    print(f"{text}: {reason} after {state.steps} steps, "
           f"relative error {relative_error(x, state.model):.2e}, "
           f"smallest entry {smallest:.2e} (strictly interior)")
 
 print("\nRunge-Kutta integration of the same flow:")
 state = FlowState(start.copy(), step=0.5, integrator="rk4")
 state, reason = solve_barrier(x, state, tol=1e-8, max_steps=4000)
-print(f"  {reason} after {state.iterations} steps, relative error "
+print(f"  {reason} after {state.steps} steps, relative error "
       f"{relative_error(x, state.model):.2e}")

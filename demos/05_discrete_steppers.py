@@ -30,7 +30,7 @@ for name, (kind, params) in runs.items():
     stepper = STEPPERS[kind]
     state = stepper.make_state(init.copy(), params, 0)
     try:
-        state = drive(x, state, stepper.step, budget=800)[0]
+        state, _ = drive(x, state, stepper.step, budget=800)
         outcome = f"relative error {relative_error(x, state.model):.3e}"
     except DivergenceError as exc:
         outcome = f"diverged ({exc})"

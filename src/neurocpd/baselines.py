@@ -97,7 +97,7 @@ class SweepState(State):
     run, shared by its states), and the KKT residual its last step measured."""
 
     def __init__(self, model: KruskalModel, rng: np.random.Generator | None = None):
-        self.model, self.rng, self.residual = model, rng, np.inf
+        self.model, self.rng = model, rng
 
 
 def _sweep_step(t, s: SweepState, tol: float, sweep, *args) -> SweepState:
@@ -106,7 +106,7 @@ def _sweep_step(t, s: SweepState, tol: float, sweep, *args) -> SweepState:
     residual = kkt_residual(t, s.model) if tol > 0 else np.inf
     if residual < tol:
         return s.moved(residual=residual)
-    return s.moved(model=sweep(t, s.model, *args), residual=residual)
+    return s.moved(model=sweep(t, s.model, *args), residual=residual, steps=s.steps + 1)
 
 
 # One sweep per driver step, looked up at call time; HALS re-seeds columns

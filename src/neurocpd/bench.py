@@ -30,7 +30,7 @@ from .driver import Recorder, TraceRow, drive
 from .errors import FAILURE_LABELS, SOLVER_FAILURES, ConfigError, describe_failure
 from .model import _choice, _integer, _real, _switch
 from .solvers import STEPPERS, _check_params
-from .swarm import SwarmConfig, SwarmRun, initial_model, outer_step
+from .swarm import SwarmConfig, SwarmRun, check_memory, initial_model, outer_step
 from .tensor_io import load_tensor
 from .tensor_ops import KruskalModel
 
@@ -208,26 +208,29 @@ def apply_overrides(raw: dict, sets: list[str]) -> dict:
     return raw
 
 
+def _start(cfg: RunConfig, t, seed: int, deadline):
+    """The start state of a (config, seed) run, its size checked before any draw."""
+    if cfg.algorithm == "cno":
+        sw_cfg = SwarmConfig(seed=seed, max_outer=cfg.iterations, **cfg.params)
+        return SwarmRun(t, cfg.rank, sw_cfg, deadline)
+    check_memory(f"a model of rank {cfg.rank}", 1, t.shape, cfg.rank)
+    init = initial_model(t.shape, cfg.rank, seed)
+    if cfg.algorithm == "barrier-flow":  # the barrier needs a strictly interior start
+        init = KruskalModel([0.1 + 0.9 * f for f in init.factors])
+    return STEPPERS[cfg.algorithm].make_state(init, dict(cfg.params), seed)
+
+
 def run_single(cfg: RunConfig, seed: int) -> RunRecord:
     """One (config, seed) run; a solver failure keeps the partial trace."""
     t = cfg.load_problem()
     rec = Recorder(t, cfg.record_every, cfg.deterministic_timing)
     deadline = None if cfg.wall_clock_s is None else rec.started + cfg.wall_clock_s
-    try:
-        if cfg.algorithm == "cno":
-            sw_cfg = SwarmConfig(seed=seed, max_outer=cfg.iterations, **cfg.params)
-            state, step = SwarmRun(t, cfg.rank, sw_cfg, deadline), outer_step
-        else:
-            init = initial_model(t.shape, cfg.rank, seed)
-            if cfg.algorithm == "barrier-flow":
-                # the barrier needs a strictly interior start
-                init = KruskalModel([0.1 + 0.9 * f for f in init.factors])
-            stepper = STEPPERS[cfg.algorithm]
-            state, step = stepper.make_state(init, dict(cfg.params), seed), stepper.step
-        state, reason, steps = drive(t, state, step, cfg.tol, cfg.iterations,
-                                     deadline, rec.observe)
-        if not rec.rows or rec.rows[-1].iteration != steps:
-            rec.record(steps, state)
+    step = outer_step if cfg.algorithm == "cno" else STEPPERS[cfg.algorithm].step
+    try:  # the start is made in the call: nothing keeps it past the first step
+        state, reason = drive(t, _start(cfg, t, seed, deadline), step, cfg.tol,
+                              cfg.iterations, deadline, rec.observe)
+        if not rec.rows or rec.rows[-1].iteration != state.steps:
+            rec.record(state)
     except SOLVER_FAILURES as exc:
         return RunRecord(cfg, seed, rec.rows, None, describe_failure(exc))
     return RunRecord(cfg, seed, rec.rows, state.model,

@@ -28,7 +28,11 @@ class Stepper(NamedTuple):
 
 
 class State:
-    """A solver state; a step never writes it and makes the next by :meth:`moved`."""
+    """A solver state; a step never writes it and makes the next by :meth:`moved`.
+    ``steps`` counts the steps that moved it; ``residual`` is ``inf`` before one."""
+
+    steps, residual = 0, np.inf
+    diversity = mutated = None  # a swarm's
 
     def moved(self, **changes):
         new = object.__new__(type(self))
@@ -42,23 +46,23 @@ def drive(
     """Advance ``state`` by ``step(t, state, tol)`` until it converges, runs
     out of steps or of time.
 
-    Each step measures the point it leaves and stays there if its residual is
-    below ``tol``, so a converged run ends at the point its last step measured
-    and a start at an equilibrium takes no step. ``deadline`` is an absolute
-    :func:`time.perf_counter` time, checked before each step, so a run past
-    it stops unmeasured; ``observer(steps, state)`` runs after each step
-    taken. Returns the state, ``"converged"``, ``"max_steps"`` or
-    ``"wall_clock"``, and the number of steps taken.
+    Each step measures the point it leaves and stays there, its ``steps``
+    unchanged, if its residual is below ``tol``, so a converged run ends at
+    the point its last step measured and a start at an equilibrium takes no
+    step. ``deadline`` is an absolute :func:`time.perf_counter` time, checked
+    before each step, so a run past it stops unmeasured; ``observer(state)``
+    runs after each step taken. Returns the state and ``"converged"``,
+    ``"max_steps"`` or ``"wall_clock"``.
     """
-    for steps in range(budget):
+    for _ in range(budget):
         if deadline is not None and time.perf_counter() > deadline:
-            return state, "wall_clock", steps
+            return state, "wall_clock"
         state = step(t, state, tol)
         if state.residual < tol:
-            return state, "converged", steps
+            return state, "converged"
         if observer is not None:
-            observer(steps + 1, state)
-    return state, "max_steps", budget
+            observer(state)
+    return state, "max_steps"
 
 
 @dataclass
@@ -85,17 +89,15 @@ class Recorder:
         self.record_every, self.deterministic = record_every, deterministic
         self.started = time.perf_counter()
 
-    def record(self, iteration: int, state):
+    def record(self, state):
         fit = residual_fit(self.t, state.model, self.norm)
         wall = 0.0 if self.deterministic else time.perf_counter() - self.started
-        # a swarm's; no other state has them
-        self.rows.append(TraceRow(iteration, *fit, wall * 1e3,
-                                  getattr(state, "diversity", None),
-                                  getattr(state, "mutated", None)))
+        self.rows.append(TraceRow(state.steps, *fit, wall * 1e3, state.diversity,
+                                  state.mutated))
 
-    def observe(self, iteration: int, state):
-        if iteration % self.record_every == 0:
-            self.record(iteration, state)
+    def observe(self, state):
+        if state.steps % self.record_every == 0:
+            self.record(state)
 
 
 def check_finite(factors, iteration: int):

@@ -73,7 +73,7 @@ DtpnnSettings = namedtuple("DtpnnSettings", "initial_lambdas armijo precondition
 class DtpnnState(State):
     """An Armijo trajectory: ``settings``, checked here once, and the iterate:
     ``model``, the step sizes ``lambdas`` and the ``objective`` the last sweep
-    accepted (``None`` before one), its count ``iteration`` and ``residual``.
+    accepted (``None`` before one), its count ``steps`` and ``residual``.
     A sweep starts its step sizes from ``initial_lambdas``;
     :func:`step_size_bound` reads the ``lambdas`` of an explicit step."""
 
@@ -92,8 +92,7 @@ class DtpnnState(State):
             _switch("precondition", precondition),
             None if ridge is None else _real("ridge", ridge),
         )
-        self.model, self.iteration, self.residual = model, 0, np.inf
-        self.objective = None
+        self.model, self.objective = model, None
 
 
 def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 0.0) -> DtpnnState:
@@ -174,11 +173,9 @@ def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 0.0) -> Dtpnn
         return s.moved(residual=max(kkt_parts))
     if f_current is None:
         f_current = s.objective if s.objective is not None else objective(t, model)
-    check_finite(model.factors, s.iteration + 1)
-    return s.moved(
-        model=model, lambdas=lambdas, iteration=s.iteration + 1,
-        residual=max(kkt_parts), objective=f_current,
-    )
+    check_finite(model.factors, s.steps + 1)
+    return s.moved(model=model, lambdas=lambdas, steps=s.steps + 1,
+                   residual=max(kkt_parts), objective=f_current)
 
 
 def _euler(weights) -> Stepper:
@@ -218,7 +215,7 @@ def solve(
     kinds, checks them. Returns the final state and ``"converged"`` or
     ``"max_steps"``.
     """
-    return drive(t, s, ARMIJO.step, *_limits(tol, max_steps))[:2]
+    return drive(t, s, ARMIJO.step, *_limits(tol, max_steps))
 
 
 @dataclass(frozen=True)
@@ -285,7 +282,7 @@ def step_size_bound(t: Array, s: DtpnnState) -> StepBound:
     if denom == 0.0:
         return StepBound(np.nan, np.nan, np.nan, at_equilibrium=True)
     after = KruskalModel(check_finite([f + lam * d for f, lam, d in zip(
-        s.model.factors, s.lambdas, directions)], s.iteration + 1))
+        s.model.factors, s.lambdas, directions)], s.steps + 1))
     gammas = effective_step_map(s.model, after, grads, s.lambdas)
     dots = [float(np.sum(gm * g)) for gm, g in zip(gammas, grads)]
     c = (1.0 - 2.0 * sum(d * d for d in dots)) / denom

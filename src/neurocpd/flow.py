@@ -56,7 +56,7 @@ class FlowState(State):
     The iterate is the ``(P, sum I_n, R)`` block ``rows`` of every
     trajectory's factors stacked, the mask ``active`` of the trajectories
     still moving, the ``residual`` the last step measured, the step count
-    ``iterations`` and the barrier's ``gamma``. The constructor makes one
+    ``steps`` and the barrier's ``gamma``. The constructor makes one
     trajectory; ``step`` defaults to half the smallest time constant, which
     keeps every Euler update convex.
     """
@@ -79,7 +79,6 @@ class FlowState(State):
         self.gamma = _real("gamma", gamma, "()")
         self.rows = np.concatenate(model.factors)[None]
         self.active = np.ones(1, dtype=bool)
-        self.residual, self.iterations = np.inf, 0
 
     @staticmethod
     def stack(states) -> FlowState:
@@ -125,7 +124,7 @@ def flow_step(t: Array, s: FlowState, tol: float = 0.0) -> FlowState:
 def _stack_step(t: Array, s: FlowState, tol: float, rhs, advance) -> FlowState:
     """:func:`flow_step` with ``rhs(s, t, rows)``, the rhs and measured
     blocks, and ``advance(s, t, rows, weights, block)``, the next rows."""
-    settings, steps, active = s.settings, s.iterations + 1, s.active
+    settings, steps, active = s.settings, s.steps + 1, s.active
     count = np.count_nonzero(active)
     if not count:  # every trajectory has stopped: measure them all again
         active, count = ~active, len(active)
@@ -143,11 +142,11 @@ def _stack_step(t: Array, s: FlowState, tol: float, rhs, advance) -> FlowState:
     block = advance(s, t, rows, weights, block)
     check_finite((block,), steps)
     if whole and not stopping:
-        return s.moved(rows=block, active=active, residual=residual, iterations=steps)
+        return s.moved(rows=block, active=active, residual=residual, steps=steps)
     idx, new, active = np.flatnonzero(active), s.rows.copy(), active.copy()
     new[idx[~stops]] = block
     active[idx[stops]] = False
-    return s.moved(rows=new, active=active, residual=residual, iterations=steps)
+    return s.moved(rows=new, active=active, residual=residual, steps=steps)
 
 
 def _projection_rhs(s, t, rows):
@@ -178,7 +177,7 @@ def solve_to_equilibrium(
     reason, ``"converged"`` or ``"max_steps"``; a ``tol`` outside (0, inf] or
     a ``max_steps`` that is not an integer >= 0 is a ValueError.
     """
-    return drive(t, s, FLOW.step, *_limits(tol, max_steps))[:2]
+    return drive(t, s, FLOW.step, *_limits(tol, max_steps))
 
 
 def _limits(tol, max_steps):
@@ -194,10 +193,10 @@ def barrier_flow_step(t: Array, s: FlowState, tol: float = 0.0) -> FlowState:
     halvings and :class:`GammaScheduleError` if ``gamma`` leaves (0, inf).
     """
     new = _stack_step(t, s, tol, _barrier_rhs_block, _barrier_advance)
-    if new.iterations > s.iterations and new.iterations % s.settings.decay_every == 0:
+    if new.steps > s.steps and new.steps % s.settings.decay_every == 0:
         new.gamma = gamma = s.gamma * s.settings.gamma_decay
         if not 0.0 < gamma < np.inf:
-            raise GammaScheduleError(f"gamma {gamma!r} at step {new.iterations}")
+            raise GammaScheduleError(f"gamma {gamma!r} at step {new.steps}")
     return new
 
 
@@ -230,7 +229,7 @@ def _barrier_advance(s: FlowState, t: Array, rows: Array, weights: Array, k1):
             return new
         inside = (new > 0.0).all(axis=(1, 2), keepdims=True)
         weights = np.where(inside, weights, 0.5 * weights)  # exact
-    raise BoundaryStallError(s.iterations + 1, MAX_BOUNDARY_HALVINGS)
+    raise BoundaryStallError(s.steps + 1, MAX_BOUNDARY_HALVINGS)
 
 
 def solve_barrier(
@@ -238,7 +237,7 @@ def solve_barrier(
 ) -> tuple[FlowState, str]:
     """:func:`solve_to_equilibrium` of the barrier flow from ``s.gamma``, on
     the state's own gamma schedule, counted in the state's steps."""
-    return drive(t, s, BARRIER.step, *_limits(tol, max_steps))[:2]
+    return drive(t, s, BARRIER.step, *_limits(tol, max_steps))
 
 
 # Steps are looked up at call time, so rebinding ``flow_step`` or

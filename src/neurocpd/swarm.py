@@ -91,7 +91,6 @@ class SwarmState:
     global_best: Array | None
     global_best_value: float
     time_constants: Array | None = None
-    outer_iteration: int = 0
 
 
 def _rng(cfg: SwarmConfig, tag: int, particle: int, iteration: int):
@@ -109,16 +108,21 @@ def initial_model(shape, rank: int, seed: int, particle: int = 0) -> KruskalMode
     )
 
 
+def check_memory(what: str, models: int, shape, rank: int) -> None:
+    """Refuse ``what``, the float64 factors of ``models`` models, as a
+    :class:`~neurocpd.errors.ConfigError` if they exceed physical memory."""
+    needed = models * sum(shape) * rank * 8
+    if needed > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ConfigError(f"{what} needs {needed} bytes, more than physical memory")
+
+
 def init_swarm(t: Array, rank: int, cfg: SwarmConfig) -> SwarmState:
     """Uniform-random particle positions; bests initialized in place. Either
     flow's particles draw time constants from U[0.5, 2] unless set. Before any
-    draw, three ``(P, sum(I_n) * R)`` float64 arrays past physical memory are a
-    :class:`~neurocpd.errors.ConfigError`."""
+    draw, three ``(P, sum(I_n) * R)`` arrays are refused by :func:`check_memory`."""
     shape = np.shape(t)
-    needed = 3 * cfg.population * sum(shape) * rank * 8
-    if needed > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
-        raise ConfigError(f"a swarm of population {cfg.population} needs {needed} "
-                          "bytes, more than this machine's physical memory")
+    check_memory(f"a swarm of population {cfg.population}", 3 * cfg.population,
+                 shape, rank)
     positions = np.stack([initial_model(shape, rank, cfg.seed, n).flatten()
                           for n in range(cfg.population)])
     eps = None
@@ -165,14 +169,14 @@ def diversity(sw: SwarmState) -> float:
                           for row in sw.personal_bests]))
 
 
-def pso_update(sw: SwarmState, cfg: SwarmConfig) -> SwarmState:
+def pso_update(sw: SwarmState, cfg: SwarmConfig, k: int) -> SwarmState:
     """Velocity/position update; positions re-projected onto the orthant.
 
-    The attraction weights g1, g2 are scalar uniform draws per particle per
-    outer iteration. The updated positions are the solver initial conditions
-    for the next outer iteration.
+    The attraction weights g1, g2 are scalar uniform draws per particle in
+    outer iteration ``k``. The updated positions are the solver initial
+    conditions for the next outer iteration.
     """
-    g1, g2 = np.stack([_rng(cfg, _PSO, n, sw.outer_iteration).random(2)
+    g1, g2 = np.stack([_rng(cfg, _PSO, n, k).random(2)
                        for n in range(len(sw.positions))]).T[:, :, None]
     sw.velocities = (
         cfg.inertia * sw.velocities
@@ -249,10 +253,8 @@ def _solve_particles(
         states.append(stepper.make_state(model, params, cfg.seed))
     if isinstance(states[0], FlowState):
         try:
-            stack, _, _ = drive(
-                t if operand is None else operand, FlowState.stack(states),
-                stepper.step, cfg.inner_tol, cfg.inner_max_steps, deadline,
-            )
+            stack, _ = drive(t if operand is None else operand, FlowState.stack(states),
+                             stepper.step, cfg.inner_tol, cfg.inner_max_steps, deadline)
         except SOLVER_FAILURES:
             pass  # re-solved below, one particle at a time
         else:
@@ -262,9 +264,8 @@ def _solve_particles(
     rows, failed = sw.positions.copy(), np.zeros(len(states), dtype=bool)
     for n, state in enumerate(states):
         try:
-            state, _, _ = drive(
-                t, state, stepper.step, cfg.inner_tol, cfg.inner_max_steps, deadline
-            )
+            state, _ = drive(t, state, stepper.step, cfg.inner_tol,
+                             cfg.inner_max_steps, deadline)
         except SOLVER_FAILURES:
             failed[n] = True
         else:
@@ -287,9 +288,7 @@ class SwarmRun(State):
         self.swarm = init_swarm(t, rank, cfg)
         self.operand = tucker_compress(t) if cfg.population > 1 else None
         self.cfg, self.shape, self.rank = cfg, np.shape(t), rank
-        self.deadline = deadline
-        self.diversity = self.mutated = None  # until the first outer iteration
-        self.residual = self.change = np.inf
+        self.deadline, self.change = deadline, np.inf
 
     @property
     def model(self) -> KruskalModel:
@@ -309,7 +308,7 @@ def outer_step(t: Array, run: SwarmRun, tol: float) -> SwarmRun:
     sw, cfg, rank = replace(run.swarm), run.cfg, run.rank
     for key in ("velocities", "personal_bests", "personal_best_values"):
         setattr(sw, key, getattr(sw, key).copy())  # written in place below
-    k, before = sw.outer_iteration, sw.global_best_value
+    k, before = run.steps, sw.global_best_value
     sw.positions, failed = _solve_particles(t, sw, cfg, rank, run.deadline, run.operand)
     if failed.any():
         lower, upper = mutation_bounds(sw, run.shape, rank)
@@ -317,15 +316,15 @@ def outer_step(t: Array, run: SwarmRun, tol: float) -> SwarmRun:
                                 for n in np.flatnonzero(failed)]
         sw.velocities[failed] = 0.0
     sw = update_bests(sw, _dense_objectives(t, sw.positions, rank))
-    sw = pso_update(sw, cfg)
+    sw = pso_update(sw, cfg, k)
     spread = diversity(sw)
     mutated = spread < cfg.diversity_threshold
     if mutated:
         sw = wavelet_mutation(sw, cfg, k, cfg.max_outer, run.shape, rank)
-    sw.outer_iteration = k + 1
     # measured by the next step, so that drive observes this one
     change = abs(sw.global_best_value - before) if k else np.inf
-    return run.moved(swarm=sw, diversity=spread, mutated=mutated, change=change)
+    return run.moved(swarm=sw, diversity=spread, mutated=mutated, change=change,
+                     steps=k + 1)
 
 
 def cno_run(
@@ -342,6 +341,6 @@ def cno_run(
     t = np.asarray(t)
     rec = Recorder(t)
     deadline = None if deadline_s is None else rec.started + deadline_s
-    run, _, _ = drive(t, SwarmRun(t, rank, cfg, deadline), outer_step,
-                      cfg.stop_tol, cfg.max_outer, deadline, rec.observe)
+    run, _ = drive(t, SwarmRun(t, rank, cfg, deadline), outer_step,
+                   cfg.stop_tol, cfg.max_outer, deadline, rec.observe)
     return run.model, rec.rows

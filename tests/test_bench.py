@@ -7,9 +7,11 @@ import itertools
 import json
 import os
 import re
+import sys
 import tempfile
 import time
 import types
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -210,8 +212,8 @@ def test_recorded_rel_error_is_relative_error_on_every_row():
     rec = Recorder(t, cfg.record_every, cfg.deterministic_timing)
     models = []
 
-    def observe(steps, state):
-        rec.observe(steps, state)
+    def observe(state):
+        rec.observe(state)
         models.append(state.model)
 
     stepper = STEPPERS["flow"]
@@ -229,7 +231,7 @@ def test_recorded_objective_is_accurate_at_an_exact_fit():
     t = np.einsum("ir,jr,kr->ijk", *truth.factors)  # noiseless rank 4
     half = 0.5 * float(np.sum(t * t))
     rec = Recorder(t)
-    rec.record(0, types.SimpleNamespace(model=truth))
+    rec.record(SweepState(truth))
     assert 0.0 <= rec.rows[0].objective <= 1e-28 * half
     # the expanded Gram form cancels down to rounding noise of 0.5 ||X||^2
     assert abs(objective(t, truth)) > 1e-20 * half
@@ -661,13 +663,13 @@ def test_the_work_counts_make_each_benchmark_solve_and_repeat(tmp_path, capsys):
 
 
 # iterate fields, which the states make fresh and a config may not set, the
-# removed switch between two semi-implicit forms and the removed history
+# removed step counts, switch between two semi-implicit forms and history
 FORMER_KEYWORDS = {
-    flow.FlowState: {"residual", "iterations"},
-    dtpnn.DtpnnState: {"iteration", "objective", "objective_history",
+    flow.FlowState: {"residual", "steps", "iterations"},
+    dtpnn.DtpnnState: {"steps", "iteration", "objective", "objective_history",
                        "kkt_residual", "initial_lambdas", "residual",
                        "semi_implicit_form"},
-    SweepState: {"residual"},
+    SweepState: {"residual", "steps"},
 }
 
 
@@ -853,6 +855,59 @@ def test_a_run_refused_when_its_state_is_made_creates_no_output_dir(
                      "--set", "params.time_constants=[1,2]"]) == 1
     assert capsys.readouterr().err.startswith("config error: time_constants")
     assert not (tmp_path / "fresh_out").exists()
+
+
+@pytest.mark.parametrize("algorithm,setting", [
+    ("flow", f"rank={2**40}"), ("dtpnn-armijo", f"rank={2**40}"),
+    ("cno", f"params.population={2**40}"),
+])
+def test_a_run_too_large_for_memory_is_refused_before_its_first_draw(
+    tmp_path, monkeypatch, capsys, algorithm, setting
+):
+    def spy(*args, **kwargs):
+        raise AssertionError("a start model was drawn")
+
+    for module in (bench, swarm):
+        monkeypatch.setattr(module, "initial_model", spy)
+    cfg_path = tmp_path / "run.yaml"
+    yaml.safe_dump(base_config(algorithm=algorithm, output_dir=str(tmp_path / "out")),
+                   cfg_path.open("w"))
+    assert cli.main(["run", "--config", str(cfg_path), "--set", setting]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "more than physical memory" in err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="an older CPython caller "
+                    "holds the arguments of a call until it returns")
+@pytest.mark.parametrize("algorithm", ["flow", "dtpnn-armijo", "hals", "cno"])
+def test_a_run_holds_its_start_state_no_longer_than_its_first_step(
+    monkeypatch, algorithm
+):
+    # a step copies what it changes, so a start state kept alive holds a
+    # second copy of the start (for a swarm, its population) through the run
+    starts, alive = [], []
+
+    def watch(step):
+        def watched(t, s, tol):
+            if starts:
+                alive.append(starts[0]() is not None)
+            else:
+                starts.append(weakref.ref(s))
+            return step(t, s, tol)
+        return watched
+
+    if algorithm == "cno":
+        monkeypatch.setattr(bench, "outer_step", watch(bench.outer_step))
+    else:
+        stepper = STEPPERS[algorithm]
+        monkeypatch.setattr(bench, "STEPPERS", {
+            algorithm: stepper._replace(step=watch(stepper.step))})
+    raw = base_config(algorithm=algorithm, budget={"iterations": 4},
+                      params={"population": 3, "inner_max_steps": 5}
+                      if algorithm == "cno" else {})
+    assert run_single(RunConfig.from_dict(raw), 0).termination == "budget"
+    assert alive == [False] * 3
 
 
 @pytest.mark.parametrize(
@@ -1096,9 +1151,8 @@ def test_early_stop_matches_the_library_solve(tmp_path, algorithm):
     state, reason = _library_solve(
         algorithm, t, initial_model(t.shape, 3, 3), 1e-4, 5000
     )
-    steps = getattr(state, "iterations", getattr(state, "iteration", None))
     assert reason == "converged" and record.termination == "converged"
-    assert record.rows[-1].iteration == steps
+    assert record.rows[-1].iteration == state.steps
     assert record.rows[-1].rel_error == relative_error(t, state.model)
     for a, b in zip(record.final_model.factors, state.model.factors):
         assert np.array_equal(a, b)

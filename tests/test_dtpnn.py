@@ -125,7 +125,7 @@ def test_euler_kinds_stop_on_the_kkt_residual():
         stepped = flow_step(t, state, tol)
         stopped = kind != "flow"
         assert stepped.residual == (kkt if stopped else rhs)
-        assert (stepped.iterations == 0) == stopped
+        assert (stepped.steps == 0) == stopped
         stack = flow_step(t, FlowState.stack([state, state]), tol)
         assert stack.active.tolist() == [not stopped] * 2
         for a, b in zip(stack.factors, model.factors):

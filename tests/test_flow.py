@@ -130,7 +130,7 @@ def test_solve_starts_at_equilibrium_takes_zero_steps():
     t, s = scalar_state(1.0, 1.0)
     out, reason = solve_to_equilibrium(t, s, tol=1e-8, max_steps=50)
     assert reason == "converged"
-    assert out.iterations == 0
+    assert out.steps == 0
 
 
 def test_solve_converges_on_exact_rank5_9cube():
@@ -152,7 +152,7 @@ def test_solve_reports_max_steps():
     s = FlowState(KruskalModel.random(t.shape, 3, np.random.default_rng(3)))
     out, reason = solve_to_equilibrium(t, s, tol=1e-14, max_steps=5)
     assert reason == "max_steps"
-    assert out.iterations == 5
+    assert out.steps == 5
     with pytest.raises(ValueError):
         solve_to_equilibrium(t, s, tol=0.0)
 
@@ -242,12 +242,13 @@ def test_a_barrier_stack_matches_the_solo_drive_of_each(integrator, count):
     first = barrier_flow_step(t, stack)
     for p, state in enumerate(states):
         assert_near_solo(first.rows[p], barrier_flow_step(t, state).rows[0])
-    stack, _, _ = drive(t, stack, barrier_flow_step, tol, 60)
+    stack, _ = drive(t, stack, barrier_flow_step, tol, 60)
     assert stack.rows.shape == (count, 15, 3)
     for p, state in enumerate(states):
-        alone, reason, steps = drive(t, state, barrier_flow_step, tol, 60)
+        alone, reason = drive(t, state, barrier_flow_step, tol, 60)
         assert stack.active[p] == (reason == "max_steps")
-        assert (reason, steps) == (("converged", 0) if p == 0 else ("max_steps", 60))
+        assert (reason, alone.steps) == (
+            ("converged", 0) if p == 0 else ("max_steps", 60))
         if count == 1:
             assert np.array_equal(stack.rows, alone.rows)
         assert_near_solo(stack.rows[p], alone.rows[0], BARRIER_SOLO_GROWTH)
@@ -291,7 +292,7 @@ def test_barrier_gamma_decay_improves_fit():
     fixed, _ = solve_barrier(t, s1, tol=1e-9, max_steps=2000)
     decayed, _ = solve_barrier(t, s2, tol=1e-9, max_steps=2000)
     assert fixed.gamma == 1e-2
-    assert decayed.gamma == 1e-2 * 0.5 ** (decayed.iterations // 100) < 1e-2
+    assert decayed.gamma == 1e-2 * 0.5 ** (decayed.steps // 100) < 1e-2
     assert relative_error(t, decayed.model) <= relative_error(t, fixed.model)
 
 
@@ -354,7 +355,7 @@ def reference_barrier_step(t, s):
         if all(f.min() > 0.0 for f in new):
             return new
         scale = scale * 0.5
-    raise BoundaryStallError(s.iterations + 1, 30)
+    raise BoundaryStallError(s.steps + 1, 30)
 
 
 @pytest.mark.parametrize("ridge", [None, 1e-3])

@@ -470,10 +470,10 @@ def test_solved_rows_are_the_flatten_of_the_solved_models(monkeypatch, inner):
     solved = []
 
     def drive_spy(*args):
-        state, reason, steps = drive(*args)
+        state, reason = drive(*args)
         solved.extend(KruskalModel([f[p] for f in state.factors])
                       for p in range(len(state.active)))
-        return state, reason, steps
+        return state, reason
 
     monkeypatch.setattr(swarm, "drive", drive_spy)
     t, _ = gen_problem("easy5", 0)
@@ -629,10 +629,8 @@ def test_a_stack_past_its_deadline_takes_no_step():
     t = rng.random((4, 5, 3))
     stacks = [rng.random((3, dim, 2)) for dim in t.shape]
     start = flow_stack(stacks, np.full((3, 3), 0.5))
-    out, reason, steps = drive(
-        t, start, flow_step, 0.0, 10, time.perf_counter() - 1.0
-    )
-    assert (reason, steps) == ("wall_clock", 0)
+    out, reason = drive(t, start, flow_step, 0.0, 10, time.perf_counter() - 1.0)
+    assert (reason, out.steps) == ("wall_clock", 0)
     assert all(np.array_equal(a, b) for a, b in zip(out.factors, stacks))
     assert out.active.all()
 
@@ -648,7 +646,7 @@ def test_the_stack_converges_once_every_trajectory_has_stopped(spare):
     near = FlowState(KruskalModel([f[1] for f in stacks]),
                      time_constants=[1.0] * 3, step=0.5, ridge=0.0)
     alone, reason = solve_to_equilibrium(t, near, tol=1e-3, max_steps=1000)
-    longest = alone.iterations
+    longest = alone.steps
     assert reason == "converged" and longest > 0
     # ``spare`` 0: the budget ends before trajectory 2's last check
     budget = longest + spare
@@ -661,9 +659,10 @@ def test_the_stack_converges_once_every_trajectory_has_stopped(spare):
         assert state.residual == max(solos)
         return state
 
-    out, reason, steps = drive(t, flow_stack(stacks, np.full((2, 3), 0.5), True, 0.0),
-                               step_measuring_each_alone, 1e-3, budget)
-    assert (reason, steps) == (("converged", longest) if spare else ("max_steps", budget))
+    out, reason = drive(t, flow_stack(stacks, np.full((2, 3), 0.5), True, 0.0),
+                        step_measuring_each_alone, 1e-3, budget)
+    assert (reason, out.steps) == (
+        ("converged", longest) if spare else ("max_steps", budget))
     assert out.active.tolist() == [False, not spare]
     for got, start, ref in zip(out.factors, stacks, alone.model.factors):
         assert np.array_equal(got[0], start[0]) and np.array_equal(got[1], ref)
@@ -684,11 +683,11 @@ def test_a_stack_of_states_matches_the_solo_drive_of_each(count):
     states = [FlowState(initial_model(t.shape, 10, 7, p),
                         time_constants=rng.uniform(0.5, 2.0, 3))
               for p in range(count)]
-    stack, _, _ = drive(t, FlowState.stack(states), flow_step, 1e-2, 200)
+    stack, _ = drive(t, FlowState.stack(states), flow_step, 1e-2, 200)
     assert stack.factors[0].shape == (count, 9, 10)
     reasons = set()
     for p, state in enumerate(states):
-        alone, reason, _ = drive(t, state, flow_step, 1e-2, 200)
+        alone, reason = drive(t, state, flow_step, 1e-2, 200)
         reasons.add(reason)
         assert stack.active[p] == (reason == "max_steps")
         for a, b in zip(stack.factors, alone.model.factors):

@@ -45,7 +45,7 @@ def test_config_validation():
 
 def test_pso_stationary_when_everything_coincides():
     sw = one_particle_state([1.0, 2.0], [0.0, 0.0], [1.0, 2.0], 0.5, [1.0, 2.0], 0.5)
-    out = pso_update(sw, SwarmConfig(population=1))
+    out = pso_update(sw, SwarmConfig(population=1), 0)
     assert np.array_equal(out.positions[0], [1.0, 2.0])
     assert np.array_equal(out.velocities[0], [0.0, 0.0])
 
@@ -53,7 +53,7 @@ def test_pso_stationary_when_everything_coincides():
 def test_pso_pure_inertia_when_accelerations_vanish():
     sw = one_particle_state([1.0, 1.0], [0.2, -0.1], [3.0, 3.0], 0.1, [4.0, 4.0], 0.0)
     cfg = SwarmConfig(population=1, inertia=0.5, accel_personal=0.0, accel_global=0.0)
-    out = pso_update(sw, cfg)
+    out = pso_update(sw, cfg, 0)
     assert np.allclose(out.velocities[0], [0.1, -0.05])
     assert np.allclose(out.positions[0], [1.1, 0.95])
 
@@ -67,14 +67,14 @@ def test_pso_hand_value_with_unit_draws(monkeypatch):
     sw = one_particle_state([0.0], [0.0], [1.0], 1.0, [2.0], 0.5)
     cfg = SwarmConfig(population=1, inertia=0.5, accel_personal=0.01,
                       accel_global=0.01)
-    out = pso_update(sw, cfg)
+    out = pso_update(sw, cfg, 0)
     assert out.velocities[0] == pytest.approx(0.03)
     assert out.positions[0] == pytest.approx(0.03)
 
 
 def test_pso_projects_onto_orthant():
     sw = one_particle_state([0.1], [-5.0], [0.1], 1.0, [0.1], 1.0)
-    out = pso_update(sw, SwarmConfig(population=1, inertia=1.0))
+    out = pso_update(sw, SwarmConfig(population=1, inertia=1.0), 0)
     assert out.positions[0] >= 0.0
 
 
@@ -200,7 +200,7 @@ def test_array_updates_equal_the_per_particle_loops_bitwise(
                       accel_global=float(rng.uniform(0, 2)))
 
     sw = SwarmState(x.copy(), v.copy(), bests.copy(), best_values.copy(),
-                    gbest.copy(), levels[12], outer_iteration=k)
+                    gbest.copy(), levels[12])
     ref = _loop_update_bests(x, bests, best_values, gbest, levels[12], values)
     update_bests(sw, values)
     assert _bitwise(sw.personal_bests, ref[0])
@@ -212,7 +212,7 @@ def test_array_updates_equal_the_per_particle_loops_bitwise(
 
     ref_x, ref_v = _loop_pso(sw.positions, sw.velocities, sw.personal_bests,
                              sw.global_best, cfg, k)
-    pso_update(sw, cfg)
+    pso_update(sw, cfg, k)
     assert _bitwise(sw.positions, ref_x) and _bitwise(sw.velocities, ref_v)
 
     k_max = 6
