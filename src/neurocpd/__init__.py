@@ -15,7 +15,6 @@ from .datagen import (
     gen_problem,
 )
 from .dtpnn import (
-    ArmijoParams,
     DtpnnState,
     StepBound,
     effective_step_map,

@@ -25,6 +25,8 @@ Array = np.ndarray
 
 #: denominators at or below this are treated as exactly degenerate
 DEGENERATE_EPS = 1e-30
+#: added to every MUR denominator
+MUR_EPS = 1e-16
 
 
 def hals_sweep(t: Array, model: KruskalModel, rng=None) -> KruskalModel:
@@ -79,8 +81,8 @@ def _hals_column(factor, column, r, m_col, g_col, mode, rng):
         np.maximum(numer / denom, 0.0, out=column)
 
 
-def mur_sweep(t: Array, model: KruskalModel, eps: float = 1e-16) -> KruskalModel:
-    """One cycle of multiplicative updates ``Z <- Z * M / (Z G + eps)``.
+def mur_sweep(t: Array, model: KruskalModel) -> KruskalModel:
+    """One cycle of multiplicative updates ``Z <- Z * M / (Z G + MUR_EPS)``.
 
     Zeros are fixed points of the ratio update, so factors stay nonnegative
     and zero entries stay zero; start from a strictly positive model.
@@ -88,7 +90,7 @@ def mur_sweep(t: Array, model: KruskalModel, eps: float = 1e-16) -> KruskalModel
     model = model.copy()
     for mode, (_, gram_skip, numer) in enumerate(sweep_mttkrps(t, model)):
         factor = model.factors[mode]
-        model.factors[mode] = factor * numer / (factor @ gram_skip + eps)
+        model.factors[mode] = factor * numer / (factor @ gram_skip + MUR_EPS)
     return model
 
 

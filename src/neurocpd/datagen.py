@@ -34,12 +34,12 @@ _SPARSITY_GRID = (0.0, 0.2, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 @dataclass(frozen=True)
 class CollinearitySpec:
     """Target collinearity ranges: ``factors`` get ``mu_range``, the rest
-    get ``other_range`` (``None`` leaves them plain uniform). Each range is
-    checked where :func:`gen_collinear_factor` uses it."""
+    get ``other_range``. Each range is checked where
+    :func:`gen_collinear_factor` uses it."""
 
     mu_range: tuple[float, float]
     factors: tuple[int, ...]
-    other_range: tuple[float, float] | None = None
+    other_range: tuple[float, float]
 
 
 def collinearity(m: Array) -> Array:
@@ -198,7 +198,7 @@ def gen_problem(
         col = spec.collinearity
         if col is not None and n in col.factors:
             factors.append(gen_collinear_factor(dim, spec.rank, col.mu_range, rng))
-        elif col is not None and col.other_range is not None:
+        elif col is not None:
             factors.append(gen_collinear_factor(dim, spec.rank, col.other_range, rng))
         else:
             factors.append(rng.random((dim, spec.rank)))
@@ -228,8 +228,7 @@ def problem_metadata(kind: str, seed: int, noise_snr_db: float | None = None) ->
         col = spec.collinearity
         meta["mu_factors"] = ",".join(str(i) for i in col.factors)
         meta["mu_range"] = f"{col.mu_range[0]}..{col.mu_range[1]}"
-        if col.other_range is not None:
-            meta["mu_other_range"] = f"{col.other_range[0]}..{col.other_range[1]}"
+        meta["mu_other_range"] = f"{col.other_range[0]}..{col.other_range[1]}"
     if noise_snr_db is not None:
         meta["noise_snr_db"] = noise_snr_db
     return meta

@@ -11,7 +11,7 @@ The steppers move along the projection direction ``[Z - G]_+ - Z``:
   nonnegative for any ``lam > 0``.
 * :data:`ARMIJO` (:func:`step_gauss_seidel_armijo`): factors updated in
   sequence, each block backtracking its step size until the
-  sufficient-decrease inequality ``f(x+) - f(x) < alpha * lam * <grad, x+ -
+  sufficient-decrease inequality ``f(x+) - f(x) < ALPHA * lam * <grad, x+ -
   x>`` holds for that block.
 
 The two Euler kinds are :class:`~neurocpd.flow.FlowState` trajectories whose
@@ -51,23 +51,11 @@ from .tensor_ops import mttkrp  # noqa: F401  (a binding the benchmark traces)
 Array = np.ndarray
 
 MAX_SHRINKAGES = 60
-
-
-@dataclass(frozen=True)
-class ArmijoParams:
-    """Sufficient-decrease constant and step-shrink factor, both in (0, 1)."""
-
-    alpha: float = 1e-4
-    beta: float = 0.5
-
-    def __post_init__(self):
-        for key in ("alpha", "beta"):  # frozen: set as the dataclass does
-            object.__setattr__(self, key, _real(key, getattr(self, key), "()", 0, 1))
-
+#: the Armijo rule's sufficient-decrease constant and step-shrink factor
+ALPHA, BETA = 1e-4, 0.5
 
 #: An Armijo solver's settings, checked by :class:`DtpnnState`.
-DtpnnSettings = namedtuple("DtpnnSettings", "initial_lambdas armijo precondition "
-                           "ridge")
+DtpnnSettings = namedtuple("DtpnnSettings", "initial_lambdas precondition ridge")
 
 
 class DtpnnState(State):
@@ -77,18 +65,10 @@ class DtpnnState(State):
     A sweep starts its step sizes from ``initial_lambdas``;
     :func:`step_size_bound` reads the ``lambdas`` of an explicit step."""
 
-    def __init__(self, model, lambdas=None, armijo=ArmijoParams(), precondition=True,
-                 ridge=None):
+    def __init__(self, model, lambdas=None, precondition=True, ridge=None):
         self.lambdas = _positives("lambdas", lambdas, model.order)
-        if isinstance(armijo, dict):  # as a YAML config gives it
-            if unknown := set(armijo) - {"alpha", "beta"}:
-                raise ValueError(f"unknown armijo keys: {sorted(unknown)}")
-            armijo = ArmijoParams(**armijo)
-        elif not isinstance(armijo, ArmijoParams):
-            raise ValueError(f"armijo must be a mapping, got {armijo!r}")
         self.settings = DtpnnSettings(
             self.lambdas.copy(),
-            armijo,
             _switch("precondition", precondition),
             None if ridge is None else _real("ridge", ridge),
         )
@@ -99,7 +79,7 @@ def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 0.0) -> Dtpnn
     """One Gauss-Seidel sweep with per-block Armijo backtracking.
 
     Blocks are updated in factor order; each block's step size starts from
-    its initial value and is multiplied by beta until the sufficient-decrease
+    its initial value and is multiplied by BETA until the sufficient-decrease
     inequality holds for that block, so the objective never increases. The
     search follows the preconditioned projected direction if it descends,
     and else, or if that search fails, the plain projected gradient. A block
@@ -110,7 +90,6 @@ def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 0.0) -> Dtpnn
     """
     t = np.asarray(t)
     settings = s.settings
-    alpha, beta = settings.armijo.alpha, settings.armijo.beta
     model = s.model.copy()
     norm_x_sq = float(np.dot(t.ravel(), t.ravel()))
     lambdas = settings.initial_lambdas.copy()
@@ -149,10 +128,10 @@ def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 0.0) -> Dtpnn
                 displacement = trial - factor
                 parts = _parts(trial, gram_skip, mtt)
                 f_trial = objective_from_parts(norm_x_sq, *parts)
-                decrease_bound = alpha * lam * float((grad * displacement).sum())
+                decrease_bound = ALPHA * lam * float((grad * displacement).sum())
                 if f_trial - f_current < decrease_bound and f_trial <= f_current:
                     return trial, lam, f_trial
-                lam *= beta
+                lam *= BETA
             return None
 
         hit = None
@@ -199,7 +178,7 @@ SEMI_IMPLICIT = _euler(lambda lam: lam / (1.0 + lam))
 ARMIJO = Stepper(
     lambda model, params, seed: DtpnnState(model, **params),
     lambda t, s, tol: step_gauss_seidel_armijo(t, s, tol),
-    frozenset({"lambdas", "armijo", "precondition", "ridge"}),
+    frozenset({"lambdas", "precondition", "ridge"}),
 )
 
 

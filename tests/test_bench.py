@@ -606,7 +606,7 @@ SETTINGS = {
                      "gamma_decay", "decay_every"},
     "dtpnn-explicit": {"lambdas", "precondition", "ridge"},
     "dtpnn-semiimplicit": {"lambdas", "precondition", "ridge"},
-    "dtpnn-armijo": {"lambdas", "armijo", "precondition", "ridge"},
+    "dtpnn-armijo": {"lambdas", "precondition", "ridge"},
     "hals": set(),
     "mur": set(),
 }
@@ -614,7 +614,7 @@ SETTINGS = {
 
 def test_each_solver_takes_exactly_the_settings_it_reads():
     assert {kind: set(stepper.params) for kind, stepper in STEPPERS.items()} == SETTINGS
-    assert sum(len(keys) for keys in SETTINGS.values()) == 21
+    assert sum(len(keys) for keys in SETTINGS.values()) == 20
 
 
 def _load_tool(name):
@@ -663,12 +663,13 @@ def test_the_work_counts_make_each_benchmark_solve_and_repeat(tmp_path, capsys):
 
 
 # iterate fields, which the states make fresh and a config may not set, the
-# removed step counts, switch between two semi-implicit forms and history
+# removed step counts, switch between two semi-implicit forms, history and
+# Armijo constants
 FORMER_KEYWORDS = {
     flow.FlowState: {"residual", "steps", "iterations"},
     dtpnn.DtpnnState: {"steps", "iteration", "objective", "objective_history",
                        "kkt_residual", "initial_lambdas", "residual",
-                       "semi_implicit_form"},
+                       "semi_implicit_form", "armijo"},
     SweepState: {"residual", "steps"},
 }
 
@@ -800,7 +801,7 @@ def test_barrier_schedule_out_of_range_is_a_config_error(
         ("params", {"step": float("inf")}, "step"),
         ("params", {"precondition": "false"}, "precondition"),
         ("deterministic_timing", "false", "deterministic_timing"),
-        ("params", {"armijo": {"alpha": "x"}}, "alpha"),
+        ("params", {"lambdas": "x"}, "lambdas"),
         ("output_dir", 5, "output_dir"),
         ("label", 5, "label"),
         ("budget", {"iteration": 3}, "iteration"),
@@ -1070,41 +1071,11 @@ def test_a_gamma_schedule_that_underflows_ends_as_a_solver_failure(tmp_path, cap
     capsys.readouterr()
 
 
-def test_armijo_params_from_a_config_mapping(tmp_path, capsys):
-    state = STEPPERS["dtpnn-armijo"].make_state(
-        initial_model((3, 3, 3), 2, 0), {"armijo": {"alpha": 0.1}}, 0
-    )
-    assert state.settings.armijo == dtpnn.ArmijoParams(alpha=0.1)
-    cfg_path = tmp_path / "run.yaml"
-    raw = base_config(
-        algorithm="dtpnn-armijo",
-        params={"armijo": {"alpha": 0.1}},
-        output_dir=str(tmp_path / "out"),
-    )
-    yaml.safe_dump(raw, cfg_path.open("w"))
-    assert cli.main(["run", "--config", str(cfg_path)]) == 0
-    summary = (tmp_path / "out" / "dtpnn-armijo_seed0.summary.txt").read_text()
-    assert "termination = budget" in summary
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize(
-    "armijo,named", [({"alpha": 0.1, "bogus": 1}, "bogus"), ({"beta": 1.5}, "(0, 1)")]
-)
-def test_armijo_params_unknown_or_out_of_range_is_a_config_error(
-    tmp_path, capsys, armijo, named
-):
-    cfg_path = tmp_path / "run.yaml"
-    raw = base_config(
-        algorithm="dtpnn-armijo",
-        params={"armijo": armijo},
-        output_dir=str(tmp_path / "out"),
-    )
-    yaml.safe_dump(raw, cfg_path.open("w"))
-    assert cli.main(["run", "--config", str(cfg_path)]) == 1
-    assert not list(tmp_path.rglob("*.csv"))
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and named in err
+def test_the_removed_armijo_constants_are_unknown_params(tmp_path, monkeypatch, capsys):
+    raw = base_config(algorithm="dtpnn-armijo", params={"armijo": {"alpha": 0.1}},
+                      output_dir=str(tmp_path / "out"))
+    err = _refused_before_any_solve(tmp_path, monkeypatch, capsys, raw)
+    assert err == "config error: unknown params for dtpnn-armijo: ['armijo']\n"
 
 
 def test_every_shipped_config_names_known_params():
@@ -1203,9 +1174,8 @@ def _setting(key):
         return _SMALL
     if key in ("time_constants", "lambdas"):
         return _PER_FACTOR
-    if key in ("armijo", "inner_params"):
-        inner = ("alpha", "beta") if key == "armijo" else (
-            STEPPERS["flow"].params | STEPPERS["dtpnn-armijo"].params)
+    if key == "inner_params":
+        inner = STEPPERS["flow"].params | STEPPERS["dtpnn-armijo"].params
         return st.one_of(_EDGES, st.fixed_dictionaries(
             {}, optional={k: _setting(k) for k in sorted(inner)}))
     if key in ("inner_solver", "integrator"):

@@ -357,13 +357,6 @@ REFUSALS = [
      "ridge must be a number in [0, inf), got 'one'"),
     (dtpnn.DtpnnState, "precondition", "false",
      "precondition must be true or false, got 'false'"),
-    (dtpnn.DtpnnState, "armijo", {"alpha": "x"},
-     "alpha must be a number in (0, 1), got 'x'"),
-    (dtpnn.DtpnnState, "armijo", {"alpha": 0.1, "bogus": 1},
-     "unknown armijo keys: ['bogus']"),
-    (dtpnn.DtpnnState, "armijo", {"beta": 1.5},
-     "beta must be a number in (0, 1), got 1.5"),
-    (dtpnn.DtpnnState, "armijo", "x", "armijo must be a mapping, got 'x'"),
     (dtpnn.DtpnnState, "lambdas", [1.0],
      "lambdas must be 3 reals > 0, one per factor, got [1.0]"),
     (dtpnn.DtpnnState, "lambdas", [0.0, 1.0, 1.0],

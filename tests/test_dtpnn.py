@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from neurocpd import dtpnn
 from neurocpd.datagen import gen_problem
 from neurocpd.dtpnn import (
-    ArmijoParams,
     DtpnnState,
     effective_step_map,
     interval_from_c,
@@ -155,8 +154,6 @@ def test_state_validation():
     for make in (explicit, semi_implicit):
         with pytest.raises(ValueError, match="^lambdas must be 3 reals > 0"):
             make(model, lambdas=[0.0, 1.0, 1.0])
-    with pytest.raises(ValueError):
-        ArmijoParams(alpha=1.0)
 
 
 def test_armijo_fixed_point_without_shrinkage():
