@@ -4,7 +4,7 @@ The steppers move along the projection direction ``[Z - G]_+ - Z``:
 
 * :data:`EXPLICIT`: every factor moves from one snapshot by ``lam * d``, the
   Euler discretization of the continuous flow; it is the flow's step
-  (:func:`~neurocpd.flow.flow_step`) with weights ``lam``.
+  (:func:`~neurocpd.flow.flow_step`) with weights ``lam``, 0.5 by default.
 * :data:`SEMI_IMPLICIT`: the added-implicitness update
   ``(Z + lam*[Z - G]_+) / (1 + lam)``, which is ``Z + lam/(1 + lam) * d``,
   the flow's step with weights ``lam/(1 + lam)``. It keeps the factors
@@ -157,13 +157,15 @@ def step_gauss_seidel_armijo(t: Array, s: DtpnnState, tol: float = 0.0) -> Dtpnn
                    residual=max(kkt_parts), objective=f_current)
 
 
-def _euler(weights) -> Stepper:
+def _euler(weights, default: float) -> Stepper:
     """An Euler kind: :data:`~neurocpd.flow.FLOW` with Euler weights
-    ``weights(lambdas)`` on each factor's rows, stopping on the KKT residual."""
+    ``weights(lambdas)`` on each factor's rows, stopping on the KKT residual;
+    ``lambdas`` are all ``default`` unless set."""
 
     def make_state(model, params, seed):
         params = dict(params)
-        lambdas = _positives("lambdas", params.pop("lambdas", None), model.order)
+        lambdas = _positives("lambdas", params.pop("lambdas", None), model.order,
+                             default)
         state = FlowState(model, **params)
         rows = np.repeat(weights(lambdas), model.shape)[None, :, None]
         return state.moved(settings=state.settings._replace(row_weights=rows, kkt=True))
@@ -172,9 +174,11 @@ def _euler(weights) -> Stepper:
                                                      "ridge"}))
 
 
-# Steps are looked up at call time, so rebinding one reaches the driver.
-EXPLICIT = _euler(lambda lam: lam)
-SEMI_IMPLICIT = _euler(lambda lam: lam / (1.0 + lam))
+# Steps are looked up at call time, so rebinding one reaches the driver. The
+# explicit kind's default weight 0.5 is the flow's own, and the semi-implicit
+# kind's at its default; at lam = 1 the explicit kind diverges on easy5.
+EXPLICIT = _euler(lambda lam: lam, 0.5)
+SEMI_IMPLICIT = _euler(lambda lam: lam / (1.0 + lam), 1.0)
 ARMIJO = Stepper(
     lambda model, params, seed: DtpnnState(model, **params),
     lambda t, s, tol: step_gauss_seidel_armijo(t, s, tol),

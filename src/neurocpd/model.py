@@ -72,11 +72,11 @@ def _choice(key: str, value, names: tuple) -> str:
     raise ValueError(f"{key} must be one of {names}, got {value!r}")
 
 
-def _positives(key: str, values, order: int) -> Array:
-    """One real > 0 per factor as a float64 array, all 1 for ``None``: the
-    time constants of a flow or the step sizes of a DTPNN. A list is checked
+def _positives(key: str, values, order: int, default: float = 1.0) -> Array:
+    """One real > 0 per factor as a float64 array, all ``default`` for ``None``:
+    the time constants of a flow or the step sizes of a DTPNN. A list is checked
     entry by entry, as ``asarray`` reads ``[1.0, True]`` as ``[1.0, 1.0]``."""
-    array = np.ones(order) if values is None else np.asarray(values)
+    array = np.full(order, default, float) if values is None else np.asarray(values)
     if isinstance(values, (list, tuple)) or array.ndim == 1 and array.dtype != float:
         array = np.array([v if isinstance(v, float) else _real(key, v, "(]")
                           for v in np.asarray(values, dtype=object).tolist()])

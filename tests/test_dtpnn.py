@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neurocpd import dtpnn
+from neurocpd.bench import RunConfig, run_single
 from neurocpd.datagen import gen_problem
 from neurocpd.dtpnn import (
     DtpnnState,
@@ -269,6 +270,15 @@ def test_semi_implicit_residual_decays_along_run():
         residuals.append(s.residual)
         assert all(f.min() >= 0.0 for f in s.model.factors)
     assert residuals[-1] < 1e-3 * residuals[0]
+
+
+def test_explicit_default_step_size_converges_on_easy5():
+    # at the former default lam = 1 this run swung between rel_error 1 and
+    # 1e23 and ended its budget at 1.3e23
+    raw = {"problem": {"kind": "easy5", "seed": 0}, "algorithm": "dtpnn-explicit",
+           "rank": 3, "budget": {"iterations": 3000}, "record_every": 3000}
+    record = run_single(RunConfig.from_dict(raw), 0)
+    assert record.termination == "budget" and record.final_rel_error < 1e-3
 
 
 def test_semi_implicit_beats_explicit_at_unit_step():
