@@ -6,8 +6,8 @@ Subcommands::
     neurocpd run --config run.yaml [--set key=value ...]   (one algorithm)
     neurocpd compare --config configs/difficult9_flow_vs_baselines.yaml --seeds 0..9
 
-Exit codes: 0 success, 1 configuration error, 2 solver failure in all
-seeds of a run.
+Exit codes: 0 success, 1 configuration error (an output path that cannot be
+written included), 2 solver failure in all seeds of a run.
 
 Where the C library has glibc's ``mallopt``, :func:`main` first raises its
 trim threshold to 64 MiB and its mmap threshold to 32 MiB, so that the
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import os
 import sys
 from pathlib import Path
 
@@ -97,6 +98,16 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _output_dir(cfg: bench.RunConfig) -> Path:
+    """The config's output directory, refused before any solve (and made by
+    none) unless the nearest part of it that exists is a writable directory."""
+    out = cfg.resolved_output_dir()
+    known = next(p for p in (out, *out.parents) if p.exists())
+    if known.is_dir() and os.access(known, os.W_OK):
+        return out
+    raise ConfigError(f"output_dir {out}: {known} is not a writable directory")
+
+
 def _cmd_run(args) -> int:
     raw = bench.apply_overrides(bench.load_config(args.config), args.sets)
     if "algorithms" in raw:
@@ -104,17 +115,15 @@ def _cmd_run(args) -> int:
             f"{args.config} defines an 'algorithms' list; use the compare subcommand"
         )
     cfg = bench.RunConfig.from_dict(raw)
+    out = _output_dir(cfg)
     records = bench.run(cfg)
-    out = cfg.resolved_output_dir()
     for record in records:
         print(
             f"{cfg.label} seed {record.seed}: rel_error {record.final_rel_error:.4e} "
             f"({record.termination})"
         )
     print(f"traces written to {out}")
-    if all(r.failed for r in records):
-        return 2
-    return 0
+    return 2 if all(r.failed for r in records) else 0
 
 
 def _compare_configs(raw: dict) -> list[bench.RunConfig]:
@@ -130,14 +139,12 @@ def _cmd_compare(args) -> int:
     raw = bench.apply_overrides(bench.load_config(args.config), args.sets)
     seeds = None if args.seeds is None else _parse_seeds(args.seeds)
     cfgs = _compare_configs(raw)
+    out = _output_dir(cfgs[0])
     rows = bench.compare(cfgs, seeds)
-    out = cfgs[0].resolved_output_dir()
     bench.write_compare_csv(rows, out / "compare.csv")
     print(bench.compare_table(rows))
     print(f"summary written to {out / 'compare.csv'}")
-    if rows and all(r.completed == 0 for r in rows):
-        return 2
-    return 0
+    return 2 if rows and all(r.completed == 0 for r in rows) else 0
 
 
 def main(argv=None) -> int:
@@ -150,7 +157,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_compare(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:  # an OSError names its path
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except NeurocpdError as exc:

@@ -858,6 +858,30 @@ def test_a_run_refused_when_its_state_is_made_creates_no_output_dir(
     assert not (tmp_path / "fresh_out").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "compare", "gen"])
+def test_an_output_path_that_cannot_be_written_is_a_config_error_before_any_solve(
+    tmp_path, monkeypatch, capsys, command
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(bench, "run_single", no_solve)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    if command == "gen":  # a directory where the tensor file should go
+        argv, named = ["gen", "--kind", "easy5", "--out", str(tmp_path)], tmp_path
+    else:  # a directory under a regular file
+        raw = base_config(output_dir=str(blocker / "sub"))
+        if command == "compare":
+            raw["algorithms"] = [{"label": "hals", "algorithm": "hals"}]
+        yaml.safe_dump(raw, (tmp_path / "run.yaml").open("w"))
+        argv, named = [command, "--config", str(tmp_path / "run.yaml")], blocker
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1 and str(named) in err
+    assert {path.name for path in tmp_path.iterdir()} <= {"file", "run.yaml"}
+
+
 @pytest.mark.parametrize("algorithm,setting", [
     ("flow", f"rank={2**40}"), ("dtpnn-armijo", f"rank={2**40}"),
     ("cno", f"params.population={2**40}"),
