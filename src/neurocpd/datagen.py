@@ -192,16 +192,14 @@ def gen_problem(
     """
     spec = _spec(kind)
     tag = zlib.crc32(kind.encode())
-    factors = []
+    factors, col = [], spec.collinearity
     for n, dim in enumerate(spec.shape):
         rng = np.random.default_rng([seed, tag, n])
-        col = spec.collinearity
-        if col is not None and n in col.factors:
-            factors.append(gen_collinear_factor(dim, spec.rank, col.mu_range, rng))
-        elif col is not None:
-            factors.append(gen_collinear_factor(dim, spec.rank, col.other_range, rng))
-        else:
+        if col is None:
             factors.append(rng.random((dim, spec.rank)))
+        else:
+            mu_range = col.mu_range if n in col.factors else col.other_range
+            factors.append(gen_collinear_factor(dim, spec.rank, mu_range, rng))
     truth = KruskalModel(factors)
     tensor = kruskal_full(truth)
     if noise_snr_db is not None:
@@ -224,8 +222,7 @@ def problem_metadata(kind: str, seed: int, noise_snr_db: float | None = None) ->
         "shape": "x".join(str(d) for d in spec.shape),
         "rank": spec.rank,
     }
-    if spec.collinearity is not None:
-        col = spec.collinearity
+    if (col := spec.collinearity) is not None:
         meta["mu_factors"] = ",".join(str(i) for i in col.factors)
         meta["mu_range"] = f"{col.mu_range[0]}..{col.mu_range[1]}"
         meta["mu_other_range"] = f"{col.other_range[0]}..{col.other_range[1]}"
