@@ -878,7 +878,8 @@ def test_an_output_path_that_cannot_be_written_is_a_config_error_before_any_solv
         argv, named = [command, "--config", str(tmp_path / "run.yaml")], blocker
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and err.count("\n") == 1 and str(named) in err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert str(named) in err
     assert {path.name for path in tmp_path.iterdir()} <= {"file", "run.yaml"}
 
 
