@@ -28,7 +28,7 @@ cfgs = [
     RunConfig.from_dict({**base, "algorithm": algo, "label": algo})
     for algo in ("flow", "hals", "mur")
 ]
-rows = compare(cfgs, seeds=[0, 1, 2])
+rows = compare(cfgs)
 print(compare_table(rows))
 
 csvs = sorted(workdir.glob("flow_seed*.csv"))

@@ -110,6 +110,9 @@ class RunConfig:
         for key in ("output_dir", "label"):
             if not isinstance(value := getattr(self, key), str):
                 raise ConfigError(f"{key} must be a string, got {value!r}")
+        if self.label.splitlines() != [self.label] or set(self.label) & set("/\\,"):
+            raise ConfigError("label must be non-empty, with no path separator, comma "
+                              f"or line break, got {self.label!r}")
         if not isinstance(path := self.problem_path, str | None) or path == "":
             raise ConfigError(f"problem.path must be a non-empty string, got {path!r}")
         # every value is checked before any solve runs
@@ -123,6 +126,9 @@ class RunConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         raw = dict(raw)
+        if "algorithms" in raw:
+            raise ConfigError("a run config takes no 'algorithms' list; "
+                              "use the compare subcommand")
         problem, budget = raw.pop("problem", {}), raw.pop("budget", {})
         if "params" in raw and raw["params"] is None:  # a bare YAML ``params:``
             raw["params"] = {}
@@ -165,11 +171,16 @@ class RunConfig:
         return tensor
 
     def resolved_output_dir(self) -> Path:
+        """``output_dir``, under ``$NEUROCPD_OUTPUT_ROOT`` if relative; refused, and
+        not made, unless the nearest part of it that exists is a writable directory."""
         root = os.environ.get(OUTPUT_ROOT_ENV)
         path = Path(self.output_dir)
         if root and not path.is_absolute():
             path = Path(root) / path
-        return path
+        known = path if path.exists() else next(p for p in path.parents if p.exists())
+        if known.is_dir() and os.access(known, os.W_OK):
+            return path
+        raise ConfigError(f"output_dir {path}: {known} is not a writable directory")
 
 
 def load_config(path) -> dict:
@@ -213,7 +224,7 @@ def _start(cfg: RunConfig, t, seed: int, deadline):
     if cfg.algorithm == "cno":
         sw_cfg = SwarmConfig(seed=seed, max_outer=cfg.iterations, **cfg.params)
         return SwarmRun(t, cfg.rank, sw_cfg, deadline)
-    check_memory(f"a model of rank {cfg.rank}", 1, t.shape, cfg.rank)
+    check_memory(f"a model of rank {cfg.rank}", sum(t.shape) * cfg.rank)
     init = initial_model(t.shape, cfg.rank, seed)
     if cfg.algorithm == "barrier-flow":  # the barrier needs a strictly interior start
         init = KruskalModel([0.1 + 0.9 * f for f in init.factors])
@@ -278,7 +289,8 @@ def write_summary(record: RunRecord, path) -> None:
 
 
 def run(cfg: RunConfig) -> list[RunRecord]:
-    """Run every seed of the config, writing one CSV + summary per seed."""
+    """Run every seed of the config, writing one CSV + summary per seed; an
+    output directory it could not write is refused before the first solve."""
     out = cfg.resolved_output_dir()
     records = []
     for seed in cfg.seeds:
@@ -300,23 +312,18 @@ class CompareRow:
     failed: int
 
 
-def compare(cfgs: list[RunConfig], seeds: list[int] | None = None) -> list[CompareRow]:
-    """Run each config over the seeds; summarize final relative errors.
+def compare(cfgs: list[RunConfig]) -> list[CompareRow]:
+    """Run each config over its seeds; summarize final relative errors.
 
     Failed runs are counted and excluded; rows come back sorted by label so
     the table content does not depend on config order.
     """
     if not cfgs:
         raise ConfigError("compare needs at least one run config")
-    if seeds is not None and not seeds:
-        raise ConfigError("compare needs at least one seed")
-    if seeds is not None:
-        seeds = [_integer("seeds", seed, 0) for seed in seeds]
     rows = []
     for cfg in cfgs:
-        use_seeds = seeds if seeds is not None else cfg.seeds
         finals, failed = [], 0
-        for seed in use_seeds:
+        for seed in cfg.seeds:
             record = run_single(cfg, seed)
             if record.failed:
                 failed += 1

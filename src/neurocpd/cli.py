@@ -6,8 +6,10 @@ Subcommands::
     neurocpd run --config run.yaml [--set key=value ...]   (one algorithm)
     neurocpd compare --config configs/difficult9_flow_vs_baselines.yaml --seeds 0..9
 
-Exit codes: 0 success, 1 configuration error (an output path that cannot be
-written included), 2 solver failure in all seeds of a run.
+Exit codes: 0 success, 1 configuration error, 2 solver failure in all seeds
+of a run. The CLI keeps no run rule of its own: ``--seeds`` replaces each
+variant's ``seeds``, and :class:`~neurocpd.bench.RunConfig` checks every value,
+the output path included, as it does for a library caller.
 
 Where the C library has glibc's ``mallopt``, :func:`main` first raises its
 trim threshold to 64 MiB and its mmap threshold to 32 MiB, so that the
@@ -19,13 +21,13 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import os
 import sys
 from pathlib import Path
 
 from . import bench
 from .datagen import gen_problem, problem_metadata
 from .errors import ConfigError, NeurocpdError
+from .swarm import check_memory
 from .tensor_io import save_tensor, write_metadata
 
 
@@ -58,8 +60,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_seeds(text: str) -> list[int]:
     if ".." in text:
-        lo, _, hi = text.partition("..")
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = map(int, text.split("..", 1))  # a seed takes a slot and an int
+        check_memory(f"--seeds {text}", 5 * max(hi - lo + 1, 0))
+        return list(range(lo, hi + 1))
     return [int(tok) for tok in text.split(",") if tok]
 
 
@@ -98,49 +101,34 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _output_dir(cfg: bench.RunConfig) -> Path:
-    """The config's output directory, refused before any solve (and made by
-    none) unless the nearest part of it that exists is a writable directory."""
-    out = cfg.resolved_output_dir()
-    known = next(p for p in (out, *out.parents) if p.exists())
-    if known.is_dir() and os.access(known, os.W_OK):
-        return out
-    raise ConfigError(f"output_dir {out}: {known} is not a writable directory")
-
-
 def _cmd_run(args) -> int:
     raw = bench.apply_overrides(bench.load_config(args.config), args.sets)
-    if "algorithms" in raw:
-        raise ConfigError(
-            f"{args.config} defines an 'algorithms' list; use the compare subcommand"
-        )
     cfg = bench.RunConfig.from_dict(raw)
-    out = _output_dir(cfg)
     records = bench.run(cfg)
     for record in records:
         print(
             f"{cfg.label} seed {record.seed}: rel_error {record.final_rel_error:.4e} "
             f"({record.termination})"
         )
-    print(f"traces written to {out}")
+    print(f"traces written to {cfg.resolved_output_dir()}")
     return 2 if all(r.failed for r in records) else 0
 
 
-def _compare_configs(raw: dict) -> list[bench.RunConfig]:
+def _compare_configs(raw: dict, override: dict) -> list[bench.RunConfig]:
     variants = raw.pop("algorithms", None)
     if not isinstance(variants, list) or not variants:
         raise ConfigError(f"'algorithms' must be a non-empty list, got {variants!r}")
     if bad := [v for v in variants if not isinstance(v, dict)]:
         raise ConfigError(f"each 'algorithms' entry must be a mapping, got {bad[0]!r}")
-    return [bench.RunConfig.from_dict({**raw, **variant}) for variant in variants]
+    return [bench.RunConfig.from_dict({**raw, **v, **override}) for v in variants]
 
 
 def _cmd_compare(args) -> int:
     raw = bench.apply_overrides(bench.load_config(args.config), args.sets)
-    seeds = None if args.seeds is None else _parse_seeds(args.seeds)
-    cfgs = _compare_configs(raw)
-    out = _output_dir(cfgs[0])
-    rows = bench.compare(cfgs, seeds)
+    override = {} if args.seeds is None else {"seeds": _parse_seeds(args.seeds)}
+    cfgs = _compare_configs(raw, override)
+    out = cfgs[0].resolved_output_dir()
+    rows = bench.compare(cfgs)
     bench.write_compare_csv(rows, out / "compare.csv")
     print(bench.compare_table(rows))
     print(f"summary written to {out / 'compare.csv'}")

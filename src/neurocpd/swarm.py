@@ -108,10 +108,10 @@ def initial_model(shape, rank: int, seed: int, particle: int = 0) -> KruskalMode
     )
 
 
-def check_memory(what: str, models: int, shape, rank: int) -> None:
-    """Refuse ``what``, the float64 factors of ``models`` models, as a
-    :class:`~neurocpd.errors.ConfigError` if they exceed physical memory."""
-    needed = models * sum(shape) * rank * 8
+def check_memory(what: str, words: int) -> None:
+    """Refuse ``what``, ``words`` 8-byte words (float64 entries, list slots), as
+    a :class:`~neurocpd.errors.ConfigError` if they exceed physical memory."""
+    needed = words * 8
     if needed > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
         raise ConfigError(f"{what} needs {needed} bytes, more than physical memory")
 
@@ -121,8 +121,8 @@ def init_swarm(t: Array, rank: int, cfg: SwarmConfig) -> SwarmState:
     flow's particles draw time constants from U[0.5, 2] unless set. Before any
     draw, three ``(P, sum(I_n) * R)`` arrays are refused by :func:`check_memory`."""
     shape = np.shape(t)
-    check_memory(f"a swarm of population {cfg.population}", 3 * cfg.population,
-                 shape, rank)
+    check_memory(f"a swarm of population {cfg.population}",
+                 3 * cfg.population * sum(shape) * rank)
     positions = np.stack([initial_model(shape, rank, cfg.seed, n).flatten()
                           for n in range(cfg.population)])
     eps = None

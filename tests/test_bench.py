@@ -399,16 +399,16 @@ def test_removed_swarm_keys_are_unknown_params(
 
 def test_compare_single_run_and_permutation_invariance(tmp_path):
     raws = [
-        base_config(algorithm="hals", label="hals", output_dir=str(tmp_path)),
-        base_config(algorithm="mur", label="mur", output_dir=str(tmp_path)),
+        base_config(algorithm=name, label=name, seeds=[0, 1], output_dir=str(tmp_path))
+        for name in ("hals", "mur")
     ]
     cfgs = [RunConfig.from_dict(r) for r in raws]
-    rows = compare(cfgs, seeds=[0, 1])
-    rows_perm = compare(list(reversed(cfgs)), seeds=[0, 1])
+    rows = compare(cfgs)
+    rows_perm = compare(list(reversed(cfgs)))
     assert [(r.label, r.median, r.min, r.max) for r in rows] == [
         (r.label, r.median, r.min, r.max) for r in rows_perm
     ]
-    single = compare([cfgs[0]], seeds=[0])
+    single = compare([RunConfig.from_dict({**raws[0], "seeds": [0]})])
     record = run_single(cfgs[0], 0)
     assert single[0].median == pytest.approx(record.final_rel_error)
     table = compare_table(rows)
@@ -881,6 +881,89 @@ def test_an_output_path_that_cannot_be_written_is_a_config_error_before_any_solv
     assert err.startswith("config error:") and err.count("\n") == 1
     assert str(named) in err
     assert {path.name for path in tmp_path.iterdir()} <= {"file", "run.yaml"}
+
+
+def test_bench_run_refuses_an_output_dir_under_a_file_before_any_solve(
+    tmp_path, monkeypatch
+):
+    solves = []
+    monkeypatch.setattr(bench, "run_single",
+                        lambda cfg, seed: solves.append(seed) or run_single(cfg, seed))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = RunConfig.from_dict(base_config(seeds=[0, 1, 2],
+                                          output_dir=str(blocker / "sub")))
+    with pytest.raises(ConfigError, match=re.escape(str(blocker))):
+        run(cfg)
+    assert solves == []
+    assert {path.name for path in tmp_path.iterdir()} == {"file"}
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("label", ["../blocker/x", "a,b", "a\\b", "two\nlines", ""])
+def test_a_label_that_is_no_plain_file_name_is_a_config_error_before_any_solve(
+    tmp_path, monkeypatch, capsys, command, label
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(bench, "run_single", no_solve)
+    (tmp_path / "blocker").write_text("")
+    raw = base_config(output_dir=str(tmp_path / "out"))
+    if command == "compare":
+        raw["algorithms"] = [{"label": label, "algorithm": "hals"}]
+    else:
+        raw["label"] = label
+    yaml.safe_dump(raw, (tmp_path / "run.yaml").open("w"))
+    assert cli.main([command, "--config", str(tmp_path / "run.yaml")]) == 1
+    assert capsys.readouterr().err == (
+        "config error: label must be non-empty, with no path separator, comma "
+        f"or line break, got {label!r}\n")
+    assert {path.name for path in tmp_path.iterdir()} == {"blocker", "run.yaml"}
+
+
+def test_cli_compare_seeds_replace_a_variants_own_seeds(tmp_path, monkeypatch, capsys):
+    seeds = []
+    monkeypatch.setattr(bench, "run_single",
+                        lambda cfg, seed: seeds.append(seed) or run_single(cfg, seed))
+    raw = base_config(output_dir=str(tmp_path / "out"))
+    raw["algorithms"] = [{"label": "hals", "algorithm": "hals", "seeds": [5]}]
+    yaml.safe_dump(raw, (tmp_path / "cmp.yaml").open("w"))
+    argv = ["compare", "--config", str(tmp_path / "cmp.yaml"), "--seeds", "0"]
+    assert cli.main(argv) == 0
+    assert seeds == [0]
+    capsys.readouterr()
+
+
+def test_cli_compare_refuses_a_seed_range_too_large_to_hold(
+    tmp_path, monkeypatch, capsys
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(bench, "run_single", no_solve)
+    raw = base_config(output_dir=str(tmp_path / "out"))
+    raw["algorithms"] = [{"label": "hals", "algorithm": "hals"}]
+    yaml.safe_dump(raw, (tmp_path / "cmp.yaml").open("w"))
+    seeds = f"0..{10**15}"
+    argv = ["compare", "--config", str(tmp_path / "cmp.yaml"), "--seeds", seeds]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: --seeds {seeds} needs ")
+    assert err.endswith(" bytes, more than physical memory\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_run_config_with_an_algorithms_list_points_to_compare(
+    tmp_path, monkeypatch, capsys
+):
+    raw = base_config(output_dir=str(tmp_path / "out"),
+                      algorithms=[{"label": "hals", "algorithm": "hals"}])
+    with pytest.raises(ConfigError, match="use the compare subcommand"):
+        RunConfig.from_dict(raw)
+    err = _refused_before_any_solve(tmp_path, monkeypatch, capsys, raw)
+    assert err == ("config error: a run config takes no 'algorithms' list; "
+                   "use the compare subcommand\n")
 
 
 @pytest.mark.parametrize("algorithm,setting", [
